@@ -520,8 +520,9 @@ class Member:
         if granting >= self.majority():
             self._probe_majority(token)
         else:
-            self.host.sim.schedule(self.config.heartbeat_period_ns,
-                                   self._await_grants, token)
+            sim = self.host.sim
+            sim.schedule_at_fire(sim.now + self.config.heartbeat_period_ns,
+                                 self._await_grants, token)
 
     def _alive_replica_infos(self) -> List[PeerInfo]:
         alive = set(self.hb.alive_ids(include_self=False))
@@ -531,6 +532,7 @@ class Member:
         """Step 1: prove write permission on a majority via lease writes."""
         if token != self._takeover_token or self._stopped:
             return
+        sim = self.host.sim
         replicas = self._alive_replica_infos()
         needed = self.majority() - 1  # peers beyond ourselves
         state = {"ok": 0, "answered": 0, "total": 0}
@@ -550,8 +552,9 @@ class Member:
             elif state["answered"] == state["total"] and state["ok"] < needed:
                 # Not enough grants yet: replicas may still be flipping
                 # permissions; retry after a heartbeat period.
-                self.host.sim.schedule(self.config.heartbeat_period_ns,
-                                       self._probe_majority, token)
+                sim.schedule_at_fire(
+                    sim.now + self.config.heartbeat_period_ns,
+                    self._probe_majority, token)
 
         for info in replicas:
             if self.direct.probe(info.node_id, lease_payload, on_probe):
@@ -559,8 +562,8 @@ class Member:
             else:
                 self._ensure_direct_path(info, "primary")
         if state["total"] < needed:
-            self.host.sim.schedule(self.config.heartbeat_period_ns,
-                                   self._probe_majority, token)
+            sim.schedule_at_fire(sim.now + self.config.heartbeat_period_ns,
+                                 self._probe_majority, token)
 
     def _reconcile(self, token: int) -> None:
         """Step 2: adopt the longest log of a majority (fresh reads)."""
@@ -752,8 +755,9 @@ class Member:
         posted = self.direct.replicate(entry)
         if posted == 0 and not entry.quorate:
             # No usable path at all: retry after reconnects progress.
-            self.host.sim.schedule(self.config.heartbeat_period_ns,
-                                   self._replicate_one, entry)
+            sim = self.host.sim
+            sim.schedule_at_fire(sim.now + self.config.heartbeat_period_ns,
+                                 self._replicate_one, entry)
 
     # -- doorbell batching ---------------------------------------------------------
 
@@ -887,8 +891,9 @@ class Member:
             if posted == 0:
                 for info in self._alive_replica_infos():
                     self._ensure_direct_path(info, self._preferred_route())
-                self.host.sim.schedule(params.RDMA_TIMEOUT_NS,
-                                       self._replicate, item)
+                sim = self.host.sim
+                sim.schedule_at_fire(sim.now + params.RDMA_TIMEOUT_NS,
+                                     self._replicate, item)
 
     def _preferred_route(self) -> str:
         # After a switch crash the primary star is gone.

@@ -5,7 +5,8 @@ identical with the fast lanes on or off; the flags exist so that
 ``tools/bench_sim.py`` can *prove* it by running the same workload both
 ways and comparing ``events_executed`` and the packet-trace digest.
 
-Twelve lanes, mirroring the optimisations described in ``docs/PERF.md``:
+The lanes (the ``_LANES`` tuple below is the list), mirroring the
+optimisations described in ``docs/PERF.md``:
 
 ``cow_packets``
     :meth:`repro.net.packet.Packet.copy` shares frozen headers instead of
@@ -22,11 +23,6 @@ Twelve lanes, mirroring the optimisations described in ``docs/PERF.md``:
     on the parsed flow tuple, invalidated by control-plane table versions
     (:class:`repro.switch.tables.FlowVerdictCache`).
 
-``kernel_hotloop``
-    :meth:`repro.sim.kernel.Simulator.run` executes events through an
-    inlined long-hand loop (no per-event helper call frame).  Off, it
-    dispatches every event through ``_execute`` -- the reference shape.
-
 ``rewrite_templates``
     The switch egress scatter rewrite, the gather forward rewrite and the
     NIC transmit framer emit packets by patching pre-rendered wire-image
@@ -38,16 +34,8 @@ Twelve lanes, mirroring the optimisations described in ``docs/PERF.md``:
     fields drift.
 
 ``object_pools``
-    ``Packet`` shells for switch fan-out copies and the kernel ``Event``
-    objects behind fire-and-forget scheduling are recycled through
-    bounded freelists instead of being allocated per leg / per event.
-
-``delivery_batching``
-    The kernel heap stores one entry per distinct timestamp (a FIFO
-    bucket of events) instead of one entry per event, so the same-tick
-    bursts produced by multicast fan-out -- N link deliveries, N egress
-    parser slots, N transmits at identical times -- cost one heap
-    push/pop instead of N.
+    ``Packet`` shells for switch fan-out copies are recycled through a
+    bounded freelist instead of being allocated per leg.
 
 ``hot_reads``
     The replicated-log reader (:meth:`repro.consensus.log.Log.peek` and
@@ -105,18 +93,19 @@ Twelve lanes, mirroring the optimisations described in ``docs/PERF.md``:
 All lanes default to on.  ``REPRO_FASTLANE=off`` (or ``0``/``false``)
 disables all of them for a process; ``enable()`` / ``disable()`` flip them
 at runtime (takes effect for packets processed afterwards -- benchmarks
-construct a fresh cluster per lane setting anyway; the kernel lanes are
-sampled once per :class:`~repro.sim.kernel.Simulator` at construction).
+construct a fresh cluster per lane setting anyway).  The event kernel has
+no lane: every setting runs the same :class:`~repro.sim.kernel.Simulator`.
 """
 
 from __future__ import annotations
 
 import os
 
-_LANES = ("cow_packets", "incremental_icrc", "flow_cache", "kernel_hotloop",
-          "rewrite_templates", "object_pools", "delivery_batching",
-          "hot_reads", "flight_fusion", "window_superfusion",
-          "columnar_express")
+#: The nine lane flags.  ``docs/PERF.md`` keeps their historical numbers
+#: (lanes 9, 11 and 12 are the last three here).
+_LANES = ("cow_packets", "incremental_icrc", "flow_cache",
+          "rewrite_templates", "object_pools", "hot_reads",
+          "flight_fusion", "window_superfusion", "columnar_express")
 
 
 class _Flags:

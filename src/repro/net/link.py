@@ -215,9 +215,8 @@ class Link:
             if packet._pooled:
                 packet.release()
             return True
-        # Fire-and-forget: no delivery handle escapes, so the kernel may
-        # pool the Event (and with delivery_batching, same-tick deliveries
-        # across the fan-out share one heap entry).
+        # Fire-and-forget: no delivery handle escapes, so the kernel spends
+        # one heap tuple on it and no Event object.
         self._sim.schedule_at_fire(finish + self.propagation_ns, self._deliver,
                                    d, packet)
         return True

@@ -326,7 +326,7 @@ class P4ceControlPlane:
         group.state = GroupState.PROGRAMMING
         done_at = max(self.sim.now,
                       pending.started_at + params.SWITCH_RECONFIG_NS)
-        self.sim.schedule_at(done_at, self._program_group, pending)
+        self.sim.schedule_at_fire(done_at, self._program_group, pending)
 
     def _program_group(self, pending: _PendingGroup) -> None:
         group = pending.group

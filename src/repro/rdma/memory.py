@@ -46,7 +46,7 @@ class MemoryRegion:
         self.addr = addr
         self.length = length
         self.r_key = r_key
-        self.access = access
+        self.set_access(access)
         self.name = name
         self.buffer = bytearray(length)
         #: One past the last registered address.  Registration is
@@ -72,11 +72,14 @@ class MemoryRegion:
         return bytes(self.buffer[offset:offset + length])
 
     def allows(self, access: Access) -> bool:
-        return bool(self.access & access) or access == Access.NONE
+        # Int masks, not ``enum.Flag.__and__``: this runs per remote write.
+        mask = access._value_
+        return mask == 0 or (self._mask & mask) != 0
 
     def set_access(self, access: Access) -> None:
         """Re-register the region with new permissions (ibv_rereg_mr)."""
         self.access = access
+        self._mask = access._value_
 
     def __repr__(self) -> str:
         return (f"MemoryRegion({self.name!r}, va={self.addr:#x}, len={self.length}, "

@@ -628,7 +628,8 @@ class RNic:
             self._arm_retx(qp)
             self._pump(qp)
         elif code is AethCode.RNR_NAK:
-            self.sim.schedule(params.RDMA_TIMEOUT_NS, self._retransmit_window, qp)
+            self.sim.schedule_at_fire(self.sim.now + params.RDMA_TIMEOUT_NS,
+                                      self._retransmit_window, qp)
         elif code is AethCode.NAK:
             nak = NakCode(syndrome_value(aeth.syndrome))
             if nak is NakCode.PSN_SEQUENCE_ERROR:

@@ -64,5 +64,5 @@ class Cpu:
         self.busy_time += duration
         self.jobs_run += 1
         if callback is not None:
-            self._sim.schedule_at(finish, callback, *args)
+            self._sim.schedule_at_fire(finish, callback, *args)
         return finish

@@ -118,7 +118,7 @@ from ..rdma.wiretemplate import (
     scatter_template,
 )
 from .columnar import _FLUSH_LIMIT, _VA_OFF, DigestTap
-from .kernel import Event, Simulator
+from .kernel import Simulator
 from .trace import TraceRecord, Tracer
 
 #: Half the 24-bit PSN space, for "not before" window comparisons.
@@ -448,10 +448,10 @@ class FlightPlanner:
         when the hop is provably the drain's next pop: strictly before
         the run's real-event barrier, strictly before every pending hop
         (seqs are monotone, so a timestamp tie loses to the queue), with
-        the kernel heap unmoved and the same-tick FIFO empty.  Under
-        those conditions executing now is literally what the drain loop
-        would do next, so every cross-flight read -- busy-horizon claims,
-        the RX-credit syndrome, queue-limit checks -- observes exactly
+        the kernel heap unmoved.  Under those conditions executing now
+        is literally what the drain loop would do next, so every
+        cross-flight read -- busy-horizon claims, the RX-credit
+        syndrome, queue-limit checks -- observes exactly
         the slow lane's state; no weaker condition is safe, because pipe
         claims (``start = max(busy, vt)``) are order-sensitive whenever
         a pipe runs hot.  The hop consumes the same kernel seq either
@@ -470,13 +470,13 @@ class FlightPlanner:
                     new_args[i] = self._materialize(a)
             if new_args is not None:
                 args = tuple(new_args)
-            sim.schedule_at(t, fn, *args)
+            sim.schedule_at_fire(t, fn, *args)
             return
         seq = sim._seq
         sim._seq = seq + 1
         fq = self._fq
         if (t < self._inline_until and (not fq or t < fq[0][0])
-                and sim._heap_len == self._run_hlen and not sim._soon):
+                and len(sim._heap) == self._run_hlen):
             self._inline_credits += 1
             sim._now = t
             xfn(t, (t, seq, fn, args, flight, xfn, ctx))
@@ -544,26 +544,18 @@ class FlightPlanner:
         fq = self._fq
         if not fq:
             return False
-        soon = sim._soon
         heap = sim._heap
         pop = heapq.heappop
         credits = 0
         while fq:
             entry = fq[0]
             vt = entry[0]
-            if vt > limit or soon:
+            if vt > limit:
                 break
             if heap:
                 top = heap[0]
-                top_time = top[0]
-                if top_time < vt:
+                if top[0] < vt or (top[0] == vt and top[1] < entry[1]):
                     break
-                if top_time == vt:
-                    front = top[2]
-                    if type(front) is list:  # delivery_batching bucket
-                        front = front[front[0]]
-                    if front.seq < entry[1]:
-                        break
             pop(fq)
             flight = entry[4]
             flight.pending -= 1
@@ -602,16 +594,16 @@ class FlightPlanner:
         At saturation the hop queue holds a pipelined window of
         interleaved clean flights -- tens of thousands of hops between
         real kernel events.  The lane-9 drain re-derives the real-event
-        barrier (heap front peek, bucket deref, seq tie-break) per hop;
-        this drain derives it once per run and then executes consecutive
-        due hops back to back, which is exact because the barrier cannot
-        move while the heap is untouched.  The run splits -- falling back
-        to a fresh barrier derivation -- the moment a hop schedules or
-        cancels kernel work (``_heap_len`` moved, or the same-tick FIFO
-        gained an event: terminal commit cascades, express fallbacks,
-        mid-stage defusions) or the barrier time is reached.  Hops tied
-        with the barrier timestamp are left for the next outer iteration,
-        where the seq comparison resolves the tie in slow-lane order.
+        barrier (heap front peek, seq tie-break) per hop; this drain
+        derives it once per run and then executes consecutive due hops
+        back to back, which is exact because the barrier cannot move
+        earlier while the heap is untouched.  The run splits -- falling
+        back to a fresh barrier derivation -- the moment a hop schedules
+        kernel work (``len(heap)`` moved: terminal commit cascades,
+        express fallbacks, mid-stage defusions) or the barrier time is
+        reached.  Hops tied with the barrier timestamp are left for the
+        next outer iteration, where the seq comparison resolves the tie
+        in slow-lane order.
 
         Lane 12 layers inline chaining on the runs: while a run holds,
         a clean hop's successor executes depth-first via _chain instead
@@ -623,7 +615,6 @@ class FlightPlanner:
         fq = self._fq
         if not fq:
             return False
-        soon = sim._soon
         heap = sim._heap
         pop = heapq.heappop
         credits = 0
@@ -633,19 +624,13 @@ class FlightPlanner:
         while fq:
             entry = fq[0]
             vt = entry[0]
-            if vt > limit or soon:
+            if vt > limit:
                 break
             if heap:
                 top = heap[0]
                 barrier = top[0]
-                if barrier < vt:
+                if barrier < vt or (barrier == vt and top[1] < entry[1]):
                     break
-                if barrier == vt:
-                    front = top[2]
-                    if type(front) is list:  # delivery_batching bucket
-                        front = front[front[0]]
-                    if front.seq < entry[1]:
-                        break
                 if limit < barrier:
                     barrier = limit
             else:
@@ -653,7 +638,7 @@ class FlightPlanner:
             # One run: every hop strictly before ``barrier`` outruns any
             # real event while the heap stays put.
             run = 0
-            hlen = sim._heap_len
+            hlen = len(heap)
             self._run_hlen = hlen
             self._run_gen = self._gen
             self._inline_until = barrier
@@ -678,7 +663,7 @@ class FlightPlanner:
                     entry[2](*entry[3])
                 else:
                     xfn(entry[0], entry)
-                if not fq or soon or sim._heap_len != hlen:
+                if not fq or len(heap) != hlen:
                     break
                 entry = fq[0]
                 if entry[0] >= barrier:
@@ -700,7 +685,7 @@ class FlightPlanner:
         # window-sized columns.
         for tap in dtaps:
             tap.hold = False
-            if len(tap._events) >= _FLUSH_LIMIT and not soon:
+            if len(tap._events) >= _FLUSH_LIMIT:
                 # Render the backlog up to the next event horizon: frames
                 # strictly before it are final (nothing can still absorb
                 # earlier than the front of either queue).
@@ -727,10 +712,7 @@ class FlightPlanner:
         self.terminal_fires += 1
         flight.phantom = None
         if flight.pending > 0:
-            # Re-arm at the push horizon.  Nudge past "now" so the
-            # re-armed phantom is a heap event (never a same-tick FIFO
-            # entry, which would block the drain) and loses same-time
-            # seq ties to every pending hop.
+            # Re-arm at the push horizon, nudged past "now".
             t = flight.latest_vt
             now = sim._now
             if t <= now:
@@ -790,7 +772,7 @@ class FlightPlanner:
                 # held a batched window: the batch splits here and the
                 # un-executed tail below re-materializes at exact
                 # timestamps.  A trigger landing *inside* a run also ends
-                # the run early (the heap/soon checks in _drain_super).
+                # the run early (the heap-length check in _drain_super).
                 self.batch_splits += 1
             ordered = sorted(fq)
             fq.clear()
@@ -816,16 +798,11 @@ class FlightPlanner:
                 self.vx_materialized += 1
                 args[i] = self._materialize(args[i])
                 ordered[n] = entry[:3] + (tuple(args),) + entry[4:]
-            # Materialized pushes carry historical (non-monotone) seqs;
-            # never let them join an open delivery-batching bucket.
-            sim._last_bucket = None
-            sim._last_time = -1.0
+            # A hop's first four fields *are* the kernel's fire-and-forget
+            # entry, historical seq included.
+            heap = sim._heap
             for entry in ordered:
-                sim._pending += 1
-                sim._push(entry[0], entry[1],
-                          Event(entry[0], entry[1], entry[2], entry[3], sim))
-            sim._last_bucket = None
-            sim._last_time = -1.0
+                heapq.heappush(heap, entry[:4])
             tracer = self._tracer
             if tracer is not None and tracer.enabled:
                 # Fusion never engages while tracing, but a tracer flipped
@@ -1094,7 +1071,7 @@ class FlightPlanner:
                 # A watcher defused mid-notify (CP write, fault, taint):
                 # hand the ACK to the kernel as a real event -- it gets
                 # the same next seq either way.
-                self._sim.schedule_at(t, rnic._emit, ack)
+                self._sim.schedule_at_fire(t, rnic._emit, ack)
             else:
                 self._push_hop(t, rnic._emit, (ack,), entry[4],
                                self._x_ack_emit, leg)

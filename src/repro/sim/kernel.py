@@ -1,48 +1,39 @@
 """Discrete-event simulation kernel.
 
-The kernel is a classic calendar queue: callbacks are scheduled at absolute
-simulated times (integer-friendly nanoseconds, floats accepted) and executed
-in timestamp order.  Ties are broken by scheduling order, which makes every
-run fully deterministic.
+Callbacks are scheduled at absolute simulated times (integer-friendly
+nanoseconds, floats accepted) and executed in ``(time, seq)`` order, where
+``seq`` is a per-simulator counter consumed once per scheduling call.  Ties
+therefore break by scheduling order, which makes every run deterministic.
 
 Design notes
 ------------
 * Callback style, not coroutine style: the hot path of the benchmarks
   executes millions of events, and plain callables with pre-bound arguments
   are both faster and easier to reason about than generator trampolines.
-* Cancellation is O(1): cancelled events stay in the heap but carry a
-  tombstone flag and are skipped on pop.  A live ``pending_events`` counter
-  (maintained on schedule/cancel/execute) keeps the pending count O(1) too,
-  instead of scanning the heap.  Tombstones are counted, and when they
-  outnumber the live heap entries the heap is lazily compacted in place --
-  otherwise a timer that is re-armed per ACK (the retransmission timer)
-  grows the heap without bound between pops.
-* The heap stores ``(time, seq, event)`` tuples so ordering is resolved by
-  C-level tuple comparison instead of a Python ``__lt__`` per sift step.
-  With the ``delivery_batching`` fast lane on, the heap instead stores
-  ``(time, seq, bucket)`` entries, each bucket a FIFO of same-tick events:
-  multicast fan-out schedules N link deliveries / parser slots / transmits
-  at identical times *back-to-back*, and a one-entry last-push memo
-  coalesces such a run into one heap push/pop instead of N (a memo miss
-  just opens another bucket for the timestamp; buckets hold contiguous
-  ``seq`` ranges, so heap order still equals scheduling order).  Within a
-  bucket events run in append order, which is scheduling order -- exactly
-  the ``(time, seq)`` order of the plain heap, so the execution sequence
-  is bit-identical between the two representations.
-* Events scheduled at exactly the current instant (zero-delay
-  ``call_soon`` chains) bypass the heap through a same-timestamp FIFO
-  deque.  This is safe because every event already *in* the heap at the
-  current timestamp was scheduled earlier (lower ``seq``) and therefore
-  must -- and does -- run first; events appended to the FIFO while the
-  clock sits at ``now`` carry strictly larger sequence numbers.
-* :meth:`Simulator.schedule_at_fire` is ``schedule_at`` for fire-and-forget
-  callbacks: it returns no handle, so with the ``object_pools`` lane on the
-  kernel recycles the :class:`Event` object through a bounded freelist
-  after execution.  The per-frame hot sites (link delivery, pipeline
-  stages, NIC tx/rx) all use it.
-* The kernel lanes (``delivery_batching``, ``object_pools``) are sampled
-  once at :class:`Simulator` construction so a mid-run flag flip cannot
-  mix heap representations.
+* One event representation.  The pending set is a binary heap
+  (``heapq``) of 4-tuples ordered by C-level tuple comparison; ``seq`` is
+  unique, so a comparison never reaches the third element:
+
+  - ``(time, seq, fn, args)`` -- a fire-and-forget event
+    (:meth:`Simulator.schedule_at_fire`).  Nothing else is allocated for
+    it, and nothing can cancel it.  Every per-frame site (link delivery,
+    pipeline stages, NIC tx/rx, CPU jobs) schedules this way.
+  - ``(time, seq, None, event)`` -- a cancellable :class:`Event` handle
+    (:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`).  Handles
+    are the exception: timers and the fused-flight phantom keep theirs,
+    one-shot fault scripts are too rare to matter.
+
+* Cancellation is O(1): a cancelled handle stays in the heap as a
+  tombstone and is dropped when popped.  Tombstones are counted, so
+  ``pending_events`` is ``len(heap) - tombstones``, and when they
+  outnumber the live entries the heap is compacted in place.
+* A handle's owner may *defer* it (:meth:`Event.defer`): a later
+  ``event.time`` together with a freshly reserved ``event.seq``, the heap
+  left alone.  The stale entry pops at its old position, sees the seq
+  mismatch and re-pushes itself under the reserved seq -- which is exactly
+  where a cancel-and-reschedule would have put it -- without counting as
+  an event or moving the clock.  :class:`~repro.sim.timers.Timer` re-arms
+  this way.
 * The kernel knows nothing about networks, NICs or switches; those are
   modelled as objects holding a reference to the kernel.  For diagnostics
   it can optionally count executed events per callback qualname
@@ -52,13 +43,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
-
-from .. import fastlane
-
-#: Max recycled Event objects kept on a simulator's freelist.
-_EVENT_POOL_CAP = 1024
+from typing import Any, Callable, Dict, List, Optional
 
 #: Heaps smaller than this are never compacted; the tombstone overhead is
 #: bounded by the threshold itself.
@@ -66,28 +51,22 @@ _COMPACT_MIN_HEAP = 64
 
 
 class Event:
-    """A scheduled callback.  Returned by :meth:`Simulator.schedule`."""
+    """A cancellable scheduled callback, returned by
+    :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim", "_heaped",
-                 "_fire")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
-                 sim: Optional["Simulator"] = None):
+                 sim: "Simulator"):
         self.time = time
         self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
-        #: Owning simulator while the event is pending; cleared on
-        #: execution so a late cancel() cannot corrupt the live counter.
-        self._sim = sim
-        #: True while the event sits in the heap (as opposed to the
-        #: same-timestamp FIFO) -- cancelling a heaped event leaves a
-        #: tombstone that the compaction accounting must know about.
-        self._heaped = False
-        #: True for events created by schedule_at_fire() with pooling on:
-        #: no handle escaped, so the kernel may recycle the object.
-        self._fire = False
+        #: Owning simulator while the handle's entry sits in the heap;
+        #: cleared when the entry leaves it (fired, or dropped as a
+        #: tombstone), so a late cancel() cannot corrupt the accounting.
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
@@ -95,18 +74,29 @@ class Event:
             self.cancelled = True
             sim = self._sim
             if sim is not None:
-                sim._pending -= 1
-                self._sim = None
-                if self._heaped:
-                    sim._tombstones += 1
-                    if (sim._tombstones * 2 > sim._heap_len
-                            and sim._heap_len >= _COMPACT_MIN_HEAP):
-                        sim._compact()
+                sim._tombstones += 1
+                size = len(sim._heap)
+                if sim._tombstones * 2 > size and size >= _COMPACT_MIN_HEAP:
+                    sim._compact()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+    def defer(self, time: float) -> bool:
+        """Move a handle whose entry is still in the heap to the later
+        ``time``, reserving the seq a reschedule would consume (a
+        cancelled handle is revived).  Returns False, changing nothing,
+        if the entry already left the heap or ``time`` is earlier than
+        the handle's: the owner must cancel and reschedule instead.
+        """
+        sim = self._sim
+        if sim is None or time < self.time:
+            return False
+        if self.cancelled:
+            self.cancelled = False
+            sim._tombstones -= 1
+        self.time = time
+        seq = sim._seq
+        sim._seq = seq + 1
+        self.seq = seq
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -123,34 +113,15 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        #: Plain mode: (time, seq, Event) tuples.  Bucketed mode:
-        #: (time, seq, bucket) entries, where bucket is
-        #: ``[next_index, event, event, ...]`` drained FIFO via the
-        #: leading index (no O(n) list.pop(0)).
+        #: ``(time, seq, fn, args)`` and ``(time, seq, None, Event)``
+        #: entries (see the module docstring).  Always mutated in place,
+        #: never rebound: the flight planner holds an alias.
         self._heap: List[tuple] = []
-        #: Bucketed mode only: the most recently pushed bucket and its
-        #: timestamp.  Fan-out schedules its same-tick events
-        #: back-to-back, so a one-entry memo coalesces them without a
-        #: timestamp->bucket dict on the push path.  A memo miss simply
-        #: opens a second bucket for the same timestamp; buckets hold
-        #: contiguous seq ranges, so the (time, first-seq) heap order
-        #: still drains every same-tick event in scheduling order.
-        self._last_bucket: Optional[list] = None
-        self._last_time: float = -1.0
-        #: Same-timestamp FIFO: events scheduled at exactly ``now``.
-        #: Invariant: every queued event's time equals the current clock,
-        #: so the deque is always drained before the clock advances.
-        self._soon: Deque[Event] = deque()
         self._seq: int = 0
         self._running = False
         self._event_count: int = 0
-        self._pending: int = 0
-        #: Events (live + tombstoned) currently stored in the heap.
-        self._heap_len: int = 0
-        #: Cancelled events still stored in the heap.
+        #: Cancelled handles whose entries are still in the heap.
         self._tombstones: int = 0
-        #: Recycled Event shells for schedule_at_fire (object_pools lane).
-        self._free: List[Event] = []
         #: Flight-fusion hop queue (lane 9): captured-but-unscheduled hops
         #: as (time, seq, fn, args, flight) tuples, owned by the
         #: FlightPlanner but polled here so due hops replay *before* any
@@ -160,10 +131,6 @@ class Simulator:
         #: FlightPlanner attaches; _flight_queue stays empty until then).
         self._flight_drain: Optional[Callable[[float], None]] = None
         self._flight_planner = None
-        # Kernel lanes are per-simulator, sampled at construction: a flag
-        # flip mid-run must not mix heap representations.
-        self._bucketed: bool = fastlane.flags.delivery_batching
-        self._pooling: bool = fastlane.flags.object_pools
         #: When True, executed events are tallied per callback qualname in
         #: :attr:`component_counts` (cheap bool check per event when off).
         self.profile_components: bool = False
@@ -178,34 +145,23 @@ class Simulator:
 
     @property
     def events_executed(self) -> int:
-        """Total number of events executed so far (for tests/diagnostics)."""
+        """Total number of events executed so far (for tests/diagnostics).
+
+        Settled whenever :meth:`run`, :meth:`step` or :meth:`run_until`
+        returns; a callback reading it mid-run sees the count as of entry.
+        """
         return self._event_count
 
     @property
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled events.  O(1)."""
-        return self._pending
+        return len(self._heap) - self._tombstones
 
     # -- scheduling ---------------------------------------------------------
 
-    # schedule(), schedule_at() and schedule_at_fire() share their body by
-    # hand: one extra Python call frame per scheduled event is measurable
-    # at the event rates the benchmarks run.
-
-    def _push(self, time: float, seq: int, event: Event) -> None:
-        """Insert a future event into the heap (either representation)."""
-        event._heaped = True
-        self._heap_len += 1
-        if self._bucketed:
-            if time == self._last_time and self._last_bucket is not None:
-                self._last_bucket.append(event)
-            else:
-                bucket = [1, event]
-                self._last_bucket = bucket
-                self._last_time = time
-                heapq.heappush(self._heap, (time, seq, bucket))
-        else:
-            heapq.heappush(self._heap, (time, seq, event))
+    # schedule_at() and schedule_at_fire() repeat their four-line preamble
+    # by hand: a shared helper would be one more Python call frame on the
+    # path every event takes.
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ns from now.
@@ -215,292 +171,102 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        now = self._now
-        time = now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, fn, args, self)
-        self._pending += 1
-        if time == now:
-            self._soon.append(event)
-        else:
-            self._push(time, seq, event)
-        return event
+        return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
-        now = self._now
-        if time < now:
+        if time < self._now:
             raise SimulationError(
-                f"cannot schedule at t={time} ns; clock is already at {now} ns"
+                f"cannot schedule at t={time} ns; clock is already at {self._now} ns"
             )
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, fn, args, self)
-        self._pending += 1
-        if time == now:
-            # Zero-delay fast lane: no heap churn for call_soon chains.
-            self._soon.append(event)
-        else:
-            self._push(time, seq, event)
+        heapq.heappush(self._heap, (time, seq, None, event))
         return event
 
     def schedule_at_fire(self, time: float, fn: Callable[..., Any],
                          *args: Any) -> None:
         """:meth:`schedule_at` for fire-and-forget callbacks.
 
-        Returns no handle, so the event cannot be cancelled -- and because
-        no reference escapes, the kernel may recycle the Event object
-        through a bounded freelist once it has run (``object_pools`` lane).
-        Semantically identical to ``schedule_at`` with the result ignored.
+        Returns no handle, so the event cannot be cancelled -- and costs
+        one heap tuple, nothing else.  Semantically identical to
+        ``schedule_at`` with the result ignored.
         """
-        now = self._now
-        if time < now:
+        if time < self._now:
             raise SimulationError(
-                f"cannot schedule at t={time} ns; clock is already at {now} ns"
+                f"cannot schedule at t={time} ns; clock is already at {self._now} ns"
             )
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free and self._pooling:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event._sim = self
-        else:
-            event = Event(time, seq, fn, args, self)
-            event._fire = self._pooling
-        self._pending += 1
-        if time == now:
-            event._heaped = False
-            self._soon.append(event)
-            return
-        # _push() inlined: this is the dominant scheduling entry point and
-        # the extra call frame per event is measurable at benchmark rates.
-        event._heaped = True
-        self._heap_len += 1
-        if self._bucketed:
-            if time == self._last_time and self._last_bucket is not None:
-                self._last_bucket.append(event)
-            else:
-                bucket = [1, event]
-                self._last_bucket = bucket
-                self._last_time = time
-                heapq.heappush(self._heap, (time, seq, bucket))
-        else:
-            heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, fn, args))
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current instant."""
-        return self.schedule(0, fn, *args)
+        return self.schedule_at(self._now, fn, *args)
 
     # -- queue maintenance --------------------------------------------------
 
-    def _drop_top(self, entry: tuple, was_cancelled: bool) -> None:
-        """Remove the next event (the one ``entry`` fronts) from the heap."""
-        if self._bucketed:
-            bucket = entry[2]
-            index = bucket[0]
-            if index + 1 == len(bucket):
-                heapq.heappop(self._heap)
-                if self._last_bucket is bucket:
-                    self._last_bucket = None
-            else:
-                bucket[0] = index + 1
-        else:
-            heapq.heappop(self._heap)
-        self._heap_len -= 1
-        if was_cancelled:
-            self._tombstones -= 1
-
     def _compact(self) -> None:
-        """Rebuild the heap without tombstones (both representations).
+        """Rebuild the heap without tombstones.
 
         Mutates ``self._heap`` in place so hot loops holding a local alias
         keep seeing the live structure.
         """
         heap = self._heap
-        if self._bucketed:
-            live: List[Event] = []
-            for entry in heap:
-                bucket = entry[2]
-                for index in range(bucket[0], len(bucket)):
-                    event = bucket[index]
-                    if not event.cancelled:
-                        live.append(event)
-            live.sort()
-            heap.clear()
-            self._last_bucket = None
-            bucket = None
-            bucket_time = None
-            for event in live:
-                # The live list is (time, seq)-sorted, so same-timestamp
-                # events are adjacent: one bucket per run suffices.
-                if bucket is None or event.time != bucket_time:
-                    bucket = [1, event]
-                    bucket_time = event.time
-                    heap.append((event.time, event.seq, bucket))
-                else:
-                    bucket.append(event)
-            heapq.heapify(heap)
-            self._heap_len = len(live)
-        else:
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(heap)
-            self._heap_len = len(heap)
+        live = []
+        for entry in heap:
+            if entry[2] is None and entry[3].cancelled:
+                entry[3]._sim = None
+            else:
+                live.append(entry)
+        heap[:] = live
+        heapq.heapify(heap)
         self._tombstones = 0
 
-    def _pop_due(self, limit: Optional[float]) -> Optional[Event]:
-        """Pop and return the next runnable event, advancing the clock.
-
-        Returns None (clock untouched) when the queue is empty or the next
-        event lies strictly beyond ``limit``.
-        """
-        soon = self._soon
-        heap = self._heap
-        bucketed = self._bucketed
-        fq = self._flight_queue
-        while True:
-            if fq and not soon:
-                # Replay fused-flight hops due before the next event (or
-                # before ``limit`` when that comes first): later events
-                # must observe logs/registers/links exactly as the slow
-                # lane would have left them.  A False return means the
-                # front heap event wins the timestamp tie on seq: fall
-                # through and pop it normally.  With an empty heap and no
-                # limit (phantom-free lane 11 flights), the hop queue
-                # itself bounds the drain.
-                nxt = heap[0][0] if heap else None
-                if limit is not None and (nxt is None or limit < nxt):
-                    nxt = limit
-                if nxt is None:
-                    nxt = fq[0][0]
-                if fq[0][0] <= nxt and self._flight_drain(nxt):
-                    continue
-            if soon and (not heap or heap[0][0] > self._now):
-                event = soon.popleft()
-                if event.cancelled:
-                    continue
-                return event
-            if not heap:
-                return None
-            entry = heap[0]
-            if bucketed:
-                bucket = entry[2]
-                event = bucket[bucket[0]]
-            else:
-                event = entry[2]
-            if event.cancelled:
-                self._drop_top(entry, True)
-                continue
-            if limit is not None and entry[0] > limit:
-                return None
-            self._drop_top(entry, False)
-            self._now = entry[0]
-            return event
+    def _lapsed(self, seq: int, event: Event) -> bool:
+        """Settle a handle entry just popped under ``seq``.  True means it
+        must not run: a tombstone is dropped, a deferred handle re-pushed
+        under its reserved seq."""
+        if event.cancelled:
+            self._tombstones -= 1
+            event._sim = None
+            return True
+        if event.seq != seq:
+            heapq.heappush(self._heap, (event.time, event.seq, None, event))
+            return True
+        event._sim = None
+        return False
 
     # -- execution ----------------------------------------------------------
 
-    def _profile(self, event: Event) -> None:
-        key = getattr(event.fn, "__qualname__", None) or repr(event.fn)
+    def _profile(self, fn: Callable[..., Any]) -> None:
+        key = getattr(fn, "__qualname__", None) or repr(fn)
         counts = self.component_counts
         counts[key] = counts.get(key, 0) + 1
 
-    def _execute(self, event: Event) -> None:
-        self._pending -= 1
-        self._event_count += 1
-        event._sim = None
-        if self.profile_components:
-            self._profile(event)
-        event.fn(*event.args)
-
-    def step(self) -> bool:
-        """Run the single next event.  Returns False if none remain."""
-        event = self._pop_due(None)
-        if event is None:
-            return False
-        self._execute(event)
-        return True
-
-    def peek_time(self) -> Optional[float]:
-        """Absolute time of the next runnable activity, or None.
-
-        Accounts for all three pending stores: the same-timestamp FIFO
-        (due *now*), the fused-flight hop queue, and the calendar heap --
-        skipping (and reaping) heap tombstones so a cancelled timer can
-        never masquerade as the next activity.  Used by
-        :class:`ShardedKernel` to pick the globally next lane without
-        executing anything.
-        """
-        if self._soon:
-            return self._now
-        best: Optional[float] = None
-        fq = self._flight_queue
-        if fq:
-            best = fq[0][0]
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if self._bucketed:
-                bucket = entry[2]
-                event = bucket[bucket[0]]
-            else:
-                event = entry[2]
-            if event.cancelled:
-                self._drop_top(entry, True)
-                continue
-            if best is None or entry[0] < best:
-                best = entry[0]
-            break
-        return best
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have executed.
-
-        When stopping at ``until``, the clock is advanced to exactly
-        ``until`` so that successive bounded runs observe contiguous time.
-        """
-        if self._running:
-            raise SimulationError("run() is not re-entrant")
-        self._running = True
-        executed = 0
-        soon = self._soon
+    def _run(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """The pop loop behind :meth:`run`, :meth:`step` and
+        :meth:`run_until`.  Returns the number of events executed."""
         heap = self._heap
         heappop = heapq.heappop
-        free = self._free
-        bounded = max_events is not None
-        profiled = self.profile_components
-        # Fast lanes: execute inline, saving one Python call frame per
-        # event, and recycle fire-and-forget events.  Slow lane dispatches
-        # through _execute -- the reference shape -- so the bench can
-        # measure the inlining honestly.
-        inline = fastlane.flags.kernel_hotloop and not profiled
-        bucketed = self._bucketed
         fq = self._flight_queue
         fdrain = self._flight_drain
+        profiled = self.profile_components
+        executed = 0
         try:
-            # The hot loop is written long-hand (no shared pop function)
-            # on purpose: at benchmark event rates every per-event frame
-            # is a few percent of whole-run wall clock.
-            while soon or heap or fq:
-                if bounded and executed >= max_events:
-                    return
-                if fq and not soon:
+            while heap or fq:
+                if executed == max_events:
+                    return executed
+                if fq:
                     # Fused-flight hops (lanes 9/11) due before the next
                     # heap event (bounded by ``until``) replay first so
                     # every later event observes slow-lane-identical
-                    # state.  The same-tick FIFO never blocks a due hop:
-                    # queued soon events sit at the current clock, pending
-                    # hops strictly after it.  A False return means the
-                    # front heap event wins the timestamp tie on seq: fall
-                    # through and pop it normally.  Phantom-free lane-11
-                    # flights can leave the heap empty while hops pend:
-                    # then ``until`` (or the hop queue itself) bounds the
-                    # drain.
+                    # state.  A False return means the front heap event
+                    # wins the timestamp tie on seq: fall through and pop
+                    # it normally.  Phantom-free lane-11 flights can leave
+                    # the heap empty while hops pend: then ``until`` (or
+                    # the hop queue itself) bounds the drain.
                     if heap:
                         limit = heap[0][0]
                         if until is not None and until < limit:
@@ -515,81 +281,78 @@ class Simulator:
                         # Every pending hop lies strictly beyond
                         # ``until``; nothing else can run this call.
                         break
-                if soon and (not heap or heap[0][0] > self._now):
-                    event = soon.popleft()
-                    if event.cancelled:
+                if until is not None and heap[0][0] > until:
+                    break
+                time, seq, fn, args = heappop(heap)
+                if fn is None:
+                    event = args
+                    if self._lapsed(seq, event):
                         continue
-                elif bucketed:
-                    entry = heap[0]
-                    bucket = entry[2]
-                    index = bucket[0]
-                    event = bucket[index]
-                    if event.cancelled:
-                        if index + 1 == len(bucket):
-                            heappop(heap)
-                            if self._last_bucket is bucket:
-                                self._last_bucket = None
-                        else:
-                            bucket[0] = index + 1
-                        self._heap_len -= 1
-                        self._tombstones -= 1
-                        continue
-                    if until is not None and entry[0] > until:
-                        if until > self._now:
-                            self._now = until
-                        return
-                    if index + 1 == len(bucket):
-                        heappop(heap)
-                        if self._last_bucket is bucket:
-                            self._last_bucket = None
-                    else:
-                        bucket[0] = index + 1
-                    self._heap_len -= 1
-                    self._now = entry[0]
-                else:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        heappop(heap)
-                        self._heap_len -= 1
-                        self._tombstones -= 1
-                        continue
-                    if until is not None and entry[0] > until:
-                        if until > self._now:
-                            self._now = until
-                        return
-                    heappop(heap)
-                    self._heap_len -= 1
-                    self._now = entry[0]
-                if inline:
-                    self._pending -= 1
-                    self._event_count += 1
-                    if event._fire:
-                        # No handle escaped (schedule_at_fire), so no late
-                        # cancel() can observe _sim: skip clearing it.  The
-                        # stale fn/args references are left in place
-                        # (overwritten on reuse): clearing them per event
-                        # costs more than the transient pins are worth --
-                        # the pool is bounded, and packet recycling is
-                        # explicit (Packet.release), not GC-driven.
-                        event.fn(*event.args)
-                        if len(free) < _EVENT_POOL_CAP:
-                            free.append(event)
-                    else:
-                        event._sim = None
-                        event.fn(*event.args)
-                else:
-                    self._execute(event)
+                    fn = event.fn
+                    args = event.args
+                self._now = time
                 executed += 1
-            if until is not None and until > self._now:
+                if profiled:
+                    self._profile(fn)
+                fn(*args)
+            if (until is not None and until > self._now
+                    and executed != max_events):
+                # Out of events up to ``until`` (not out of budget).
                 self._now = until
+            return executed
+        finally:
+            self._event_count += executed
+
+    def _flush_columnar(self) -> None:
+        # Deferred lane-12 columnar state lands before the caller can read
+        # registers or counters between runs.
+        planner = self._flight_planner
+        if planner is not None and planner._vactive:
+            planner.flush_columnar()
+
+    def step(self) -> bool:
+        """Run the single next event.  Returns False if none remain."""
+        return self._run(None, 1) == 1
+
+    def peek_time(self) -> Optional[float]:
+        """Absolute time of the next runnable activity, or None.
+
+        Accounts for both pending stores, the fused-flight hop queue and
+        the heap -- settling lapsed heap entries (tombstones, deferred
+        handles) so a cancelled or re-armed timer can never masquerade as
+        the next activity.  Used by :class:`ShardedKernel` to pick the
+        globally next lane without executing anything.
+        """
+        fq = self._flight_queue
+        best: Optional[float] = fq[0][0] if fq else None
+        heap = self._heap
+        while heap:
+            time, seq, fn, event = heap[0]
+            if fn is None and (event.cancelled or event.seq != seq):
+                heapq.heappop(heap)
+                self._lapsed(seq, event)
+                continue
+            if best is None or time < best:
+                best = time
+            break
+        return best
+
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+        """Run events until the queue drains, ``until`` is reached, or
+        ``max_events`` have executed.
+
+        When stopping at ``until``, the clock is advanced to exactly
+        ``until`` so that successive bounded runs observe contiguous time;
+        when stopping on ``max_events`` it stays at the last event.
+        """
+        if self._running:
+            raise SimulationError("run() is not re-entrant")
+        self._running = True
+        try:
+            self._run(until, max_events)
         finally:
             self._running = False
-            planner = self._flight_planner
-            if planner is not None and planner._vactive:
-                # Deferred lane-12 columnar state lands before the caller
-                # can read registers or counters between runs.
-                planner.flush_columnar()
+            self._flush_columnar()
 
     def run_until(self, predicate: Callable[[], bool], timeout: float,
                   check_every: Optional[float] = None) -> bool:
@@ -605,32 +368,21 @@ class Simulator:
                 if predicate():
                     return True
                 self.run(until=min(self._now + check_every, deadline))
-                if self._pending == 0:
+                if self.pending_events == 0:
                     # Nothing left that could flip the predicate: returning
                     # now (instead of spinning to the deadline in
                     # check_every-sized steps) is the only honest answer.
                     return predicate()
             return predicate()
         try:
-            while self._now <= deadline:
-                if predicate():
-                    return True
-                event = self._pop_due(deadline)
-                if event is None:
-                    if (self._soon or self._heap_len > self._tombstones
-                            or self._flight_queue):
-                        # Next event (or fused hop) lies beyond the deadline.
-                        self._now = deadline
-                        return predicate()
-                    break
-                self._execute(event)
-            if not predicate() and self._now < deadline:
-                self._now = deadline
-            return predicate()
+            while not predicate():
+                if not self._run(deadline, 1):
+                    # Drained, or the next event lies beyond the deadline
+                    # (the clock now stands at it).
+                    return predicate()
+            return True
         finally:
-            planner = self._flight_planner
-            if planner is not None and planner._vactive:
-                planner.flush_columnar()
+            self._flush_columnar()
 
 
 class ShardedKernel:
@@ -713,7 +465,7 @@ class ShardedKernel:
         target = self.origins[lane_index] + elapsed_ns
         if target < lane.now:
             target = lane.now
-        lane.schedule_at(target, fn, *args)
+        lane.schedule_at_fire(target, fn, *args)
 
     @property
     def events_executed(self) -> int:

@@ -13,11 +13,15 @@ from .kernel import Event, Simulator
 
 
 class Timer:
-    """A restartable one-shot timer.
+    """A restartable one-shot deadline timer.
 
     The callback fires once, ``delay`` ns after the most recent
-    :meth:`start` / :meth:`restart`.  Stopping or restarting an armed timer
-    cancels the pending expiry.
+    :meth:`start` / :meth:`restart`.  Re-arming costs no heap work: at most
+    one heap entry is pending per timer, and pushing the deadline out (or
+    re-arming after :meth:`stop` while the old entry still pends) defers
+    that entry in place (:meth:`repro.sim.kernel.Event.defer`).  Each
+    ``start`` still consumes one kernel seq, so expiries order exactly as
+    if every re-arm had cancelled and rescheduled.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any]):
@@ -31,17 +35,23 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm the timer.  Restarts it if already armed."""
-        self.stop()
-        self._event = self._sim.schedule(delay, self._fire)
+        sim = self._sim
+        event = self._event
+        if event is None or not event.defer(sim._now + delay):
+            # First arming, an entry that already left the heap, or a
+            # deadline pulled *in*: a fresh entry it is.
+            if event is not None:
+                event.cancel()
+            self._event = sim.schedule(delay, self._fire)
 
     # ``restart`` reads better at call sites that push a deadline forward.
     restart = start
 
     def stop(self) -> None:
-        """Disarm the timer if armed."""
+        """Disarm the timer if armed.  The lapsed heap entry stays behind
+        as a tombstone that a later :meth:`start` may revive."""
         if self._event is not None:
             self._event.cancel()
-            self._event = None
 
     def _fire(self) -> None:
         self._event = None

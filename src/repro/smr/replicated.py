@@ -170,19 +170,19 @@ class ServiceClient:
                 return
             # Aborted (leader change mid-flight): retry the same sequence.
             self.retries += 1
-            sim.schedule(self.retry_delay_ns, retry)
+            sim.schedule_at_fire(sim.now + self.retry_delay_ns, retry)
 
         def retry() -> None:
             try:
                 self.service.submit(self.client_id, sequence, command,
                                     on_outcome)
             except NotLeaderError:
-                sim.schedule(self.retry_delay_ns, retry)
+                sim.schedule_at_fire(sim.now + self.retry_delay_ns, retry)
 
         try:
             return self.service.submit(self.client_id, sequence, command,
                                        on_outcome)
         except NotLeaderError:
             outcome = CommandOutcome(command, self.client_id, sequence)
-            sim.schedule(self.retry_delay_ns, retry)
+            sim.schedule_at_fire(sim.now + self.retry_delay_ns, retry)
             return outcome

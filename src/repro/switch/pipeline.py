@@ -245,8 +245,9 @@ class Switch:
         if verdict.kind is VerdictKind.TO_CPU:
             self.to_cpu_count += 1
             if self.cpu_handler is not None:
-                self.sim.schedule(params.CONTROL_PLANE_PKT_NS,
-                                  self.cpu_handler, in_port, packet)
+                self.sim.schedule_at_fire(
+                    self.sim._now + params.CONTROL_PLANE_PKT_NS,
+                    self.cpu_handler, in_port, packet)
             return
         tm_time = self.sim._now + self.pipeline_latency_ns / 2
         if verdict.kind is VerdictKind.UNICAST:
@@ -321,8 +322,8 @@ class Switch:
             if route is None:
                 return False
             out_port = route
-        self.sim.schedule(params.CONTROL_PLANE_PKT_NS, self._to_egress,
-                          out_port, 0, packet, self.sim.now + params.CONTROL_PLANE_PKT_NS)
+        at = self.sim.now + params.CONTROL_PLANE_PKT_NS
+        self.sim.schedule_at_fire(at, self._to_egress, out_port, 0, packet, at)
         return True
 
     # ------------------------------------------------------------------

@@ -104,7 +104,8 @@ class ChaosLoadDriver:
             self.cluster.propose(self.payload, self._on_commit)
         except Exception:
             # Leaderless moment (election in progress): retry shortly.
-            self.cluster.sim.schedule(100 * US, self._issue)
+            sim = self.cluster.sim
+            sim.schedule_at_fire(sim.now + 100 * US, self._issue)
 
     def _on_commit(self, entry) -> None:
         if entry.committed:
@@ -122,7 +123,8 @@ class ChaosLoadDriver:
         if self.commits == self._commits_at_tick:
             self._issue()
         self._commits_at_tick = self.commits
-        self.cluster.sim.schedule(self.WATCHDOG_PERIOD_NS, self._watchdog)
+        sim = self.cluster.sim
+        sim.schedule_at_fire(sim.now + self.WATCHDOG_PERIOD_NS, self._watchdog)
 
 
 def build_scenario(key: str) -> Scenario:

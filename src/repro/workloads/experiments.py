@@ -93,7 +93,8 @@ class ClosedLoopDriver:
             self.cluster.propose(self.payload, self._on_commit)
         except Exception:
             # Leaderless moment (e.g. during fail-over): retry shortly.
-            self.cluster.sim.schedule(100 * US, self._issue)
+            sim = self.cluster.sim
+            sim.schedule_at_fire(sim.now + 100 * US, self._issue)
 
     def _on_commit(self, entry) -> None:
         if entry.committed:
@@ -165,7 +166,8 @@ class OpenLoopDriver:
             self.cluster.propose(self.payload, self._on_commit)
         except Exception:
             pass
-        self.cluster.sim.schedule(self.interval_ns, self._tick)
+        sim = self.cluster.sim
+        sim.schedule_at_fire(sim.now + self.interval_ns, self._tick)
 
     def _on_commit(self, entry) -> None:
         if not entry.committed:

@@ -1,4 +1,4 @@
-"""Fast-lane structure tests: rewrite templates, packet pools, batching.
+"""Fast-lane structure tests: rewrite templates, packet pools, delivery.
 
 Three properties the ``repro.fastlane`` machinery must uphold:
 
@@ -7,9 +7,9 @@ Three properties the ``repro.fastlane`` machinery must uphold:
   its header objects produces, for randomized rewrite fields;
 * **Pool safety** -- recycled fan-out shells are never handed out while
   alive, and recycling never aliases a live packet's state;
-* **Batched delivery** -- bucketing same-timestamp events changes heap
-  shape only: callback order and timestamps are identical with the lane
-  on or off, including the multi-bucket-per-timestamp case.
+* **Delivery order** -- a back-to-back burst over a link arrives in send
+  order at the same timestamps with the lanes on or off (event ordering
+  itself is the kernel's business: ``tests/test_sim_kernel.py``).
 """
 
 import random
@@ -267,41 +267,7 @@ class TestPacketPool:
         assert not _PACKET_POOL
 
 
-def _schedule_pattern(sim):
-    """A scheduling pattern covering the batching lane's edge cases:
-    same-tick bursts, a later-then-earlier push (which under batching
-    opens a *second* bucket at the earlier timestamp), a cancellation
-    inside a bucket, and zero-delay events."""
-    log = []
-
-    def rec(tag):
-        log.append((sim.now, tag))
-
-    for i in range(4):
-        sim.schedule(10, rec, f"early-{i}")
-    sim.schedule(20, rec, "late")
-    # The kernel's last-push memo now points at t=20: these go into a
-    # fresh, second bucket at t=10 and must still run in seq order.
-    for i in range(4):
-        sim.schedule(10, rec, f"early2-{i}")
-    sim.schedule(10, rec, "victim").cancel()
-    sim.schedule(15, rec, "mid")
-    sim.schedule(15, rec, "mid2")
-    sim.schedule(0, rec, "now")
-    sim.run(until=30)
-    assert sim.pending_events == 0
-    return log
-
-
-class TestBatchedDeliveryOrdering:
-    def test_event_order_and_timestamps_match_unbatched(self):
-        fastlane.enable()  # lanes are sampled at Simulator construction
-        batched = _schedule_pattern(Simulator())
-        fastlane.disable()
-        plain = _schedule_pattern(Simulator())
-        assert batched == plain
-        assert [t for t, _ in batched] == sorted(t for t, _ in batched)
-
+class TestLinkDeliveryOrdering:
     def test_link_deliveries_preserve_order_and_timing(self):
         from repro.net.link import Link, Port
 
