@@ -59,7 +59,7 @@ class SwitchFabric:
         self.sim = Simulator()
         self.rng = SeededRng(config.seed)
         self.tracer = Tracer(self.sim, enabled=config.trace)
-        # Flight fusion (fast lane 9): attaches itself to the simulator;
+        # Flight fusion: attaches itself to the simulator;
         # inert unless the lane flag is on and a clean path validates.
         # One planner per fabric = one per shard lane, so fusion engages
         # and defuses independently per shard.

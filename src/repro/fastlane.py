@@ -49,46 +49,29 @@ optimisations described in ``docs/PERF.md``:
 ``flight_fusion``
     Clean-path consensus flights (single-packet write on a healthy
     broadcast path) are computed hop by hop in a planner-owned timeline
-    drained in exact ``(time, seq)`` order instead of costing one kernel
-    event per hop (:mod:`repro.sim.flight`).  Specialized express stages
-    mirror each real handler's observable effects -- wire bytes, busy
-    horizons, registers, counters, trace taps -- and only the terminal
-    leader-completion hop runs the real handler; anything a stage cannot
-    prove clean falls back to the real handler at the warped clock.
-    Faults, control-plane writes, NAKs and retransmissions materialize
-    pending hops back into ordinary events and disable fusion until
-    recovery.
-
-``window_superfusion``
-    Lane 11, layered on ``flight_fusion``: at saturation the hop queue
-    holds a pipelined *window* of interleaved clean flights, and the
-    planner drains it in batched **runs** -- consecutive due hops execute
-    back to back against one precomputed real-event barrier instead of
-    re-deriving the barrier per hop, splitting the run the moment a hop
-    schedules a kernel event, a fault/control-plane write defuses the
-    tail, or the barrier is reached (:meth:`FlightPlanner._drain_super`).
-    Fused flights also drop their phantom heap event (the kernel polls
-    the hop queue directly), and the switch registers the express stages
-    touch (NumRecv PSN slabs, per-replica credit windows) are backed by
-    numpy arrays when numpy is importable, with slab operations
-    vectorized and a pure-python scalar fallback otherwise
+    instead of costing one kernel event per hop (:mod:`repro.sim.flight`).
+    The kernel polls the hop queue directly and the planner drains it in
+    batched **runs** -- consecutive due hops execute back to back, in
+    exact ``(time, seq)`` order, against one precomputed real-event
+    barrier.  The interior per-leg frames of a flight -- the scattered
+    replica writes and their ACKs -- are never materialized as ``Packet``
+    objects: virtual express stages advance the same timeline (identical
+    timestamps, sequence numbers, busy horizons) while staging register
+    deltas, port-counter increments and cache bumps in per-path columns
+    that flush as slab operations, and the wire-digest tap renders each
+    batch of virtual frames from pre-rendered templates and feeds
+    SHA-256 one contiguous buffer in exact frame order
+    (:mod:`repro.sim.columnar`).  Only the forwarded ACK and the terminal
+    leader-completion hop are real.  There is one express chain: a
+    launch the planner cannot prove clean is declined to the real
+    handlers, and a stage that cannot prove its hop clean falls back to
+    the real handler at the warped clock.  Faults, control-plane writes,
+    NAKs and retransmissions materialize pending hops back into ordinary
+    events and disable fusion until recovery.  The switch registers the
+    express stages touch (NumRecv PSN slabs, per-replica credit windows)
+    are backed by numpy arrays when numpy is importable, with a
+    pure-python scalar fallback otherwise
     (:mod:`repro.switch.registers`).
-
-``columnar_express``
-    Lane 12, layered on ``window_superfusion``: inside a batched drain
-    the interior per-leg frames of a clean flight -- the scattered
-    replica writes and their ACKs -- are never materialized as
-    ``Packet`` objects at all.  Virtual express stages advance the same
-    hop timeline (identical timestamps, sequence numbers, busy
-    horizons) while staging register deltas, port-counter increments
-    and cache bumps in per-path columns that flush as slab operations
-    once per drain, and the wire-digest tap renders each batch of
-    virtual frames from pre-rendered templates -- varying columns
-    patched in bulk, ICRCs recombined from cached CRC prefixes -- and
-    feeds SHA-256 one contiguous buffer in exact frame order
-    (:mod:`repro.sim.columnar`).  Defusion and fallbacks materialize
-    any pending virtual frame into the real packet the slow lane would
-    have produced.
 
 All lanes default to on.  ``REPRO_FASTLANE=off`` (or ``0``/``false``)
 disables all of them for a process; ``enable()`` / ``disable()`` flip them
@@ -101,11 +84,10 @@ from __future__ import annotations
 
 import os
 
-#: The nine lane flags.  ``docs/PERF.md`` keeps their historical numbers
-#: (lanes 9, 11 and 12 are the last three here).
+#: The seven lane flags.
 _LANES = ("cow_packets", "incremental_icrc", "flow_cache",
           "rewrite_templates", "object_pools", "hot_reads",
-          "flight_fusion", "window_superfusion", "columnar_express")
+          "flight_fusion")
 
 
 class _Flags:
@@ -129,9 +111,10 @@ class _Flags:
 flags = _Flags()
 
 
-#: Process-wide lane-12 telemetry, aggregated across planners and digest
-#: taps.  ``runs_vectorized`` counts drains that executed at least one
-#: virtual hop, ``hops_batched`` the virtual hops themselves,
+#: Process-wide columnar telemetry of flight fusion, aggregated across
+#: planners and digest taps.  ``runs_vectorized`` counts drains that
+#: executed at least one virtual hop, ``hops_batched`` the virtual hops
+#: themselves,
 #: ``columnar_fallbacks`` virtual frames materialized back into packets
 #: (defusion or unclean probes), ``frames_bulk_hashed`` frames absorbed
 #: through the batched digest tap, and ``digest_flushes`` the contiguous
@@ -147,7 +130,7 @@ columnar = {
 
 
 def reset_columnar() -> None:
-    """Zero the process-wide lane-12 telemetry counters."""
+    """Zero the process-wide columnar telemetry counters."""
     for key in columnar:
         columnar[key] = 0
 
@@ -167,8 +150,8 @@ def stats() -> dict:
 
     ``numpy_available`` says whether the array backend could be used at
     all (numpy importable and not vetoed by ``REPRO_NO_NUMPY``);
-    ``vectorized`` says whether lane 11 would actually run registers on
-    it for clusters built right now.  Benchmarks embed this dict in their
+    ``vectorized`` says whether registers would actually run on it for
+    clusters built right now.  Benchmarks embed this dict in their
     results so a digest produced by the scalar fallback is
     distinguishable from one produced by the array path.
     """
@@ -177,6 +160,6 @@ def stats() -> dict:
     return {
         "lanes": flags.as_dict(),
         "numpy_available": registers.NUMPY,
-        "vectorized": bool(registers.NUMPY and flags.window_superfusion),
+        "vectorized": bool(registers.NUMPY and flags.flight_fusion),
         "columnar": dict(columnar),
     }

@@ -126,9 +126,7 @@ class Link:
         self._dir_b = _Direction(a)
         self.stats: Dict[int, DirectionStats] = {
             id(a): self._dir_a.stats, id(b): self._dir_b.stats}
-        #: Optional tap called for every frame accepted for transmission
-        #: (packet captures in tests and the fault injector).
-        self.tap: Optional[Callable[[Port, Packet], Any]] = None
+        self._tap: Optional[Callable[[Port, Packet], Any]] = None
         a.link = self
         b.link = self
 
@@ -162,6 +160,22 @@ class Link:
         """Time a frame submitted now would wait before serialization."""
         d = self._dir_a if src is self.a else self._dir_b
         return max(0.0, d.busy_until - self._sim.now)
+
+    @property
+    def tap(self) -> Optional[Callable[[Port, Packet], Any]]:
+        """Optional tap called for every frame accepted for transmission
+        (packet captures in tests, the wire-digest harness)."""
+        return self._tap
+
+    @tap.setter
+    def tap(self, tap: Optional[Callable[[Port, Packet], Any]]) -> None:
+        self._tap = tap
+        watch = self._flight_watch
+        if watch is not None:
+            # Whether a fused path may cross this cable depends on its
+            # tap, and frames already in flight are virtual: re-validate
+            # the paths and hand pending hops back to the kernel.
+            watch.on_cp_write(self)
 
     @property
     def drop_probability(self) -> float:
@@ -207,8 +221,9 @@ class Link:
         d.busy_until = finish
         stats.frames += 1
         stats.bytes += wire_size
-        if self.tap is not None:
-            self.tap(src, packet)
+        tap = self._tap  # private read: property is off the hot path
+        if tap is not None:
+            tap(src, packet)
         drop = self._drop_probability  # private read: property is off the hot path
         if not self.up or (drop > 0.0 and self._rng.chance(drop)):
             stats.dropped += 1

@@ -335,7 +335,7 @@ class P4ceProgram(SwitchProgram):
         # credit is already masked on write.  One method call per slot
         # (16 calls per ACK) disappears from the hottest gather loop.
         # Open-coding also bypasses RegisterAction.execute's columnar
-        # barrier, so staged lane-12 credit writes must land here before
+        # barrier, so staged columnar credit writes must land here before
         # the direct cell reads below (same memory-order contract).
         watch = self.credits[0]._flight_watch
         if watch is not None and watch._vactive:

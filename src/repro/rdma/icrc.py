@@ -68,7 +68,7 @@ _S_SUF_BR = struct.Struct(_SUF_BASE + "QII")  # + RETH va/rkey/len
 
 
 # ---------------------------------------------------------------------------
-# Affine CRC32 helpers (lane 12, :mod:`repro.sim.columnar`)
+# Affine CRC32 helpers (flight fusion, :mod:`repro.sim.columnar`)
 #
 # CRC32 is an affine map over GF(2) in (message, seed): for equal-length
 # messages, ``crc(x ^ y, s ^ t) == crc(x, s) ^ crc(y, t) ^ crc(zeros, 0)``.

@@ -198,7 +198,7 @@ class RNic:
         qp.next_psn = psn_add(last_psn, 1)
         out = OutstandingRequest(wr, first_psn, last_psn, packets, self.sim.now)
         qp.outstanding.append(out)
-        # Flight fusion (lane 9): a single-packet write on a clean
+        # Flight fusion: a single-packet write on a clean
         # broadcast path is captured and replayed by the planner instead
         # of being scheduled hop by hop; everything else takes the
         # ordinary per-packet TX path.

@@ -298,7 +298,7 @@ def scatter_fingerprint(packet: Packet) -> tuple:
     """Template fingerprint of a Bth+Reth WRITE packet.
 
     Identical to the tuple :func:`scatter_rewrite` derives for the
-    two-header shape, so lane 12's virtual legs share the same template
+    two-header shape, so flight fusion's virtual legs share the same template
     dict entries as materialized ones.  The caller guarantees the shape
     (columnar flights are gated on Bth+Reth at fuse time).
     """
@@ -318,7 +318,7 @@ def scatter_template(packet: Packet, templates: Dict[tuple, _WireTemplate],
     """Get-or-build the scatter template for fingerprint ``fp``.
 
     The lookup/build halves of :func:`scatter_rewrite`, without patching
-    any packet: lane 12 resolves the template once per virtual leg and
+    any packet: flight fusion resolves the template once per virtual leg and
     defers the byte patching to the digest tap (or to materialization).
     Every field ``_build`` reads is part of the fingerprint or invariant
     under the rewrite itself, so building from an already-rewritten
@@ -404,7 +404,7 @@ def ack_template(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
     """Get-or-build the per-QP ACK template (``gateway_mac`` revalidated
     by identity so re-cabling rebuilds instead of lying).
 
-    Factored out of :func:`ack_frame` so lane 12's columnar digest tap
+    Factored out of :func:`ack_frame` so flight fusion's columnar digest tap
     can warm and reference the same template object without building a
     ``Packet`` per virtual ACK.
     """

@@ -1,9 +1,9 @@
-"""Batched wire-digest tap for lane 12 (columnar express kernels).
+"""Batched wire-digest tap for flight fusion's columnar express stages.
 
 The fidelity digest (:func:`repro.workloads.experiments.install_trace_digest`)
 hashes every frame every link accepts, in order, as ``frame bytes +
-pack("!dI", now, icrc)``.  The slow lane and lanes 9-11 feed it one real
-``Packet`` at a time.  Lane 12's virtual express stages never build those
+pack("!dI", now, icrc)``.  The real handlers feed it one real
+``Packet`` at a time.  The virtual express stages never build those
 packets -- so the tap itself becomes columnar: virtual frames are
 *absorbed* as small tuples (template reference + the two or three varying
 words), buffered in exact wire order alongside eagerly-packed real
@@ -70,7 +70,7 @@ _S_META = struct.Struct("!dI")
 _META_BYTES = _S_META.size
 
 #: Absorbed-event kinds (first tuple element).  Every event carries its
-#: virtual timestamp at index 1: lane 12's inline chaining executes a
+#: virtual timestamp at index 1: flight fusion's inline chaining executes a
 #: flight's successor stages ahead of other flights' earlier-time hops,
 #: so the buffer is no longer append-ordered -- a stable sort on the
 #: timestamp at render time restores the exact wire chronology (ties
@@ -149,7 +149,7 @@ class DigestTap:
 
     Installed on every link by ``install_trace_digest``.  Real frames
     arrive through :meth:`__call__` (the plain tap protocol) and are
-    packed eagerly; lane 12's virtual frames arrive through
+    packed eagerly; flight fusion's virtual frames arrive through
     :meth:`absorb_scatter` / :meth:`absorb_ack` as tuples.  One ordered
     event buffer preserves exact wire order across both, and
     :meth:`flush` renders it into a single contiguous ``update``.

@@ -1,20 +1,24 @@
-"""Flight fusion (fast lane 9): the clean-path consensus round trip as one
-precomputed event timeline instead of O(n) scheduled kernel events.
+"""Flight fusion: the clean-path consensus round trip as one precomputed
+event timeline instead of O(n) scheduled kernel events.
 
 P4CE's whole point is that one consensus round is *one* leader request and
 *one* switch-gathered response -- yet simulating it costs ``7n + 7`` kernel
 events per PSN (leader TX, switch ingress, n scatter legs, n replica RX,
 n ACKs, switch gather, leader RX) even when nothing interesting happens.
-Lane 9 stops paying the kernel for that machinery on the clean path, the
+Fusion stops paying the kernel for that machinery on the clean path, the
 same move switch-based designs (P4xos, Paxos made switch-y) make in
 hardware: treat the group round trip as a single pipeline stage.
 
-How it works -- the express pipeline
-------------------------------------
+One chain, or the real handlers
+-------------------------------
 
-When a single-packet consensus write launches on a validated path, the
-:class:`FlightPlanner` computes the flight hop by hop with specialized
-*express* stage methods instead of scheduling kernel events:
+A launch has exactly two ways to run.  Either :meth:`FlightPlanner.try_fuse`
+accepts it and it rides the express chain below, or ``try_fuse`` declines
+it (flag off, tracer on, armed fault, tainted QP, no validated path, odd
+packet shape) and ``RNic._tx`` schedules it through the real handlers --
+the reference every wire digest is judged against.  There is no third
+implementation of a hop: every stage is written twice, once as the real
+handler and once as its express stage.
 
 1. **Hops live in a planner-owned heap** (``sim._flight_queue``) as
    ``(virtual_time, seq, real_fn, real_args, flight, express_fn, ctx)``
@@ -24,65 +28,60 @@ When a single-packet consensus write launches on a validated path, the
    -- and ``(real_fn, real_args)`` is precisely the event the slow lane
    would have scheduled, which makes de-fusion trivially exact.
 
-2. **Express stages mirror the real handlers field for field.**  Each
-   ``_x_*`` method replays the observable effects of one hop -- link
-   serialization horizons and byte counters, parser busy windows, switch
-   counters, flow-cache hit counters, register cells, QP cursors, memory
-   writes -- using the same arithmetic expressions as the real code, then
-   computes the successor hop from live device state and pushes it.  The
-   packets carry real rewritten bytes (``scatter_rewrite``/``ack_frame``
-   wire templates), so trace digests are bit-identical.  Anything the
-   stage cannot prove clean (cache miss, unexpected header shape, foreign
-   QP state, full RX queue) falls back by invoking the hop's *real*
-   handler at the warped clock -- never half-applied, because every probe
-   precedes the first mutation.
+2. **Interior frames are columnar.**  From the leader's TX to the gather
+   threshold the ``_v_*`` stages never build the per-leg packets: each
+   scatter leg and each replica ACK travels as a :class:`_VFrame` (a
+   wire-template reference plus the two or three words that vary per
+   frame).  Timing and busy-horizon arithmetic stay live hop by hop, with
+   the same expressions as the real code (they feed successor
+   scheduling); the frames' remaining observable effects -- register
+   cells, switch/NIC/link counters, the wire digest -- are staged per
+   path (:class:`_VStage`, per-leg tally arrays) and landed in slab
+   operations by :meth:`FlightPlanner.flush_columnar`.  Anything that
+   could observe intermediate state flushes first: fallbacks, real
+   RegisterActions, control-plane register writes (``Register.cp_write``
+   calls the flight watch), defusion, kernel-run exit.  At the gather
+   threshold the forwarded ACK materializes into the exact real
+   ``Packet`` and the three ``_x_*`` tail stages carry it to the leader,
+   where the final hop runs the *real* RX handler so the CQE -> commit ->
+   next-proposal cascade schedules real events.  The launch WRITE's
+   in-place egress rewrite (it is the last multicast leg) is deferred on
+   ``FusedFlight.vrw`` and applied only where the packet can still be
+   observed (defusion); materializing it pins still-virtual pre-rewrite
+   siblings to fanout copies of the pristine bytes first and hands those
+   hops to the real egress handler.
 
 3. **The kernel drains due hops before any later event** (see
-   ``Simulator.run``): a heartbeat or timer never observes a replica log,
-   credit register or link horizon the slow lane would have already
-   advanced.  Each drained hop credits ``events_executed``, keeping the
-   event count bit-identical.  The final hop (leader RX of the aggregated
-   ACK) runs the real handler so the CQE -> commit -> next-proposal
-   cascade schedules real events.  One cancellable *phantom* event per
-   flight keeps the kernel's heap non-empty while hops are pending; it is
-   cancelled when the flight completes and debits itself from the event
-   count if it ever fires, so it is invisible.
+   ``Simulator._run``, which polls the hop queue directly): a heartbeat
+   or timer never observes a replica log, credit register or link
+   horizon the slow lane would have already advanced.
+   :meth:`FlightPlanner._drain_super` replays due hops in batched runs
+   against one real-event barrier, chaining a clean hop's successor
+   depth-first while the run holds; each hop credits
+   ``events_executed``, keeping the event count bit-identical.
 
-4. **Falls back transparently.**  The moment a fault injector arms (link
-   down or lossy, switch or NIC power-off), a control-plane write touches
-   any traversed table/register/multicast group, or a NAK/retransmission
-   taints a QP, every pending hop is re-materialized as an ordinary
-   kernel event at its exact virtual time and original seq, and fusion
-   stays off until the fault heals (taint clears at the first fresh PSN).
-   Gather-register slot wrap (``NumRecv``'s 256-slot reuse) needs no
-   fallback at all: the express gather executes the same masked
-   register-cell arithmetic as the real RegisterActions, so reuse is
-   exact.
+4. **A stage that cannot prove its hop clean declines it to the real
+   handler** (cache miss, foreign QP state, full RX queue, PSN out of
+   order): :meth:`FlightPlanner._fallback` lands the staged state,
+   rebuilds any virtual frame into its real packet and invokes the hop's
+   real handler at the warped clock -- never half-applied, because every
+   probe precedes the stage's first mutation.  From there the flight is
+   ordinary kernel events.
 
-Columnar express kernels (fast lane 12)
----------------------------------------
+5. **Faults defuse.**  The moment a fault injector arms (link down or
+   lossy, switch or NIC power-off), a control-plane write touches any
+   traversed table/register/multicast group, a tap is installed on a
+   traversed link, or a NAK/retransmission taints a QP, every pending
+   hop is re-materialized as an ordinary kernel event at its exact
+   virtual time and original seq, and fusion stays off until the fault
+   heals (taint clears at the first fresh PSN).  Gather-register slot
+   wrap (``NumRecv``'s 256-slot reuse) needs no fallback at all: the
+   express gather executes the same masked register-cell arithmetic as
+   the real RegisterActions, so reuse is exact.
 
-Lane 11 batches *when* hops run; lane 12 collapses *what* most hops do.
-On a super-fused path whose replica links carry the batched digest tap
-(or no tap), the interior of a flight -- scatter legs, replica delivery,
-replica ACKs -- never builds packets at all: each frame travels as a
-:class:`_VFrame` (a wire-template reference plus the two or three words
-that vary per frame).  Timing and busy-horizon arithmetic stay live hop
-by hop (they feed successor scheduling), but the frames' remaining
-observable effects -- register cells, switch/NIC/link counters, the wire
-digest -- are staged per path (:class:`_VStage`, per-leg tally arrays)
-and landed in slab operations by :meth:`FlightPlanner.flush_columnar` at
-batch-drain exit.  Anything that could observe intermediate state
-flushes first: express fallbacks, control-plane register writes
-(``Register.cp_write`` calls the flight watch), defusion, and the lane-9
-gather stage when virtual and real flights mix on one path.  A virtual
-frame materializes into the exact real ``Packet`` on demand -- express
-fallback, defusion, or the gather threshold, where the forwarded ACK
-becomes real and rides the lane-9 tail to the leader.  The launch
-WRITE's in-place egress rewrite (it is the last multicast leg) is
-deferred on ``FusedFlight.vrw`` and applied only where the packet can
-still be observed (defusion); materializing it pins still-virtual
-pre-rewrite siblings to fanout copies of the pristine bytes first.
+Links whose tap is not the batched :class:`~repro.sim.columnar.DigestTap`
+want real frames on every hop; a path over one is not validated, so its
+launches are declined.
 
 The fast-vs-slow digest harness (``tools/bench_sim.py``) proves all of
 this end to end: identical ``events_executed``, metrics and packet-trace
@@ -99,8 +98,7 @@ from typing import Any, Dict, List, Optional, Set
 from .. import fastlane, params
 from ..net.headers import ETHERNET_FCS_BYTES, EthernetHeader
 from ..p4ce.dataplane import EMPTY_CREDIT, _K_GATHER, _K_SCATTER
-from ..rdma.headers import Aeth, Bth, PSN_MASK, Reth
-from ..rdma.icrc import check_icrc, stamp_icrc
+from ..rdma.headers import Bth, PSN_MASK, Reth
 from ..rdma.memory import Access
 from ..rdma.opcodes import AethCode, Opcode, make_syndrome, saturate_credits
 from ..rdma.qp import QpState, psn_add
@@ -114,7 +112,6 @@ from ..rdma.wiretemplate import (
     ack_frame,
     ack_template,
     scatter_fingerprint,
-    scatter_rewrite,
     scatter_template,
 )
 from .columnar import _FLUSH_LIMIT, _VA_OFF, DigestTap
@@ -137,11 +134,6 @@ _INITIAL_CREDITS = params.INITIAL_CREDITS
 _OP_WRITE_ONLY = Opcode.RDMA_WRITE_ONLY
 _OP_ACK = Opcode.ACKNOWLEDGE
 
-#: The phantom is armed strictly *after* the estimated completion so the
-#: final hop always wins the (time, seq) race in the drain loop: in steady
-#: state the phantom is cancelled at completion and never fires.
-_PHANTOM_SLACK = 1.0
-
 #: Ethernet framing bytes around the IPv4 datagram (wire-size arithmetic
 #: for virtual ACK frames, matching ``Packet.wire_size``).
 _ETH_WRAP = EthernetHeader.SIZE + ETHERNET_FCS_BYTES
@@ -152,25 +144,16 @@ _INF = float("inf")
 class FusedFlight:
     """One in-flight fused consensus round."""
 
-    __slots__ = ("qp", "first_psn", "pending", "latest_vt", "phantom", "t0",
-                 "done", "vrw")
+    __slots__ = ("first_psn", "pending", "vrw")
 
-    def __init__(self, qp, first_psn: int):
-        self.qp = qp
+    def __init__(self, first_psn: int):
         self.first_psn = first_psn
         #: Hops of this flight still sitting in the hop queue.
         self.pending = 0
-        #: Largest pushed virtual time (phantom re-arm horizon).
-        self.latest_vt = 0.0
-        #: The cancellable phantom event (None once finished).
-        self.phantom = None
-        #: Launch instant (per-path duration estimate learning).
-        self.t0 = 0.0
-        self.done = False
-        #: Lane 12: the rewritten *last* scatter leg rides the launch
-        #: original, whose in-place template install is deferred until
-        #: the packet can be observed (defusion / fallback) -- this holds
-        #: that leg's _VFrame until applied or the flight completes.
+        #: The rewritten *last* scatter leg rides the launch original,
+        #: whose in-place template install is deferred until the packet
+        #: can be observed (defusion / fallback) -- this holds that leg's
+        #: _VFrame until applied or the flight completes.
         self.vrw = None
 
 
@@ -183,19 +166,17 @@ class _FusedPath:
                  "leader_link", "leader_in_port", "switch_port", "dir_up",
                  "dir_down", "scatter_key", "fc", "ecache", "tcache",
                  "numrecv_cells", "numrecv_mask", "credit_regs",
-                 "credit_agg", "stamp", "half_pipe", "pgap", "legs",
-                 "est_dur", "vx", "vst")
+                 "credit_agg", "half_pipe", "pgap", "legs", "vst")
 
 
 class _FusedLeg:
     """One scatter/gather leg of a fused path (one replica)."""
 
-    __slots__ = ("path", "rid", "out_port", "eg_port", "link", "dir_down",
-                 "dir_back", "rport", "rnic", "rqp", "rqpn", "aggr_qpn",
-                 "ack_sport", "gather_key", "tally")
+    __slots__ = ("path", "rid", "out_port", "link", "dir_down", "dir_back",
+                 "rnic", "rqp", "rqpn", "ack_sport", "gather_key", "tally")
 
 
-# Per-leg staged counter tallies (lane 12), indexed as:
+# Per-leg staged counter tallies, indexed as:
 # 0 egress_runs, 1 switch tx_frames, 2/3 downlink frames/bytes,
 # 4 packets_received, 5 acks_sent, 6 replica packets_sent,
 # 7/8 uplink frames/bytes, 9 switch rx_frames, 10 surplus-ACK drops.
@@ -203,7 +184,7 @@ _TALLY_N = 11
 
 
 class _VLaunch:
-    """Shared per-flight launch info for virtual scatter legs (lane 12):
+    """Shared per-flight launch info for virtual scatter legs:
     everything every leg derives from the launch WRITE, computed once at
     scatter ingress."""
 
@@ -212,7 +193,7 @@ class _VLaunch:
 
 
 class _VFrame:
-    """A virtual in-flight frame (lane 12): the varying words of one
+    """A virtual in-flight frame: the varying words of one
     scatter leg (``kind`` 0) or one replica ACK (``kind`` 1) plus a
     wire-template reference -- enough to rebuild the exact real
     ``Packet`` on demand (fallback, defusion, gather threshold) or to
@@ -224,7 +205,7 @@ class _VFrame:
 
 
 class _VStage:
-    """Per-path staged columnar state (lane 12): register writes and
+    """Per-path staged columnar state: register writes and
     counter bumps accumulated across one batched drain, landed as slab
     operations by :meth:`FlightPlanner.flush_columnar`.  The staging
     rule: a cell or counter is staged only if *every* write to it during
@@ -287,26 +268,20 @@ class FlightPlanner:
         #: resolved against.
         self._epoch = 0
         #: Defusion generation: bumped whenever pending work materializes
-        #: (mid-stage guard -- see _x_replica_rx).
+        #: (mid-stage guard -- see _chain).
         self._gen = 0
-        #: Lane 11 sampled at construction (benchmarks build a fresh
-        #: cluster per lane setting): batched drain + phantom-free
-        #: flights.  Requires flight_fusion to matter at all.
-        self._superfuse = bool(fastlane.flags.window_superfusion)
         # Diagnostics / attribution.
         self.flights_fused = 0
         self.hops_replayed = 0
         self.defusions = 0
-        self.terminal_fires = 0
         self.fuse_rejects = 0
         self.express_fallbacks = 0
-        # Lane 11 batch telemetry.
+        # Batched-drain telemetry.
         self.runs_fused = 0
         self.hops_batched = 0
         self.max_run_len = 0
         self.batch_splits = 0
-        # Lane 12 columnar telemetry.
-        self.vx_flights = 0
+        # Columnar telemetry.
         self.vx_hops = 0
         self.vx_materialized = 0
         self.vx_inlined = 0
@@ -324,27 +299,24 @@ class FlightPlanner:
         #: Digest taps on resolved paths: held (no mid-drain flush) while
         #: a batched drain may absorb frames out of timestamp order.
         self._dtaps: List[DigestTap] = []
-        sim._flight_drain = (self._drain_super if self._superfuse
-                             else self.drain)
+        sim._flight_drain = self._drain_super
         sim._flight_planner = self
 
     def stats(self) -> Dict[str, int]:
         """Per-shard fusion attribution (bench reports key these by
-        shard to prove lanes 9 and 11 engage at every G)."""
+        shard to prove fusion engages at every G)."""
         runs = self.runs_fused
         return {
             "shard_index": self.shard_index,
             "flights_fused": self.flights_fused,
             "hops_replayed": self.hops_replayed,
             "defusions": self.defusions,
-            "terminal_fires": self.terminal_fires,
             "fuse_rejects": self.fuse_rejects,
             "express_fallbacks": self.express_fallbacks,
             "runs_fused": runs,
             "mean_run_len": (self.hops_batched / runs) if runs else 0.0,
             "max_run_len": self.max_run_len,
             "batch_splits": self.batch_splits,
-            "vx_flights": self.vx_flights,
             "vx_hops": self.vx_hops,
             "vx_materialized": self.vx_materialized,
             "vx_inlined": self.vx_inlined,
@@ -355,12 +327,15 @@ class FlightPlanner:
     # ------------------------------------------------------------------
 
     def try_fuse(self, nic, qp, first_psn: int, packet) -> bool:
-        """Compute a one-packet write as a fused flight.  Returns False to
-        make the caller take the ordinary per-hop TX path."""
+        """Compute a one-packet write as a fused flight.  Returns False
+        to decline: the caller then takes the ordinary per-hop TX path,
+        i.e. the real handlers.  Every probe precedes the first mutation,
+        so a declined launch leaves no trace (``nic._tx_busy_until`` is
+        where ``RNic._tx`` expects to claim it)."""
         flags = fastlane.flags
         if (not flags.flight_fusion or self._armed
                 or not flags.rewrite_templates or not flags.flow_cache):
-            # Lane 9 layers on the template/cache lanes: the express
+            # Fusion layers on the template/cache lanes: the express
             # stages reproduce *their* counters and wire images, not the
             # slow header-object path's allocation pattern.
             return False
@@ -376,7 +351,12 @@ class FlightPlanner:
                 return False
             del self._tainted[qp]
         path = self._resolve_path(nic, qp)
-        if path is None:
+        up = packet._upper
+        if (path is None or len(up) != 2 or type(up[0]) is not Bth
+                or type(up[1]) is not Reth
+                or up[0].opcode is not _OP_WRITE_ONLY or not packet.has_icrc):
+            # No validated path, or not the stamped WRITE_ONLY shape the
+            # virtual frames are built from.
             self.fuse_rejects += 1
             return False
         sim = self._sim
@@ -388,38 +368,12 @@ class FlightPlanner:
         finish = start + _TX_GAP
         nic._tx_busy_until = finish
         t = finish + _TX_LAT
-        flight = FusedFlight(qp, first_psn)
-        flight.t0 = now
-        xfn = self._x_leader_emit
-        if path.vx and flags.columnar_express:
-            up = packet._upper
-            if (len(up) == 2 and type(up[0]) is Bth and type(up[1]) is Reth
-                    and up[0].opcode is _OP_WRITE_ONLY and packet.has_icrc):
-                xfn = self._v_leader_emit
-                self.vx_flights += 1
-            else:
-                # A mixed-shape flight would run lane-9 register writes
-                # interleaved with this path's staged columnar state;
-                # drop to lane 9 for the path (the next control-plane
-                # epoch rebuild re-enables vx).
-                path.vx = False
-                self.flush_columnar()
+        flight = FusedFlight(first_psn)
         seq = sim._seq
         sim._seq = seq + 1
         heapq.heappush(self._fq, (t, seq, nic._emit, (packet,), flight,
-                                  xfn, path))
+                                  self._v_leader_emit, path))
         flight.pending = 1
-        flight.latest_vt = t
-        if not self._superfuse:
-            # Lane 9 alone needs a phantom kernel event so the run loop's
-            # heap never empties while hops pend.  Under lane 11 the
-            # kernel polls the hop queue directly (see Simulator.run), so
-            # the phantom -- a heap push, a tombstone on cancel and the
-            # compactions they trigger, per flight -- is dropped.
-            horizon = now + path.est_dur + _PHANTOM_SLACK
-            if horizon <= t:
-                horizon = t + _PHANTOM_SLACK
-            flight.phantom = sim.schedule_at(horizon, self._terminal, flight)
         self._flights.add(flight)
         self.flights_fused += 1
         return True
@@ -439,8 +393,6 @@ class FlightPlanner:
         sim._seq = seq + 1
         heapq.heappush(self._fq, (t, seq, fn, args, flight, xfn, ctx))
         flight.pending += 1
-        if t > flight.latest_vt:
-            flight.latest_vt = t
 
     def _chain(self, t: float, fn, args: tuple, flight: FusedFlight,
                xfn, ctx) -> None:
@@ -457,8 +409,8 @@ class FlightPlanner:
         a pipe runs hot.  The hop consumes the same kernel seq either
         way.  A defusion since the run began means express stages must
         not outrun the new configuration: the hop becomes a real kernel
-        event, exactly as the mid-notify guard in the lane-9 replica-RX
-        stage does."""
+        event (a notify watcher in the replica-RX stage can defuse
+        mid-stage)."""
         sim = self._sim
         if self._gen != self._run_gen:
             new_args = None
@@ -483,18 +435,16 @@ class FlightPlanner:
             return
         heapq.heappush(fq, (t, seq, fn, args, flight, xfn, ctx))
         flight.pending += 1
-        if t > flight.latest_vt:
-            flight.latest_vt = t
 
     def _fallback(self, entry: tuple) -> None:
         """Run a hop's real handler (at the warped clock) instead of its
         express stage.  Every express probe precedes its stage's first
         mutation, so the real handler starts from pristine state; the
         events it schedules are real kernel events with the exact seqs
-        the slow lane would have consumed next.  Lane 12: staged columnar
-        state lands first (the real handler must observe registers and
-        counters exactly as the slow lane would), then any virtual frame
-        in the hop's args is rebuilt into its real packet."""
+        the slow lane would have consumed next.  Staged columnar state
+        lands first (the real handler must observe registers and counters
+        exactly as the slow lane would), then any virtual frame in the
+        hop's args is rebuilt into its real packet."""
         self.express_fallbacks += 1
         if self._vactive:
             self.flush_columnar()
@@ -524,7 +474,7 @@ class FlightPlanner:
         d.busy_until = finish
         stats.frames += 1
         stats.bytes += wire
-        tap = link.tap
+        tap = link._tap
         if tap is not None:
             tap(src_port, packet)
         return finish + link.propagation_ns
@@ -534,80 +484,35 @@ class FlightPlanner:
     # ------------------------------------------------------------------
 
     def drain(self, limit: float) -> bool:
-        """Run express stages for pending hops due at or before ``limit``,
-        stopping early if a real kernel event becomes due first (a
-        completion cascade schedules real events at past-exact virtual
-        times).  Timestamp ties resolve by kernel seq -- slow-lane order.
-        Returns True if at least one hop ran (False tells the kernel the
-        front real event genuinely goes first)."""
-        sim = self._sim
-        fq = self._fq
-        if not fq:
-            return False
-        heap = sim._heap
-        pop = heapq.heappop
-        credits = 0
-        while fq:
-            entry = fq[0]
-            vt = entry[0]
-            if vt > limit:
-                break
-            if heap:
-                top = heap[0]
-                if top[0] < vt or (top[0] == vt and top[1] < entry[1]):
-                    break
-            pop(fq)
-            flight = entry[4]
-            flight.pending -= 1
-            # Warp the clock to the hop's exact virtual time: express
-            # stages and fallback handlers read sim._now for claims, taps
-            # and timestamps.
-            sim._now = vt
-            credits += 1
-            xfn = entry[5]
-            if xfn is None:
-                # Completion hop: the real leader-RX handler runs so the
-                # CQE -> commit -> next-proposal cascade schedules real
-                # events (at exact absolute times; the clock is warped).
-                flight.done = True
-                if flight.pending == 0:
-                    phantom = flight.phantom
-                    if phantom is not None:
-                        phantom.cancel()
-                        flight.phantom = None
-                    self._flights.discard(flight)
-                # else: straggler ACK hops beyond the quorum still pend;
-                # the phantom stays armed so the kernel keeps polling.
-                entry[2](*entry[3])
-            else:
-                xfn(vt, entry)
-        if credits:
-            # Each hop is an event the slow lane executed.
-            sim._event_count += credits
-            self.hops_replayed += credits
-            return True
-        return False
+        """Replay pending hops due at or before ``limit``: the public
+        name of :meth:`_drain_super`, which is what the kernel calls
+        (``sim._flight_drain``).  A separate function, not an alias,
+        because ``bench/trace.py`` instruments both names."""
+        return self._drain_super(limit)
 
     def _drain_super(self, limit: float) -> bool:
-        """Lane 11 drain: replay due hops in batched **runs**.
+        """Replay pending hops due at or before ``limit`` in batched
+        **runs**, stopping early when a real kernel event becomes due
+        first (timestamp ties resolve by kernel seq -- slow-lane order).
+        Returns True if at least one hop ran (False tells the kernel the
+        front real event genuinely goes first).
 
         At saturation the hop queue holds a pipelined window of
         interleaved clean flights -- tens of thousands of hops between
-        real kernel events.  The lane-9 drain re-derives the real-event
-        barrier (heap front peek, seq tie-break) per hop; this drain
-        derives it once per run and then executes consecutive due hops
-        back to back, which is exact because the barrier cannot move
-        earlier while the heap is untouched.  The run splits -- falling
-        back to a fresh barrier derivation -- the moment a hop schedules
-        kernel work (``len(heap)`` moved: terminal commit cascades,
-        express fallbacks, mid-stage defusions) or the barrier time is
-        reached.  Hops tied with the barrier timestamp are left for the
-        next outer iteration, where the seq comparison resolves the tie
-        in slow-lane order.
+        real kernel events.  The real-event barrier (heap front peek,
+        seq tie-break) is derived once per run, and consecutive due hops
+        then execute back to back, which is exact because the barrier
+        cannot move earlier while the heap is untouched.  The run splits
+        -- falling back to a fresh barrier derivation -- the moment a
+        hop schedules kernel work (``len(heap)`` moved: terminal commit
+        cascades, express fallbacks, mid-stage defusions) or the barrier
+        time is reached.  Hops tied with the barrier timestamp are left
+        for the next outer iteration, where the seq comparison resolves
+        the tie in slow-lane order.
 
-        Lane 12 layers inline chaining on the runs: while a run holds,
-        a clean hop's successor executes depth-first via _chain instead
-        of round-tripping the hop heap.  Digest taps are held for the
+        Inline chaining rides on the runs: while a run holds, a clean
+        hop's successor executes depth-first via _chain instead of
+        round-tripping the hop heap.  Digest taps are held for the
         drain (absorbs land out of time order; the tap re-sorts at
         flush) and flushed down to the next safe horizon at exit.
         """
@@ -653,12 +558,7 @@ class FlightPlanner:
                     # Completion hop: the real leader-RX handler runs so
                     # the CQE -> commit -> next-proposal cascade schedules
                     # real events at exact absolute times.
-                    flight.done = True
                     if flight.pending == 0:
-                        phantom = flight.phantom
-                        if phantom is not None:
-                            phantom.cancel()
-                            flight.phantom = None
                         self._flights.discard(flight)
                     entry[2](*entry[3])
                 else:
@@ -677,7 +577,7 @@ class FlightPlanner:
             self.hops_batched += run
             if run > self.max_run_len:
                 self.max_run_len = run
-        # Lane 12's staged state stays staged across drains: the only
+        # Staged columnar state stays staged across drains: the only
         # mid-run readers -- RegisterAction.execute, control-plane writes,
         # fallbacks and defusions -- flush on touch, counter landings
         # commute (pure additions), and the kernel flushes at run exit.
@@ -699,27 +599,6 @@ class FlightPlanner:
             self.hops_replayed += credits
             return True
         return False
-
-    def _terminal(self, flight: FusedFlight) -> None:
-        """The flight's phantom kernel event.  In steady state it is
-        cancelled at completion; it fires only when the duration estimate
-        was short (foreign traffic stretched the chain) or stragglers
-        outlive the completion hop."""
-        sim = self._sim
-        # No slow-lane counterpart: keep events_executed bit-identical by
-        # debiting the credit the kernel just added.
-        sim._event_count -= 1
-        self.terminal_fires += 1
-        flight.phantom = None
-        if flight.pending > 0:
-            # Re-arm at the push horizon, nudged past "now".
-            t = flight.latest_vt
-            now = sim._now
-            if t <= now:
-                t = now + 0.001
-            flight.phantom = sim.schedule_at(t, self._terminal, flight)
-            return
-        self._flights.discard(flight)
 
     # ------------------------------------------------------------------
     # Invalidation: fault hooks, CP writes and NAK/retransmit taint
@@ -756,24 +635,22 @@ class FlightPlanner:
         by construction: each hop tuple carries precisely the (fn, args)
         event the slow lane would have scheduled, and all of that event's
         scheduling-time effects were applied when the hop was pushed.
-        Lane 12 state lands first (flush), and virtual frames rebuild
-        into real packets -- pre-rewrite scatter legs and ACKs before the
-        rewritten last legs, whose materialization patches the launch
-        original in place and would corrupt later fanout copies."""
+        Staged columnar state lands first (flush), and virtual frames
+        rebuild into real packets -- pre-rewrite scatter legs and ACKs
+        before the rewritten last legs, whose materialization patches the
+        launch original in place and would corrupt later fanout copies."""
         self._gen += 1
         self.flush_columnar()
         sim = self._sim
         fq = self._fq
         if fq:
             self.defusions += 1
-            if self._superfuse:
-                # The trigger (fault, heal, CP write, retransmit, NumRecv
-                # wrap, foreign-traffic fallback) landed while lane 11
-                # held a batched window: the batch splits here and the
-                # un-executed tail below re-materializes at exact
-                # timestamps.  A trigger landing *inside* a run also ends
-                # the run early (the heap-length check in _drain_super).
-                self.batch_splits += 1
+            # The trigger (fault, heal, CP write, retransmit) landed
+            # while a batched window was held: the batch splits here and
+            # the un-executed tail below re-materializes at exact
+            # timestamps.  A trigger landing *inside* a run also ends the
+            # run early (the heap-length check in _drain_super).
+            self.batch_splits += 1
             ordered = sorted(fq)
             fq.clear()
             deferred = []
@@ -823,10 +700,6 @@ class FlightPlanner:
             if vf is not None:
                 self.vx_materialized += 1
                 self._materialize(vf)
-            phantom = flight.phantom
-            if phantom is not None:
-                phantom.cancel()
-                flight.phantom = None
         self._flights.clear()
 
     # ------------------------------------------------------------------
@@ -835,360 +708,11 @@ class FlightPlanner:
     # else falls back to the real handler before the first mutation.
     # Stage signature: (vt, entry) with entry =
     # (vt, seq, real_fn, real_args, flight, stage, ctx).
+    #
+    # The chain's tail comes first: at the gather threshold the forwarded
+    # ACK is a real packet, and these three stages carry it from switch
+    # egress to the leader's RX pipeline.
     # ------------------------------------------------------------------
-
-    def _x_leader_emit(self, vt: float, entry: tuple) -> None:
-        # Mirrors RNic._emit + Port.send + Link.transmit (leader -> switch).
-        path = entry[6]
-        packet = entry[3][0]
-        path.nic.packets_sent += 1
-        t = self._wire_out(path.leader_link, path.dir_up, path.nic_port,
-                           packet, vt)
-        self._push_hop(t, path.leader_link._deliver, (path.dir_up, packet),
-                       entry[4], self._x_scatter_arrive, path)
-
-    def _x_scatter_arrive(self, vt: float, entry: tuple) -> None:
-        # Mirrors Link._deliver + Switch.handle_packet (ingress parser claim).
-        path = entry[6]
-        packet = entry[3][1]
-        sw = path.switch
-        idx = path.leader_in_port
-        sw.counters[idx].rx_frames += 1
-        pbusy = sw._ingress_parser_busy
-        busy = pbusy[idx]
-        start = busy if busy > vt else vt
-        done = start + path.pgap
-        pbusy[idx] = done
-        packet.meta["ingress_port"] = idx
-        self._push_hop(done, sw._run_ingress, (idx, packet),
-                       entry[4], self._x_scatter_ingress, path)
-
-    def _x_scatter_ingress(self, vt: float, entry: tuple) -> None:
-        # Mirrors Switch._run_ingress + P4ceProgram scatter classification
-        # (flow-cache hit path) + multicast fan-out.  The register guard
-        # reset (_begin_packet) is skipped: guards are only read by
-        # RegisterAction.execute, which no express stage calls, and every
-        # real ingress resets them before use.
-        path = entry[6]
-        flight = entry[4]
-        packet = entry[3][1]
-        sw = path.switch
-        fc = path.fc
-        cached = fc._cache.get(path.scatter_key)
-        if cached is None or cached[0] != _K_SCATTER:
-            # Cold or foreign verdict: let the real walk classify (and
-            # warm the cache for the next flight).
-            self._fallback(entry)
-            return
-        packet.meta["packet_token"] = sw._next_packet_token
-        sw._next_packet_token += 1
-        fc.hits += 1
-        for table, h, m in cached[2]:  # counter parity with the real walk
-            table.hits += h
-            table.misses += m
-        pre = cached[1]  # (numrecv_base, group, shared multicast verdict)
-        path.numrecv_cells[pre[0] + flight.first_psn % _NUMRECV_SLOTS] = 0
-        path.program.scattered += 1
-        tm = vt + path.half_pipe
-        legs = path.legs
-        last = len(legs) - 1
-        ebusy = sw._egress_parser_busy
-        pgap = path.pgap
-        for i, leg in enumerate(legs):
-            replica = packet if i == last else packet.fanout_copy()
-            replica.meta["replication_id"] = leg.rid
-            out = leg.out_port
-            busy = ebusy[out]
-            start = busy if busy > tm else tm
-            done = start + pgap
-            ebusy[out] = done
-            self._push_hop(done, sw._run_egress, (out, leg.rid, replica),
-                           flight, self._x_scatter_egress, leg)
-
-    def _x_scatter_egress(self, vt: float, entry: tuple) -> None:
-        # Mirrors Switch._run_egress + P4ceProgram.on_egress for one
-        # multicast leg (egress-cache hit + wire-template rewrite).
-        leg = entry[6]
-        path = leg.path
-        args = entry[3]
-        out = args[0]
-        packet = args[2]
-        sw = path.switch
-        pre = path.ecache._cache.get(args[1])
-        if pre is None:
-            self._fallback(entry)  # cold cache: real egress fills it
-            return
-        sw.counters[out].egress_runs += 1
-        path.ecache.hits += 1
-        prog = path.program
-        prog.egress_conn_table.hits += 1  # counter parity with the walk
-        tcache = path.tcache
-        templates = tcache._cache.get(args[1])
-        if templates is None:
-            templates = {}
-            tcache.put(args[1], templates)
-        else:
-            tcache.hits += 1
-        if not scatter_rewrite(packet, templates, pre, sw.mac, sw.ip,
-                               path.stamp):
-            # Unsupported shape: the exact header-object remainder of
-            # on_egress (cannot full-fallback -- counters already moved).
-            dst_mac, dst_ip, udp_port, qpn, psn_offset, va_base, r_key = pre
-            eth = packet.eth
-            eth.src = sw.mac
-            eth.dst = dst_mac
-            ipv4 = packet.ipv4
-            ipv4.src = sw.ip
-            ipv4.dst = dst_ip
-            packet.udp.dst_port = udp_port
-            bth = None
-            reth = None
-            for header in packet.upper:
-                kind = type(header)
-                if kind is Bth:
-                    bth = header
-                elif kind is Reth:
-                    reth = header
-            if bth is None:
-                sw.drops += 1
-                if packet._pooled:
-                    packet.release()
-                return
-            bth.dest_qp = qpn
-            bth.psn = (bth.psn + psn_offset) & 0xFFFFFF
-            if reth is not None:
-                reth.virtual_address = reth.virtual_address + va_base
-                reth.r_key = r_key
-            packet.finalize()
-            if path.stamp:
-                stamp_icrc(packet)
-        packet.finalize()
-        self._push_hop(vt + path.half_pipe, sw._transmit, (out, packet),
-                       entry[4], self._x_scatter_transmit, leg)
-
-    def _x_scatter_transmit(self, vt: float, entry: tuple) -> None:
-        # Mirrors Switch._transmit + Link.transmit (switch -> replica).
-        leg = entry[6]
-        args = entry[3]
-        packet = args[1]
-        leg.path.switch.counters[args[0]].tx_frames += 1
-        t = self._wire_out(leg.link, leg.dir_down, leg.eg_port, packet, vt)
-        self._push_hop(t, leg.link._deliver, (leg.dir_down, packet),
-                       entry[4], self._x_replica_arrive, leg)
-
-    def _x_replica_arrive(self, vt: float, entry: tuple) -> None:
-        # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
-        leg = entry[6]
-        packet = entry[3][1]
-        rnic = leg.rnic
-        if rnic._rx_inflight >= rnic.rx_queue_limit:
-            rnic.rx_dropped += 1
-            if packet._pooled:
-                packet.release()
-            return  # the leg dies here, exactly as in the slow lane
-        busy = rnic._rx_busy_until
-        start = busy if busy > vt else vt
-        finish = start + rnic.rx_gap_ns
-        rnic._rx_busy_until = finish
-        rnic._rx_inflight += 1
-        self._push_hop(finish + _RX_LAT, rnic._rx_process, (packet,),
-                       entry[4], self._x_replica_rx, leg)
-
-    def _x_replica_rx(self, vt: float, entry: tuple) -> None:
-        # Mirrors RNic._rx_process + _roce_dispatch + the clean
-        # _responder_write path + the ACK build/TX.  All shape probes are
-        # pure and precede the first mutation, so the full fallback
-        # (real _rx_process) starts from pristine state.
-        leg = entry[6]
-        packet = entry[3][0]
-        rnic = leg.rnic
-        up = packet._upper
-        if (not rnic.powered or len(up) != 2 or type(up[0]) is not Bth
-                or type(up[1]) is not Reth):
-            self._fallback(entry)
-            return
-        bth = up[0]
-        if bth.dest_qp != leg.rqpn or bth.opcode is not _OP_WRITE_ONLY:
-            self._fallback(entry)
-            return
-        rnic._rx_inflight -= 1
-        rnic.packets_received += 1
-        if not check_icrc(packet):
-            rnic.icrc_drops += 1
-            if packet._pooled:
-                packet.release()
-            return
-        qp = rnic.qps.get(bth.dest_qp)
-        if qp is None or qp.state is QpState.ERROR:
-            # _roce_dispatch's silent drop (destroyed/errored QP).
-            if packet._pooled:
-                packet.release()
-            return
-        reth = up[1]
-        payload = packet.payload
-        if bth.psn == qp.expected_psn:
-            region = rnic._check_remote_access(qp, reth.virtual_address,
-                                               reth.dma_length, reth.r_key,
-                                               Access.REMOTE_WRITE)
-        else:
-            region = None
-        if region is None:
-            # Duplicate PSN (re-ACK), sequence gap (NAK) or access error
-            # (NAK): the real responder tail handles every branch; its
-            # NAK travels as real events and taints the QP on arrival.
-            self.express_fallbacks += 1
-            rnic._responder_write(qp, bth, reth, payload)
-            if packet._pooled:
-                packet.release()
-            return
-        # Clean WRITE_ONLY: cursor setup, DMA, PSN/MSN advance -- field
-        # for field the _responder_write body.
-        qp.write_cursor_va = reth.virtual_address
-        qp.write_cursor_rkey = reth.r_key
-        qp.write_cursor_remaining = reth.dma_length
-        if payload:
-            region.write(qp.write_cursor_va, payload)
-            qp.write_cursor_va += len(payload)
-            qp.write_cursor_remaining -= len(payload)
-        qp.expected_psn = psn_add(bth.psn, 1)
-        qp.msn = psn_add(qp.msn, 1)
-        gen0 = self._gen
-        rnic.host.notify_remote_write(qp, bth, payload)
-        # _send_ack + the ack_frame fast path of _respond.
-        rnic.acks_sent += 1
-        syndrome = make_syndrome(
-            AethCode.ACK, saturate_credits(_INITIAL_CREDITS - rnic._rx_inflight))
-        ack = ack_frame(qp.tx_templates, rnic.gateway_mac, rnic.mac, rnic.ip,
-                        qp.remote_ip, leg.ack_sport, _ROCE_PORT,
-                        qp.remote_qpn, bth.psn, syndrome, qp.msn)
-        if rnic.powered:  # a notify watcher may have crashed the host
-            busy = rnic._tx_busy_until
-            start = busy if busy > vt else vt
-            finish = start + _TX_GAP
-            rnic._tx_busy_until = finish
-            t = finish + _TX_LAT
-            if self._gen != gen0:
-                # A watcher defused mid-notify (CP write, fault, taint):
-                # hand the ACK to the kernel as a real event -- it gets
-                # the same next seq either way.
-                self._sim.schedule_at_fire(t, rnic._emit, ack)
-            else:
-                self._push_hop(t, rnic._emit, (ack,), entry[4],
-                               self._x_ack_emit, leg)
-        if packet._pooled:
-            packet.release()
-
-    def _x_ack_emit(self, vt: float, entry: tuple) -> None:
-        # Mirrors RNic._emit + Link.transmit (replica -> switch).
-        leg = entry[6]
-        ack = entry[3][0]
-        leg.rnic.packets_sent += 1
-        t = self._wire_out(leg.link, leg.dir_back, leg.rport, ack, vt)
-        self._push_hop(t, leg.link._deliver, (leg.dir_back, ack),
-                       entry[4], self._x_ack_arrive, leg)
-
-    def _x_ack_arrive(self, vt: float, entry: tuple) -> None:
-        # Mirrors Link._deliver + Switch.handle_packet for the ACK.
-        leg = entry[6]
-        ack = entry[3][1]
-        path = leg.path
-        sw = path.switch
-        idx = leg.out_port
-        sw.counters[idx].rx_frames += 1
-        pbusy = sw._ingress_parser_busy
-        busy = pbusy[idx]
-        start = busy if busy > vt else vt
-        done = start + path.pgap
-        pbusy[idx] = done
-        ack.meta["ingress_port"] = idx
-        self._push_hop(done, sw._run_ingress, (idx, ack),
-                       entry[4], self._x_gather_ingress, leg)
-
-    def _x_gather_ingress(self, vt: float, entry: tuple) -> None:
-        # Mirrors Switch._run_ingress + P4ceProgram._gather: credit fold,
-        # NumRecv count, forward-or-drop.  Register cells are read/written
-        # with the same masked arithmetic as the RegisterActions (the
-        # count is compared unmasked, as _numrecv_count returns it), so
-        # 256-slot PSN wrap behaves identically.
-        leg = entry[6]
-        path = leg.path
-        ack = entry[3][1]
-        sw = path.switch
-        up = ack._upper
-        if len(up) != 2 or type(up[0]) is not Bth or type(up[1]) is not Aeth:
-            self._fallback(entry)
-            return
-        bth = up[0]
-        if bth.dest_qp != leg.aggr_qpn or bth.opcode is not _OP_ACK:
-            self._fallback(entry)
-            return
-        fc = path.fc
-        cached = fc._cache.get(leg.gather_key)
-        if cached is None or cached[0] != _K_GATHER:
-            self._fallback(entry)
-            return
-        if self._vactive:
-            # Lane 12 may have staged this path's credit/NumRecv cells
-            # (virtual and lane-9 flights mix after a pin or shape
-            # split): land them before the live register writes below.
-            self.flush_columnar()
-        ack.meta["packet_token"] = sw._next_packet_token
-        sw._next_packet_token += 1
-        fc.hits += 1
-        for table, h, m in cached[2]:
-            table.hits += h
-            table.misses += m
-        pre = cached[1]  # _GatherPre
-        aeth = up[1]
-        syndrome = aeth.syndrome
-        leader_psn = (bth.psn - pre.psn_offset) & 0xFFFFFF
-        prog = path.program
-        if syndrome >> 6:
-            # NAK/RNR: forwarded to the leader immediately.
-            prog.forwarded_naks += 1
-            prog._rewrite_to_leader(ack, bth, aeth, leader_psn, pre, syndrome)
-        else:
-            prog.gathered_acks += 1
-            own = syndrome & 0x1F
-            if path.credit_agg:
-                # _aggregate_credits without the guard-flag writes (the
-                # guards are unobservable outside RegisterAction.execute).
-                gi = pre.group_index
-                own_slot = pre.credit_slot
-                minimum = EMPTY_CREDIT
-                slot = 0
-                for reg in path.credit_regs:
-                    cells = reg._cells
-                    if slot == own_slot:
-                        cells[gi] = value = own & reg.mask
-                    else:
-                        value = cells[gi]
-                    if value < minimum:
-                        minimum = value
-                    slot += 1
-            else:
-                minimum = own
-            cells = path.numrecv_cells
-            slot = pre.numrecv_base + leader_psn % _NUMRECV_SLOTS
-            count = cells[slot] + 1
-            cells[slot] = count & path.numrecv_mask
-            if count != pre.ack_threshold:
-                # Surplus (or early) ACK: counted and dropped in ingress.
-                prog.dropped_acks += 1
-                sw.drops += 1
-                sw.counters[entry[3][0]].rx_drops += 1
-                return
-            prog.forwarded_acks += 1
-            prog._rewrite_to_leader(ack, bth, aeth, leader_psn, pre, minimum)
-        out = path.leader_in_port
-        tm = vt + path.half_pipe
-        ebusy = sw._egress_parser_busy
-        busy = ebusy[out]
-        start = busy if busy > tm else tm
-        done = start + path.pgap
-        ebusy[out] = done
-        self._push_hop(done, sw._run_egress, (out, 0, ack),
-                       entry[4], self._x_gather_egress, path)
 
     def _x_gather_egress(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._run_egress for the forwarded ACK (rid 0 passes
@@ -1231,17 +755,15 @@ class FlightPlanner:
         finish = start + lnic.rx_gap_ns
         lnic._rx_busy_until = finish
         lnic._rx_inflight += 1
-        t = finish + _RX_LAT
-        dur = t - flight.t0
-        if dur > path.est_dur:
-            path.est_dur = dur
-        self._push_hop(t, lnic._rx_process, (ack,), flight, None, None)
+        self._push_hop(finish + _RX_LAT, lnic._rx_process, (ack,), flight,
+                       None, None)
 
     # ------------------------------------------------------------------
-    # Lane 12: columnar staging, materialization and the _v_* stages.
-    # The _v_* chain mirrors the _x_* chain hop for hop -- same (vt, seq)
-    # tuples, same live timing arithmetic -- but the interior frames are
-    # _VFrames and their counter/register effects are staged per path.
+    # Columnar staging, materialization and the _v_* stages: the chain
+    # from leader TX to the gather threshold.  Each hop gets the (vt, seq)
+    # the real handler's event would have and does its timing arithmetic
+    # live, but the interior frames are _VFrames and their counter and
+    # register effects are staged per path.
     # ------------------------------------------------------------------
 
     def _stage(self, path: _FusedPath) -> _VStage:
@@ -1252,12 +774,12 @@ class FlightPlanner:
         return vst
 
     def flush_columnar(self) -> None:
-        """Land lane 12's staged columnar state as slab operations:
-        NumRecv cells via ``Register.dp_scatter``, credit cells from the
-        mirror, counter tallies in one addition each.  Called at batched-
-        drain exit (so every real kernel event observes final state), by
+        """Land the staged columnar state as slab operations: NumRecv
+        cells via ``Register.dp_scatter``, credit cells from the mirror,
+        counter tallies in one addition each.  Called at kernel-run exit
+        (so nothing outside the run observes staged state), by
         ``_fallback`` before a real handler runs, by ``_defuse_all``, by
-        the lane-9 gather stage when lanes mix on a path, and by
+        the real gather path before it touches a register, and by
         ``Register.cp_write`` before a control-plane value lands (staged
         data-plane deltas are older, so the CP write must win)."""
         active = self._vactive
@@ -1369,9 +891,8 @@ class FlightPlanner:
         """Materialize every still-virtual *pre-rewrite* sibling of a
         launch packet about to be rewritten in place: their fanout copies
         must capture the pristine bytes.  Each pinned hop keeps its exact
-        (vt, seq) -- the heap invariant is untouched -- and continues on
-        the lane-9 egress stage, which performs the real rewrite on the
-        fresh copy."""
+        (vt, seq) -- the heap invariant is untouched -- and is handed to
+        the real egress handler, which rewrites the fresh copy."""
         fq = self._fq
         for n, entry in enumerate(fq):
             args = entry[3]
@@ -1386,14 +907,18 @@ class FlightPlanner:
             pkt.meta["replication_id"] = vf.leg.rid
             fq[n] = (entry[0], entry[1], entry[2],
                      (args[0], args[1], pkt), entry[4],
-                     self._x_scatter_egress, vf.leg)
+                     self._real_hop, vf.leg)
+
+    def _real_hop(self, vt: float, entry: tuple) -> None:
+        # Stage of a hop whose frame was pinned to a real packet.
+        self._fallback(entry)
 
     def _materialize(self, vf: _VFrame):
         """Rebuild the real ``Packet`` a virtual frame stands for.  For a
         rewritten last leg this applies the deferred template install to
         the launch original in place (pinning still-virtual pre-rewrite
         siblings first), byte- and ICRC-identical to the
-        ``scatter_rewrite`` the lane-9 egress would have performed."""
+        ``scatter_rewrite`` the real egress would have performed."""
         leg = vf.leg
         if vf.kind == 1:
             rnic = leg.rnic
@@ -1424,13 +949,15 @@ class FlightPlanner:
             _U64.pack_into(suffix, _SUF_EXT_OFF, vf.va)
             new_upper = [tmpl.bth.clone_rewrite(vf.psn, lau.ack_req),
                          tmpl.reth.clone_rewrite(vf.va)]
-            _install(pkt, tmpl, new_upper, block, suffix, leg.path.stamp)
+            # Paths are template-stamping by construction (_rebuild_path).
+            _install(pkt, tmpl, new_upper, block, suffix, True)
             pkt.finalize()
         return pkt
 
     def _v_leader_emit(self, vt: float, entry: tuple) -> None:
-        # Lane 12 twin of _x_leader_emit: the launch frame is real (the
-        # leader's own TX); only the successor chain goes columnar.
+        # Mirrors RNic._emit + Port.send + Link.transmit (leader ->
+        # switch).  The launch frame is real (the leader's own TX); only
+        # the successor chain goes columnar.
         path = entry[6]
         packet = entry[3][0]
         self.vx_hops += 1
@@ -1441,6 +968,7 @@ class FlightPlanner:
                     entry[4], self._v_scatter_arrive, path)
 
     def _v_scatter_arrive(self, vt: float, entry: tuple) -> None:
+        # Mirrors Link._deliver + Switch.handle_packet (ingress parser claim).
         path = entry[6]
         packet = entry[3][1]
         self.vx_hops += 1
@@ -1457,8 +985,12 @@ class FlightPlanner:
                     entry[4], self._v_scatter_ingress, path)
 
     def _v_scatter_ingress(self, vt: float, entry: tuple) -> None:
-        # Twin of _x_scatter_ingress, but the fan-out pushes _VFrames:
-        # per-leg varying words are computed at egress, the packets never.
+        # Mirrors Switch._run_ingress + P4ceProgram scatter classification
+        # (flow-cache hit path) + multicast fan-out, but the fan-out pushes
+        # _VFrames: per-leg varying words are computed at egress, the
+        # packets never.  The register guard reset (_begin_packet) is
+        # skipped: guards are only read by RegisterAction.execute, which no
+        # express stage calls, and every real ingress resets them first.
         path = entry[6]
         flight = entry[4]
         packet = entry[3][1]
@@ -1466,16 +998,10 @@ class FlightPlanner:
         fc = path.fc
         cached = fc._cache.get(path.scatter_key)
         if cached is None or cached[0] != _K_SCATTER:
+            # Cold or foreign verdict: let the real walk classify (and
+            # warm the cache for the next flight).
             self._fallback(entry)
             return
-        for leg in path.legs:
-            tap = leg.link.tap
-            if tap is not None and type(tap) is not DigestTap:
-                # A foreign tap wants real frames: this flight (and the
-                # path, until the next epoch rebuild) rides lane 9.
-                path.vx = False
-                self._x_scatter_ingress(vt, entry)
-                return
         self.vx_hops += 1
         packet.meta["packet_token"] = sw._next_packet_token
         sw._next_packet_token += 1
@@ -1529,8 +1055,9 @@ class FlightPlanner:
                         flight, self._v_scatter_egress, leg)
 
     def _v_scatter_egress(self, vt: float, entry: tuple) -> None:
-        # Twin of _x_scatter_egress: resolve the wire template and the
-        # leg's varying words; patch nothing.  The last leg's deferred
+        # Mirrors Switch._run_egress + P4ceProgram.on_egress for one
+        # multicast leg (egress-cache hit): resolve the wire template and
+        # the leg's varying words; patch nothing.  The last leg's deferred
         # in-place rewrite of the launch original parks on flight.vrw.
         leg = entry[6]
         path = leg.path
@@ -1570,8 +1097,9 @@ class FlightPlanner:
                     entry[4], self._v_scatter_transmit, leg)
 
     def _v_scatter_transmit(self, vt: float, entry: tuple) -> None:
-        # Twin of _x_scatter_transmit: live serialization horizon, staged
-        # counters, and the frame absorbed by the columnar digest tap.
+        # Mirrors Switch._transmit + Link.transmit (switch -> replica):
+        # live serialization horizon, staged counters, and the frame
+        # absorbed by the columnar digest tap.
         leg = entry[6]
         vf = entry[3][1]
         self.vx_hops += 1
@@ -1588,7 +1116,7 @@ class FlightPlanner:
         d.busy_until = finish
         tally[2] += 1
         tally[3] += wire
-        tap = link.tap
+        tap = link._tap
         if tap is not None:
             tap.absorb_scatter(vf.tmpl, vf.ack_word, vf.va, lau.payload,
                                lau.payload_crc, vt)
@@ -1596,6 +1124,7 @@ class FlightPlanner:
                     (d, vf), entry[4], self._v_replica_arrive, leg)
 
     def _v_replica_arrive(self, vt: float, entry: tuple) -> None:
+        # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
         leg = entry[6]
         vf = entry[3][1]
         rnic = leg.rnic
@@ -1612,11 +1141,13 @@ class FlightPlanner:
                     entry[4], self._v_replica_rx, leg)
 
     def _v_replica_rx(self, vt: float, entry: tuple) -> None:
-        # Twin of _x_replica_rx.  Shape and opcode are guaranteed by
-        # construction (the template carries the launch WRITE_ONLY), and
-        # the ICRC check is a guaranteed template-cache hit, so the
-        # probes reduce to QP liveness, PSN order and memory access; any
-        # unclean answer rebuilds the real packet and falls back whole.
+        # Mirrors RNic._rx_process + _roce_dispatch + the clean
+        # _responder_write path + the ACK build/TX.  Shape and opcode are
+        # guaranteed by construction (the template carries the launch
+        # WRITE_ONLY), and the ICRC check is a guaranteed template-cache
+        # hit, so the probes reduce to QP liveness, PSN order and memory
+        # access; any unclean answer rebuilds the real packet and falls
+        # back whole.
         leg = entry[6]
         vf = entry[3][0]
         rnic = leg.rnic
@@ -1670,12 +1201,12 @@ class FlightPlanner:
             avf.wire = atmpl.base.ipv4.total_length + _ETH_WRAP
             avf.iport = None
             # A watcher defusing mid-notify is _chain's generation branch:
-            # the ACK materializes into a real kernel event, as the
-            # lane-9 stage's explicit guard does.
+            # the ACK materializes into a real kernel event.
             self._chain(t, rnic._emit, (avf,), entry[4],
                         self._v_ack_emit, leg)
 
     def _v_ack_emit(self, vt: float, entry: tuple) -> None:
+        # Mirrors RNic._emit + Link.transmit (replica -> switch).
         leg = entry[6]
         avf = entry[3][0]
         self.vx_hops += 1
@@ -1691,7 +1222,7 @@ class FlightPlanner:
         d.busy_until = finish
         tally[7] += 1
         tally[8] += wire
-        tap = link.tap
+        tap = link._tap
         if tap is not None:
             tap.absorb_ack(avf.tmpl, avf.psn & PSN_MASK,
                            (avf.syndrome << 24) | (avf.msn & PSN_MASK), vt)
@@ -1699,6 +1230,7 @@ class FlightPlanner:
                     (d, avf), entry[4], self._v_ack_arrive, leg)
 
     def _v_ack_arrive(self, vt: float, entry: tuple) -> None:
+        # Mirrors Link._deliver + Switch.handle_packet for the ACK.
         leg = entry[6]
         avf = entry[3][1]
         self.vx_hops += 1
@@ -1716,12 +1248,15 @@ class FlightPlanner:
                        entry[4], self._v_gather_ingress, leg)
 
     def _v_gather_ingress(self, vt: float, entry: tuple) -> None:
-        # Twin of _x_gather_ingress with staged register arithmetic:
-        # NumRecv counts and the credit fold run on the path's stage
-        # (reads fall through to the cells), landing as slabs at flush.
+        # Mirrors Switch._run_ingress + P4ceProgram._gather (credit fold,
+        # NumRecv count, forward-or-drop) with staged register arithmetic:
+        # both run on the path's stage (reads fall through to the cells)
+        # with the RegisterActions' masked arithmetic -- the count is
+        # compared unmasked, as _numrecv_count returns it, so 256-slot PSN
+        # wrap behaves identically -- and land as slabs at flush.
         # Virtual ACKs always carry make_syndrome(ACK, credits), so the
         # NAK branch is unreachable by construction.  At the threshold
-        # the forwarded ACK materializes and rides the lane-9 tail.
+        # the forwarded ACK materializes and rides the real-packet tail.
         leg = entry[6]
         path = leg.path
         avf = entry[3][1]
@@ -1803,13 +1338,10 @@ class FlightPlanner:
         path = self._paths.get(key)
         if path is not None and path.epoch == self._epoch:
             return path
-        stale = path
         path = self._rebuild_path(nic, qp)
         if path is None:
             self._paths.pop(key, None)
         else:
-            if stale is not None and stale.est_dur > path.est_dur:
-                path.est_dur = stale.est_dur
             self._paths[key] = path
         return path
 
@@ -1830,9 +1362,11 @@ class FlightPlanner:
         bcast = getattr(program, "bcast_table", None)
         if bcast is None or not switch.powered:
             return None
-        if program.ack_drop_in_egress:
-            # Ablation config: surplus ACKs traverse the leader's egress
-            # parser; the express gather drops them in ingress only.
+        if program.ack_drop_in_egress or not program.recompute_icrc:
+            # Ablation configs: surplus ACKs traverse the leader's egress
+            # parser, where the express gather drops them in ingress
+            # only; and the virtual ICRC algebra needs the stamped
+            # template install.
             return None
         if qp.remote_ip != switch.ip:
             return None
@@ -1877,16 +1411,9 @@ class FlightPlanner:
         path.numrecv_mask = program.numrecv.mask
         path.credit_regs = program.credits
         path.credit_agg = program.credit_aggregation
-        path.stamp = program.recompute_icrc
-        # Lane 12 engages on super-fused, template-stamping paths (the
-        # virtual ICRC algebra needs the stamped template install); the
-        # flag is re-read per flight in try_fuse.
-        path.vx = bool(self._superfuse and program.recompute_icrc
-                       and fastlane.flags.columnar_express)
         path.vst = _VStage()
         path.half_pipe = switch.pipeline_latency_ns * 0.5
         path.pgap = switch.parser_gap_ns
-        path.est_dur = 20000.0
         path.legs = legs = []
         ports = switch.ports
         nports = len(ports)
@@ -1900,6 +1427,12 @@ class FlightPlanner:
             rlink = eg_port.link
             if rlink is None or not rlink.up \
                     or rlink._drop_probability > 0.0:
+                return None
+            tap = rlink._tap
+            if tap is not None and type(tap) is not DigestTap:
+                # A foreign tap wants real frames, and interior frames
+                # on this cable are virtual.  (Installing a tap bumps the
+                # epoch, so a later one lands here too.)
                 return None
             rport = rlink.other_end(eg_port)
             rnic = rport.device
@@ -1925,15 +1458,12 @@ class FlightPlanner:
             leg.path = path
             leg.rid = rid
             leg.out_port = out
-            leg.eg_port = eg_port
             leg.link = rlink
             leg.dir_down = rlink.direction_from(eg_port)
             leg.dir_back = rlink.direction_from(rport)
-            leg.rport = rport
             leg.rnic = rnic
             leg.rqp = rqp
             leg.rqpn = rqp.qpn
-            leg.aggr_qpn = rqp.remote_qpn
             leg.ack_sport = 49152 + (rqp.qpn & 0x3FF)
             leg.gather_key = (rqp.remote_qpn, _OP_ACK)
             leg.tally = [0] * _TALLY_N
@@ -1955,7 +1485,7 @@ class FlightPlanner:
         # boundaries (one shared tap per cluster in practice).
         dtaps = self._dtaps
         for tlink in (link, *(leg.link for leg in legs)):
-            tap = tlink.tap
+            tap = tlink._tap
             if type(tap) is DigestTap and not any(t is tap for t in dtaps):
                 dtaps.append(tap)
         path.epoch = self._epoch

@@ -20,8 +20,8 @@ Design notes
     pipeline stages, NIC tx/rx, CPU jobs) schedules this way.
   - ``(time, seq, None, event)`` -- a cancellable :class:`Event` handle
     (:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`).  Handles
-    are the exception: timers and the fused-flight phantom keep theirs,
-    one-shot fault scripts are too rare to matter.
+    are the exception: timers keep theirs, one-shot fault scripts are
+    too rare to matter.
 
 * Cancellation is O(1): a cancelled handle stays in the heap as a
   tombstone and is dropped when popped.  Tombstones are counted, so
@@ -122,12 +122,12 @@ class Simulator:
         self._event_count: int = 0
         #: Cancelled handles whose entries are still in the heap.
         self._tombstones: int = 0
-        #: Flight-fusion hop queue (lane 9): captured-but-unscheduled hops
-        #: as (time, seq, fn, args, flight) tuples, owned by the
+        #: Flight-fusion hop queue: captured-but-unscheduled hops as
+        #: (time, seq, fn, args, flight, stage, ctx) tuples, owned by the
         #: FlightPlanner but polled here so due hops replay *before* any
         #: later event executes.  Always mutated in place, never rebound.
         self._flight_queue: List[tuple] = []
-        #: The planner's drain(limit) bound method (None until a
+        #: The planner's _drain_super(limit) bound method (None until a
         #: FlightPlanner attaches; _flight_queue stays empty until then).
         self._flight_drain: Optional[Callable[[float], None]] = None
         self._flight_planner = None
@@ -259,14 +259,14 @@ class Simulator:
                 if executed == max_events:
                     return executed
                 if fq:
-                    # Fused-flight hops (lanes 9/11) due before the next
-                    # heap event (bounded by ``until``) replay first so
-                    # every later event observes slow-lane-identical
-                    # state.  A False return means the front heap event
-                    # wins the timestamp tie on seq: fall through and pop
-                    # it normally.  Phantom-free lane-11 flights can leave
-                    # the heap empty while hops pend: then ``until`` (or
-                    # the hop queue itself) bounds the drain.
+                    # Fused-flight hops due before the next heap event
+                    # (bounded by ``until``) replay first so every later
+                    # event observes slow-lane-identical state.  A False
+                    # return means the front heap event wins the
+                    # timestamp tie on seq: fall through and pop it
+                    # normally.  Fused flights keep nothing in the heap,
+                    # which can be empty while hops pend: then ``until``
+                    # (or the hop queue itself) bounds the drain.
                     if heap:
                         limit = heap[0][0]
                         if until is not None and until < limit:
@@ -304,7 +304,7 @@ class Simulator:
             self._event_count += executed
 
     def _flush_columnar(self) -> None:
-        # Deferred lane-12 columnar state lands before the caller can read
+        # Deferred columnar state lands before the caller can read
         # registers or counters between runs.
         planner = self._flight_planner
         if planner is not None and planner._vactive:
@@ -480,7 +480,7 @@ class ShardedKernel:
 
         Each lane owns one :class:`~repro.sim.flight.FlightPlanner`, and
         :meth:`run_window` drains that lane's fused super-batches up to
-        every epoch barrier; this collects the per-group lane-9/11
+        every epoch barrier; this collects the per-group fusion
         telemetry (flights fused, batched runs, batch splits) so sharded
         benchmarks can prove super-fusion engages on every group.
         """
@@ -517,9 +517,9 @@ class ShardedKernel:
             return False
         if self.lanes[index].step():
             return True
-        # The lane's remaining activity was phantom-free fused hops that
-        # drained to nothing (lane 11): progress happened without popping
-        # an event, so report whether any lane still holds work.
+        # The lane's remaining activity was fused hops that drained to
+        # nothing (they are not kernel events): progress happened without
+        # popping an event, so report whether any lane still holds work.
         return self._next_lane()[1] is not None
 
     def run_merged(self, window_ns: float) -> int:

@@ -47,7 +47,7 @@ class Tracer:
     def emit_many(self, records: List[TraceRecord]) -> None:
         """Bulk-append pre-built records (one list op for a whole batch).
 
-        Lane 11 uses this to flush a fused window's worth of records in
+        Flight fusion uses this to flush a fused window's worth of records in
         one call -- batch re-materialization on defusion, and tests that
         replay a window's timeline -- instead of paying a ``record()``
         frame per entry.  Records must already carry their timestamps;

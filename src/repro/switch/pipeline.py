@@ -138,7 +138,7 @@ class Switch:
         #: the frame path indexes it on every hop, and the epoch-barrier
         #: readers aggregate it as one slab (:meth:`counter_totals`) --
         #: counters are never observed mid-flight, which is what lets
-        #: lane 11 batch whole windows of counter bumps between barriers.
+        #: flight fusion batch whole windows of counter bumps between barriers.
         self.counters: List[PortCounters] = [PortCounters()
                                              for _ in range(num_ports)]
         self.drops = 0
@@ -192,7 +192,7 @@ class Switch:
         egress_runs, drops, to_cpu]`` summed over every port in one pass.
 
         This is the epoch-barrier read the sharded runners reconcile
-        (and the only sanctioned way to observe counters while lane 11
+        (and the only sanctioned way to observe counters while flight fusion
         may be holding a batched window): per-port rows are written on
         the frame path, totals are derived only at barriers.
         """

@@ -14,14 +14,14 @@ and a second access to the same register for the same packet raises
 ``RegisterAccessError`` -- turning an un-synthesizable P4 program into a
 failing test instead of silently wrong results.
 
-Array backend (lane 11)
------------------------
+Array backend
+-------------
 A register array of width <= 32 bits can be backed by a numpy ``int64``
 vector instead of a Python list: cell values stay exact (every masked
 value and every intermediate of the P4CE RMW programs fits an int64), and
 slab operations -- window fills, batch reads -- become single vectorized
 assignments.  The backend is chosen per register at construction:
-``numpy`` when numpy is importable, the ``window_superfusion`` fast lane
+``numpy`` when numpy is importable, the ``flight_fusion`` fast lane
 is on, and the width qualifies; the plain-list scalar backend otherwise.
 ``REPRO_NO_NUMPY=1`` vetoes numpy process-wide so the pure-python
 fallback can be exercised (CI runs both and compares wire digests).
@@ -78,7 +78,7 @@ class Register:
         self.mask = (1 << width) - 1
         if backend == "auto":
             backend = ("numpy" if NUMPY and width <= _NUMPY_MAX_WIDTH
-                       and fastlane.flags.window_superfusion else "list")
+                       and fastlane.flags.flight_fusion else "list")
         if backend == "numpy":
             if _np is None:
                 raise RuntimeError(
@@ -123,7 +123,7 @@ class Register:
     def cp_write(self, index: int, value: int) -> None:
         watch = self._flight_watch
         if watch is not None:
-            # Staged columnar data-plane deltas (lane 12) represent
+            # Staged columnar data-plane deltas represent
             # operations that already happened *before* this control-plane
             # write; land them first so the CP value wins, exactly as it
             # would in the slow lane's memory order.
@@ -150,7 +150,7 @@ class Register:
     def dp_scatter(self, indices, values) -> None:
         """Apply a batch of data-plane cell writes as one slab operation.
 
-        Lane 12's columnar flush uses this to land a drain's worth of
+        Flight fusion's columnar flush uses this to land a drain's worth of
         staged RMW results (NumRecv resets and counts, credit cells) in
         one vectorized fancy-index assignment on the array backend, or a
         plain loop on the list backend.  Values are masked here so
@@ -294,7 +294,7 @@ class RegisterAction:
                 f"0..{register.size - 1}")
         watch = register._flight_watch
         if watch is not None and watch._vactive:
-            # Staged columnar deltas (lane 12) are older data-plane
+            # Staged columnar deltas are older data-plane
             # operations; land them before this packet's RMW reads the
             # cell, restoring slow-lane memory order.
             watch.flush_columnar()

@@ -42,9 +42,9 @@ def install_trace_digest(cluster) -> "DigestTap":
 
     Returns a :class:`repro.sim.columnar.DigestTap` rather than a bare
     hash object: the tap buffers frames (real ones packed eagerly,
-    lane 12's virtual ones as template+word tuples) and renders them in
-    batches, producing the bit-identical SHA-256 stream.  Callers keep
-    using ``hexdigest()`` exactly as before.
+    flight fusion's virtual ones as template+word tuples) and renders
+    them in batches, producing the bit-identical SHA-256 stream.
+    Callers keep using ``hexdigest()`` exactly as before.
     """
     tap = DigestTap(cluster.sim)
     switches = [cluster.switch]
@@ -525,8 +525,7 @@ def group_scaling_specs(num_groups: int, *, protocol: str = "p4ce",
                         window: int = 16, base_seed: int = 7,
                         warmup_ns: float = 1 * MS, window_ns: float = 4 * MS,
                         epochs: int = 16, fast_lane: bool = True,
-                        overrides: Optional[dict] = None,
-                        lane_flags: Optional[dict] = None) -> List[dict]:
+                        overrides: Optional[dict] = None) -> List[dict]:
     """Picklable per-shard specs for one group-scaling point.
 
     Shard 0 keeps ``base_seed`` (see :meth:`ShardedCluster.shard_seed`),
@@ -548,7 +547,6 @@ def group_scaling_specs(num_groups: int, *, protocol: str = "p4ce",
         "window_ns": window_ns,
         "epochs": epochs,
         "fast_lane": fast_lane,
-        "lane_flags": dict(lane_flags) if lane_flags else {},
         "overrides": dict(overrides) if overrides else {},
     } for shard in range(num_groups)]
 
@@ -636,16 +634,10 @@ def _epoch_schedule(window_ns: float, epochs: int):
 
 
 def _apply_lane(spec: dict) -> None:
-    """Set the fast-lane flags a shard spec asks for.
-
-    ``fast_lane`` turns everything on or off; the optional ``lane_flags``
-    dict then pins individual lanes (e.g. ``{"window_superfusion":
-    False}`` for the lane-11 attribution run).  Specs stay picklable, so
-    the same lane selection crosses the spawn boundary unchanged.
-    """
+    """Set the fast lanes a shard spec asks for: ``fast_lane`` turns
+    everything on or off.  Specs stay picklable, so the same lane
+    selection crosses the spawn boundary unchanged."""
     fastlane.flags.set_all(bool(spec.get("fast_lane", True)))
-    for flag, value in (spec.get("lane_flags") or {}).items():
-        setattr(fastlane.flags, flag, bool(value))
 
 
 def run_shard_point(spec: dict) -> dict:

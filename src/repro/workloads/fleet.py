@@ -471,7 +471,7 @@ def run_serving_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
     ``inflight_window`` (1), ``service_gap_ns`` (40000), ``fleet_seed``
     (``seed``), ``migration`` (True), ``planner`` (kwarg overrides),
     ``steering_capacity``, ``warmup_epochs`` (2), ``window_ns``,
-    ``epoch_ns``, ``fast_lane`` (True), ``lane_flags``.
+    ``epoch_ns``, ``fast_lane`` (True).
 
     Returns the driver report plus per-shard wire digests and wall
     clock; the digests are the cross-lane determinism contract.
@@ -481,8 +481,6 @@ def run_serving_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
     from .experiments import install_trace_digest
 
     fastlane.flags.set_all(bool(spec.get("fast_lane", True)))
-    for flag, value in (spec.get("lane_flags") or {}).items():
-        setattr(fastlane.flags, flag, bool(value))
     try:
         from ..consensus.config import ClusterConfig
         config = ClusterConfig(

@@ -1,17 +1,15 @@
-"""Columnar express kernels (fast lane 12) fidelity, property-based.
+"""Flight fusion's columnar express chain: fidelity, property-based.
 
 Hypothesis draws random run shapes -- closed-loop window depth, doorbell
 batching on/off, and an optional mid-run link fault at a random time
-with a random outage -- and each drawn scenario runs three times:
+with a random outage -- and each drawn scenario runs twice:
 
-* **columnar** -- the full fast stack, lane 12 batching clean super-fused
-  runs into column operations and bulk-hashing the wire digest;
-* **per-hop** -- lanes 1-11 (the ``_x_*`` express stages replay every hop
-  individually; lane 12 off), the reference lane 12 must match hop for
-  hop;
-* **slow** -- all lanes off, every event through the heap.
+* **fused** -- the full fast stack, flight fusion batching clean runs
+  into column operations and bulk-hashing the wire digest;
+* **slow** -- all lanes off, every hop a kernel event through the real
+  handlers: the reference.
 
-All three must agree on every observable: the SHA-256 wire-trace digest
+Both must agree on every observable: the SHA-256 wire-trace digest
 (bytes + ICRC + timestamp of every frame on every link), the commit and
 executed-event counts, the final register slabs (NumRecv and the credit
 registers, cell for cell), and the *counter timeline* -- the device-wide
@@ -22,8 +20,8 @@ first diverges, not just at the end.
 
 The whole matrix runs on both register backends: the numpy array backend
 and the pure-python list backend (``registers.NUMPY`` flipped, as
-``REPRO_NO_NUMPY=1`` would), since lane 12 has distinct column kernels
-for each.
+``REPRO_NO_NUMPY=1`` would), since the columnar flush and the digest tap
+have distinct column kernels for each.
 """
 
 from __future__ import annotations
@@ -59,16 +57,14 @@ def _register_slabs(cluster):
 def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
          fault_outage_ns) -> dict:
     """One seeded run of the drawn scenario under one lane setting."""
-    fastlane.flags.set_all(lane != "slow")
-    fastlane.flags.columnar_express = (fastlane.flags.columnar_express
-                                       and lane == "columnar")
+    fastlane.flags.set_all(lane == "fused")
     fastlane.reset_columnar()
     try:
         cluster = build_cluster("p4ce", 2, value_size=64, seed=7,
                                 batching=batching)
-        # The DigestTap (not a bare hash closure): lane 12 only engages
+        # The DigestTap (not a bare hash closure): fusion only engages
         # when every tap on the path can absorb virtual frames; a
-        # foreign tap demands real frames and forces lane 9.
+        # foreign tap demands real frames and the path is declined.
         digest = install_trace_digest(cluster)
         leader = cluster.await_ready()
         driver = ClosedLoopDriver(cluster, 64, window=window)
@@ -83,7 +79,7 @@ def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
         for _ in range(_SLICES):
             cluster.run_for(_SLICE_NS)
             # A run_for barrier is a kernel-exit columnar flush: staged
-            # lane-12 state must be indistinguishable from the slow
+            # columnar state must be indistinguishable from the slow
             # lane's live writes here, mid-run.
             timeline.append((cluster.switch.counter_totals(),
                              _register_slabs(cluster)))
@@ -106,7 +102,7 @@ _scenarios = st.fixed_dictionaries({
     # None -> a clean run; otherwise cut the leader's primary cable at a
     # random time and heal it after a random outage, so defusion, the
     # slow-path recovery, and re-engagement land at arbitrary points of
-    # the super-fused window (including mid-drain fallbacks).
+    # the fused window (including mid-drain fallbacks).
     "fault": st.one_of(
         st.none(),
         st.tuples(st.integers(50_000, 250_000),
@@ -117,7 +113,7 @@ _scenarios = st.fixed_dictionaries({
 @pytest.mark.parametrize("backend", ["numpy", "list"])
 @settings(max_examples=6, deadline=None)
 @given(scenario=_scenarios)
-def test_columnar_matches_perhop_and_slow_lanes(backend, scenario):
+def test_fused_matches_reference(backend, scenario):
     if backend == "numpy" and not registers.NUMPY:
         pytest.skip("numpy backend unavailable (REPRO_NO_NUMPY or missing)")
     saved = registers.NUMPY
@@ -128,18 +124,16 @@ def test_columnar_matches_perhop_and_slow_lanes(backend, scenario):
                       window=scenario["window"],
                       fault_at_ns=None if fault is None else fault[0],
                       fault_outage_ns=None if fault is None else fault[1])
-        columnar = _run("columnar", **kwargs)
-        perhop = _run("perhop", **kwargs)
+        fused = _run("fused", **kwargs)
         slow = _run("slow", **kwargs)
     finally:
         registers.NUMPY = saved
     for key in ("digest", "commits", "events", "slabs", "timeline"):
-        assert columnar[key] == perhop[key], key
-        assert columnar[key] == slow[key], key
+        assert fused[key] == slow[key], key
     if fault is None and scenario["window"] >= 32:
         # A deep clean run must actually exercise the columnar kernels,
-        # or the equalities above prove nothing about lane 12 (shallow
-        # windows may never pipeline enough flights for the super-fused
-        # drain to form a batchable run).
-        assert columnar["hops_batched"] > 0
-        assert perhop["hops_batched"] == 0
+        # or the equalities above prove nothing about them (shallow
+        # windows may never pipeline enough flights for the drain to
+        # form a batchable run).
+        assert fused["hops_batched"] > 0
+        assert slow["hops_batched"] == 0

@@ -1,4 +1,4 @@
-"""Scalar/array register backend equivalence (fast lane 11).
+"""Scalar/array register backend equivalence.
 
 The numpy-backed register cells must be observationally identical to the
 pure-python list backend: same values, same masking, same epoch
@@ -61,7 +61,7 @@ def test_auto_backend_follows_lane_and_width():
         "numpy" if NUMPY else "list")
     # Widths beyond int64's safe mask always stay scalar.
     assert Register("b", 4, width=64).backend == "list"
-    fastlane.flags.window_superfusion = False
+    fastlane.flags.flight_fusion = False
     assert Register("c", 4, width=32).backend == "list"
 
 
@@ -78,8 +78,8 @@ def test_fastlane_stats_reports_vectorized_path():
     stats = fastlane.stats()
     assert stats["numpy_available"] == NUMPY
     assert stats["vectorized"] == (NUMPY
-                                   and fastlane.flags.window_superfusion)
-    fastlane.flags.window_superfusion = False
+                                   and fastlane.flags.flight_fusion)
+    fastlane.flags.flight_fusion = False
     assert not fastlane.stats()["vectorized"]
 
 

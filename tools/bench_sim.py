@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
 """Calibrated simulator-throughput harness (and fast-lane proof).
 
-Runs each workload five times -- fast lanes on (:mod:`repro.fastlane`
-defaults, including lane-12 columnar express kernels), fast with the
-columnar kernels off (lanes 1-11, for lane-12 attribution), fast with
-super-fusion off (lanes 1-9, for lane-11 attribution), fast with flight
-fusion off entirely (lanes 1-8, for lane-9 attribution), and all lanes
-off (the seed-equivalent reference path) -- and measures **simulator
-events per second** and wall clock.
+Runs each workload three times -- fast lanes on (:mod:`repro.fastlane`
+defaults), fast with flight fusion off (for fusion's attribution), and
+all lanes off (the seed-equivalent reference path) -- and measures
+**simulator events per second** and wall clock.
 
 The interesting output is not only the speedup: the harness *proves* the
 fast lanes are behaviour-preserving by asserting, between the lanes:
@@ -99,15 +96,10 @@ WORKLOADS = {
 }
 
 #: The lane settings compared per workload: (name, lanes on, flight
-#: fusion on, window super-fusion on, columnar express on).
-#: ``fast_no_vectorexpress`` isolates lane 12's contribution (lanes 1-11
-#: on); ``fast_no_superfusion`` isolates lane 11's (lanes 1-9 on);
-#: ``fast_no_fusion`` isolates lane 9's (lanes 1-8 on).
-_LANES = (("fast", True, True, True, True),
-          ("fast_no_vectorexpress", True, True, True, False),
-          ("fast_no_superfusion", True, True, False, False),
-          ("fast_no_fusion", True, False, False, False),
-          ("slow", False, False, False, False))
+#: fusion on).  ``fast_no_fusion`` isolates flight fusion's contribution.
+_LANES = (("fast", True, True),
+          ("fast_no_fusion", True, False),
+          ("slow", False, False))
 
 
 #: Group counts swept by the ``group_scaling`` workload.
@@ -125,11 +117,10 @@ _GROUP_COUNTS_QUICK = (1, 2)
 SCALING_SPEC = dict(protocol="p4ce", replicas=2, value_size=64, window=128,
                     config=dict(batching=True))
 
-#: Lane settings compared per group count in the serial placement:
-#: every shard must produce bit-identical digests in all three.
-_SCALING_LANES = (("fast", True, True, True, True),
-                  ("fast_no_superfusion", True, True, False, False),
-                  ("slow", False, False, False, False))
+#: Lane settings compared per group count in the serial placement
+#: (name, lanes on): every shard must produce bit-identical digests in
+#: both.
+_SCALING_LANES = (("fast", True), ("slow", False))
 
 
 #: The serving tier: a modeled million-client open-loop fleet (Poisson
@@ -252,16 +243,11 @@ def check_serving(serving: dict, *, quick: bool) -> list:
 
 
 def run_lane(spec: dict, lane_name: str, lane_on: bool, fusion_on: bool,
-             superfusion_on: bool, vectorexpress_on: bool,
              warmup_ns: float, window_ns: float,
              profile: bool = False) -> dict:
     """One workload, one lane setting, one fresh cluster."""
     fastlane.flags.set_all(lane_on)
     fastlane.flags.flight_fusion = lane_on and fusion_on
-    fastlane.flags.window_superfusion = (lane_on and fusion_on
-                                         and superfusion_on)
-    fastlane.flags.columnar_express = (lane_on and fusion_on
-                                       and superfusion_on and vectorexpress_on)
     fastlane.reset_columnar()
     try:
         cluster = build_cluster(spec["protocol"], spec["replicas"],
@@ -291,7 +277,7 @@ def run_lane(spec: dict, lane_name: str, lane_on: bool, fusion_on: bool,
                 victim)
             schedule.arm()
             # Sample fusion progress just after the heal: any flights
-            # fused beyond this count prove lane 9 re-engaged.
+            # fused beyond this count prove fusion re-engaged.
             cluster.sim.schedule(
                 fault["down_ns"] + fault["outage_ns"],
                 lambda: probe.__setitem__("fused_at_heal",
@@ -332,7 +318,7 @@ def run_lane(spec: dict, lane_name: str, lane_on: bool, fusion_on: bool,
             "commits": driver.commits,
             "trace_digest": digest.hexdigest(),
             "fastlane": fastlane.stats(),
-            # Lane-9/11 attribution: how much of the run the planner
+            # Fusion attribution: how much of the run the planner
             # fused, and how the batched drain carved it into runs.
             "flight": planner.stats(),
         }
@@ -359,15 +345,15 @@ def run_workload(name: str, spec: dict, *, warmup_ns: float, window_ns: float,
     drifts in machine load hit every lane alike instead of biasing
     whichever lane happened to run last.
     """
-    lanes = {lane_name: None for lane_name, _, _, _, _ in _LANES}
+    lanes = {lane_name: None for lane_name, _, _ in _LANES}
     failures = []
     for repeat in range(repeats):
-        for lane_name, lane_on, fusion_on, superfusion_on, vx_on in _LANES:
+        for lane_name, lane_on, fusion_on in _LANES:
             # Profile only the first repeat of each lane: the hot spots do
             # not change between repeats, and the profiler's overhead would
             # poison every repeat's wall clock otherwise.
             result = run_lane(spec, lane_name, lane_on, fusion_on,
-                              superfusion_on, vx_on, warmup_ns, window_ns,
+                              warmup_ns, window_ns,
                               profile=profile and repeat == 0)
             best = lanes[lane_name]
             if best is None:
@@ -382,8 +368,7 @@ def run_workload(name: str, spec: dict, *, warmup_ns: float, window_ns: float,
                             f"({best[key]!r} vs {result[key]!r})")
                 if result["wall_clock_s"] < best["wall_clock_s"]:
                     lanes[lane_name] = result
-    for lane_name in ("fast_no_vectorexpress", "fast_no_superfusion",
-                      "fast_no_fusion", "slow"):
+    for lane_name in ("fast_no_fusion", "slow"):
         for key in _DETERMINISM_KEYS:
             if lanes["fast"][key] != lanes[lane_name][key]:
                 failures.append(
@@ -392,8 +377,6 @@ def run_workload(name: str, spec: dict, *, warmup_ns: float, window_ns: float,
                     f"{lane_name}={lanes[lane_name][key]!r})")
     fast, slow = lanes["fast"], lanes["slow"]
     no_fusion = lanes["fast_no_fusion"]
-    no_super = lanes["fast_no_superfusion"]
-    no_vx = lanes["fast_no_vectorexpress"]
     if spec.get("fault") is not None:
         # The fault point must actually exercise the engage/disengage
         # machinery, not just survive it.
@@ -406,8 +389,8 @@ def run_workload(name: str, spec: dict, *, warmup_ns: float, window_ns: float,
             failures.append(f"{name}: fusion did not re-engage after heal")
         if not flight["batch_splits"]:
             failures.append(
-                f"{name}: the fault never split a lane-11 batch "
-                "(super-fusion was not engaged mid-window)")
+                f"{name}: the fault never split a batched run "
+                "(the drain held no fused window mid-fault)")
     return {
         # Headline numbers (fast lane) at the top level, per the perf
         # trajectory schema: {events_per_sec, wall_clock_s, events_executed}.
@@ -417,20 +400,13 @@ def run_workload(name: str, spec: dict, *, warmup_ns: float, window_ns: float,
         "ops_per_sec": fast["ops_per_sec"],
         "goodput_gbps": fast["goodput_gbps"],
         "speedup_vs_slow_lane": fast["events_per_sec"] / slow["events_per_sec"],
-        # Lane 9's own contribution: full fast stack vs lanes 1-8 only.
+        # Flight fusion's own contribution: full fast stack vs the other
+        # lanes only.
         "speedup_vs_no_fusion": (fast["events_per_sec"]
                                  / no_fusion["events_per_sec"]),
-        # Lane 11's own contribution: full fast stack vs lanes 1-9 only.
-        "speedup_vs_no_superfusion": (fast["events_per_sec"]
-                                      / no_super["events_per_sec"]),
-        # Lane 12's own contribution: full fast stack vs lanes 1-11 only.
-        "speedup_vs_no_vectorexpress": (fast["events_per_sec"]
-                                        / no_vx["events_per_sec"]),
         "deterministic": not failures,
         "determinism_failures": failures,
         "fast": fast,
-        "fast_no_vectorexpress": no_vx,
-        "fast_no_superfusion": no_super,
         "fast_no_fusion": no_fusion,
         "slow": slow,
     }
@@ -465,40 +441,30 @@ def run_group_scaling(groups, *, warmup_ns: float, window_ns: float,
     failures = out["determinism_failures"]
     spec = SCALING_SPEC
     for num_groups in groups:
-        # Serial placement, three lane settings: the per-shard digests
-        # must be bit-identical whether super-fusion batches the window,
-        # lanes 1-9 replay it hop by hop, or the reference path runs
-        # every event through the heap.
+        # Serial placement, both lane settings: the per-shard digests
+        # must be bit-identical whether flight fusion batches the window
+        # or the reference path runs every event through the heap.
         lane_serial = {}
         fast_specs = None
-        for (lane_name, lane_on, fusion_on, superfusion_on,
-             vx_on) in _SCALING_LANES:
+        for lane_name, lane_on in _SCALING_LANES:
             lane_specs = group_scaling_specs(
                 num_groups, replicas=spec["replicas"],
                 value_size=spec["value_size"], window=spec["window"],
                 overrides=spec.get("config"), warmup_ns=warmup_ns,
-                window_ns=window_ns, epochs=epochs, fast_lane=lane_on,
-                lane_flags={
-                    "flight_fusion": lane_on and fusion_on,
-                    "window_superfusion": (lane_on and fusion_on
-                                           and superfusion_on),
-                    "columnar_express": (lane_on and fusion_on
-                                         and superfusion_on and vx_on),
-                })
+                window_ns=window_ns, epochs=epochs, fast_lane=lane_on)
             if lane_name == "fast":
                 fast_specs = lane_specs
             print(f"[group_scaling] G={num_groups}: serial {lane_name}...")
             lane_serial[lane_name] = run_group_scaling_serial(lane_specs)
         serial = lane_serial["fast"]
-        for lane_name in ("fast_no_superfusion", "slow"):
-            other = lane_serial[lane_name]["shards"]
-            for shard, (s, o) in enumerate(zip(serial["shards"], other)):
-                if s["trace_digest"] != o["trace_digest"]:
-                    failures.append(
-                        f"group_scaling G={num_groups} shard {shard}: fast "
-                        f"and {lane_name} trace digests differ "
-                        f"({s['trace_digest'][:16]} vs "
-                        f"{o['trace_digest'][:16]})")
+        slow_shards = lane_serial["slow"]["shards"]
+        for shard, (s, o) in enumerate(zip(serial["shards"], slow_shards)):
+            if s["trace_digest"] != o["trace_digest"]:
+                failures.append(
+                    f"group_scaling G={num_groups} shard {shard}: fast "
+                    f"and slow trace digests differ "
+                    f"({s['trace_digest'][:16]} vs "
+                    f"{o['trace_digest'][:16]})")
         workers = max(1, min(cores, num_groups))
         print(f"[group_scaling] G={num_groups}: parallel "
               f"({workers} worker(s), spawn)...")
@@ -536,7 +502,7 @@ def run_group_scaling(groups, *, warmup_ns: float, window_ns: float,
         runs_fused = [s["flight"]["runs_fused"] for s in serial["shards"]]
         if not all(runs_fused):
             failures.append(
-                f"group_scaling G={num_groups}: lane 11 never batched a run "
+                f"group_scaling G={num_groups}: the drain never batched a run "
                 f"on shard(s) {[i for i, r in enumerate(runs_fused) if not r]}")
         aggregate = sum(s["ops_per_sec"] for s in serial["shards"])
         out["groups"][str(num_groups)] = {
@@ -551,7 +517,7 @@ def run_group_scaling(groups, *, warmup_ns: float, window_ns: float,
             "counters_match": counters_match,
             "serial_wall_by_lane": {
                 lane_name: lane_serial[lane_name]["wall_clock_s"]
-                for lane_name, _, _, _, _ in _SCALING_LANES},
+                for lane_name, _ in _SCALING_LANES},
             "serial": serial,
             "parallel": parallel,
         }
@@ -723,45 +689,36 @@ def main(argv=None) -> int:
     }
     ok = True
     for name in names:
-        print(f"[{name}] running fast + no-vectorexpress + no-superfusion + "
-              f"no-fusion + slow lanes ({repeats} repeat(s), "
-              f"{window_ns / MS:g} ms window)...")
+        print(f"[{name}] running fast + no-fusion + slow lanes "
+              f"({repeats} repeat(s), {window_ns / MS:g} ms window)...")
         result = run_workload(name, WORKLOADS[name], warmup_ns=warmup_ns,
                               window_ns=window_ns, repeats=repeats,
                               profile=args.profile)
         report["workloads"][name] = result
         fast, slow = result["fast"], result["slow"]
         nofu = result["fast_no_fusion"]
-        nosf = result["fast_no_superfusion"]
-        novx = result["fast_no_vectorexpress"]
         print(f"  fast:          {fast['events_per_sec'] / 1e3:8.1f}k events/s  "
               f"wall={fast['wall_clock_s']:.2f}s  events={fast['events_executed']}")
-        print(f"  no-vectorexp:  {novx['events_per_sec'] / 1e3:8.1f}k events/s  "
-              f"wall={novx['wall_clock_s']:.2f}s")
-        print(f"  no-superfuse:  {nosf['events_per_sec'] / 1e3:8.1f}k events/s  "
-              f"wall={nosf['wall_clock_s']:.2f}s")
         print(f"  no-fusion:     {nofu['events_per_sec'] / 1e3:8.1f}k events/s  "
               f"wall={nofu['wall_clock_s']:.2f}s")
         print(f"  slow:          {slow['events_per_sec'] / 1e3:8.1f}k events/s  "
               f"wall={slow['wall_clock_s']:.2f}s")
         flight = fast["flight"]
         print(f"  speedup(fast/slow) = {result['speedup_vs_slow_lane']:.2f}x  "
-              f"lane12 alone = {result['speedup_vs_no_vectorexpress']:.2f}x  "
-              f"lane11 alone = {result['speedup_vs_no_superfusion']:.2f}x  "
-              f"lane9+11 = {result['speedup_vs_no_fusion']:.2f}x   "
+              f"fusion alone = {result['speedup_vs_no_fusion']:.2f}x   "
               f"consensus = {fast['ops_per_sec'] / 1e6:.2f} M/s")
-        print(f"  lane9: {flight['flights_fused']} flights fused, "
+        print(f"  fusion: {flight['flights_fused']} flights fused, "
               f"{flight['hops_replayed']} hops, "
               f"{flight['defusions']} defusions, "
               f"{flight['express_fallbacks']} fallbacks   "
               f"digest = {fast['trace_digest'][:16]}...")
-        print(f"  lane11: {flight['runs_fused']} batched runs, "
+        print(f"  drain: {flight['runs_fused']} batched runs, "
               f"mean/max run = {flight['mean_run_len']:.1f}/"
               f"{flight['max_run_len']} hops, "
               f"{flight['batch_splits']} batch splits   "
               f"vectorized = {fast['fastlane']['vectorized']}")
         col = fast["fastlane"]["columnar"]
-        print(f"  lane12: {col['runs_vectorized']} columnar drains, "
+        print(f"  columnar: {col['runs_vectorized']} columnar drains, "
               f"{col['hops_batched']} hops batched, "
               f"{col['frames_bulk_hashed']} frames bulk-hashed, "
               f"{col['columnar_fallbacks']} fallbacks, "

@@ -13,7 +13,8 @@ Three sections go into the report:
   point.  ``speedup_vs_serial`` compares the pool's wall clock against
   the sum of per-point wall clocks (what a serial loop would pay);
 * ``baseline`` -- per-workload fast-lane events/sec compared against a
-  checked-in ``BENCH_7.json``.
+  checked-in ``BENCH_8.json`` (``--baseline``); only its
+  ``workloads.<name>.fast.events_per_sec`` and ``quick`` fields are read.
 
 The sweep clamps ``--workers`` to the cores the process may run on and
 records both numbers; when ``speedup_vs_serial`` lands near 1x (single
