@@ -1,6 +1,6 @@
 from setuptools import setup
 
 # All packaging metadata lives in pyproject.toml -- including the
-# optional "fast" extra (numpy) that enables the vectorized switch
-# register backend; this shim exists for legacy `setup.py` workflows.
+# optional "fast" extra (numpy) that accelerates the fleet sampler;
+# this shim exists for legacy `setup.py` workflows.
 setup()

@@ -32,7 +32,7 @@ from __future__ import annotations
 import struct
 from typing import Iterator, List, Optional, Tuple
 
-from .. import fastlane, params
+from .. import params
 from ..rdma.memory import MemoryRegion
 
 ENTRY_HEADER = struct.Struct("!QQ")
@@ -167,53 +167,32 @@ class Log:
         Returns the entry; transparently follows wrap markers.  Returns
         None when the next entry has not arrived yet.
         """
+        # Decode straight from the backing store: the cursor math keeps
+        # every read inside the region (usable = length - header), so
+        # MemoryRegion.read's bounds checks and bytes copies would be pure
+        # overhead on this path.
         usable = self.usable
-        if fastlane.flags.hot_reads:
-            # Decode straight from the backing store: the cursor math
-            # keeps every read inside the region (usable = length -
-            # header), so the bounds checks and bytes copies of
-            # MemoryRegion.read are pure overhead on this path.
-            buffer = self.region.buffer
-            for _ in range(2):  # at most one wrap hop
-                lap = logical // usable
-                physical = logical % usable
-                word, epoch = ENTRY_HEADER.unpack_from(buffer, physical)
-                if (word >> LENGTH_BITS) != (lap & LAP_MASK):
-                    return None
-                biased = word & LENGTH_MASK
-                if biased == WRAP_LENGTH:
-                    logical = (lap + 1) * usable
-                    continue
-                if biased == 0:
-                    return None
-                length = biased - 1
-                size = entry_size(length)
-                if physical + size > usable:
-                    return None
-                start = physical + ENTRY_HEADER.size
-                return LogEntry(logical, epoch,
-                                bytes(buffer[start:start + length]),
-                                logical + size)
-            return None
+        buffer = self.region.buffer
         for _ in range(2):  # at most one wrap hop
-            lap = self.lap_of(logical)
-            physical = self.physical(logical)
-            header = self.region.read(self.base_va + physical, ENTRY_HEADER.size)
-            word, epoch = ENTRY_HEADER.unpack(header)
+            lap = logical // usable
+            physical = logical % usable
+            word, epoch = ENTRY_HEADER.unpack_from(buffer, physical)
             if (word >> LENGTH_BITS) != (lap & LAP_MASK):
                 return None  # stale bytes from a previous lap, or empty
             biased = word & LENGTH_MASK
             if biased == WRAP_LENGTH:
-                logical = (lap + 1) * self.usable
+                logical = (lap + 1) * usable
                 continue
             if biased == 0:
                 return None  # untouched memory within the current lap
             length = biased - 1
-            if physical + entry_size(length) > self.usable:
+            size = entry_size(length)
+            if physical + size > usable:
                 return None
-            payload = self.region.read(
-                self.base_va + physical + ENTRY_HEADER.size, length)
-            return LogEntry(logical, epoch, payload, logical + entry_size(length))
+            start = physical + ENTRY_HEADER.size
+            return LogEntry(logical, epoch,
+                            bytes(buffer[start:start + length]),
+                            logical + size)
         return None
 
     def consume(self) -> Iterator[LogEntry]:
@@ -231,11 +210,7 @@ class Log:
     def _follow_wrap(self) -> None:
         lap = self.lap_of(self.next_offset)
         physical = self.physical(self.next_offset)
-        if fastlane.flags.hot_reads:
-            word, _epoch = ENTRY_HEADER.unpack_from(self.region.buffer, physical)
-        else:
-            header = self.region.read(self.base_va + physical, ENTRY_HEADER.size)
-            word, _epoch = ENTRY_HEADER.unpack(header)
+        word, _epoch = ENTRY_HEADER.unpack_from(self.region.buffer, physical)
         if (word >> LENGTH_BITS) == (lap & LAP_MASK) \
                 and (word & LENGTH_MASK) == WRAP_LENGTH:
             self.next_offset = (lap + 1) * self.usable

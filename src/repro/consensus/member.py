@@ -279,15 +279,9 @@ class Member:
         self.comm_mode = "switch" if self.config.protocol == "p4ce" else "direct"
         # Our outbound planes: every QP we owned may be dead (host crash
         # power-cycles the NIC) or stale; rebuild them all.
-        for node_id in list(self.direct.paths):
-            self.direct.drop_path(node_id)
-        self.direct._wr_entries.clear()
-        self.direct._connecting.clear()
+        self.direct.reset()
         if self.switch_rep is not None:
-            self.switch_rep._generation += 1  # supersede in-flight setup
-            self.switch_rep.state = SwitchState.IDLE
-            self.switch_rep.qp = None
-            self.switch_rep._wr_entries.clear()
+            self.switch_rep.reset()
         # A crash loses the NIC's QP table, so the error callbacks were
         # lost with it; re-attach them.
         self.host.nic.on_qp_error = self._on_qp_error

@@ -74,10 +74,6 @@ class PendingEntry:
         self.children: Optional[List["PendingEntry"]] = None
 
     @property
-    def encoded(self) -> bytes:
-        return b"".join(s.data for s in self.segments)
-
-    @property
     def latency_ns(self) -> float:
         return self.committed_at - self.submitted_at
 
@@ -183,8 +179,16 @@ class DirectReplicator:
         if path is not None:
             path.active = False
 
-    def usable_paths(self) -> List[ReplicaPath]:
-        return [p for p in self.paths.values() if p.usable]
+    def reset(self) -> None:
+        """Forget every path and every tracked work request (member
+        restart: each QP may be dead or stale, and completions still in
+        flight from before the stop must find nothing to call)."""
+        for node_id in list(self.paths):
+            self.drop_path(node_id)
+        self._wr_entries.clear()
+        self._wr_probes.clear()
+        self._wr_reads.clear()
+        self._connecting.clear()
 
     # -- replication ------------------------------------------------------------------
 
@@ -337,6 +341,14 @@ class SwitchReplicator:
         self.host.cm.connect(
             self.switch_ip, GROUP_SERVICE_ID, qp, request.pack(), established,
             timeout_ns=2 * params.SWITCH_RECONFIG_NS)
+
+    def reset(self) -> None:
+        """Back to ``IDLE`` with no QP and no tracked entries (member
+        restart); a setup still in flight is superseded."""
+        self._generation += 1
+        self.state = SwitchState.IDLE
+        self.qp = None
+        self._wr_entries.clear()
 
     def _window_for(self, configured: int) -> int:
         """Cap in-flight requests so their PSN span fits NumRecv.

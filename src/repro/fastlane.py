@@ -5,23 +5,23 @@ identical with the fast lanes on or off; the flags exist so that
 ``tools/bench_sim.py`` can *prove* it by running the same workload both
 ways and comparing ``events_executed`` and the packet-trace digest.
 
-The lanes (the ``_LANES`` tuple below is the list), mirroring the
-optimisations described in ``docs/PERF.md``:
-
-``cow_packets``
-    :meth:`repro.net.packet.Packet.copy` shares frozen headers instead of
-    eagerly deep-copying the stack (thaw-on-write).
+A flag exists only where its off-half is a *different algorithm* for
+something observable, so that the all-off run is a reference the fast
+path is judged against.  The lanes (the ``_LANES`` tuple below is the
+list), mirroring the optimisations described in ``docs/PERF.md``:
 
 ``incremental_icrc``
     :func:`repro.rdma.icrc.compute_icrc` caches the CRC over the invariant
     payload and recombines it with the small rewritten header prefix using
     ``zlib.crc32``'s running form, plus a whole-result cache validated by
-    header version counters.
+    header version counters.  Off: every call hashes the full canonical
+    string.
 
 ``flow_cache``
     The switch programs memoize their ingress match-action verdict keyed
     on the parsed flow tuple, invalidated by control-plane table versions
-    (:class:`repro.switch.tables.FlowVerdictCache`).
+    (:class:`repro.switch.tables.FlowVerdictCache`).  Off: every packet
+    walks the tables.
 
 ``rewrite_templates``
     The switch egress scatter rewrite, the gather forward rewrite and the
@@ -31,20 +31,7 @@ optimisations described in ``docs/PERF.md``:
     thawing and rewriting header objects, re-running ``finalize`` and
     re-serializing the whole stack.  Templates are re-rendered when the
     control-plane tables change (flow epoch) or the flow's constant
-    fields drift.
-
-``object_pools``
-    ``Packet`` shells for switch fan-out copies are recycled through a
-    bounded freelist instead of being allocated per leg.
-
-``hot_reads``
-    The replicated-log reader (:meth:`repro.consensus.log.Log.peek` and
-    the wrap-marker probe) decodes entries straight out of the region's
-    backing ``bytearray`` with ``unpack_from`` instead of going through
-    :meth:`repro.rdma.memory.MemoryRegion.read` (which bounds-checks and
-    copies a ``bytes`` slice per call).  The reads are in-bounds by
-    construction -- the cursor arithmetic already guarantees it -- and
-    decode the same bytes, so consumed entries are bit-identical.
+    fields drift.  Off: header objects are rewritten and re-serialized.
 
 ``flight_fusion``
     Clean-path consensus flights (single-packet write on a healthy
@@ -58,20 +45,22 @@ optimisations described in ``docs/PERF.md``:
     objects: virtual express stages advance the same timeline (identical
     timestamps, sequence numbers, busy horizons) while staging register
     deltas, port-counter increments and cache bumps in per-path columns
-    that flush as slab operations, and the wire-digest tap renders each
-    batch of virtual frames from pre-rendered templates and feeds
-    SHA-256 one contiguous buffer in exact frame order
-    (:mod:`repro.sim.columnar`).  Only the forwarded ACK and the terminal
-    leader-completion hop are real.  There is one express chain: a
-    launch the planner cannot prove clean is declined to the real
-    handlers, and a stage that cannot prove its hop clean falls back to
-    the real handler at the warped clock.  Faults, control-plane writes,
-    NAKs and retransmissions materialize pending hops back into ordinary
-    events and disable fusion until recovery.  The switch registers the
-    express stages touch (NumRecv PSN slabs, per-replica credit windows)
-    are backed by numpy arrays when numpy is importable, with a
-    pure-python scalar fallback otherwise
-    (:mod:`repro.switch.registers`).
+    that flush in batches, and the wire-digest tap renders each batch of
+    virtual frames from pre-rendered templates and feeds SHA-256 one
+    contiguous buffer in exact frame order (:mod:`repro.sim.columnar`).
+    Only the forwarded ACK and the terminal leader-completion hop are
+    real.  There is one express chain: a launch the planner cannot prove
+    clean is declined to the real handlers, and a stage that cannot prove
+    its hop clean falls back to the real handler at the warped clock.
+    Faults, control-plane writes, NAKs and retransmissions materialize
+    pending hops back into ordinary events and disable fusion until
+    recovery.  Off: every hop is a kernel event through the real handlers.
+
+Copy-on-write packet copies (:mod:`repro.net.packet`) and the direct
+replicated-log decode (:meth:`repro.consensus.log.Log.peek`) were lanes
+once; their off-halves ran the same algorithm with a different copy
+strategy, so nothing observable could differ and they now run
+unconditionally (``docs/PERF.md``, "Retired flags").
 
 All lanes default to on.  ``REPRO_FASTLANE=off`` (or ``0``/``false``)
 disables all of them for a process; ``enable()`` / ``disable()`` flip them
@@ -84,9 +73,8 @@ from __future__ import annotations
 
 import os
 
-#: The seven lane flags.
-_LANES = ("cow_packets", "incremental_icrc", "flow_cache",
-          "rewrite_templates", "object_pools", "hot_reads",
+#: The four lane flags.
+_LANES = ("incremental_icrc", "flow_cache", "rewrite_templates",
           "flight_fusion")
 
 
@@ -141,25 +129,14 @@ def enable() -> None:
 
 
 def disable() -> None:
-    """Turn every fast lane off (seed-equivalent slow path)."""
+    """Turn every fast lane off (the reference path)."""
     flags.set_all(False)
 
 
 def stats() -> dict:
-    """Runtime lane report: flag states plus vectorized-backend status.
-
-    ``numpy_available`` says whether the array backend could be used at
-    all (numpy importable and not vetoed by ``REPRO_NO_NUMPY``);
-    ``vectorized`` says whether registers would actually run on it for
-    clusters built right now.  Benchmarks embed this dict in their
-    results so a digest produced by the scalar fallback is
-    distinguishable from one produced by the array path.
-    """
-    from .switch import registers
-
+    """Runtime lane report: flag states plus the columnar telemetry.
+    Benchmarks embed this dict in their results."""
     return {
         "lanes": flags.as_dict(),
-        "numpy_available": registers.NUMPY,
-        "vectorized": bool(registers.NUMPY and flags.flight_fusion),
         "columnar": dict(columnar),
     }

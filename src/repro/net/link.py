@@ -156,11 +156,6 @@ class Link:
             return self._dir_b
         raise ValueError(f"{src!r} is not an end of {self.name}")
 
-    def queue_delay(self, src: Port) -> float:
-        """Time a frame submitted now would wait before serialization."""
-        d = self._dir_a if src is self.a else self._dir_b
-        return max(0.0, d.busy_until - self._sim.now)
-
     @property
     def tap(self) -> Optional[Callable[[Port, Packet], Any]]:
         """Optional tap called for every frame accepted for transmission
@@ -227,8 +222,6 @@ class Link:
         drop = self._drop_probability  # private read: property is off the hot path
         if not self.up or (drop > 0.0 and self._rng.chance(drop)):
             stats.dropped += 1
-            if packet._pooled:
-                packet.release()
             return True
         # Fire-and-forget: no delivery handle escapes, so the kernel spends
         # one heap tuple on it and no Event object.
@@ -240,8 +233,6 @@ class Link:
         if not self.up:
             # The link went down while the frame was in flight.
             d.stats.dropped += 1
-            if packet._pooled:
-                packet.release()
             return
         dst = d.dst
         device = dst.device

@@ -19,22 +19,19 @@ headers (see :class:`repro.net.headers.Header`) and hands out a clone that
 references them; the first access to a header slot through the packet
 (``packet.eth``, ``packet.upper``, ...) thaws a private copy.  Rewriting
 replica *i*'s headers therefore can never alias replica *j* or the
-original -- the same guarantee the old eager deep copy gave -- while
-replicas whose headers are never touched pay nothing.  Holding a direct
-header reference across ``copy()`` and writing through it raises
-:class:`~repro.net.headers.FrozenHeaderError` instead of silently
-corrupting the other replicas.
-
-The fast lane can be disabled (``repro.fastlane``), which restores the
-seed's eager deep copy -- bit-for-bit identical behaviour, used by
-``tools/bench_sim.py`` to prove determinism.
+original, while replicas whose headers are never touched pay nothing.
+Holding a direct header reference across ``copy()`` and writing through
+it raises :class:`~repro.net.headers.FrozenHeaderError` instead of
+silently corrupting the other replicas.  The same sharing carries the
+rewrite-template engine's frozen template headers
+(:mod:`repro.rdma.wiretemplate`), so it runs under every fast-lane
+setting.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Protocol
 
-from .. import fastlane
 from .headers import ETHERNET_FCS_BYTES, EthernetHeader, Ipv4Header, UdpHeader
 
 #: RoCE invariant CRC trailer size in bytes.
@@ -46,10 +43,6 @@ _SH_IPV4 = 2
 _SH_UDP = 4
 _SH_UPPER = 8
 _SH_ALL = _SH_ETH | _SH_IPV4 | _SH_UDP | _SH_UPPER
-
-#: Bounded freelist of dead fan-out shells (see ``Packet.fanout_copy``).
-_PACKET_POOL: List["Packet"] = []
-_PACKET_POOL_CAP = 512
 
 
 class UpperHeader(Protocol):
@@ -67,7 +60,7 @@ class Packet:
 
     __slots__ = ("_eth", "_ipv4", "_udp", "_upper", "_payload", "has_icrc",
                  "meta", "_shared", "_upper_size", "_payload_crc", "_icrc_state",
-                 "_wire", "_pooled")
+                 "_wire")
 
     def __init__(self, eth: EthernetHeader, ipv4: Optional[Ipv4Header] = None,
                  udp: Optional[UdpHeader] = None,
@@ -93,9 +86,6 @@ class Packet:
         #: touched (every header property access clears it); the payload is
         #: joined live, so payload swaps do not invalidate it.
         self._wire: Optional[tuple] = None
-        #: True for switch fan-out shells drawn from the bounded freelist;
-        #: the receiving NIC returns them via :meth:`release`.
-        self._pooled = False
 
     # -- copy-on-write accessors ----------------------------------------------
 
@@ -169,7 +159,6 @@ class Packet:
     @payload.setter
     def payload(self, value: bytes) -> None:
         self._payload = value
-        self._upper_size = self._upper_size  # sizes depend on payload length only
         self._payload_crc = None
 
     # -- sizes ----------------------------------------------------------------
@@ -297,17 +286,6 @@ class Packet:
         gets private headers -- materialized lazily -- so per-replica
         rewriting cannot alias.
         """
-        if not fastlane.flags.cow_packets:
-            clone = Packet(
-                self._eth.copy(),
-                self._ipv4.copy() if self._ipv4 is not None else None,
-                self._udp.copy() if self._udp is not None else None,
-                [h.copy() for h in self.upper],
-                self._payload,
-                self.has_icrc,
-            )
-            clone.meta = dict(self.meta)
-            return clone
         self._eth.freeze()
         if self._ipv4 is not None:
             self._ipv4.freeze()
@@ -327,82 +305,10 @@ class Packet:
         return clone
 
     def fanout_copy(self) -> "Packet":
-        """:meth:`copy` for switch fan-out legs.
-
-        The clone is marked pool-eligible and its shell may be a recycled
-        one (``object_pools`` lane); the receiving NIC returns it with
-        :meth:`release` once the leg is dispatched.  Legs are the only
-        pooled packets because their lifetime is provably bounded: created
-        at replication, consumed at exactly one NIC.  Retained packets
-        (the requester's retransmit window holds its originals) never go
-        through here.
-        """
-        if not fastlane.flags.object_pools:
-            return self.copy()
-        pool = _PACKET_POOL
-        clone = pool.pop() if pool else Packet.__new__(Packet)
-        if fastlane.flags.cow_packets:
-            self._eth.freeze()
-            ipv4 = self._ipv4
-            if ipv4 is not None:
-                ipv4.freeze()
-            udp = self._udp
-            if udp is not None:
-                udp.freeze()
-            for header in self._upper:
-                header.freeze()
-            clone._eth = self._eth
-            clone._ipv4 = ipv4
-            clone._udp = udp
-            clone._upper = self._upper
-            clone._shared = _SH_ALL
-            self._shared = _SH_ALL
-            clone._upper_size = self._upper_size
-            clone._payload_crc = self._payload_crc
-            clone._icrc_state = self._icrc_state
-            clone._wire = self._wire
-        else:
-            clone._eth = self._eth.copy()
-            clone._ipv4 = self._ipv4.copy() if self._ipv4 is not None else None
-            clone._udp = self._udp.copy() if self._udp is not None else None
-            clone._upper = [h.copy() for h in self.upper]
-            clone._shared = 0
-            clone._upper_size = None
-            clone._payload_crc = None
-            clone._icrc_state = None
-            clone._wire = None
-        clone._payload = self._payload
-        clone.has_icrc = self.has_icrc
-        clone.meta = dict(self.meta)
-        clone._pooled = True
-        return clone
-
-    def release(self) -> None:
-        """Return a consumed fan-out shell to the freelist.
-
-        Only meaningful for :meth:`fanout_copy` clones (``_pooled``); a
-        no-op otherwise.  The caller asserts the packet is dead: nothing
-        may read it after release.  References that could leak simulation
-        state (payload, caches) are dropped; the header slots are cleared
-        so the shell cannot resurrect stale protocol fields.
-        """
-        if not self._pooled:
-            return
-        self._pooled = False
-        pool = _PACKET_POOL
-        if len(pool) >= _PACKET_POOL_CAP:
-            return
-        self._eth = None  # type: ignore[assignment]
-        self._ipv4 = None
-        self._udp = None
-        self._upper = ()  # type: ignore[assignment]  # dead-state marker
-        self._payload = b""
-        self._shared = 0
-        self._upper_size = None
-        self._payload_crc = None
-        self._icrc_state = None
-        self._wire = None
-        pool.append(self)
+        """Delegate to :meth:`copy`, which every caller uses directly.
+        Kept only because the frozen ``bench/trace.py`` BOUNDARIES looks
+        the name up in the class ``__dict__``."""
+        return self.copy()
 
     def __repr__(self) -> str:
         stack = [type(h).__name__ for h in self._upper]

@@ -508,10 +508,3 @@ def _find_reth(packet: Packet) -> Optional[Reth]:
         if isinstance(header, Reth):
             return header
     return None
-
-
-def _find_aeth(packet: Packet) -> Optional[Aeth]:
-    for header in packet.upper:
-        if isinstance(header, Aeth):
-            return header
-    return None

@@ -67,68 +67,6 @@ _S_SUF_BA = struct.Struct(_SUF_BASE + "I")    # + AETH word
 _S_SUF_BR = struct.Struct(_SUF_BASE + "QII")  # + RETH va/rkey/len
 
 
-# ---------------------------------------------------------------------------
-# Affine CRC32 helpers (flight fusion, :mod:`repro.sim.columnar`)
-#
-# CRC32 is an affine map over GF(2) in (message, seed): for equal-length
-# messages, ``crc(x ^ y, s ^ t) == crc(x, s) ^ crc(y, t) ^ crc(zeros, 0)``.
-# Two consequences the columnar digest tap exploits to compute a whole
-# batch of frame ICRCs without hashing any frame:
-#
-# * flipping one message byte changes the CRC by a delta that depends
-#   only on the byte value and its distance from the *end* of the
-#   message (leading bytes, identical in both messages, contribute
-#   identically) -- a 256-entry table per trailing distance;
-# * the seed folds in through a linear map of the message *length* --
-#   four 256-entry tables (one per seed byte) per length.
-#
-# An ICRC over a rewritten template suffix then becomes
-# ``crc(zeroed_suffix) ^ seed_tables[payload_crc bytes] ^
-# patch_tables[rewritten bytes]`` -- pure table lookups, vectorizable
-# with numpy fancy indexing over byte columns.  The scalar
-# ``REPRO_NO_NUMPY=1`` lane deliberately does *not* use these tables (it
-# runs ``zlib.crc32`` on each rendered row), so the digest-parity checks
-# in ``tools/bench_sim.py`` pin the affine algebra against the reference
-# computation bit for bit.
-
-_PATCH_TABLES: list = []   # [trailing_distance][byte] -> crc32 delta
-_SEED_TABLES: dict = {}    # message length -> 4 tables, one per seed byte
-
-
-def crc_patch_table(trailing: int) -> list:
-    """CRC32 delta table for a single byte ``trailing`` bytes from the end.
-
-    ``crc_patch_table(r)[b]`` is the value to XOR into the CRC of any
-    message (length >= ``r + 1``, any seed) when the byte ``r`` positions
-    before the end changes from 0 to ``b``.
-    """
-    while len(_PATCH_TABLES) <= trailing:
-        r = len(_PATCH_TABLES)
-        tail = bytes(r)
-        zero = zlib.crc32(bytes(r + 1))
-        _PATCH_TABLES.append([zlib.crc32(bytes((b,)) + tail) ^ zero
-                              for b in range(256)])
-    return _PATCH_TABLES[trailing]
-
-
-def crc_seed_tables(length: int) -> tuple:
-    """Seed-transfer tables for messages of ``length`` bytes.
-
-    ``crc_seed_tables(L)[j][b]`` is the CRC delta contributed by byte
-    ``j`` (little-endian byte index) of a 32-bit seed:
-    ``crc32(msg, seed) == crc32(msg, 0) ^ XOR_j tables[j][(seed >> 8j) & 0xFF]``.
-    """
-    tables = _SEED_TABLES.get(length)
-    if tables is None:
-        zeros = bytes(length)
-        base = zlib.crc32(zeros)
-        tables = tuple(
-            [zlib.crc32(zeros, b << (8 * j)) ^ base for b in range(256)]
-            for j in range(4))
-        _SEED_TABLES[length] = tables
-    return tables
-
-
 def _content_version(header) -> int:
     """Header version counter, normalized across freeze (which flips sign
     without changing content)."""

@@ -310,19 +310,13 @@ class RNic:
         ICRC state valid for the receiver's check.
         """
         if not self.powered:
-            if packet._pooled:
-                packet.release()
             return
         ipv4 = packet._ipv4
         if ipv4 is None or ipv4.dst != self.ip:
             # Not for us; a host NIC is not a router.
-            if packet._pooled:
-                packet.release()
             return
         if self._rx_inflight >= self.rx_queue_limit:
             self.rx_dropped += 1
-            if packet._pooled:
-                packet.release()
             return
         now = self.sim._now
         busy = self._rx_busy_until
@@ -348,11 +342,6 @@ class RNic:
                     if handler is not None:
                         assert packet._ipv4 is not None
                         handler(packet._ipv4.src, udp.src_port, packet.payload)
-        # A switch fan-out leg is fully consumed once dispatched: recycle
-        # its shell.  Retained TX packets (retransmit window) are never
-        # pool-marked, so they can never be released here.
-        if packet._pooled:
-            packet.release()
 
     # ------------------------------------------------------------------
     # RoCE dispatch

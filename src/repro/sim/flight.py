@@ -48,7 +48,7 @@ handler and once as its express stage.
    in-place egress rewrite (it is the last multicast leg) is deferred on
    ``FusedFlight.vrw`` and applied only where the packet can still be
    observed (defusion); materializing it pins still-virtual pre-rewrite
-   siblings to fanout copies of the pristine bytes first and hands those
+   siblings to copies of the pristine bytes first and hands those
    hops to the real egress handler.
 
 3. **The kernel drains due hops before any later event** (see
@@ -747,8 +747,6 @@ class FlightPlanner:
         lnic = path.nic
         if lnic._rx_inflight >= lnic.rx_queue_limit:
             lnic.rx_dropped += 1
-            if ack._pooled:
-                ack.release()
             return
         busy = lnic._rx_busy_until
         start = busy if busy > vt else vt
@@ -903,7 +901,7 @@ class FlightPlanner:
                     or vf.lau is not lau):
                 continue
             self.vx_materialized += 1
-            pkt = lau.packet.fanout_copy()
+            pkt = lau.packet.copy()
             pkt.meta["replication_id"] = vf.leg.rid
             fq[n] = (entry[0], entry[1], entry[2],
                      (args[0], args[1], pkt), entry[4],
@@ -935,7 +933,7 @@ class FlightPlanner:
             pkt = lau.packet
             self._pin_prerewrites(lau)
         else:
-            pkt = lau.packet.fanout_copy()
+            pkt = lau.packet.copy()
         pkt.meta["replication_id"] = leg.rid
         if vf.rewritten:
             if vf.last:
@@ -1295,7 +1293,7 @@ class FlightPlanner:
                 else:
                     value = cv[slot]
                     if value is None:
-                        value = cv[slot] = int(reg._cells[gi])
+                        value = cv[slot] = reg._cells[gi]
                 if value < minimum:
                     minimum = value
                 slot += 1
@@ -1305,7 +1303,7 @@ class FlightPlanner:
         nslot = pre.numrecv_base + leader_psn % _NUMRECV_SLOTS
         cur = nr.get(nslot)
         if cur is None:
-            cur = int(path.numrecv_cells[nslot])
+            cur = path.numrecv_cells[nslot]
         count = cur + 1
         nr[nslot] = count & path.numrecv_mask
         if count != pre.ack_threshold:

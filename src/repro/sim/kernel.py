@@ -201,10 +201,6 @@ class Simulator:
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, fn, args))
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current instant."""
-        return self.schedule_at(self._now, fn, *args)
-
     # -- queue maintenance --------------------------------------------------
 
     def _compact(self) -> None:

@@ -204,14 +204,6 @@ class Switch:
             egress += c.egress_runs
         return [rx, tx, drops, egress, self.drops, self.to_cpu_count]
 
-    def parser_availability(self, kind: str, index: int) -> float:
-        """Current busy-until horizon of one per-port parser ("ingress"
-        or "egress") -- the analytic occupancy query flight fusion plans
-        against."""
-        busy = (self._ingress_parser_busy if kind == "ingress"
-                else self._egress_parser_busy)
-        return busy[index]
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -262,7 +254,7 @@ class Switch:
         # instead of paying for one more copy.
         last = len(copies) - 1
         for i, copy in enumerate(copies):
-            replica = packet if i == last else packet.fanout_copy()
+            replica = packet if i == last else packet.copy()
             replica.meta["replication_id"] = copy.replication_id
             self._to_egress(copy.egress_port, copy.replication_id, replica, tm_time)
 
@@ -270,8 +262,6 @@ class Switch:
                    ready_time: float) -> None:
         if not 0 <= out_port < len(self.ports):
             self.drops += 1
-            if packet._pooled:
-                packet.release()
             return
         busy = self._egress_parser_busy[out_port]
         start = busy if busy > ready_time else ready_time
@@ -282,15 +272,11 @@ class Switch:
 
     def _run_egress(self, out_port: int, replication_id: int, packet: Packet) -> None:
         if not self.powered or self.program is None:
-            if packet._pooled:
-                packet.release()
             return
         self.counters[out_port].egress_runs += 1
         keep = self.program.on_egress(out_port, replication_id, packet)
         if not keep:
             self.drops += 1
-            if packet._pooled:
-                packet.release()
             return
         packet.finalize()
         self.sim.schedule_at_fire(self.sim._now + self.pipeline_latency_ns / 2,
@@ -298,8 +284,6 @@ class Switch:
 
     def _transmit(self, out_port: int, packet: Packet) -> None:
         if not self.powered:
-            if packet._pooled:
-                packet.release()
             return
         self.counters[out_port].tx_frames += 1
         self.ports[out_port].send(packet)

@@ -14,43 +14,15 @@ and a second access to the same register for the same packet raises
 ``RegisterAccessError`` -- turning an un-synthesizable P4 program into a
 failing test instead of silently wrong results.
 
-Array backend
--------------
-A register array of width <= 32 bits can be backed by a numpy ``int64``
-vector instead of a Python list: cell values stay exact (every masked
-value and every intermediate of the P4CE RMW programs fits an int64), and
-slab operations -- window fills, batch reads -- become single vectorized
-assignments.  The backend is chosen per register at construction:
-``numpy`` when numpy is importable, the ``flight_fusion`` fast lane
-is on, and the width qualifies; the plain-list scalar backend otherwise.
-``REPRO_NO_NUMPY=1`` vetoes numpy process-wide so the pure-python
-fallback can be exercised (CI runs both and compares wire digests).
-Widths 33..64 always keep the list backend: their masks do not fit a
-signed int64.
+Cells are a plain Python list of masked ints under every fast-lane
+setting: the all-lanes-off reference, the real handlers and flight
+fusion's express stages read and write one representation, so every
+value that leaves a register is a plain ``int``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, List, Optional, Tuple
-
-from .. import fastlane
-
-try:  # pragma: no cover - exercised via REPRO_NO_NUMPY in CI
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-if os.environ.get("REPRO_NO_NUMPY", "").strip().lower() in (
-        "1", "true", "on", "yes"):
-    _np = None
-
-#: Whether the vectorized array backend is available in this process.
-NUMPY = _np is not None
-
-#: Widest register that can ride the int64 array backend without its mask
-#: overflowing the signed element type.
-_NUMPY_MAX_WIDTH = 32
 
 
 class RegisterAccessError(RuntimeError):
@@ -64,35 +36,16 @@ class Register:
     #: writes (set lazily by path resolution).
     _flight_watch = None
 
-    def __init__(self, name: str, size: int, width: int = 32, initial: int = 0,
-                 backend: str = "auto"):
+    def __init__(self, name: str, size: int, width: int = 32, initial: int = 0):
         if size <= 0:
             raise ValueError("register size must be positive")
         if not 1 <= width <= 64:
             raise ValueError("register width must be 1..64 bits")
-        if backend not in ("auto", "list", "numpy"):
-            raise ValueError(f"unknown register backend {backend!r}")
         self.name = name
         self.size = size
         self.width = width
         self.mask = (1 << width) - 1
-        if backend == "auto":
-            backend = ("numpy" if NUMPY and width <= _NUMPY_MAX_WIDTH
-                       and fastlane.flags.flight_fusion else "list")
-        if backend == "numpy":
-            if _np is None:
-                raise RuntimeError(
-                    f"register {name!r}: numpy backend requested but numpy "
-                    "is unavailable (not installed, or REPRO_NO_NUMPY set)")
-            if width > _NUMPY_MAX_WIDTH:
-                raise ValueError(
-                    f"register {name!r}: width {width} exceeds the int64 "
-                    f"array backend limit of {_NUMPY_MAX_WIDTH} bits")
-            self._cells = _np.full(size, initial & self.mask, dtype=_np.int64)
-        else:
-            self._cells = [initial & self.mask] * size
-        #: Resolved storage backend: ``"numpy"`` or ``"list"``.
-        self.backend = backend
+        self._cells = [initial & self.mask] * size
         self._current_packet: Optional[int] = None
         self._accessed_this_packet = False
         #: Control-plane write epoch: bumped by cp_write/cp_fill.  Cached
@@ -108,17 +61,10 @@ class Register:
         self._current_packet = packet_token
         self._accessed_this_packet = False
 
-    def _guard(self) -> None:
-        if self._current_packet is not None and self._accessed_this_packet:
-            raise RegisterAccessError(
-                f"register {self.name!r}: second access in one packet pass "
-                "(Tofino allows a single RegisterAction execution per packet)")
-        self._accessed_this_packet = True
-
     # -- control-plane access (unguarded, as through BfRt) ------------------------
 
     def cp_read(self, index: int) -> int:
-        return int(self._cells[index])
+        return self._cells[index]
 
     def cp_write(self, index: int, value: int) -> None:
         watch = self._flight_watch
@@ -137,36 +83,25 @@ class Register:
         watch = self._flight_watch
         if watch is not None:
             watch.flush_columnar()
-        fill = value & self.mask
-        if self.backend == "numpy":
-            self._cells[:] = fill
-        else:
-            for i in range(self.size):
-                self._cells[i] = fill
+        self._cells[:] = [value & self.mask] * self.size
         self.cp_epoch += 1
         if watch is not None:
             watch.on_cp_write(self)
 
     def dp_scatter(self, indices, values) -> None:
-        """Apply a batch of data-plane cell writes as one slab operation.
+        """Apply a batch of data-plane cell writes.
 
         Flight fusion's columnar flush uses this to land a drain's worth of
-        staged RMW results (NumRecv resets and counts, credit cells) in
-        one vectorized fancy-index assignment on the array backend, or a
-        plain loop on the list backend.  Values are masked here so
-        callers can stage raw ints.  This is a *data-plane* path: it does
-        not bump ``cp_epoch`` and bypasses the per-packet access guard,
-        exactly like the express stages' direct cell writes it batches.
+        staged RMW results (NumRecv resets and counts, credit cells).
+        Values are masked here so callers can stage raw ints.  This is a
+        *data-plane* path: it does not bump ``cp_epoch`` and bypasses the
+        per-packet access guard, exactly like the express stages' direct
+        cell writes it batches.
         """
         mask = self.mask
         cells = self._cells
-        if self.backend == "numpy" and len(indices) > 2:
-            cells[_np.fromiter(indices, dtype=_np.int64, count=len(indices))] = \
-                _np.fromiter((v & mask for v in values), dtype=_np.int64,
-                             count=len(values))
-        else:
-            for index, value in zip(indices, values):
-                cells[index] = value & mask
+        for index, value in zip(indices, values):
+            cells[index] = value & mask
 
     def window(self, base: int, length: int) -> "RegisterWindow":
         """A bounds-checked view over ``[base, base+length)``.
@@ -183,7 +118,7 @@ class Register:
 
     def __repr__(self) -> str:
         return (f"Register({self.name!r}, size={self.size}, "
-                f"width={self.width}, backend={self.backend!r})")
+                f"width={self.width})")
 
 
 class RegisterWindow:
@@ -224,36 +159,25 @@ class RegisterWindow:
     def cp_fill(self, value: int) -> None:
         """Fill the whole window as one slab operation.
 
-        On the array backend this is a single vectorized slice
-        assignment.  Either way the epoch advances by ``length`` --
-        exactly what the per-cell ``cp_write`` loop used to produce -- so
-        epoch arithmetic is backend-independent, and the flight watch is
-        notified once (defusion is idempotent; watchers only compare
-        epochs for equality).
+        The epoch advances by ``length`` -- one per cell, as a
+        ``cp_write`` loop would -- and the flight watch is notified once
+        (defusion is idempotent; watchers only compare epochs for
+        equality).
         """
         register = self.register
         watch = register._flight_watch
         if watch is not None:
             watch.flush_columnar()
-        fill = value & register.mask
         base = self.base
-        if register.backend == "numpy":
-            register._cells[base:base + self.length] = fill
-        else:
-            cells = register._cells
-            for i in range(base, base + self.length):
-                cells[i] = fill
+        register._cells[base:base + self.length] = \
+            [value & register.mask] * self.length
         register.cp_epoch += self.length
-        watch = register._flight_watch
         if watch is not None:
             watch.on_cp_write(register)
 
     def cells(self) -> List[int]:
-        """Copy of the window's cells as plain ints (tests/diagnostics)."""
-        slab = self.register._cells[self.base:self.base + self.length]
-        if self.register.backend == "numpy":
-            return [int(v) for v in slab]
-        return slab
+        """Copy of the window's cells (tests/diagnostics)."""
+        return self.register._cells[self.base:self.base + self.length]
 
     def __len__(self) -> int:
         return self.length
@@ -283,9 +207,9 @@ class RegisterAction:
     def execute(self, index: int, argument: Any = None) -> int:
         """Run the RMW program on one cell; returns the program's output.
 
-        The guard check is inlined (rather than calling
-        ``register._guard()``) because this is the single hottest call in
-        the P4CE gather path -- up to nine executions per aggregated ACK.
+        The one-access-per-packet guard is checked inline, not through a
+        helper method, because this is the single hottest call in the
+        P4CE gather path -- up to nine executions per aggregated ACK.
         """
         register = self.register
         if not 0 <= index < register.size:

@@ -282,11 +282,6 @@ class FlowVerdictCache:
                      for t, b in zip(self._tables, before)
                      if t.hits != b[0] or t.misses != b[1])
 
-    def replay_counters(self, delta: Tuple[Tuple[Any, int, int], ...]) -> None:
-        for t, h, m in delta:
-            t.hits += h
-            t.misses += m
-
     def __repr__(self) -> str:
         return (f"FlowVerdictCache({len(self._cache)} flows, hits={self.hits}, "
                 f"fills={self.fills}, invalidations={self.invalidations})")

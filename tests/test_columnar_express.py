@@ -17,22 +17,15 @@ switch counter slab and register slabs sampled at every ``run_for``
 barrier, so staged columnar state that leaked across a barrier (instead
 of landing at the kernel-exit flush) is caught at the slice where it
 first diverges, not just at the end.
-
-The whole matrix runs on both register backends: the numpy array backend
-and the pure-python list backend (``registers.NUMPY`` flipped, as
-``REPRO_NO_NUMPY=1`` would), since the columnar flush and the digest tap
-have distinct column kernels for each.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import fastlane
 from repro.faults.injector import FaultSchedule
-from repro.switch import registers
 from repro.workloads.experiments import (
     ClosedLoopDriver, build_cluster, install_trace_digest)
 
@@ -46,12 +39,9 @@ _SLICES = 4
 
 
 def _register_slabs(cluster):
-    """Every stateful-register cell as plain ints (both backends)."""
+    """A copy of every stateful-register cell."""
     program = cluster.switch.program
-    slabs = [[int(v) for v in program.numrecv._cells]]
-    for reg in program.credits:
-        slabs.append([int(v) for v in reg._cells])
-    return slabs
+    return [list(reg._cells) for reg in (program.numrecv, *program.credits)]
 
 
 def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
@@ -110,24 +100,16 @@ _scenarios = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("backend", ["numpy", "list"])
 @settings(max_examples=6, deadline=None)
 @given(scenario=_scenarios)
-def test_fused_matches_reference(backend, scenario):
-    if backend == "numpy" and not registers.NUMPY:
-        pytest.skip("numpy backend unavailable (REPRO_NO_NUMPY or missing)")
-    saved = registers.NUMPY
-    registers.NUMPY = backend == "numpy" and saved
-    try:
-        fault = scenario["fault"]
-        kwargs = dict(batching=scenario["batching"],
-                      window=scenario["window"],
-                      fault_at_ns=None if fault is None else fault[0],
-                      fault_outage_ns=None if fault is None else fault[1])
-        fused = _run("fused", **kwargs)
-        slow = _run("slow", **kwargs)
-    finally:
-        registers.NUMPY = saved
+def test_fused_matches_reference(scenario):
+    fault = scenario["fault"]
+    kwargs = dict(batching=scenario["batching"],
+                  window=scenario["window"],
+                  fault_at_ns=None if fault is None else fault[0],
+                  fault_outage_ns=None if fault is None else fault[1])
+    fused = _run("fused", **kwargs)
+    slow = _run("slow", **kwargs)
     for key in ("digest", "commits", "events", "slabs", "timeline"):
         assert fused[key] == slow[key], key
     if fault is None and scenario["window"] >= 32:

@@ -127,3 +127,22 @@ class TestEngineBookkeeping:
             if member.node_id == 0:
                 continue
             assert member.log.next_offset == leader_end
+
+
+class TestRestartResetsPlanes:
+    def test_restart_forgets_every_tracked_work_request(self):
+        from repro.faults.injector import FaultInjector
+        cluster = make(protocol="mu")
+        leader = cluster.leader
+        direct = leader.direct
+        # Work toward a peer whose cable is cut never completes, so the
+        # probe and the read are still outstanding at stop().
+        FaultInjector(cluster).partition_host(1)
+        assert direct.probe(1, b"\x00" * 16, lambda node_id, ok: None)
+        assert direct.read_log(1, leader.log.base_va, 0, 64, lambda ok: None)
+        assert direct._wr_probes and direct._wr_reads
+        leader.stop()
+        leader.restart()
+        for tracked in (direct.paths, direct._wr_entries, direct._wr_probes,
+                        direct._wr_reads, direct._connecting):
+            assert not tracked

@@ -68,19 +68,10 @@ class TestPacket:
 class TestCopyOnWriteAliasing:
     """The multicast fan-out guarantee (documented in ``Packet.copy``):
     after a packet is replicated N ways, rewriting one replica's headers
-    is invisible in every sibling and in the original -- with the
-    copy-on-write lane on (shared frozen headers, thaw on write) or off
-    (eager deep copies)."""
+    is invisible in every sibling and in the original (shared frozen
+    headers, thaw on write)."""
 
-    @pytest.fixture(params=[True, False], ids=["cow", "eager"])
-    def cow_lane(self, request):
-        from repro import fastlane
-        saved = fastlane.flags.cow_packets
-        fastlane.flags.cow_packets = request.param
-        yield request.param
-        fastlane.flags.cow_packets = saved
-
-    def test_fanout_rewrites_invisible_to_siblings(self, cow_lane):
+    def test_fanout_rewrites_invisible_to_siblings(self):
         pkt = make_roce_packet()
         stamped = pkt.pack()
         replicas = [pkt.copy() for _ in range(5)]
@@ -106,13 +97,13 @@ class TestCopyOnWriteAliasing:
             assert rep.upper[1].r_key == 0xB000 + i
         assert len({rep.pack() for rep in replicas}) == len(replicas)
 
-    def test_untouched_replica_packs_identically(self, cow_lane):
+    def test_untouched_replica_packs_identically(self):
         pkt = make_roce_packet()
         clone = pkt.copy()
         assert clone.pack() == pkt.pack()
         assert clone.wire_size == pkt.wire_size
 
-    def test_rewriting_original_invisible_in_replicas(self, cow_lane):
+    def test_rewriting_original_invisible_in_replicas(self):
         pkt = make_roce_packet()
         replicas = [pkt.copy() for _ in range(3)]
         pkt.upper[0].psn = 4242
@@ -121,7 +112,7 @@ class TestCopyOnWriteAliasing:
             assert rep.upper[0].psn == 7
             assert rep.ipv4.dst == Ipv4Address(2)
 
-    def test_payload_replacement_does_not_alias(self, cow_lane):
+    def test_payload_replacement_does_not_alias(self):
         pkt = make_roce_packet()
         clone = pkt.copy()
         clone.payload = b"y" * 64

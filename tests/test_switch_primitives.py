@@ -1,6 +1,8 @@
 """Unit tests for the Tofino model primitives: ALU, registers, tables,
 multicast engine."""
 
+import struct
+
 import pytest
 
 from repro.switch import (
@@ -102,6 +104,31 @@ class TestRegister:
             Register("r", 0)
         with pytest.raises(ValueError):
             Register("r", 4, width=65)
+
+    def test_cp_read_returns_plain_int(self):
+        reg = Register("r", 8, width=16, initial=7)
+        value = reg.cp_read(0)
+        assert type(value) is int
+        # The value must survive exact wire packing (the digest path).
+        assert struct.pack("!H", value) == b"\x00\x07"
+
+    def test_window_cp_fill_epoch_matches_per_cell_writes(self):
+        reg = Register("r", 64, width=16)
+        window = reg.window(16, 8)
+        before = reg.cp_epoch
+        window.cp_fill(0x1234)
+        # Slab fill advances the epoch exactly as 8 cp_writes would have.
+        assert reg.cp_epoch == before + 8
+        assert window.cells() == [0x1234] * 8
+        assert reg.cp_read(15) == 0 and reg.cp_read(24) == 0
+
+    def test_rmw_wraps_through_width_mask(self):
+        reg = Register("r", 4, width=16)
+        reg.cp_write(0, 0xFFFF)
+        incr = RegisterAction(reg, lambda cur, arg: (cur + 1, cur))
+        reg.begin_packet(1)
+        assert incr.execute(0) == 0xFFFF
+        assert reg.cp_read(0) == 0
 
 
 class TestExactMatchTable:

@@ -1,12 +1,10 @@
-"""Fast-lane structure tests: rewrite templates, packet pools, delivery.
+"""Fast-lane structure tests: rewrite templates, link delivery.
 
-Three properties the ``repro.fastlane`` machinery must uphold:
+Two properties the ``repro.fastlane`` machinery must uphold:
 
 * **Template equivalence** -- a packet emitted by patching a pre-rendered
   wire template carries exactly the bytes (and ICRC) that fully packing
   its header objects produces, for randomized rewrite fields;
-* **Pool safety** -- recycled fan-out shells are never handed out while
-  alive, and recycling never aliases a live packet's state;
 * **Delivery order** -- a back-to-back burst over a link arrives in send
   order at the same timestamps with the lanes on or off (event ordering
   itself is the kernel's business: ``tests/test_sim_kernel.py``).
@@ -25,7 +23,6 @@ from repro.net import (
     Packet,
     UdpHeader,
 )
-from repro.net.packet import _PACKET_POOL
 from repro.rdma import wiretemplate
 from repro.rdma.headers import Aeth, AtomicEth, Bth, parse_roce, Reth
 from repro.rdma.icrc import compute_icrc
@@ -221,50 +218,6 @@ def _roce_frame(tag):
         UdpHeader(49152, params.ROCE_UDP_PORT),
         [Bth(Opcode.RDMA_WRITE_ONLY, 0x12, 7), Reth(0x7000, 0xABCD, 8)],
         tag, has_icrc=True).finalize()
-
-
-class TestPacketPool:
-    def setup_method(self):
-        _PACKET_POOL.clear()
-
-    def test_live_shells_are_never_handed_out(self):
-        src = _roce_frame(b"live-src")
-        legs = [src.fanout_copy() for _ in range(64)]
-        assert len({id(leg) for leg in legs}) == len(legs)
-        assert all(leg._pooled for leg in legs)
-        assert not _PACKET_POOL  # nothing released yet: pool stays empty
-
-    def test_release_recycles_shell_without_aliasing(self):
-        a = _roce_frame(b"packet-a")
-        a_wire = a.pack()
-        leg = a.fanout_copy()
-        leg.release()
-        assert _PACKET_POOL and _PACKET_POOL[-1] is leg
-        # The released shell is inert: no header slots, no stale caches.
-        assert leg._eth is None and leg._wire is None
-        assert not leg._pooled
-
-        b = _roce_frame(b"packet-b")
-        b_wire = b.pack()
-        leg2 = b.fanout_copy()
-        assert leg2 is leg  # the shell was recycled...
-        assert leg2.pack() == b_wire  # ...and carries only b's state
-        # Writing through the recycled shell must not reach b (or a).
-        leg2.ipv4.ttl = 9
-        leg2.upper[0].psn = 99
-        assert b.pack() == b_wire
-        assert a.pack() == a_wire
-
-    def test_double_release_inserts_once(self):
-        leg = _roce_frame(b"x").fanout_copy()
-        leg.release()
-        leg.release()
-        assert _PACKET_POOL.count(leg) == 1
-
-    def test_non_pooled_packets_never_enter_the_pool(self):
-        pkt = _roce_frame(b"retained")
-        pkt.release()
-        assert not _PACKET_POOL
 
 
 class TestLinkDeliveryOrdering:

@@ -3,7 +3,7 @@
 
 Runs each workload three times -- fast lanes on (:mod:`repro.fastlane`
 defaults), fast with flight fusion off (for fusion's attribution), and
-all lanes off (the seed-equivalent reference path) -- and measures
+all lanes off (the reference path) -- and measures
 **simulator events per second** and wall clock.
 
 The interesting output is not only the speedup: the harness *proves* the
@@ -715,8 +715,7 @@ def main(argv=None) -> int:
         print(f"  drain: {flight['runs_fused']} batched runs, "
               f"mean/max run = {flight['mean_run_len']:.1f}/"
               f"{flight['max_run_len']} hops, "
-              f"{flight['batch_splits']} batch splits   "
-              f"vectorized = {fast['fastlane']['vectorized']}")
+              f"{flight['batch_splits']} batch splits")
         col = fast["fastlane"]["columnar"]
         print(f"  columnar: {col['runs_vectorized']} columnar drains, "
               f"{col['hops_batched']} hops batched, "
