@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 from .. import params
 from ..net import Ipv4Address
 from ..rdma.cq import WorkCompletion
-from ..rdma.errors import WcStatus
+from ..rdma.errors import QpStateError, SendQueueFullError, WcStatus
 from ..rdma.memory import Access
 from ..rdma.qp import QpState, QueuePair, WorkRequest, WrOpcode
 from ..sim import PeriodicTimer
@@ -198,10 +198,12 @@ class HeartbeatService:
                              r_key=path.r_key, length=CONTROL_REGION_BYTES,
                              local_va=path.scratch_va)
             # Heartbeats bypass the host.post_send CPU charge: real Mu
-            # runs them on a dedicated core off the critical path.
+            # runs them on a dedicated core off the critical path.  Only
+            # the two refusals post_send documents mean "route unusable";
+            # anything else is a bug and must not read as a dead peer.
             try:
                 path.nic.post_send(path.qp, wr)
-            except Exception:
+            except (QpStateError, SendQueueFullError):
                 path.failed = True
                 path.inflight = False
                 self._wr_paths.pop(wr_id, None)
@@ -228,7 +230,7 @@ class HeartbeatService:
                              local_va=path.scratch_va)
             try:
                 path.nic.post_send(path.qp, wr)
-            except Exception:
+            except (QpStateError, SendQueueFullError):
                 path.failed = True
                 self._wr_oneshots.pop(wr_id, None)
                 continue

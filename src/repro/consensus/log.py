@@ -169,8 +169,8 @@ class Log:
         """
         # Decode straight from the backing store: the cursor math keeps
         # every read inside the region (usable = length - header), so
-        # MemoryRegion.read's bounds checks and bytes copies would be pure
-        # overhead on this path.
+        # MemoryRegion.read's bounds checks would be pure overhead on this
+        # path; a slice of the buffer is already ``bytes``.
         usable = self.usable
         buffer = self.region.buffer
         for _ in range(2):  # at most one wrap hop
@@ -190,8 +190,7 @@ class Log:
             if physical + size > usable:
                 return None
             start = physical + ENTRY_HEADER.size
-            return LogEntry(logical, epoch,
-                            bytes(buffer[start:start + length]),
+            return LogEntry(logical, epoch, buffer[start:start + length],
                             logical + size)
         return None
 

@@ -192,6 +192,12 @@ class Packet:
         Preamble and inter-frame gap are accounted by the link model, not
         here, because they are not part of the frame.
         """
+        wire = self._wire
+        if wire is not None:
+            # A rendered frame knows its size: the image is what pack()
+            # joins (ICRC in the trailer), so no header walk is needed.
+            return (len(wire[0]) + len(self._payload) + len(wire[1])
+                    + ETHERNET_FCS_BYTES)
         return EthernetHeader.SIZE + self.l3_size + ETHERNET_FCS_BYTES
 
     # -- length fix-up and serialization ---------------------------------------

@@ -16,11 +16,20 @@ Violations raise no Python exception toward the remote side; the NIC
 responder turns them into NAKs, exactly as the paper describes: "Any
 attempt to read or write without the right permissions, or outside of the
 memory region, will raise an RDMA error."
+
+Logs are registered once, at full size (16 MiB per machine by default),
+and mostly never written, so a region's ``buffer`` is an anonymous memory
+map: the OS supplies zero pages on first touch and an untouched page is
+never resident.  It keeps the slice, ``struct.pack_into`` /
+``unpack_from`` and ``bytearray(...)`` surface of the ``bytearray`` it
+replaced, except that slices come back as ``bytes`` and a slice
+assignment must keep the length.
 """
 
 from __future__ import annotations
 
 import enum
+import mmap
 from typing import Dict, List, Optional
 
 from ..sim import SeededRng
@@ -48,7 +57,8 @@ class MemoryRegion:
         self.r_key = r_key
         self.set_access(access)
         self.name = name
-        self.buffer = bytearray(length)
+        #: Anonymous map: zero pages on first touch (module docstring).
+        self.buffer = mmap.mmap(-1, length)
         #: One past the last registered address.  Registration is
         #: immutable (rereg changes permissions only), so the bound is
         #: cached rather than recomputed in every bounds check.
@@ -69,7 +79,7 @@ class MemoryRegion:
         offset = va - self.addr
         if offset < 0 or length < 0 or va + length > self.end:
             raise ValueError(f"read outside region {self.name!r}")
-        return bytes(self.buffer[offset:offset + length])
+        return self.buffer[offset:offset + length]
 
     def allows(self, access: Access) -> bool:
         # Int masks, not ``enum.Flag.__and__``: this runs per remote write.

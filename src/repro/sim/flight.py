@@ -153,7 +153,9 @@ class FusedFlight:
         #: The rewritten *last* scatter leg rides the launch original,
         #: whose in-place template install is deferred until the packet
         #: can be observed (defusion / fallback) -- this holds that leg's
-        #: _VFrame until applied or the flight completes.
+        #: _VFrame; ``_VLaunch.installed`` says whether it was applied.
+        #: Nothing below points back at the flight, so a completed flight
+        #: and everything it holds is freed by reference count alone.
         self.vrw = None
 
 
@@ -188,7 +190,7 @@ class _VLaunch:
     everything every leg derives from the launch WRITE, computed once at
     scatter ingress."""
 
-    __slots__ = ("packet", "flight", "psn0", "ack_req", "va0", "dlen",
+    __slots__ = ("packet", "installed", "psn0", "ack_req", "va0", "dlen",
                  "payload", "payload_crc", "fp", "wire")
 
 
@@ -697,7 +699,7 @@ class FlightPlanner:
             # original its in-place rewrite: the QP window retains that
             # packet, and a retransmission would re-send its bytes.
             vf = flight.vrw
-            if vf is not None:
+            if vf is not None and not vf.lau.installed:
                 self.vx_materialized += 1
                 self._materialize(vf)
         self._flights.clear()
@@ -937,7 +939,7 @@ class FlightPlanner:
         pkt.meta["replication_id"] = leg.rid
         if vf.rewritten:
             if vf.last:
-                lau.flight.vrw = None
+                lau.installed = True
             tmpl = vf.tmpl
             block = bytearray(tmpl.block)
             suffix = bytearray(tmpl.suffix)
@@ -1023,7 +1025,7 @@ class FlightPlanner:
             packet._payload_crc = (payload, pcrc)
         lau = _VLaunch()
         lau.packet = packet
-        lau.flight = flight
+        lau.installed = False
         lau.psn0 = bth.psn
         lau.ack_req = bth.ack_req
         lau.va0 = reth.virtual_address

@@ -134,7 +134,7 @@ class ClientFleet:
         offsets = self._offset_stream.unit_batch(n)
         keys = self._keys.sample_batch(n)
         if _gen.NUMPY:
-            arrivals = _gen._np.sort(offsets * span_ns + start_ns).tolist()
+            arrivals = _gen._numpy().sort(offsets * span_ns + start_ns).tolist()
             key_list = keys.tolist()
         else:
             arrivals = sorted(u * span_ns + start_ns for u in offsets)

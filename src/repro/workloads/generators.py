@@ -16,31 +16,43 @@ so a numpy batch over a counter range and a scalar loop over the same
 range produce *bit-identical* values -- the float conversion
 ``(z >> 11) * 2**-53`` and the Zipf power transform use the same IEEE
 double operations in both backends.  ``sample_batch(n)`` rides numpy
-when it is importable (and not vetoed by ``REPRO_NO_NUMPY=1``) and
+when it is installed (and not vetoed by ``REPRO_NO_NUMPY=1``) and
 falls back to the scalar loop otherwise; the two paths are
 sequence-identical by construction and pinned by a parity test, so wire
-digests never depend on which backend sampled the workload.
+digests never depend on which backend sampled the workload.  numpy is
+imported by the first batch draw, never by importing this module: the
+consensus path and ``import repro`` do not load it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from typing import Dict, List, Optional, Tuple
 
 from ..sim import SeededRng
 from ..smr.machine import KvStore
 
-try:  # pragma: no cover - exercised via REPRO_NO_NUMPY in CI
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
-if os.environ.get("REPRO_NO_NUMPY", "").strip().lower() in (
-        "1", "true", "on", "yes"):
-    _np = None
+def _numpy_installed() -> bool:
+    try:
+        return importlib.util.find_spec("numpy") is not None
+    except ImportError:  # an import blocker on sys.meta_path
+        return False
 
-#: Whether the vectorized batch-sampling backend is available.
-NUMPY = _np is not None
+
+#: Whether the vectorized batch-sampling backend is available (decided
+#: without importing it).
+NUMPY = (_numpy_installed()
+         and os.environ.get("REPRO_NO_NUMPY", "").strip().lower()
+         not in ("1", "true", "on", "yes"))
+
+
+def _numpy():
+    """The numpy module, imported on first use; call only under ``NUMPY``."""
+    import numpy
+    return numpy
+
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 counter increment
@@ -88,8 +100,9 @@ class SplitMix64:
         as sequences.
         """
         if n <= 0:
-            return _np.empty(0, dtype=_np.float64) if NUMPY else []
+            return _numpy().empty(0) if NUMPY else []
         if NUMPY:
+            _np = _numpy()
             idx = _np.arange(self.counter + 1, self.counter + n + 1,
                              dtype=_np.uint64)
             self.counter += n
@@ -158,10 +171,11 @@ class ZipfianGenerator:
         the scalar fallback returns a list with the same values in the
         same order, so digests built over either are equal.
         """
-        if count <= 0:
-            return _np.empty(0, dtype=_np.int64) if NUMPY else []
         if not NUMPY:
             return [self.next() for _ in range(count)]
+        _np = _numpy()
+        if count <= 0:
+            return _np.empty(0, dtype=_np.int64)
         if self.n == 1:
             self._stream.counter += count
             return _np.zeros(count, dtype=_np.int64)
@@ -198,10 +212,11 @@ class UniformGenerator:
 
     def sample_batch(self, count: int):
         """``count`` draws, identical to ``count`` calls of :meth:`next`."""
-        if count <= 0:
-            return _np.empty(0, dtype=_np.int64) if NUMPY else []
         if not NUMPY:
             return [self.next() for _ in range(count)]
+        _np = _numpy()
+        if count <= 0:
+            return _np.empty(0, dtype=_np.int64)
         u = self._stream.unit_batch(count)
         return _np.minimum((u * self.n).astype(_np.int64), self.n - 1)
 

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.net import AddressAllocator, connect
 from repro.rdma import Access, Host, ListenerReply
 from repro.sim import Simulator
@@ -71,3 +78,20 @@ def two_hosts():
 @pytest.fixture
 def star3():
     return StarRig(3)
+
+
+@pytest.fixture
+def run_child():
+    """Run a snippet in a fresh interpreter -- for what is per process
+    (``sys.modules``, peak RSS, import-time decisions) -- with extra
+    environment variables; returns its last stdout line parsed as JSON."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+
+    def run(script: str, **env: str):
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=300, env={**os.environ, "PYTHONPATH": str(src), **env})
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    return run

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import Cluster, ClusterConfig
+from repro.consensus.heartbeat import HeartbeatPath
+from repro.rdma.qp import QpState
 
 MS = 1_000_000
 US = 1_000
@@ -125,3 +127,61 @@ class TestLiveness:
         cluster.crash_switch()
         cluster.run_for(10 * MS)
         assert not cluster.members[0].hb.is_alive(1)
+
+
+class TestPostRefusals:
+    """A read the NIC refuses (QP not RTS, send queue full) fails the
+    route; any other exception out of ``post_send`` is a bug in the NIC
+    or the planner and must surface, not read as "peer unreachable"."""
+
+    POSTS = {
+        "periodic": lambda hb: hb._read_peer(hb.peers[0]),
+        "oneshot": lambda hb: hb.read_once(0, lambda *values: None),
+    }
+
+    @pytest.fixture(params=sorted(POSTS))
+    def post(self, request):
+        return self.POSTS[request.param]
+
+    @pytest.fixture
+    def quiet(self):
+        """(service, its routes to node 0) with no read in flight."""
+        cluster = make()
+        cluster.run_for(2 * MS)
+        hb = cluster.members[1].hb
+        hb.stop()
+        cluster.run_for(1 * MS)
+        paths = hb.peers[0].paths
+        assert paths and all(p.usable and not p.inflight for p in paths)
+        return hb, paths
+
+    def test_qp_outside_rts_marks_path_failed(self, post, quiet, monkeypatch):
+        hb, paths = quiet
+        # The QP left RTS after the route was judged usable.
+        monkeypatch.setattr(HeartbeatPath, "usable",
+                            property(lambda path: not path.failed))
+        for path in paths:
+            path.qp.state = QpState.ERROR
+        assert not post(hb)
+        assert all(p.failed and not p.inflight for p in paths)
+        assert not hb._wr_paths and not hb._wr_oneshots
+
+    def test_full_send_queue_marks_path_failed(self, post, quiet):
+        hb, paths = quiet
+        for path in paths:
+            path.qp.max_send_wr = 0
+        assert not post(hb)
+        assert all(p.failed and not p.inflight for p in paths)
+        assert not hb._wr_paths and not hb._wr_oneshots
+
+    def test_programming_error_propagates(self, post, quiet, monkeypatch):
+        hb, paths = quiet
+
+        def broken(qp, wr):
+            raise RuntimeError("bug in the NIC")
+
+        for path in paths:
+            monkeypatch.setattr(path.nic, "post_send", broken)
+        with pytest.raises(RuntimeError, match="bug in the NIC"):
+            post(hb)
+        assert not any(p.failed for p in paths)

@@ -1,5 +1,7 @@
 """Unit tests for memory regions, R_keys and permissions."""
 
+import struct
+
 import pytest
 
 from repro.rdma import Access, AddressSpace, MemoryRegion
@@ -39,6 +41,64 @@ class TestMemoryRegion:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
             MemoryRegion(0, 0, 1, Access.NONE)
+
+    # -- the buffer surface on the lazily-backed store ------------------------
+
+    def test_fresh_region_reads_zero(self):
+        region = self.region(1 << 20)
+        assert region.read(0x1000 + (1 << 19), 64) == bytes(64)
+        assert region.buffer[-1] == 0
+
+    def test_slice_write_read_roundtrip(self):
+        region = self.region()
+        region.buffer[10:15] = b"abcde"
+        assert region.buffer[10:15] == b"abcde"
+        assert region.read(0x1000 + 10, 5) == b"abcde"
+        region.write(0x1000 + 4091, b"vwxyz")  # up to the last byte
+        assert region.buffer[4091:] == b"vwxyz"
+        assert type(region.read(0x1000, 8)) is bytes
+
+    def test_out_of_range_raises_value_error(self):
+        region = self.region()
+        for va, data in ((0xFFF, b"x"), (0x1000 + 4096, b"x"),
+                         (0x1000 + 4095, b"xy"), (0x1000, bytes(4097))):
+            with pytest.raises(ValueError, match="write outside region 'r'"):
+                region.write(va, data)
+        for va, length in ((0xFFF, 1), (0x1000 + 4096, 1),
+                           (0x1000 + 4095, 2), (0x1000, -1)):
+            with pytest.raises(ValueError, match="read outside region 'r'"):
+                region.read(va, length)
+        assert bytes(region.buffer) == bytes(4096)  # nothing landed
+
+    def test_one_byte_region(self):
+        region = MemoryRegion(0x2000, 1, 7, Access.REMOTE_WRITE, "one")
+        region.write(0x2000, b"\xff")
+        assert region.read(0x2000, 1) == b"\xff"
+        assert region.read(0x2000, 0) == b""
+        assert len(region.buffer) == 1
+        with pytest.raises(ValueError):
+            region.write(0x2000, b"ab")
+        with pytest.raises(ValueError):
+            region.read(0x2001, 1)
+
+    def test_whole_buffer_copy_between_regions(self):
+        a, b = self.region(), self.region()
+        b.write(0x1000 + 100, b"replicated")
+        a.buffer[:] = b.buffer
+        assert a.read(0x1000 + 100, 10) == b"replicated"
+        snapshot = bytearray(b.buffer)
+        assert len(snapshot) == 4096 and snapshot[100:110] == b"replicated"
+        b.write(0x1000 + 100, b"overwrites")
+        assert snapshot[100:110] == b"replicated"  # a copy, not a view
+        a.buffer[:] = snapshot
+        assert a.read(0x1000 + 100, 10) == b"replicated"
+
+    def test_struct_pack_into_and_unpack_from(self):
+        region = self.region()
+        word = struct.Struct("!QQ")
+        word.pack_into(region.buffer, 4096 - word.size, 1 << 63, 42)
+        assert word.unpack_from(region.buffer, 4096 - word.size) == (1 << 63, 42)
+        assert region.read(0x1000 + 4096 - 8, 8) == (42).to_bytes(8, "big")
 
 
 class TestAddressSpace:

@@ -13,11 +13,27 @@ import pytest
 
 from repro import params
 from repro.net import Packet
+from repro.net.headers import ETHERNET_FCS_BYTES
 from repro.rdma import parse_roce
 from repro.rdma.headers import Bth, Reth
 
 sys.path.insert(0, "tests")
-from test_p4ce_plane import MS, MemberAdvert, P4ceRig  # noqa: E402
+from test_p4ce_plane import (  # noqa: E402
+    LOG_SERVICE_ID, MS, LeaderAdvert, MemberAdvert, P4ceRig)
+
+
+def packed(packet):
+    """``packet.pack()``, with ``wire_size`` pinned to those bytes on the
+    way: for the frame as it is (a rendered frame answers from its wire
+    image in O(1)) and for a thawed copy (touching a header drops the
+    image, so the size comes from the header walk)."""
+    raw = packet.pack()
+    assert packet.wire_size == len(raw) + ETHERNET_FCS_BYTES
+    thawed = packet.copy()
+    assert thawed.upper is not None and thawed._wire is None
+    assert thawed.wire_size == len(thawed.pack()) + ETHERNET_FCS_BYTES \
+        == packet.wire_size
+    return raw
 
 
 def capture_frames(rig, predicate):
@@ -28,7 +44,7 @@ def capture_frames(rig, predicate):
 
         def tap(src, packet, _link=link):
             if predicate(src, packet):
-                captured.append((src.name, packet.pack(), packet))
+                captured.append((src.name, packed(packet), packet))
 
         link.tap = tap
     return captured
@@ -49,7 +65,7 @@ class TestScatterBytes:
         def tap(src, packet):
             if src.device is not replica.nic and packet.udp \
                     and packet.udp.dst_port == params.ROCE_UDP_PORT:
-                frames.append(packet.pack())
+                frames.append(packed(packet))
 
         link.tap = tap
         rig.leader.post_write(qp, b"wire-check", 256, advert.r_key)
@@ -82,12 +98,12 @@ class TestScatterBytes:
         def leader_tap(src, packet):
             if src.device is rig.leader.nic and packet.udp \
                     and packet.udp.dst_port == params.ROCE_UDP_PORT:
-                leader_frames.append(packet.pack())
+                leader_frames.append(packed(packet))
 
         def replica_tap(src, packet):
             if src.device is not replica.nic and packet.udp \
                     and packet.udp.dst_port == params.ROCE_UDP_PORT:
-                replica_frames.append(packet.pack())
+                replica_frames.append(packed(packet))
 
         rig.leader.nic.port.link.tap = leader_tap
         replica.nic.port.link.tap = replica_tap
@@ -110,11 +126,11 @@ class TestGatherBytes:
 
         def leader_tap(src, packet):
             if packet.udp and packet.udp.dst_port == params.ROCE_UDP_PORT:
-                bth, _, _, _ = parse_roce(Packet.parse(packet.pack()).payload)
+                bth, _, _, _ = parse_roce(Packet.parse(packed(packet)).payload)
                 if src.device is rig.leader.nic:
                     sent_psn["psn"] = bth.psn
                 else:
-                    ack_frames.append(packet.pack())
+                    ack_frames.append(packed(packet))
 
         rig.leader.nic.port.link.tap = leader_tap
         rig.leader.post_write(qp, b"gg", 0, advert.r_key)
@@ -139,7 +155,7 @@ class TestPackParseIdentity:
 
         def tap(src, packet):
             if packet.udp and packet.udp.dst_port == params.ROCE_UDP_PORT:
-                frames.append(packet.pack())
+                frames.append(packed(packet))
 
         for host in rig.hosts:
             host.nic.port.link.tap = tap
@@ -153,3 +169,42 @@ class TestPackParseIdentity:
                              [h for h in (bth, reth, aeth) if h is not None],
                              payload, has_icrc=True)
             assert rebuilt.finalize().pack() == raw
+
+
+class TestWireSize:
+    def test_wire_size_is_the_packed_length_for_every_frame_kind(self,
+                                                                 monkeypatch):
+        """CM set-up, a scattered 2-packet write and a direct write the
+        switch L3-forwards put every kind of frame on the tapped links;
+        :func:`packed` checks each one."""
+        kept_image = []
+        rewrite_macs = Packet.rewrite_macs
+
+        def spy(packet, src, dst):
+            rewrite_macs(packet, src, dst)
+            kept_image.append(packet._wire is not None)
+
+        monkeypatch.setattr(Packet, "rewrite_macs", spy)
+        rig = P4ceRig(num_replicas=2, randomize_psn=True)
+        captured = capture_frames(rig, lambda src, packet: True)
+        qp, cq, result = rig.create_group()
+        advert = MemberAdvert.unpack(result["pd"])
+        rig.leader.post_write(qp, b"w" * 1500, 0, advert.r_key)
+        direct = rig.leader.create_qp(rig.leader.create_cq())
+        reply = {}
+        rig.leader.cm.connect(rig.replicas[0].ip, LOG_SERVICE_ID, direct,
+                              LeaderAdvert(rig.leader.ip, 1).pack(),
+                              lambda q, pd, err: reply.update(pd=pd))
+        rig.sim.run_until(lambda: reply, timeout=50 * MS)
+        rig.leader.post_write(direct, b"d" * 100, 0,
+                              MemberAdvert.unpack(reply["pd"]).r_key)
+        rig.sim.run(until=rig.sim.now + 2 * MS)
+        switch_ports = {port.name for port in rig.switch.ports}
+        rendered = {(name in switch_ports) for name, _raw, packet in captured
+                    if packet._wire is not None}
+        # Template-built at a NIC, rewritten at the switch (scatter,
+        # gather, MAC swap with the image patched in place), and frames
+        # that never carried an image (CM).
+        assert rendered == {False, True}
+        assert True in kept_image and False in kept_image
+        assert any(packet._wire is None for _name, _raw, packet in captured)

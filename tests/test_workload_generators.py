@@ -116,6 +116,68 @@ class TestSampleBatch:
         assert all(0 <= v < 100 for v in gen.sample_batch(5000))
 
 
+_BACKEND_CHILD = """
+import json, sys
+{prelude}
+from repro.sim import SeededRng
+from repro.workloads import generators
+from repro.workloads.generators import (SplitMix64, UniformGenerator,
+                                        ZipfianGenerator)
+
+def loaded():
+    return sys.modules.get("numpy") is not None
+
+at_import = loaded()
+draws = [[int(v) for v in ZipfianGenerator(1000, theta, SeededRng(11))
+          .sample_batch(2000)] for theta in (0.0, 0.5, 0.99)]
+draws.append([int(v) for v in UniformGenerator(37, SeededRng(2))
+              .sample_batch(500)])
+draws.append([float(u).hex() for u in SplitMix64(5).unit_batch(64)])
+draws.append([len(ZipfianGenerator(9, 0.5).sample_batch(0)),
+              len(SplitMix64(1).unit_batch(0))])
+print(json.dumps({{"numpy": generators.NUMPY, "at_import": at_import,
+                  "after_batch": loaded(), "draws": draws}}))
+"""
+
+
+class TestBackendResolution:
+    """numpy is decided at import without importing it, loaded by the
+    first batch draw, and no way of doing without it changes a draw."""
+
+    #: Two ways tests and tools block an import: the ``None`` entry
+    #: ``find_spec`` reports as absent, and a finder that raises.
+    PRELUDES = {
+        "lazy": "", "vetoed": "",
+        "blocked": 'sys.modules["numpy"] = None',
+        "finder": """
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            raise ImportError("numpy is blocked")
+sys.meta_path.insert(0, Blocker())
+""",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PRELUDES))
+    def test_same_draws_however_numpy_is_resolved(self, mode, run_child):
+        env = {"REPRO_NO_NUMPY": "1"} if mode == "vetoed" else {}
+        child = run_child(
+            _BACKEND_CHILD.format(prelude=self.PRELUDES[mode]), **env)
+        assert not child["at_import"]
+        if mode == "lazy":
+            # Installed (find_spec, as the module asks) <=> used.
+            assert child["numpy"] == child["after_batch"] == generators.NUMPY
+        else:
+            assert not child["numpy"] and not child["after_batch"]
+        scalar = [ZipfianGenerator(1000, theta, SeededRng(11)).sample(2000)
+                  for theta in (0.0, 0.5, 0.99)]
+        scalar.append(UniformGenerator(37, SeededRng(2)).sample(500))
+        stream = SplitMix64(5)
+        scalar.append([stream.next_unit().hex() for _ in range(64)])
+        scalar.append([0, 0])
+        assert child["draws"] == scalar
+
+
 class TestZipfShare:
     def test_full_range_is_unity(self):
         assert zipf_share(1000, 0.99, 0, 1000) == pytest.approx(1.0)
