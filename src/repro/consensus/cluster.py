@@ -137,6 +137,10 @@ class Cluster:
 
         self.hosts: List[Host] = []
         self.members: Dict[int, Member] = {}
+        #: One ``(offset, epoch, payload)`` record per applied entry,
+        #: keyed by itself: members whose log bytes agree append the
+        #: same object to ``applied`` (see ``Member._apply``).
+        self.applied_records: Dict[tuple, tuple] = {}
         self._leader_hint = 0
         self.on_leader_change: Optional[Callable[[Member], None]] = None
         self.on_group_reconfigured: Optional[Callable[[Member], None]] = None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional, TYPE_CHECKING
 
 from .. import params
@@ -59,6 +60,15 @@ if TYPE_CHECKING:  # pragma: no cover
 CONTROL_SERVICE_ID = 0x4842  # "HB"
 
 LEASE_BYTES = 16
+
+#: Most records ``Cluster.applied_records`` holds, oldest out first.  The
+#: table only has to span the gap between the first and the last member
+#: applying an entry, which is at most the proposals in flight
+#: (``tools/heap_growth.py`` prints it: 6-16 entries with 16 in flight,
+#: 247-256 with 256, p4ce and mu, 64 B and 4 KiB); this is 16 of the
+#: deepest window measured.  A straggler further behind -- a restarted
+#: member replaying its log -- keeps a private (equal) record.
+APPLIED_RECORDS_CAP = 1 << 12
 
 
 class Role(enum.Enum):
@@ -721,6 +731,9 @@ class Member:
 
     def _propose_now(self, payload: bytes,
                      callback: Optional[Callable[[PendingEntry], None]]) -> None:
+        # Immutable from here on (a no-op for ``bytes``): the entry is
+        # kept by reference and applied as a dict key.
+        payload = bytes(payload)
         self._seq += 1
         offset, segments = self.log.append_local(payload, self.epoch)
         entry = PendingEntry(self._seq, offset, segments, payload, self.epoch,
@@ -840,9 +853,22 @@ class Member:
         return self.log.next_offset
 
     def _apply(self, epoch: int, payload: bytes, offset: int) -> None:
-        self.applied.append((offset, epoch, payload))
+        # The first member to apply an entry registers its record; the
+        # others, whose logs hold the same bytes, append that object
+        # instead of a private copy.  Equality is the dict's -- offset,
+        # epoch and every payload byte -- so a log that differs keeps a
+        # record of its own.
+        records = self.cluster.applied_records
+        key = (offset, epoch, payload)
+        record = records.setdefault(key, key)
+        if record is key and len(records) > APPLIED_RECORDS_CAP:
+            # Oldest half at once: popping a dict's first key one at a
+            # time rescans the slots already emptied.
+            for old in list(islice(records, APPLIED_RECORDS_CAP // 2)):
+                del records[old]
+        self.applied.append(record)
         if self.on_apply is not None:
-            self.on_apply(self, epoch, payload)
+            self.on_apply(self, epoch, record[2])
 
     # ------------------------------------------------------------------
     # Failure handling

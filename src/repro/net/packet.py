@@ -84,7 +84,11 @@ class Packet:
         #: ``(header_block, trailer)`` pre-serialized wire cache, set by the
         #: rewrite-template engine.  Valid as long as no header slot is
         #: touched (every header property access clears it); the payload is
-        #: joined live, so payload swaps do not invalidate it.
+        #: joined live, so payload swaps do not invalidate it.  Both parts
+        #: are immutable ``bytes``, and a rewrite installs a new tuple of
+        #: new parts rather than patching these: the wire-digest tap
+        #: (:class:`repro.sim.columnar.DigestTap`) keeps references to them
+        #: as its snapshot of the frame and renders them only at flush.
         self._wire: Optional[tuple] = None
 
     # -- copy-on-write accessors ----------------------------------------------

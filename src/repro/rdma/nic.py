@@ -45,11 +45,20 @@ from .headers import Aeth, AtomicAckEth, AtomicEth, Bth, Reth
 from .icrc import check_icrc, stamp_icrc
 from .memory import Access, AddressSpace, MemoryRegion
 from .opcodes import (
+    ACKED_END_OPCODES,
+    AETH_OPCODES,
+    ATOMIC_OPCODES,
     AethCode,
     NakCode,
     Opcode,
     READ_RESPONSE_OPCODES,
+    READ_RESPONSE_TAIL_OPCODES,
+    SEND_HEAD_OPCODES,
+    SEND_OPCODES,
+    SEND_TAIL_OPCODES,
+    WRITE_HEAD_OPCODES,
     WRITE_OPCODES,
+    WRITE_TAIL_OPCODES,
     is_positive_ack,
     make_syndrome,
     saturate_credits,
@@ -238,7 +247,7 @@ class RNic:
             last = i == n - 1
             bth = Bth(opcode, qp.remote_qpn, psn_add(first_psn, i), ack_req=last)
             upper: List[object] = [bth]
-            if opcode in (Opcode.RDMA_WRITE_FIRST, Opcode.RDMA_WRITE_ONLY):
+            if opcode in WRITE_HEAD_OPCODES:
                 upper.append(Reth(wr.remote_va, wr.r_key, len(data)))
             packets.append(self._frame(qp, upper, chunk))
         return packets
@@ -383,11 +392,10 @@ class RNic:
         elif opcode is Opcode.RDMA_READ_REQUEST:
             assert reth is not None
             self._responder_read(qp, bth, reth)
-        elif opcode in (Opcode.COMPARE_SWAP, Opcode.FETCH_ADD):
+        elif opcode in ATOMIC_OPCODES:
             assert atomic is not None
             self._responder_atomic(qp, bth, atomic)
-        elif opcode in (Opcode.SEND_FIRST, Opcode.SEND_MIDDLE,
-                        Opcode.SEND_LAST, Opcode.SEND_ONLY):
+        elif opcode in SEND_OPCODES:
             self._responder_send(qp, bth, packet.payload)
         elif opcode is Opcode.ACKNOWLEDGE:
             assert aeth is not None
@@ -422,8 +430,7 @@ class RNic:
             return
         bth = Bth(opcode, qp.remote_qpn, psn, ack_req=ack_req)
         upper: List[object] = [bth]
-        if opcode in (Opcode.ACKNOWLEDGE, Opcode.RDMA_READ_RESPONSE_FIRST,
-                      Opcode.RDMA_READ_RESPONSE_LAST, Opcode.RDMA_READ_RESPONSE_ONLY):
+        if opcode in AETH_OPCODES:
             upper.append(Aeth(syndrome, qp.msn))
         self._tx(self._frame(qp, upper, payload))
 
@@ -450,9 +457,7 @@ class RNic:
         if psn_not_before(qp.expected_psn, bth.psn):
             # Duplicate of something already processed: re-ACK so that a
             # lost ACK does not wedge the requester.
-            if bth.ack_req or bth.opcode in (Opcode.RDMA_WRITE_LAST,
-                                             Opcode.RDMA_WRITE_ONLY,
-                                             Opcode.SEND_LAST, Opcode.SEND_ONLY):
+            if bth.ack_req or bth.opcode in ACKED_END_OPCODES:
                 self._send_ack(qp, bth.psn)
             return False
         self._send_nak(qp, qp.expected_psn, NakCode.PSN_SEQUENCE_ERROR)
@@ -479,7 +484,7 @@ class RNic:
         if not self._psn_check(qp, bth):
             return
         opcode = bth.opcode
-        if opcode in (Opcode.RDMA_WRITE_FIRST, Opcode.RDMA_WRITE_ONLY):
+        if opcode in WRITE_HEAD_OPCODES:
             if reth is None:
                 self._send_nak(qp, bth.psn, NakCode.INVALID_REQUEST)
                 return
@@ -505,10 +510,10 @@ class RNic:
             qp.write_cursor_va += len(payload)
             qp.write_cursor_remaining -= len(payload)
         qp.expected_psn = psn_add(bth.psn, 1)
-        if opcode in (Opcode.RDMA_WRITE_LAST, Opcode.RDMA_WRITE_ONLY):
+        if opcode in WRITE_TAIL_OPCODES:
             qp.msn = psn_add(qp.msn, 1)
             self.host.notify_remote_write(qp, bth, payload)
-        if bth.ack_req or opcode in (Opcode.RDMA_WRITE_LAST, Opcode.RDMA_WRITE_ONLY):
+        if bth.ack_req or opcode in WRITE_TAIL_OPCODES:
             self._send_ack(qp, bth.psn)
 
     def _responder_read(self, qp: QueuePair, bth: Bth, reth: Reth) -> None:
@@ -569,8 +574,8 @@ class RNic:
     def _responder_send(self, qp: QueuePair, bth: Bth, payload: bytes) -> None:
         if not self._psn_check(qp, bth):
             return
-        first = bth.opcode in (Opcode.SEND_FIRST, Opcode.SEND_ONLY)
-        last = bth.opcode in (Opcode.SEND_LAST, Opcode.SEND_ONLY)
+        first = bth.opcode in SEND_HEAD_OPCODES
+        last = bth.opcode in SEND_TAIL_OPCODES
         if first:
             if not qp.receive_queue:
                 # Receiver Not Ready: the requester backs off and retries
@@ -668,8 +673,7 @@ class RNic:
         head.read_received += len(payload)
         if aeth is not None and is_positive_ack(aeth.syndrome):
             qp.credits = syndrome_value(aeth.syndrome)
-        if bth.opcode in (Opcode.RDMA_READ_RESPONSE_LAST,
-                          Opcode.RDMA_READ_RESPONSE_ONLY):
+        if bth.opcode in READ_RESPONSE_TAIL_OPCODES:
             qp.outstanding.popleft()
             qp.requests_completed += 1
             qp.retry_budget = params.RDMA_RETRY_COUNT

@@ -58,19 +58,42 @@ WRITE_OPCODES = frozenset({
     Opcode.RDMA_WRITE_ONLY,
 })
 
-#: Opcodes that end a message (complete the request at the responder).
-MESSAGE_END_OPCODES = frozenset({
+#: Write packets that open a message (carry the RETH) / close it.
+WRITE_HEAD_OPCODES = frozenset({Opcode.RDMA_WRITE_FIRST, Opcode.RDMA_WRITE_ONLY})
+WRITE_TAIL_OPCODES = frozenset({Opcode.RDMA_WRITE_LAST, Opcode.RDMA_WRITE_ONLY})
+
+#: Send-request opcodes (any position in a multi-packet message).
+SEND_OPCODES = frozenset({
+    Opcode.SEND_FIRST,
+    Opcode.SEND_MIDDLE,
     Opcode.SEND_LAST,
     Opcode.SEND_ONLY,
-    Opcode.RDMA_WRITE_LAST,
-    Opcode.RDMA_WRITE_ONLY,
-    Opcode.RDMA_READ_REQUEST,
 })
+
+#: Send packets that open a message (consume a receive) / close it.
+SEND_HEAD_OPCODES = frozenset({Opcode.SEND_FIRST, Opcode.SEND_ONLY})
+SEND_TAIL_OPCODES = frozenset({Opcode.SEND_LAST, Opcode.SEND_ONLY})
+
+#: Atomic request opcodes.
+ATOMIC_OPCODES = frozenset({Opcode.COMPARE_SWAP, Opcode.FETCH_ADD})
+
+#: Message ends the responder answers with a plain ACK.
+ACKED_END_OPCODES = WRITE_TAIL_OPCODES | SEND_TAIL_OPCODES
+
+#: Opcodes that end a message (complete the request at the responder); a
+#: read request is a whole message, answered with data instead of an ACK.
+MESSAGE_END_OPCODES = ACKED_END_OPCODES | {Opcode.RDMA_READ_REQUEST}
 
 #: Read-response opcodes (carry data back to the requester).
 READ_RESPONSE_OPCODES = frozenset({
     Opcode.RDMA_READ_RESPONSE_FIRST,
     Opcode.RDMA_READ_RESPONSE_MIDDLE,
+    Opcode.RDMA_READ_RESPONSE_LAST,
+    Opcode.RDMA_READ_RESPONSE_ONLY,
+})
+
+#: Read responses that complete the read at the requester.
+READ_RESPONSE_TAIL_OPCODES = frozenset({
     Opcode.RDMA_READ_RESPONSE_LAST,
     Opcode.RDMA_READ_RESPONSE_ONLY,
 })

@@ -6,8 +6,18 @@ pack("!dI", now, icrc)``.  The real handlers feed it one real
 ``Packet`` at a time.  The virtual express stages never build those
 packets -- so the tap itself becomes columnar: virtual frames are
 *absorbed* as small tuples (template reference + the two or three varying
-words), buffered in exact wire order alongside eagerly-packed real
-frames, and rendered in batches at flush time.
+words), buffered in exact wire order alongside real frames, and rendered
+in batches at flush time.
+
+A real frame is buffered by reference, not by copy.  One that carries a
+rendered wire image (``Packet._wire``: every RoCE frame while the
+``rewrite_templates`` lane is on) is kept as its three parts -- header
+block, payload, trailer -- which are immutable ``bytes`` that the
+rewriters replace and never mutate (the invariant is stated next to
+``Packet._wire``), so the references are a snapshot of the frame at tap
+time even though its headers are rewritten in place right after
+transmission.  A frame without an image (CM and other non-RoCE traffic,
+a few hundred per run) is packed on the spot.
 
 SHA-256 is a stream: ``update(a); update(b)`` equals ``update(a + b)``,
 so feeding one contiguous buffer per batch -- with every frame's bytes at
@@ -54,7 +64,7 @@ _S_META = struct.Struct("!dI")
 #: timestamp at render time restores the exact wire chronology (ties
 #: keep append order, which matches the slow lane's seq order for the
 #: only systematic ties: a flight's symmetric per-replica legs).
-_EV_RAW = 0      # (kind, now, blob)                  -- pre-packed real frame
+_EV_RAW = 0      # (kind, now, block, payload, trailer, icrc)  -- real frame
 _EV_SCATTER = 1  # (kind, now, tmpl, ack_word, va, payload, payload_crc)
 _EV_ACK = 2      # (kind, now, tmpl, psn_word, aeth_word)
 
@@ -71,10 +81,11 @@ class DigestTap:
 
     Installed on every link by ``install_trace_digest``.  Real frames
     arrive through :meth:`__call__` (the plain tap protocol) and are
-    packed eagerly; flight fusion's virtual frames arrive through
-    :meth:`absorb_scatter` / :meth:`absorb_ack` as tuples.  One ordered
-    event buffer preserves exact wire order across both, and
-    :meth:`flush` renders it into a single contiguous ``update``.
+    buffered as references to their immutable parts; flight fusion's
+    virtual frames arrive through :meth:`absorb_scatter` /
+    :meth:`absorb_ack` as tuples.  One ordered event buffer preserves
+    exact wire order across both, and :meth:`flush` renders it into a
+    single contiguous ``update``.
     Duck-types the ``hashlib`` digest: callers only use ``hexdigest()``.
     """
 
@@ -91,13 +102,20 @@ class DigestTap:
     # -- absorption ------------------------------------------------------------
 
     def __call__(self, src, packet) -> None:
-        """Plain link-tap protocol: pack a real frame now (its headers may
-        be rewritten in place right after transmission)."""
-        icrc = packet.meta.get("icrc")
+        """Plain link-tap protocol: snapshot a real frame now (its headers
+        may be rewritten in place right after transmission).  A rendered
+        frame is its three ``bytes`` parts, which a later rewrite replaces
+        rather than mutates, so holding them is the snapshot; anything
+        else is packed here."""
+        icrc = packet.meta.get("icrc") or 0
         now = self.sim._now
-        self._events.append((
-            _EV_RAW, now,
-            packet.pack() + _S_META.pack(now, 0 if icrc is None else icrc)))
+        wire = packet._wire
+        payload = packet._payload
+        if wire is not None and type(payload) is bytes:
+            self._events.append(
+                (_EV_RAW, now, wire[0], payload, wire[1], icrc))
+        else:
+            self._events.append((_EV_RAW, now, packet.pack(), b"", b"", icrc))
         if len(self._events) >= _FLUSH_LIMIT and not self.hold:
             self.flush()
 
@@ -161,7 +179,11 @@ class DigestTap:
         for ev in events:
             kind = ev[0]
             if kind == _EV_RAW:
-                append(ev[2])
+                _, now, block, payload, trailer, icrc = ev
+                append(block)
+                append(payload)
+                append(trailer)
+                append(pack_meta(now, icrc))
             elif kind == _EV_SCATTER:
                 _, now, tmpl, ack_word, va, payload, payload_crc = ev
                 block = bytearray(tmpl.block)

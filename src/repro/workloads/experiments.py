@@ -41,9 +41,10 @@ def install_trace_digest(cluster) -> "DigestTap":
     from an importable, picklable entry point.
 
     Returns a :class:`repro.sim.columnar.DigestTap` rather than a bare
-    hash object: the tap buffers frames (real ones packed eagerly,
-    flight fusion's virtual ones as template+word tuples) and renders
-    them in batches, producing the bit-identical SHA-256 stream.
+    hash object: the tap buffers frames (real ones as references to
+    their immutable parts, flight fusion's virtual ones as template+word
+    tuples) and renders them in batches, producing the bit-identical
+    SHA-256 stream.
     Callers keep using ``hexdigest()`` exactly as before.
     """
     tap = DigestTap(cluster.sim)

@@ -146,3 +146,95 @@ class TestRestartResetsPlanes:
         for tracked in (direct.paths, direct._wr_entries, direct._wr_probes,
                         direct._wr_reads, direct._connecting):
             assert not tracked
+
+
+class TestAppliedRecords:
+    """Members whose log bytes agree append one shared record; a log
+    that differs, or a record the table no longer holds, gets its own."""
+
+    def test_divergent_log_appends_a_distinct_record(self):
+        from repro.consensus.log import ENTRY_HEADER
+        cluster = make()
+        victim = cluster.members[2]
+
+        def corrupt(qp, bth, payload):
+            # Runs ahead of the member's own watcher: the bytes change
+            # after the NIC placed them and before the member reads them.
+            log = victim.log
+            entry = log.peek(log.next_offset)
+            if entry is not None and entry.payload == b"value-3":
+                at = log.physical(entry.offset) + ENTRY_HEADER.size
+                log.region.buffer[at:at + 5] = b"VALUE"
+
+        victim.host.remote_write_watchers.insert(0, corrupt)
+        for i in range(6):
+            cluster.propose(b"value-%d" % i)
+        cluster.run_for(5 * MS)
+        leader, other = cluster.members[0], cluster.members[1]
+        assert [len(m.applied) for m in (leader, other, victim)] == [6, 6, 6]
+        for index, (a, b, c) in enumerate(zip(leader.applied, other.applied,
+                                              victim.applied)):
+            assert a is b and cluster.applied_records[a] is a
+            if index == 3:
+                assert c is not a and c != a
+                assert c == (a[0], a[1], b"VALUE-3")
+                assert cluster.applied_records[c] is c
+            else:
+                assert c is a
+        # What tests/test_safety_invariants.py compares: payload
+        # sequences, prefix-wise against the longest.
+        sequences = {m.node_id: [payload for _off, _epoch, payload in m.applied]
+                     for m in cluster.members.values()}
+        longest = sequences[0]
+        diverged = [node_id for node_id, sequence in sequences.items()
+                    if sequence != longest[:len(sequence)]]
+        assert diverged == [2]
+
+    def test_mutable_payload_is_snapshotted_at_propose(self):
+        cluster = make()
+        value = bytearray(b"mutable-value")
+        done = []
+        cluster.propose(value, done.append)
+        cluster.propose(memoryview(b"viewed-value"), done.append)
+        value[:7] = b"MUTATED"
+        cluster.run_for(5 * MS)
+        assert [entry.committed for entry in done] == [True, True]
+        for member in cluster.members.values():
+            assert [payload for _off, _epoch, payload in member.applied] \
+                == [b"mutable-value", b"viewed-value"]
+            assert all(type(record[2]) is bytes for record in member.applied)
+
+    def test_table_is_capped_and_a_straggler_keeps_a_private_copy(
+            self, monkeypatch):
+        from repro.consensus import member as member_module
+        cap = 8
+        monkeypatch.setattr(member_module, "APPLIED_RECORDS_CAP", cap)
+        cluster = make(protocol="mu")
+        records = cluster.applied_records
+        sizes = []
+        for member in cluster.members.values():
+            member.on_apply = lambda *_: sizes.append(len(records))
+        # The NIC of a killed process keeps taking the leader's writes;
+        # the restarted process consumes them long after the others did.
+        cluster.kill_app(2)
+        state = {"next": 0}
+
+        def one_at_a_time(_entry=None):
+            if state["next"] < 40:
+                state["next"] += 1
+                cluster.propose(b"v%d" % state["next"], one_at_a_time)
+
+        one_at_a_time()
+        cluster.run_for(5 * MS)
+        leader, prompt, straggler = (cluster.members[i] for i in range(3))
+        assert len(leader.applied) == len(prompt.applied) == 40
+        assert not straggler.applied
+        assert all(a is b for a, b in zip(leader.applied, prompt.applied))
+        evicted = [r for r in leader.applied if r not in records]
+        assert len(evicted) >= 40 - cap
+        cluster.restart_app(2)
+        cluster.run_for(1 * MS)
+        assert straggler.applied == leader.applied
+        assert not any(mine is theirs for mine, theirs
+                       in zip(straggler.applied, evicted))
+        assert max(sizes) <= cap

@@ -7,15 +7,22 @@ contain exactly the rewritten fields -- i.e. the switch model is a
 faithful packet rewriter, not a Python-object trick.
 """
 
+import hashlib
+import struct
 import sys
+from collections import Counter
 
 import pytest
 
-from repro import params
-from repro.net import Packet
-from repro.net.headers import ETHERNET_FCS_BYTES
+from repro import fastlane, params
+from repro.net import AddressAllocator, Packet
+from repro.net.headers import (
+    ETHERNET_FCS_BYTES, EthernetHeader, Ipv4Header, UdpHeader)
 from repro.rdma import parse_roce
 from repro.rdma.headers import Bth, Reth
+from repro.sim import Simulator
+from repro.sim.columnar import DigestTap
+from repro.workloads.experiments import ClosedLoopDriver, build_cluster
 
 sys.path.insert(0, "tests")
 from test_p4ce_plane import (  # noqa: E402
@@ -208,3 +215,131 @@ class TestWireSize:
         assert rendered == {False, True}
         assert True in kept_image and False in kept_image
         assert any(packet._wire is None for _name, _raw, packet in captured)
+
+
+class EagerTap:
+    """The digest's definition, with nothing deferred: every frame is
+    packed and hashed inside its own tap call."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.digest = hashlib.sha256()
+        #: (tapped at a switch port, carries a wire image, BTH opcode).
+        self.seen = Counter()
+
+    def __call__(self, src, packet):
+        icrc = packet.meta.get("icrc") or 0
+        self.digest.update(packet.pack()
+                           + struct.pack("!dI", self.sim.now, icrc))
+        upper = packet._upper
+        self.seen[(type(src.device).__name__ == "Switch",
+                   packet._wire is not None,
+                   upper[0].opcode.name if upper else None)] += 1
+
+    def hexdigest(self):
+        return self.digest.hexdigest()
+
+
+def _tapped_run(make_tap, scenario):
+    """4 KiB closed loop (four packets per write), 16 in flight, n=4,
+    tapped from the first CM frame on."""
+    cluster = build_cluster("p4ce", 4, value_size=4096, seed=7,
+                            async_reconfig=scenario == "leader_kill")
+    tap = make_tap(cluster.sim)
+    for port in cluster.switch.ports:
+        if port.link is not None:
+            port.link.tap = tap
+    cluster.await_ready()
+    driver = ClosedLoopDriver(cluster, 4096, window=16)
+    driver.start()
+    cluster.run_for(0.3 * MS)
+    if scenario == "leader_kill":
+        # Asynchronous reconfiguration: the successor serves over the
+        # direct plane while its switch group is being configured.
+        before = driver.commits
+        cluster.kill_app(0)
+        assert cluster.sim.run_until(lambda: driver.commits >= before + 50,
+                                     timeout=20 * MS)
+    driver.stop()
+    cluster.run_for(0.1 * MS)
+    return cluster, tap, driver
+
+
+class TestBufferedTapIsASnapshot:
+    """``DigestTap`` keeps references to a frame's parts and renders them
+    at flush; the digest must be the one an eager pack-and-hash tap
+    computes, although frames are rewritten in place after their tap
+    call (the last multicast leg, every MAC swap)."""
+
+    @pytest.mark.parametrize("scenario", ["switch", "leader_kill"])
+    def test_agrees_with_an_eager_reference_tap(self, scenario):
+        fastlane.flags.flight_fusion = False  # both sides see real frames
+        try:
+            cluster, eager, driver = _tapped_run(EagerTap, scenario)
+            _, buffered, again = _tapped_run(DigestTap, scenario)
+        finally:
+            fastlane.enable()
+        assert again.commits == driver.commits > 100
+        assert buffered.hexdigest() == eager.hexdigest()
+        seen = eager.seen
+        # Image-less CM frames during set-up, MAC-rewritten heartbeat
+        # reads the switch L3-forwards with their image kept.
+        assert seen[(False, False, None)] and seen[(True, False, None)]
+        assert seen[(True, True, "RDMA_READ_REQUEST")]
+        assert seen[(True, True, "RDMA_READ_RESPONSE_ONLY")]
+        writes_in = seen[(False, True, "RDMA_WRITE_LAST")]
+        writes_out = seen[(True, True, "RDMA_WRITE_LAST")]
+        assert seen[(False, True, "RDMA_WRITE_MIDDLE")] > writes_in  # multi-packet
+        leader = cluster.leader
+        if scenario == "switch":
+            # One write in, four scattered legs out (the last of them
+            # the ingress packet itself, rewritten).
+            assert leader.node_id == 0 and leader.comm_mode == "switch"
+            assert writes_out > 3 * writes_in > 0
+        else:
+            assert leader.node_id != 0 and leader.comm_mode == "direct"
+            assert writes_out == writes_in > 0
+
+    def test_only_a_rendered_frame_with_bytes_payload_is_kept_by_reference(self):
+        sim = Simulator()
+        tap = DigestTap(sim)
+        reference = hashlib.sha256()
+        alloc = AddressAllocator()
+        (mac_a, ip_a), (mac_b, ip_b) = alloc.next_host(), alloc.next_host()
+
+        def frame(payload):
+            packet = Packet(EthernetHeader(mac_a, mac_b),
+                            Ipv4Header(ip_b, ip_a),
+                            UdpHeader(49152, params.ROCE_UDP_PORT),
+                            payload=payload, has_icrc=True).finalize()
+            packet.meta["icrc"] = 0xDEADBEEF
+            return packet
+
+        def tapped(packet):
+            reference.update(packet.pack()
+                             + struct.pack("!dI", sim.now, 0xDEADBEEF))
+            tap(None, packet)
+            return tap._events[-1]
+
+        # The eager branch buffers the whole packed frame as the block,
+        # with an empty payload and trailer.
+        plain = frame(b"no image")
+        assert tapped(plain)[2:5] == (plain.pack(), b"", b"")
+
+        rendered = frame(b"image and bytes")
+        raw = rendered.pack()
+        rendered._wire = (raw[:-len(rendered.payload) - 4], raw[-4:])
+        event = tapped(rendered)
+        assert event[2] is rendered._wire[0]
+        assert event[3] is rendered.payload
+        # Rewritten in place right after the tap call: new parts are
+        # installed, the buffered ones are untouched.
+        rendered.rewrite_macs(mac_a, mac_b)
+        assert rendered._wire[0] is not event[2]
+
+        mutable = frame(bytearray(b"image, mutable payload"))
+        raw = mutable.pack()
+        mutable._wire = (raw[:-len(mutable.payload) - 4], raw[-4:])
+        assert tapped(mutable)[2:5] == (raw, b"", b"")
+        mutable.payload[:5] = b"IMAGE"
+        assert tap.hexdigest() == reference.hexdigest()
