@@ -42,12 +42,12 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
     exact ``(time, seq)`` order, against one precomputed real-event
     barrier.  The interior per-leg frames of a flight -- the scattered
     replica writes and their ACKs -- are never materialized as ``Packet``
-    objects: virtual express stages advance the same timeline (identical
-    timestamps, sequence numbers, busy horizons) while staging register
-    deltas, port-counter increments and cache bumps in per-path columns
-    that flush in batches, and the wire-digest tap renders each batch of
-    virtual frames from pre-rendered templates and feeds SHA-256 one
-    contiguous buffer in exact frame order (:mod:`repro.sim.columnar`).
+    objects: each virtual express stage runs at its hop's ``(time, seq)``
+    turn and writes the same register cells, counters and busy horizons
+    its real handler would, so all of them are current at any instant a
+    callback can run; the wire-digest tap renders each batch of virtual
+    frames from pre-rendered templates and feeds SHA-256 one contiguous
+    buffer in exact frame order (:mod:`repro.sim.columnar`).
     Only the forwarded ACK and the terminal leader-completion hop are
     real.  There is one express chain: a launch the planner cannot prove
     clean is declined to the real handlers, and a stage that cannot prove
@@ -102,12 +102,13 @@ flags = _Flags()
 #: Process-wide columnar telemetry of flight fusion, aggregated across
 #: planners and digest taps.  ``runs_vectorized`` counts drains that
 #: executed at least one virtual hop, ``hops_batched`` the virtual hops
-#: themselves,
-#: ``columnar_fallbacks`` virtual frames materialized back into packets
-#: (defusion or unclean probes), ``frames_bulk_hashed`` frames absorbed
-#: through the batched digest tap, and ``digest_flushes`` the contiguous
-#: buffers handed to SHA-256.  Benchmarks call :func:`reset_columnar`
-#: before a run so the numbers they embed are per-run.
+#: themselves, ``columnar_fallbacks`` virtual frames materialized back
+#: into packets (defusion or unclean probes) -- those three are settled
+#: by the planner at the end of each drain -- ``frames_bulk_hashed``
+#: frames absorbed through the batched digest tap, and ``digest_flushes``
+#: the contiguous buffers handed to SHA-256.  Benchmarks call
+#: :func:`reset_columnar` before a run so the numbers they embed are
+#: per-run.
 columnar = {
     "runs_vectorized": 0,
     "hops_batched": 0,

@@ -334,12 +334,8 @@ class P4ceProgram(SwitchProgram):
         # smaller 8-bit value -- which `<` computes directly since every
         # credit is already masked on write.  One method call per slot
         # (16 calls per ACK) disappears from the hottest gather loop.
-        # Open-coding also bypasses RegisterAction.execute's columnar
-        # barrier, so staged columnar credit writes must land here before
-        # the direct cell reads below (same memory-order contract).
-        watch = self.credits[0]._flight_watch
-        if watch is not None and watch._vactive:
-            watch.flush_columnar()
+        # Flight fusion's express gather calls this same method: there is
+        # one definition of the fold.
         minimum = EMPTY_CREDIT
         slot = 0
         for reg in self.credits:

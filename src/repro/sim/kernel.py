@@ -299,13 +299,6 @@ class Simulator:
         finally:
             self._event_count += executed
 
-    def _flush_columnar(self) -> None:
-        # Deferred columnar state lands before the caller can read
-        # registers or counters between runs.
-        planner = self._flight_planner
-        if planner is not None and planner._vactive:
-            planner.flush_columnar()
-
     def step(self) -> bool:
         """Run the single next event.  Returns False if none remain."""
         return self._run(None, 1) == 1
@@ -348,7 +341,6 @@ class Simulator:
             self._run(until, max_events)
         finally:
             self._running = False
-            self._flush_columnar()
 
     def run_until(self, predicate: Callable[[], bool], timeout: float,
                   check_every: Optional[float] = None) -> bool:
@@ -370,15 +362,12 @@ class Simulator:
                     # check_every-sized steps) is the only honest answer.
                     return predicate()
             return predicate()
-        try:
-            while not predicate():
-                if not self._run(deadline, 1):
-                    # Drained, or the next event lies beyond the deadline
-                    # (the clock now stands at it).
-                    return predicate()
-            return True
-        finally:
-            self._flush_columnar()
+        while not predicate():
+            if not self._run(deadline, 1):
+                # Drained, or the next event lies beyond the deadline
+                # (the clock now stands at it).
+                return predicate()
+        return True
 
 
 class ShardedKernel:

@@ -135,10 +135,9 @@ class Switch:
         self.cpu_handler: Optional[Callable[[int, Packet], None]] = None
         self.powered = True
         #: Per-port counter rows, indexed by port number.  A flat list:
-        #: the frame path indexes it on every hop, and the epoch-barrier
-        #: readers aggregate it as one slab (:meth:`counter_totals`) --
-        #: counters are never observed mid-flight, which is what lets
-        #: flight fusion batch whole windows of counter bumps between barriers.
+        #: the frame path (real handlers and flight fusion's express
+        #: stages alike) indexes it on every hop, and the epoch-barrier
+        #: readers aggregate it as one slab (:meth:`counter_totals`).
         self.counters: List[PortCounters] = [PortCounters()
                                              for _ in range(num_ports)]
         self.drops = 0
@@ -191,10 +190,9 @@ class Switch:
         """Device-wide counter slab: ``[rx_frames, tx_frames, rx_drops,
         egress_runs, drops, to_cpu]`` summed over every port in one pass.
 
-        This is the epoch-barrier read the sharded runners reconcile
-        (and the only sanctioned way to observe counters while flight fusion
-        may be holding a batched window): per-port rows are written on
-        the frame path, totals are derived only at barriers.
+        This is the epoch-barrier read the sharded runners reconcile:
+        per-port rows are written on the frame path, totals are derived
+        on demand -- current whenever it is called, mid-run included.
         """
         rx = tx = drops = egress = 0
         for c in self.counters:

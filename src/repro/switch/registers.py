@@ -16,8 +16,10 @@ failing test instead of silently wrong results.
 
 Cells are a plain Python list of masked ints under every fast-lane
 setting: the all-lanes-off reference, the real handlers and flight
-fusion's express stages read and write one representation, so every
-value that leaves a register is a plain ``int``.
+fusion's express stages read and write one representation -- each at its
+packet's turn, straight into the cells, so a register holds the same
+value at every instant whichever of them ran -- and every value that
+leaves a register is a plain ``int``.
 """
 
 from __future__ import annotations
@@ -67,41 +69,26 @@ class Register:
         return self._cells[index]
 
     def cp_write(self, index: int, value: int) -> None:
-        watch = self._flight_watch
-        if watch is not None:
-            # Staged columnar data-plane deltas represent
-            # operations that already happened *before* this control-plane
-            # write; land them first so the CP value wins, exactly as it
-            # would in the slow lane's memory order.
-            watch.flush_columnar()
         self._cells[index] = value & self.mask
         self.cp_epoch += 1
+        watch = self._flight_watch
         if watch is not None:
             watch.on_cp_write(self)
 
     def cp_fill(self, value: int) -> None:
-        watch = self._flight_watch
-        if watch is not None:
-            watch.flush_columnar()
         self._cells[:] = [value & self.mask] * self.size
         self.cp_epoch += 1
+        watch = self._flight_watch
         if watch is not None:
             watch.on_cp_write(self)
 
     def dp_scatter(self, indices, values) -> None:
-        """Apply a batch of data-plane cell writes.
-
-        Flight fusion's columnar flush uses this to land a drain's worth of
-        staged RMW results (NumRecv resets and counts, credit cells).
-        Values are masked here so callers can stage raw ints.  This is a
-        *data-plane* path: it does not bump ``cp_epoch`` and bypasses the
-        per-packet access guard, exactly like the express stages' direct
-        cell writes it batches.
-        """
-        mask = self.mask
-        cells = self._cells
+        """Masked data-plane writes to a batch of cells.  Frozen name, no
+        caller under ``src/`` (flight fusion's express stages write their
+        cells directly): ``bench/trace.py`` resolves it in the class
+        ``__dict__``; goes when ``BOUNDARIES`` drops it."""
         for index, value in zip(indices, values):
-            cells[index] = value & mask
+            self._cells[index] = value & self.mask
 
     def window(self, base: int, length: int) -> "RegisterWindow":
         """A bounds-checked view over ``[base, base+length)``.
@@ -165,13 +152,11 @@ class RegisterWindow:
         equality).
         """
         register = self.register
-        watch = register._flight_watch
-        if watch is not None:
-            watch.flush_columnar()
         base = self.base
         register._cells[base:base + self.length] = \
             [value & register.mask] * self.length
         register.cp_epoch += self.length
+        watch = register._flight_watch
         if watch is not None:
             watch.on_cp_write(register)
 
@@ -216,12 +201,6 @@ class RegisterAction:
             raise IndexError(
                 f"register {register.name!r}: index {index} out of range "
                 f"0..{register.size - 1}")
-        watch = register._flight_watch
-        if watch is not None and watch._vactive:
-            # Staged columnar deltas are older data-plane
-            # operations; land them before this packet's RMW reads the
-            # cell, restoring slow-lane memory order.
-            watch.flush_columnar()
         if register._accessed_this_packet and register._current_packet is not None:
             raise RegisterAccessError(
                 f"register {register.name!r}: second access in one packet pass "

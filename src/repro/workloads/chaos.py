@@ -26,7 +26,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from .. import fastlane, params
-from ..consensus import ClusterConfig, ShardedCluster
+from ..consensus import ClusterConfig, NotLeaderError, ShardedCluster
 from ..faults import (
     REJOIN_RECOVERY_BOUND_NS,
     ChaosController,
@@ -102,7 +102,7 @@ class ChaosLoadDriver:
             return
         try:
             self.cluster.propose(self.payload, self._on_commit)
-        except Exception:
+        except NotLeaderError:
             # Leaderless moment (election in progress): retry shortly.
             sim = self.cluster.sim
             sim.schedule_at_fire(sim.now + 100 * US, self._issue)

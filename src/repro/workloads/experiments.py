@@ -21,7 +21,8 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from .. import fastlane, params
-from ..consensus import Cluster, ClusterConfig, Role, ShardedCluster, SwitchFabric
+from ..consensus import (
+    Cluster, ClusterConfig, NotLeaderError, Role, ShardedCluster, SwitchFabric)
 from ..sim import ShardedKernel
 from ..sim.columnar import DigestTap
 from .metrics import LatencyRecorder, ThroughputWindow
@@ -92,7 +93,7 @@ class ClosedLoopDriver:
             return
         try:
             self.cluster.propose(self.payload, self._on_commit)
-        except Exception:
+        except NotLeaderError:
             # Leaderless moment (e.g. during fail-over): retry shortly.
             sim = self.cluster.sim
             sim.schedule_at_fire(sim.now + 100 * US, self._issue)
@@ -165,8 +166,8 @@ class OpenLoopDriver:
         self.offered += 1
         try:
             self.cluster.propose(self.payload, self._on_commit)
-        except Exception:
-            pass
+        except NotLeaderError:
+            pass  # leaderless moment: an open loop does not retry
         sim = self.cluster.sim
         sim.schedule_at_fire(sim.now + self.interval_ns, self._tick)
 

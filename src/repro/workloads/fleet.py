@@ -53,6 +53,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .. import params
 from ..consensus.cluster import ShardedCluster
+from ..consensus.member import NotLeaderError
 from ..consensus.ranges import HotRangePlanner, RangeKeyMap, RangeMove
 from ..sim import SeededRng
 from ..smr.machine import KvStore
@@ -276,7 +277,7 @@ class ServingDriver:
 
         try:
             self.cluster.propose_on(shard, command, on_commit)
-        except Exception:
+        except NotLeaderError:
             # Leaderless interval (takeover in flight): put the op back
             # and retry after a heartbeat period.
             self._inflight[shard] -= 1

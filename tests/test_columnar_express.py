@@ -12,11 +12,17 @@ with a random outage -- and each drawn scenario runs twice:
 Both must agree on every observable: the SHA-256 wire-trace digest
 (bytes + ICRC + timestamp of every frame on every link), the commit and
 executed-event counts, the final register slabs (NumRecv and the credit
-registers, cell for cell), and the *counter timeline* -- the device-wide
-switch counter slab and register slabs sampled at every ``run_for``
-barrier, so staged columnar state that leaked across a barrier (instead
-of landing at the kernel-exit flush) is caught at the slice where it
-first diverges, not just at the end.
+registers, cell for cell), and the *counter timeline*.  The timeline is
+sampled at every ``run_for`` barrier and -- because commit and apply
+callbacks are where SMR code runs -- from every member's ``on_apply``
+*inside* the run: the clock, the switch counter slab, every link's frame
+and byte totals in both directions, every NIC's packet counters, the
+program's scatter/gather counters, the match-action tables' hit/miss
+pairs and the register slabs.  An express stage that ran ahead of its
+turn, or wrote anywhere but where its real handler writes, is caught at
+the first sample that differs, not just at the end.  (The verdict
+caches' own ``hits`` are lane state -- zero with ``flow_cache`` off --
+so their fused-vs-unfused timeline lives in ``tests/test_flight_fusion``.)
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ from repro.workloads.experiments import (
 MS = 1_000_000
 
 #: run_for slice length: short enough that several barriers land inside
-#: the run (each one a kernel-exit columnar flush point), long enough to
-#: keep the matrix fast.
+#: the run, long enough to keep the matrix fast.
 _SLICE_NS = 0.1 * MS
 _SLICES = 4
 
@@ -42,6 +47,28 @@ def _register_slabs(cluster):
     """A copy of every stateful-register cell."""
     program = cluster.switch.program
     return [list(reg._cells) for reg in (program.numrecv, *program.credits)]
+
+
+def _observe(cluster):
+    """Everything a callback can read about the data path, right now.
+    The register slabs go in as hashes: thousands of samples are kept."""
+    switch = cluster.switch
+    program = switch.program
+    links = [port.link for port in switch.ports if port.link is not None]
+    nics = [host.nic for host in cluster.hosts]
+    tables = (switch.l3_table, program.bcast_table, program.aggr_table,
+              program.egress_conn_table)
+    return (
+        cluster.sim.now,
+        switch.counter_totals(),
+        [(s.frames, s.bytes) for link in links
+         for s in (link.stats_from(link.a), link.stats_from(link.b))],
+        [(n.packets_sent, n.packets_received, n.acks_sent) for n in nics],
+        (program.scattered, program.gathered_acks, program.forwarded_acks,
+         program.dropped_acks),
+        [(t.hits, t.misses) for t in tables],
+        [hash(tuple(cells)) for cells in _register_slabs(cluster)],
+    )
 
 
 def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
@@ -57,6 +84,13 @@ def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
         # foreign tap demands real frames and the path is declined.
         digest = install_trace_digest(cluster)
         leader = cluster.await_ready()
+        timeline = []
+
+        def on_apply(member, epoch, payload):
+            timeline.append(_observe(cluster))
+
+        for member in cluster.members.values():
+            member.on_apply = on_apply
         driver = ClosedLoopDriver(cluster, 64, window=window)
         driver.start()
         if fault_at_ns is not None:
@@ -65,14 +99,9 @@ def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
             schedule.at_ns(fault_at_ns + fault_outage_ns).heal_host(
                 leader.node_id)
             schedule.arm()
-        timeline = []
         for _ in range(_SLICES):
             cluster.run_for(_SLICE_NS)
-            # A run_for barrier is a kernel-exit columnar flush: staged
-            # columnar state must be indistinguishable from the slow
-            # lane's live writes here, mid-run.
-            timeline.append((cluster.switch.counter_totals(),
-                             _register_slabs(cluster)))
+            timeline.append(_observe(cluster))
         driver.stop()
         return {
             "digest": digest.hexdigest(),
@@ -88,7 +117,7 @@ def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
 
 _scenarios = st.fixed_dictionaries({
     "batching": st.booleans(),
-    "window": st.sampled_from((4, 32, 128)),
+    "window": st.sampled_from((1, 4, 32, 128)),
     # None -> a clean run; otherwise cut the leader's primary cable at a
     # random time and heal it after a random outage, so defusion, the
     # slow-path recovery, and re-engagement land at arbitrary points of
@@ -110,8 +139,11 @@ def test_fused_matches_reference(scenario):
                   fault_outage_ns=None if fault is None else fault[1])
     fused = _run("fused", **kwargs)
     slow = _run("slow", **kwargs)
-    for key in ("digest", "commits", "events", "slabs", "timeline"):
+    for key in ("digest", "commits", "events", "slabs"):
         assert fused[key] == slow[key], key
+    assert len(fused["timeline"]) == len(slow["timeline"])
+    for n, (a, b) in enumerate(zip(fused["timeline"], slow["timeline"])):
+        assert a == b, f"timeline sample {n} of {len(slow['timeline'])}"
     if fault is None and scenario["window"] >= 32:
         # A deep clean run must actually exercise the columnar kernels,
         # or the equalities above prove nothing about them (shallow

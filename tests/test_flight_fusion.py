@@ -7,6 +7,10 @@ digest over every frame accepted by every link (wire bytes + ICRC +
 timestamp), the commit count, and the kernel's executed-event count.
 The fused run must additionally prove it actually fused (and, for the
 fault scenarios, defused and re-engaged) via the planner's counters.
+Every run also samples the verdict caches' hit counters from every
+member's ``on_apply`` -- inside the run, where SMR code reads them -- and
+the two timelines must be equal: an express stage bumps them where and
+when the real handler's cache lookup does.
 """
 
 from __future__ import annotations
@@ -18,12 +22,17 @@ from repro.workloads.experiments import (
     ClosedLoopDriver, build_cluster, install_trace_digest)
 
 MS = 1_000_000
+US = 1_000
 
 
 def _run(fusion_on, fault_fn=None, run_ns=0.6 * MS, replicas=2,
-         value_size=64):
-    """One seeded closed-loop run; returns every observable we compare."""
-    fastlane.flags.set_all(True)
+         value_size=64, window=16, other_lanes=True, slices=1):
+    """One seeded closed-loop run; returns every observable we compare.
+    ``other_lanes=False`` makes the unfused run the all-lanes-off
+    reference instead of fusion's own off-half; ``slices`` cuts the run
+    into that many ``run_for`` calls, with ``probe["at_barrier"]`` (if
+    the fault function set one) called after each."""
+    fastlane.flags.set_all(other_lanes or fusion_on)
     fastlane.flags.flight_fusion = fusion_on
     try:
         cluster = build_cluster("p4ce", replicas, value_size=value_size,
@@ -32,19 +41,34 @@ def _run(fusion_on, fault_fn=None, run_ns=0.6 * MS, replicas=2,
         # with a foreign tap is declined (tests/test_fusion_decline.py).
         digest = install_trace_digest(cluster)
         leader = cluster.await_ready()
-        driver = ClosedLoopDriver(cluster, value_size, window=16)
+        program = cluster.switch.program
+        caches = (program._flow_cache, program._egress_cache,
+                  program._egress_templates)
+        cache_hits = []
+
+        def on_apply(member, epoch, payload):
+            cache_hits.append((cluster.sim.now, *(c.hits for c in caches)))
+
+        for member in cluster.members.values():
+            member.on_apply = on_apply
+        driver = ClosedLoopDriver(cluster, value_size, window=window)
         driver.start()
         cluster.run_for(0.1 * MS)
         planner = cluster.flight_planner
         probe = {}
         if fault_fn is not None:
             fault_fn(cluster, leader, planner, probe)
-        cluster.run_for(run_ns)
+        for _ in range(slices):
+            cluster.run_for(run_ns / slices)
+            if "at_barrier" in probe:
+                probe["at_barrier"]()
         driver.stop()
         return {
             "digest": digest.hexdigest(),
             "commits": driver.commits,
             "events": cluster.sim.events_executed,
+            "cache_hits": cache_hits,
+            "probe": probe,
             "flights_fused": planner.flights_fused,
             "defusions": planner.defusions,
             "runs_fused": planner.runs_fused,
@@ -63,6 +87,7 @@ def _assert_identical(fused, plain):
     assert fused["digest"] == plain["digest"]
     assert fused["commits"] == plain["commits"]
     assert fused["events"] == plain["events"]
+    assert fused["cache_hits"] == plain["cache_hits"]
 
 
 def _leader_link_fault(cluster, leader, planner, probe):
@@ -89,6 +114,80 @@ def _replica_crash_fault(cluster, leader, planner, probe):
     schedule = FaultSchedule(cluster)
     schedule.at_ns(0.1 * MS).crash_host(victim)
     schedule.arm()
+
+
+def _control_plane_register_writes(cluster, leader, planner, probe):
+    """Write one replica's credit register, then a NumRecv slot, from the
+    control plane while a 32-deep fused window is pending.  Every ACK the
+    gather forwards from here on is recorded with its aggregated
+    syndrome, and the group's NumRecv cells at every ``run_for`` barrier
+    (not from the spy: before the staging layer went, registers were
+    only current at kernel-run exit, and this test guards that change)."""
+    sim = cluster.sim
+    program = cluster.switch.program
+    forwarded = probe["forwarded"] = []
+    numrecv = probe["numrecv"] = []
+    rewrite = program._rewrite_to_leader
+
+    def spy(packet, bth, aeth, leader_psn, pre, new_syndrome):
+        # Both the real gather and the express stage forward through here.
+        forwarded.append((sim.now, leader_psn, new_syndrome))
+        probe["pre"] = pre
+        rewrite(packet, bth, aeth, leader_psn, pre, new_syndrome)
+
+    def at_barrier():
+        base = probe["pre"].numrecv_base
+        numrecv.append(program.numrecv._cells[base:base + _NUMRECV_SLOTS])
+
+    def write_credit():
+        probe["at_credit_write"] = len(forwarded)
+        # The cell of the replica that did *not* send the last forwarded
+        # ACK, set lower than anything a replica advertises: the group
+        # minimum until that replica's next ACK overwrites it.
+        pre = probe["pre"]
+        program.credits[1 - pre.credit_slot].cp_write(pre.group_index, 3)
+
+    def write_numrecv():
+        probe["at_numrecv_write"] = len(forwarded)
+        # The slot of the PSN forwarded last: its surplus ACK is still on
+        # its way, so a pending fused gather hop reads this cell next.
+        pre = probe["pre"]
+        program.numrecv.cp_write(
+            pre.numrecv_base + forwarded[-1][1] % _NUMRECV_SLOTS, 7)
+
+    program._rewrite_to_leader = spy
+    probe["at_barrier"] = at_barrier
+    sim.schedule(40 * US, write_credit)
+    sim.schedule(80 * US, write_numrecv)
+
+
+def test_mid_window_control_plane_register_writes_match_reference():
+    """The flush barriers that guarded ``cp_write`` are gone, and were not
+    load-bearing: a control-plane value written between fused hops wins
+    over every older data-plane write and loses to every later one,
+    exactly as with all lanes off."""
+    kwargs = dict(fault_fn=_control_plane_register_writes, window=32,
+                  other_lanes=False, slices=30)
+    fused = _run(fusion_on=True, **kwargs)
+    slow = _run(fusion_on=False, **kwargs)
+    assert fused["defusions"] >= 1
+    assert slow["flights_fused"] == 0
+    # Fusion re-engaged between and after the writes.
+    assert fused["flights_fused"] > fused["defusions"]
+    for key in ("digest", "commits", "events"):
+        assert fused[key] == slow[key], key
+    f, s = fused["probe"], slow["probe"]
+    assert f["at_credit_write"] == s["at_credit_write"]
+    assert f["at_numrecv_write"] == s["at_numrecv_write"]
+    assert f["at_credit_write"] < f["at_numrecv_write"] < len(f["forwarded"])
+    # The written credit is what the next forwarded ACK carries...
+    assert f["forwarded"][f["at_credit_write"]][2] == 3
+    # ...the written NumRecv value is in the cells at the barriers after
+    # it, until the PSN window wraps over that slot...
+    assert any(7 in cells for cells in f["numrecv"])
+    # ...and every syndrome and every later NumRecv cell agrees.
+    assert f["forwarded"] == s["forwarded"]
+    assert f["numrecv"] == s["numrecv"]
 
 
 def test_clean_run_fuses_and_matches_unfused_digest():

@@ -3,6 +3,12 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.consensus import ClusterConfig, ShardedCluster
+from repro.consensus.ranges import RangeKeyMap
+from repro.workloads.chaos import ChaosLoadDriver
+from repro.workloads.experiments import (
+    ClosedLoopDriver, OpenLoopDriver, build_cluster)
+from repro.workloads.fleet import ClientFleet, FleetConfig, ServingDriver
 from repro.workloads import (
     LatencyRecorder,
     ThroughputWindow,
@@ -101,6 +107,55 @@ class TestExperimentDrivers:
     def test_measure_failover_unknown_fault(self):
         with pytest.raises(ValueError):
             measure_failover("mu", 2, "meteor")
+
+
+class TestLoadDriversSurfaceErrors:
+    """The drivers ride out a leaderless moment (``NotLeaderError``) and
+    nothing else: a value that can never fit the log is a programming
+    error, and must stop the run instead of being retried forever."""
+
+    @pytest.mark.parametrize("driver_cls, kwargs", [
+        (ClosedLoopDriver, {"window": 4}),
+        (OpenLoopDriver, {"rate_per_sec": 1e5}),
+        (ChaosLoadDriver, {"window": 4}),
+    ])
+    def test_oversized_value_propagates(self, driver_cls, kwargs):
+        cluster = build_cluster("p4ce", 2, log_bytes=4096)
+        cluster.await_ready()
+        driver = driver_cls(cluster, 8192, **kwargs)
+        with pytest.raises(ValueError, match="entry larger than the log"):
+            driver.start()
+            cluster.run_for(1 * MS)
+
+    def test_oversized_value_propagates_from_serving_driver(self):
+        config = ClusterConfig(num_replicas=2, protocol="p4ce", seed=7,
+                               log_bytes=4096, batching=False)
+        cluster = ShardedCluster(1, config, mode="lanes",
+                                 key_map=RangeKeyMap.uniform(1024, 1))
+        cluster.await_ready()
+        fleet = ClientFleet(FleetConfig(
+            clients=100, offered_ops_per_sec=100_000.0, keyspace=1024,
+            value_size=8192))
+        driver = ServingDriver(cluster, fleet)
+        with pytest.raises(ValueError, match="entry larger than the log"):
+            driver.run(1 * MS, 0.5 * MS)
+
+    def test_killed_leader_window_still_refills(self):
+        cluster = build_cluster("p4ce", 2, seed=29)
+        leader = cluster.await_ready()
+        driver = ClosedLoopDriver(cluster, 32, window=4)
+        driver.start()
+        cluster.run_for(1 * MS)
+        cluster.kill_app(leader.node_id)
+        # Refills now raise NotLeaderError and retry every 100 us...
+        assert cluster.sim.run_until(
+            lambda: cluster.leader is not None
+            and cluster.leader.node_id != leader.node_id,
+            timeout=1_000 * MS)
+        at_takeover = driver.commits
+        cluster.run_for(3 * MS)
+        # ...until the new leader takes them.
+        assert driver.commits > at_takeover + driver.window
 
 
 class TestCli:
