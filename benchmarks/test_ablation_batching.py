@@ -29,7 +29,7 @@ def run_mode(batching: bool) -> dict:
     cluster.run_for(3 * MS)
     driver.throughput.close(cluster.sim.now)
     driver.stop()
-    qp = cluster.leader.switch_rep.qp
+    qp = cluster.leader.plane.qp
     ops = max(1, driver.throughput.commits)
     return {
         "goodput_gbps": driver.throughput.goodput_gbytes_per_sec,

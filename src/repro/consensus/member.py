@@ -9,13 +9,21 @@ A :class:`Member` runs on one :class:`~repro.rdma.host.Host` and owns:
 * the **permission lever** -- on a view change a replica re-configures
   its RDMA permissions "to exclusively allow the newly-chosen leader to
   write to its log";
-* the **communication plane** -- a :class:`DirectReplicator` (Mu, and
-  P4CE's fallback) and, for P4CE, a :class:`SwitchReplicator`.
+* one **communication plane** (``plane``), chosen once from the
+  protocol: the :class:`DirectReplicator` mesh every member has
+  (``direct``: Mu's plane, and both protocols' probe / adoption /
+  catch-up paths) or a :class:`SwitchReplicator` over it (P4CE).
+
+The member decides, the plane replicates: this module drives it through
+``bring_up`` (take-over step 4), ``submit``, ``replica_set_changed``,
+``stop`` and ``reset``; which path carries the next proposal is the
+plane's business (:mod:`repro.consensus.replication`), and ``comm_mode``
+only reads it.
 
 Leader take-over follows Mu: claim write permission on a majority
 (lease probes), reconcile the log against the longest log of a majority,
-re-replicate the adopted suffix, then (P4CE) configure the switch group
-and start serving.
+re-replicate the adopted suffix, then bring the plane up and start
+serving.
 """
 
 from __future__ import annotations
@@ -30,25 +38,15 @@ from ..net import Ipv4Address
 from ..p4ce.controlplane import LOG_SERVICE_ID
 from ..p4ce.wire import LeaderAdvert, MemberAdvert
 from ..rdma.cm import ConnectRequestInfo, ListenerReply
-from ..rdma.cq import WorkCompletion
-from ..rdma.errors import WcStatus
 from ..rdma.memory import Access
-from ..rdma.qp import QueuePair, WorkRequest, WrOpcode
-from ..sim import Timer
+from ..rdma.qp import QueuePair
 from .config import ClusterConfig
 from .heartbeat import HeartbeatService
-from .log import (
-    CONTROL_REGION_BYTES,
-    GRANTED_NONE,
-    Log,
-    pack_control,
-)
+from .log import GRANTED_NONE, Log, pack_control
 from .replication import (
     DirectReplicator,
     PendingEntry,
-    ReplicaPath,
     SwitchReplicator,
-    SwitchState,
     pack_log_grant,
 )
 
@@ -126,17 +124,12 @@ class Member:
         self.hb.set_control_writer(self._write_control)
         self.hb.on_paths_dead = self._reconnect_control_paths
         self._control_reconnect_at: Dict[int, float] = {}
-        #: Per-peer earliest next direct-path reconnect (backoff after a
-        #: refused handshake).
-        self._direct_reconnect_at: Dict[int, float] = {}
 
-        # Communication planes.
+        # Communication plane.  The mesh comes first: its CQ and QP
+        # numbers reach the wire.
         self.direct = DirectReplicator(self)
-        self.switch_rep: Optional[SwitchReplicator] = None
-        if config.protocol == "p4ce":
-            self.switch_rep = SwitchReplicator(self, cluster.switch_ip)
-        #: "switch" or "direct"; P4CE degrades to "direct" on errors.
-        self.comm_mode = "switch" if config.protocol == "p4ce" else "direct"
+        self.plane = (SwitchReplicator(self, cluster.switch_ip, self.direct)
+                      if config.protocol == "p4ce" else self.direct)
 
         # Server-side write QPs, keyed by the claiming leader's primary IP.
         self.granted_qps: Dict[int, List[QueuePair]] = {}
@@ -162,8 +155,6 @@ class Member:
         self._takeover_in_progress = False
         self._takeover_token = 0
         self._candidate_epoch_base = 0
-        self._switch_retry_timer = Timer(host.sim, self._retry_switch_path)
-        self._reconnect_pending: Dict[int, str] = {}
         self._last_replica_set: "frozenset[int]" = frozenset()
         #: Leader lease: absolute expiry of the right to serve local
         #: reads.  Renewed every heartbeat tick on which a majority's
@@ -184,8 +175,6 @@ class Member:
         self.stats = MemberStats()
 
         host.remote_write_watchers.append(self._on_remote_write)
-        host.nic.on_qp_error = self._on_qp_error
-        host.nic.on_unhealable_nak = self._on_unhealable_nak
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -200,8 +189,10 @@ class Member:
     def is_leader(self) -> bool:
         return self.role is Role.LEADER
 
-    def peer_ids(self) -> List[int]:
-        return sorted(self.peers)
+    @property
+    def comm_mode(self) -> str:
+        """"switch" iff the next proposal would take the BCast QP."""
+        return self.plane.mode
 
     def majority(self) -> int:
         """Machines (including self) forming a strict majority."""
@@ -226,8 +217,7 @@ class Member:
         """Connect heartbeat paths and the direct write mesh to all peers."""
         for info in self.peers.values():
             self._connect_control_path(info, "primary")
-            if info.backup_ip is not None:
-                self._connect_control_path(info, "backup")
+            self._connect_control_path(info, "backup")
             # Pre-establish the direct write path (no setup charge at
             # boot: machines come up idle and in parallel).
             self.direct.connect_path(info.node_id, info.primary_ip, "primary",
@@ -243,7 +233,7 @@ class Member:
         self._stopped = True
         self.role = Role.STOPPED
         self.hb.stop()
-        self._switch_retry_timer.stop()
+        self.plane.stop()
 
     def restart(self) -> None:
         """Rejoin the group after :meth:`stop` (or a full host crash).
@@ -282,32 +272,21 @@ class Member:
         self._queued.clear()
         self._catchup.clear()
         self._descriptor_watch.clear()
-        self._reconnect_pending.clear()
         self._control_reconnect_at.clear()
-        self._direct_reconnect_at.clear()
         self._last_replica_set = frozenset()
-        self.comm_mode = "switch" if self.config.protocol == "p4ce" else "direct"
-        # Our outbound planes: every QP we owned may be dead (host crash
+        # Our outbound plane: every QP we owned may be dead (host crash
         # power-cycles the NIC) or stale; rebuild them all.
-        self.direct.reset()
-        if self.switch_rep is not None:
-            self.switch_rep.reset()
-        # A crash loses the NIC's QP table, so the error callbacks were
-        # lost with it; re-attach them.
-        self.host.nic.on_qp_error = self._on_qp_error
-        self.host.nic.on_unhealable_nak = self._on_unhealable_nak
+        self.plane.reset()
         self.hb.reset_paths()
         for info in self.peers.values():
             self._connect_control_path(info, "primary")
-            if info.backup_ip is not None:
-                self._connect_control_path(info, "backup")
+            self._connect_control_path(info, "backup")
         # Re-publish the control region (descriptor may be stale if a
         # leader caught our log up while we were down and crashed-host
         # writes raced the stop) and resume applying committed entries.
         self._consume_and_apply()
         self._update_descriptor()
         self.hb.start(phase=self.node_id * 1_000)
-        self.stats.restarts += 1
 
     # ------------------------------------------------------------------
     # Control region
@@ -373,8 +352,7 @@ class Member:
             return
         self.hb.drop_failed_paths(node_id)
         self._connect_control_path(info, "primary")
-        if info.backup_ip is not None:
-            self._connect_control_path(info, "backup")
+        self._connect_control_path(info, "backup")
 
     def _connect_control_path(self, info: PeerInfo, route: str) -> None:
         ip = info.primary_ip if route == "primary" else info.backup_ip
@@ -564,7 +542,7 @@ class Member:
             if self.direct.probe(info.node_id, lease_payload, on_probe):
                 state["total"] += 1
             else:
-                self._ensure_direct_path(info, "primary")
+                self.direct.ensure_path(info.node_id, "primary")
         if state["total"] < needed:
             sim.schedule_at_fire(sim.now + self.config.heartbeat_period_ns,
                                  self._probe_majority, token)
@@ -654,7 +632,8 @@ class Member:
 
     def _rereplicate_suffix(self, token: int, descriptors: Dict[int, int],
                             target: int) -> None:
-        """Step 3: bring stragglers up to the adopted log, then go live."""
+        """Step 3: bring stragglers up to the adopted log; step 4: bring
+        up the communication plane; step 5 (:meth:`_go_live`): serve."""
         if token != self._takeover_token or self._stopped:
             return
         self.commit_offset = target
@@ -665,43 +644,7 @@ class Member:
             # permission races or path churn) until they publish a
             # descriptor at the adopted offset.
             self._catchup.add(node_id)
-        self._setup_engine(token)
-
-    def _setup_engine(self, token: int) -> None:
-        """Step 4: bring up the communication plane; step 5: serve."""
-        if token != self._takeover_token or self._stopped:
-            return
-        if self.config.protocol == "p4ce" and self.comm_mode == "switch":
-            assert self.switch_rep is not None
-            replica_ips = [i.primary_ip for i in self._alive_replica_infos()]
-            if self.config.async_reconfig:
-                # Lesson 3's asynchronous variant: serve immediately over
-                # the direct plane; upgrade when the group goes active.
-                self.comm_mode = "direct"
-
-                def on_group_async(ok: bool) -> None:
-                    if not ok or self.role is not Role.LEADER:
-                        return
-                    self.comm_mode = "switch"
-                    self.stats.switch_recoveries += 1
-
-                self.switch_rep.setup(replica_ips, self.epoch, on_group_async)
-                self._go_live(token)
-                return
-
-            def on_group(ok: bool) -> None:
-                if token != self._takeover_token:
-                    return
-                if not ok:
-                    # Switch unreachable: serve via the direct plane and
-                    # keep retrying acceleration in the background.
-                    self.comm_mode = "direct"
-                    self._switch_retry_timer.start(self.config.switch_retry_period_ns)
-                self._go_live(token)
-
-            self.switch_rep.setup(replica_ips, self.epoch, on_group)
-        else:
-            self._go_live(token)
+        self.plane.bring_up(lambda: self._go_live(token))
 
     def _go_live(self, token: int) -> None:
         if token != self._takeover_token or self._stopped:
@@ -709,7 +652,6 @@ class Member:
         self.role = Role.LEADER
         self._takeover_in_progress = False
         self._last_replica_set = frozenset(self.hb.alive_ids(include_self=False))
-        self.stats.became_leader_at = self.host.sim.now
         self.cluster.notify_leader(self)
         while self._queued:
             payload, callback = self._queued.popleft()
@@ -748,23 +690,7 @@ class Member:
             self._batch_queue.append(entry)
             self._flush_batches()
             return
-        self._replicate_one(entry)
-
-    def _replicate_one(self, entry: PendingEntry) -> None:
-        if self.comm_mode == "switch" and self.switch_rep is not None \
-                and self.switch_rep.usable:
-            entry.needed = 1  # the aggregated ACK carries the whole quorum
-            if self.switch_rep.replicate(entry):
-                return
-            self.comm_mode = "direct"
-            self._switch_retry_timer.start(self.config.switch_retry_period_ns)
-        entry.needed = self.config.ack_quorum
-        posted = self.direct.replicate(entry)
-        if posted == 0 and not entry.quorate:
-            # No usable path at all: retry after reconnects progress.
-            sim = self.host.sim
-            sim.schedule_at_fire(sim.now + self.config.heartbeat_period_ns,
-                                 self._replicate_one, entry)
+        self.plane.submit(entry)
 
     # -- doorbell batching ---------------------------------------------------------
 
@@ -800,7 +726,7 @@ class Member:
                     b"", self.epoch, None, batch_entries[0].submitted_at)
                 carrier.children = batch_entries
             self._batches_inflight += 1
-            self._replicate_one(carrier)
+            self.plane.submit(carrier)
 
     def entry_quorate(self, entry: PendingEntry) -> None:
         """Called by a replicator when the entry reached its ACK quorum."""
@@ -874,126 +800,6 @@ class Member:
     # Failure handling
     # ------------------------------------------------------------------
 
-    def direct_path_failed(self, path: ReplicaPath, status: WcStatus,
-                           entry: Optional[PendingEntry]) -> None:
-        if self._stopped or self.role is not Role.LEADER:
-            return
-        self.stats.path_failures += 1
-        if status is WcStatus.REMOTE_ACCESS_ERROR:
-            # Our permission was revoked: someone else leads now.  The
-            # election will demote us once heartbeats agree.
-            return
-        info = self.peers.get(path.node_id)
-        if info is None:
-            return
-        if self.hb.is_alive(path.node_id):
-            # The replica is alive but unreachable on this route: the
-            # primary network (the switch) is suspect -> backup route.
-            self._ensure_direct_path(info, "backup")
-
-    def switch_path_failed(self, status: WcStatus, entry: PendingEntry,
-                           drained: List[PendingEntry]) -> None:
-        """P4CE fallback: "the leader starts sending packets to individual
-        replicas instead of using the switch" (section III-A)."""
-        if self._stopped:
-            return
-        self.stats.switch_failures += 1
-        self.comm_mode = "direct"
-        self._switch_retry_timer.start(self.config.switch_retry_period_ns)
-        # Re-issue everything whose aggregated ACK we will never see.
-        retry = [entry] + drained if entry is not None else list(drained)
-        for item in retry:
-            if item.quorate:
-                continue
-            item.acks = 0
-            item.needed = self.config.ack_quorum
-            posted = self.direct.replicate(item)
-            if posted == 0:
-                for info in self._alive_replica_infos():
-                    self._ensure_direct_path(info, self._preferred_route())
-                sim = self.host.sim
-                sim.schedule_at_fire(sim.now + params.RDMA_TIMEOUT_NS,
-                                     self._replicate, item)
-
-    def _preferred_route(self) -> str:
-        # After a switch crash the primary star is gone.
-        if self.cluster.switch_alive():
-            return "primary"
-        return "backup"
-
-    def _ensure_direct_path(self, info: PeerInfo, route: str) -> None:
-        existing = self.direct.paths.get(info.node_id)
-        if existing is not None and existing.usable and existing.route == route:
-            return
-        if self._reconnect_pending.get(info.node_id) == route:
-            return
-        if self.host.sim.now < self._direct_reconnect_at.get(info.node_id, 0.0):
-            return
-        self._reconnect_pending[info.node_id] = route
-        ip = info.primary_ip if route == "primary" else info.backup_ip
-        nic = self.host.nic if route == "primary" else self.host.backup_nic
-        if ip is None or nic is None:
-            self._reconnect_pending.pop(info.node_id, None)
-            return
-        self.direct.drop_path(info.node_id)
-
-        def done(ok: bool) -> None:
-            self._reconnect_pending.pop(info.node_id, None)
-            if ok:
-                self._direct_reconnect_at.pop(info.node_id, None)
-                self._flush_unquorate()
-            else:
-                # Each attempt serializes CONNECTION_SETUP_CPU_NS on the
-                # one-core CPU; retrying every heartbeat tick against a
-                # peer that keeps refusing would starve replication.
-                self._direct_reconnect_at[info.node_id] = (
-                    self.host.sim.now + params.CONNECTION_SETUP_CPU_NS)
-
-        self.direct.connect_path(info.node_id, ip, route, nic, done,
-                                 setup_cost=True)
-
-    def _flush_unquorate(self) -> None:
-        for entry in list(self.inflight):
-            if not entry.quorate:
-                entry.acks = 0
-                entry.needed = self.config.ack_quorum
-                self.direct.replicate(entry)
-
-    def _retry_switch_path(self) -> None:
-        """Periodically try to regain in-network acceleration.
-
-        Covers two unhealthy shapes: the direct-mode fallback (regain
-        the switch plane), and a live group rebuild that failed while
-        the previous group kept serving (``comm_mode`` still "switch"
-        but the replicator is FAILED -- e.g. a healed partition where
-        the rebuilt group was rejected; nothing else would retry it).
-        """
-        if self._stopped or self.role is not Role.LEADER \
-                or self.switch_rep is None:
-            return
-        if self.comm_mode == "switch" \
-                and self.switch_rep.state != SwitchState.FAILED:
-            return  # healthy, or a rebuild is already in flight
-        if not self.cluster.switch_alive():
-            self._switch_retry_timer.start(self.config.switch_retry_period_ns)
-            return
-        replica_ips = [i.primary_ip for i in self._alive_replica_infos()]
-        if not replica_ips:
-            self._switch_retry_timer.start(self.config.switch_retry_period_ns)
-            return
-
-        def on_group(ok: bool) -> None:
-            if ok and self.role is Role.LEADER:
-                if self.comm_mode != "switch":
-                    self.comm_mode = "switch"
-                    self.stats.switch_recoveries += 1
-                self.stats.group_reconfigs += 1
-                self.cluster.notify_group_reconfigured(self)
-            else:
-                self._switch_retry_timer.start(self.config.switch_retry_period_ns)
-
-        self.switch_rep.setup(replica_ips, self.epoch, on_group)
-
     def _renew_lease(self, alive: List[int]) -> None:
         granting = 1  # ourselves
         for nid in alive:
@@ -1018,39 +824,18 @@ class Member:
         dead = self._last_replica_set - live_replicas
         revived = live_replicas - self._last_replica_set
         self._last_replica_set = live_replicas
-        if not dead and not revived:
-            return
-        if dead:
-            self.stats.replica_exclusions += 1
-            for node_id in dead:
-                # Mu: "the leader simply excludes the replica from its
-                # multicast group" -- stop posting to it.
-                self.direct.drop_path(node_id)
-                self._catchup.discard(node_id)
+        for node_id in dead:
+            # Mu: "the leader simply excludes the replica from its
+            # multicast group" -- stop posting to it.
+            self.direct.drop_path(node_id)
+            self._catchup.discard(node_id)
         for node_id in revived:
             # A straggler came back: bring its log up to date (direct
             # writes) and, for P4CE, fold it back into the group.
             self._catchup.add(node_id)
-            info = self.peers.get(node_id)
-            if info is not None:
-                self._ensure_direct_path(info, self._preferred_route())
-        if self.comm_mode == "switch" and self.switch_rep is not None:
-            # P4CE additionally reconfigures the communication group
-            # (+40 ms); the old group keeps serving meanwhile.
-            replica_ips = [i.primary_ip for i in self._alive_replica_infos()]
-            if replica_ips:
-                def on_group(ok: bool) -> None:
-                    if ok:
-                        self.stats.group_reconfigs += 1
-                        self.cluster.notify_group_reconfigured(self)
-                    else:
-                        # Rejected or timed out (a healed follower may
-                        # still fence on a failed-candidacy epoch for a
-                        # few ticks): the replica set won't change again,
-                        # so nothing re-issues this rebuild -- retry it.
-                        self._switch_retry_timer.start(
-                            self.config.switch_retry_period_ns)
-                self.switch_rep.setup(replica_ips, self.epoch, on_group)
+            self.direct.ensure_path(node_id)
+        # P4CE additionally reconfigures the communication group.
+        self.plane.replica_set_changed()
 
     def _watch_descriptors(self, alive: List[int]) -> None:
         """Detect logs that are behind and stuck.
@@ -1095,33 +880,13 @@ class Member:
                 continue
             path = self.direct.paths.get(node_id)
             if path is None or not path.usable:
-                info = self.peers.get(node_id)
-                if info is not None:
-                    self._ensure_direct_path(info, self._preferred_route())
+                self.direct.ensure_path(node_id)
                 continue
             length = min(self.commit_offset - descriptor, MAX_BYTES_PER_TICK)
             for segment in self.log.raw_segments(descriptor, length):
                 self.host.post_write(path.qp, segment.data,
                                      path.log_va + segment.physical_offset,
                                      path.log_rkey, nic=path.nic)
-
-    def _on_qp_error(self, qp: QueuePair, status: WcStatus) -> None:
-        # Per-QP errors already surface through CQE paths; this async
-        # hook exists for QPs that die with nothing outstanding.
-        return
-
-    def _on_unhealable_nak(self, qp: QueuePair) -> None:
-        """A replica lost a packet the quorum already acknowledged.
-
-        Go-back-N cannot repair it (the leader's window has moved on), so
-        the transport escalates.  Per section III-A we revert to the
-        un-accelerated path: the per-replica direct QPs re-write the
-        affected log range, healing the straggler.
-        """
-        if self._stopped:
-            return
-        if self.switch_rep is not None and qp is self.switch_rep.qp:
-            self.switch_rep.fail(WcStatus.REMOTE_OPERATIONAL_ERROR)
 
     # ------------------------------------------------------------------
 
@@ -1135,23 +900,15 @@ class MemberStats:
 
     def __init__(self) -> None:
         self.view_changes = 0
-        self.restarts = 0
-        self.path_failures = 0
         self.switch_failures = 0
         self.switch_recoveries = 0
-        self.replica_exclusions = 0
         self.group_reconfigs = 0
-        self.became_leader_at = 0.0
         self.commit_count = 0
         self.commit_latency_sum = 0.0
-        self.commit_latencies: List[float] = []
-        self.record_latencies = False
 
     def record_commit(self, entry: PendingEntry) -> None:
         self.commit_count += 1
         self.commit_latency_sum += entry.latency_ns
-        if self.record_latencies:
-            self.commit_latencies.append(entry.latency_ns)
 
     @property
     def mean_latency_ns(self) -> float:

@@ -3,14 +3,21 @@
 Both planes replicate the same decision protocol's log entries; they
 differ exactly as Fig. 2 shows:
 
-* :class:`DirectReplicator` (Mu, and P4CE's fallback): the leader posts
-  one RDMA write *per replica* per entry and counts ACK completions
-  itself -- n (post + poll) CPU pairs per consensus, and the leader's
-  link carries n copies of the value.
-* :class:`SwitchReplicator` (P4CE): the leader posts a single write to
-  the switch's BCast QP; the data plane scatters it and returns exactly
-  one aggregated ACK -- one (post + poll) pair and one copy on the link,
-  independent of n.
+* :class:`DirectReplicator` (Mu's plane, and every member's mesh): the
+  leader posts one RDMA write *per replica* per entry and counts ACK
+  completions itself -- n (post + poll) CPU pairs per consensus, and the
+  leader's link carries n copies of the value.
+* :class:`SwitchReplicator` (P4CE's plane, over that mesh): the leader
+  posts a single write to the switch's BCast QP; the data plane scatters
+  it and returns exactly one aggregated ACK -- one (post + poll) pair and
+  one copy on the link, independent of n.
+
+A :class:`~repro.consensus.member.Member` decides and drives its plane
+through ``bring_up(on_ready)`` (take-over step 4), ``submit(entry)``,
+``replica_set_changed()``, ``stop()`` and ``reset()``.  Which path
+carries the next proposal (``mode``) and when to win the switch back
+are the plane's alone: the mesh owns its reconnect state, the switch
+plane its :class:`SwitchState`, the fall-back and the retry timer.
 
 Entries are tracked as :class:`PendingEntry` and handed back to the
 member when their ACK quorum is reached; commit *ordering* is the
@@ -25,9 +32,10 @@ from .. import params
 from ..net import Ipv4Address
 from ..p4ce.controlplane import GROUP_SERVICE_ID, LOG_SERVICE_ID
 from ..p4ce.wire import GroupRequest, LeaderAdvert, MemberAdvert
-from ..rdma.cq import CompletionQueue, WorkCompletion
+from ..rdma.cq import WorkCompletion
 from ..rdma.errors import WcStatus
-from ..rdma.qp import QpState, QueuePair
+from ..rdma.qp import QpState, QueuePair, WorkRequest, WrOpcode
+from ..sim import Timer
 from .log import Segment
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,12 +129,22 @@ def unpack_log_grant(data: bytes) -> "tuple[MemberAdvert, MemberAdvert]":
 
 
 class DirectReplicator:
-    """Mu's communication plane: one write per replica per entry."""
+    """Mu's communication plane: one write per replica per entry.
+
+    Also every member's mesh: lease probes, adoption reads and catch-up
+    writes travel these paths, and P4CE falls back to them.
+    """
+
+    mode = "direct"  # what Member.comm_mode reads
 
     def __init__(self, member: "Member"):
         self.member = member
         self.host: "Host" = member.host
         self.paths: Dict[int, ReplicaPath] = {}
+        #: Per peer: route of the reconnect in flight, and the earliest
+        #: next one (backoff after a refused handshake).
+        self._reconnect_pending: Dict[int, str] = {}
+        self._reconnect_at: Dict[int, float] = {}
         self.cq = self.host.create_cq(f"{self.host.name}.repl-cq")
         self.cq.on_completion = self._on_completion_raw
         self._wr_entries: Dict[int, "tuple[PendingEntry, ReplicaPath]"] = {}
@@ -179,8 +197,77 @@ class DirectReplicator:
         if path is not None:
             path.active = False
 
+    def ensure_path(self, node_id: int, route: Optional[str] = None) -> None:
+        """Reconnect to a peer unless a usable path on ``route`` exists, is
+        being set up, or is backing off.  Default route: the primary star
+        while the switch is up, the backup network after it crashed."""
+        info = self.member.peers.get(node_id)
+        if info is None:
+            return
+        if route is None:
+            route = ("primary" if self.member.cluster.switch_alive()
+                     else "backup")
+        existing = self.paths.get(node_id)
+        if existing is not None and existing.usable and existing.route == route:
+            return
+        if self._reconnect_pending.get(node_id) == route:
+            return
+        if self.host.sim.now < self._reconnect_at.get(node_id, 0.0):
+            return
+        self._reconnect_pending[node_id] = route
+        ip = info.primary_ip if route == "primary" else info.backup_ip
+        nic = self.host.nic if route == "primary" else self.host.backup_nic
+        if ip is None or nic is None:
+            self._reconnect_pending.pop(node_id, None)
+            return
+        self.drop_path(node_id)
+
+        def done(ok: bool) -> None:
+            self._reconnect_pending.pop(node_id, None)
+            if ok:
+                self._reconnect_at.pop(node_id, None)
+                self._reissue_unquorate()
+            else:
+                # Each attempt serializes CONNECTION_SETUP_CPU_NS on the
+                # one-core CPU; retrying every heartbeat tick against a
+                # peer that keeps refusing would starve replication.
+                self._reconnect_at[node_id] = (
+                    self.host.sim.now + params.CONNECTION_SETUP_CPU_NS)
+
+        self.connect_path(node_id, ip, route, nic, done)
+
+    def _reissue_unquorate(self) -> None:
+        for entry in list(self.member.inflight):
+            if not entry.quorate:
+                entry.acks = 0
+                entry.needed = self.member.config.ack_quorum
+                self.replicate(entry)
+
+    # -- the plane a Mu member drives -------------------------------------------------
+
+    def bring_up(self, on_ready: Callable[[], None]) -> None:
+        """Take-over step 4: the mesh is up since boot."""
+        on_ready()
+
+    def submit(self, entry: PendingEntry) -> None:
+        """Replicate one proposal (or coalesced batch) to every replica."""
+        entry.needed = self.member.config.ack_quorum
+        if self.replicate(entry) == 0 and not entry.quorate:
+            # No usable path at all: retry after reconnects progress,
+            # through whichever plane the member drives by then.
+            sim = self.host.sim
+            sim.schedule_at_fire(
+                sim.now + self.member.config.heartbeat_period_ns,
+                self.member.plane.submit, entry)
+
+    def replica_set_changed(self) -> None:
+        """Nothing to reconfigure: the member drops and reconnects paths."""
+
+    def stop(self) -> None:
+        """No timer of its own to stop."""
+
     def reset(self) -> None:
-        """Forget every path and every tracked work request (member
+        """Forget every path, reconnect and tracked work request (member
         restart: each QP may be dead or stale, and completions still in
         flight from before the stop must find nothing to call)."""
         for node_id in list(self.paths):
@@ -189,6 +276,8 @@ class DirectReplicator:
         self._wr_probes.clear()
         self._wr_reads.clear()
         self._connecting.clear()
+        self._reconnect_pending.clear()
+        self._reconnect_at.clear()
 
     # -- replication ------------------------------------------------------------------
 
@@ -238,7 +327,6 @@ class DirectReplicator:
             return False
         wr_id = self.host.fresh_wr_id()
         self._wr_reads[wr_id] = on_done
-        from ..rdma.qp import WorkRequest, WrOpcode
         wr = WorkRequest(wr_id, WrOpcode.RDMA_READ,
                          remote_va=path.log_va + remote_offset,
                          r_key=path.log_rkey, length=length, local_va=local_va)
@@ -274,11 +362,24 @@ class DirectReplicator:
                 self.member.entry_quorate(entry)
         else:
             self._path_failed(path, wc.status)
-            self.member.direct_path_failed(path, wc.status, entry)
+            self._reroute(path, wc.status)
 
     def _path_failed(self, path: ReplicaPath, status: WcStatus) -> None:
         path.active = False
         self.paths.pop(path.node_id, None)
+
+    def _reroute(self, path: ReplicaPath, status: WcStatus) -> None:
+        """A leader's write to a replica failed: try the other network."""
+        member = self.member
+        if not member.is_leader or status is WcStatus.REMOTE_ACCESS_ERROR:
+            # Not ours to repair -- or our permission was revoked: someone
+            # else leads now, and the election will demote us once
+            # heartbeats agree.
+            return
+        if member.hb.is_alive(path.node_id):
+            # The replica is alive but unreachable on this route: the
+            # primary network (the switch) is suspect -> backup route.
+            self.ensure_path(path.node_id, "backup")
 
 
 class SwitchState:
@@ -289,31 +390,128 @@ class SwitchState:
 
 
 class SwitchReplicator:
-    """P4CE's communication plane: one write + one aggregated ACK."""
+    """P4CE's communication plane: one write + one aggregated ACK.
 
-    def __init__(self, member: "Member", switch_ip: Ipv4Address):
+    A proposal takes the BCast QP while the group is :attr:`usable` and
+    the member's direct mesh otherwise: for the ~40 ms of every rebuild,
+    and after a fall-back until the retry timer wins the switch back.
+    """
+
+    def __init__(self, member: "Member", switch_ip: Ipv4Address,
+                 direct: DirectReplicator):
         self.member = member
         self.host: "Host" = member.host
         self.switch_ip = switch_ip
+        self.direct = direct
         self.state = SwitchState.IDLE
         self.qp: Optional[QueuePair] = None
         self.virtual_base = 0
         self.virtual_rkey = 0
-        self.group_size = 0
         self.cq = self.host.create_cq(f"{self.host.name}.bcast-cq")
         self.cq.on_completion = self._on_completion_raw
         self._wr_entries: Dict[int, PendingEntry] = {}
         self._generation = 0
+        #: The leader gave the switch path up (section III-A) or went
+        #: live ahead of it (``async_reconfig``): the rebuild that wins
+        #: it back counts as a ``switch_recoveries``, and replica-set
+        #: changes wait for it.  A failed *live* rebuild is not one.
+        self._fallen_back = False
+        self._retry_timer = Timer(self.host.sim, self._retry)
+        self.host.nic.on_unhealable_nak = self._on_unhealable_nak
+
+    @property
+    def mode(self) -> str:
+        """"switch" iff the next proposal would take the BCast QP."""
+        return "switch" if self.usable else "direct"
+
+    # -- the plane a P4CE member drives ------------------------------------------------
+
+    def bring_up(self, on_ready: Callable[[], None]) -> None:
+        """Take-over step 4: configure the group, then serve -- whatever
+        path an earlier leadership of this machine ended on."""
+        if self.member.config.async_reconfig:
+            # Lesson 3's asynchronous variant: serve immediately over
+            # the direct plane; upgrade when the group goes active.
+            self._fallen_back = True
+
+            def on_group_async(ok: bool) -> None:
+                if ok and self.member.is_leader:
+                    self._fallen_back = False
+                    self.member.stats.switch_recoveries += 1
+
+            self.rebuild(on_group_async)
+            on_ready()
+            return
+        self._fallen_back = False
+
+        def on_group(ok: bool) -> None:
+            if not ok:
+                # Switch unreachable: serve via the direct plane and
+                # keep retrying acceleration in the background.
+                self._fall_back()
+            on_ready()
+
+        self.rebuild(on_group)
+
+    def submit(self, entry: PendingEntry) -> None:
+        """Replicate one proposal (or coalesced batch)."""
+        if self.usable:
+            entry.needed = 1  # the aggregated ACK carries the whole quorum
+            self.replicate(entry)
+        else:
+            self.direct.submit(entry)
+
+    def replica_set_changed(self) -> None:
+        """Reconfigure the group (+40 ms, Table IV row 'replica').  The
+        switch keeps the old one programmed meanwhile, but the leader
+        does not use it: proposals go direct until the new one is active."""
+        if self._fallen_back or not self.member.hb.alive_ids(include_self=False):
+            return
+
+        def on_group(ok: bool) -> None:
+            if ok:
+                self.member.stats.group_reconfigs += 1
+                self.member.cluster.notify_group_reconfigured(self.member)
+            else:
+                # Rejected or timed out (a healed follower may still
+                # fence on a failed-candidacy epoch for a few ticks):
+                # the replica set won't change again, so nothing
+                # re-issues this rebuild -- retry it.
+                self._arm_retry()
+
+        self.rebuild(on_group)
+
+    def stop(self) -> None:
+        self._retry_timer.stop()
+
+    def reset(self) -> None:
+        """Back to ``IDLE`` with no QP and no tracked entries, the mesh
+        included (member restart); a setup in flight is superseded.  A
+        crash lost the NIC's callbacks: the NAK hook is re-attached."""
+        self.direct.reset()
+        self._generation += 1
+        self.state = SwitchState.IDLE
+        self.qp = None
+        self._wr_entries.clear()
+        self._fallen_back = False
+        self.host.nic.on_unhealable_nak = self._on_unhealable_nak
 
     # -- group management --------------------------------------------------------------
 
+    def rebuild(self, on_done: Callable[[bool], None]) -> None:
+        """(Re)create the group around the replicas alive now: the one
+        caller of :meth:`setup`.  Arms and counts nothing -- what a failed
+        rebuild means is its caller's to say."""
+        member = self.member
+        self.setup([info.primary_ip for info in member._alive_replica_infos()],
+                   member.epoch, on_done)
+
     def setup(self, replica_ips: List[Ipv4Address], epoch: int,
               on_done: Callable[[bool], None]) -> None:
-        """(Re)create the communication group through the control plane.
+        """The CM exchange with the control plane under :meth:`rebuild`.
 
-        Takes ~``SWITCH_RECONFIG_NS`` (40 ms); while it runs, an existing
-        group keeps serving, so this can be invoked live to exclude a
-        crashed replica.
+        Takes ~``SWITCH_RECONFIG_NS`` (40 ms), during which the
+        replicator is not :attr:`usable`: proposals go direct.
         """
         self.state = SwitchState.CONNECTING
         self._generation += 1
@@ -334,21 +532,12 @@ class SwitchReplicator:
             self.qp.max_pending = max_pending
             self.virtual_base = advert.virtual_address
             self.virtual_rkey = advert.r_key
-            self.group_size = len(replica_ips)
             self.state = SwitchState.ACTIVE
             on_done(True)
 
         self.host.cm.connect(
             self.switch_ip, GROUP_SERVICE_ID, qp, request.pack(), established,
             timeout_ns=2 * params.SWITCH_RECONFIG_NS)
-
-    def reset(self) -> None:
-        """Back to ``IDLE`` with no QP and no tracked entries (member
-        restart); a setup still in flight is superseded."""
-        self._generation += 1
-        self.state = SwitchState.IDLE
-        self.qp = None
-        self._wr_entries.clear()
 
     def _window_for(self, configured: int) -> int:
         """Cap in-flight requests so their PSN span fits NumRecv.
@@ -369,6 +558,66 @@ class SwitchReplicator:
     def usable(self) -> bool:
         return (self.state == SwitchState.ACTIVE and self.qp is not None
                 and self.qp.state is QpState.RTS)
+
+    # -- fall-back and retry -----------------------------------------------------------
+
+    def _arm_retry(self) -> None:
+        self._retry_timer.start(self.member.config.switch_retry_period_ns)
+
+    def _fall_back(self) -> None:
+        self._fallen_back = True
+        self._arm_retry()
+
+    def _retry(self) -> None:
+        """Periodically try to regain in-network acceleration.
+
+        Covers two unhealthy shapes: the fall-back (regain the switch
+        plane), and a live group rebuild that failed (``FAILED`` without
+        a fall-back -- e.g. a healed partition where the rebuilt group
+        was rejected; nothing else would retry it).
+        """
+        member = self.member
+        if not member.is_leader:
+            return
+        if not self._fallen_back and self.state != SwitchState.FAILED:
+            return  # healthy, or a rebuild is already in flight
+        if not member.cluster.switch_alive() \
+                or not member.hb.alive_ids(include_self=False):
+            self._arm_retry()
+            return
+
+        def on_group(ok: bool) -> None:
+            if ok and member.is_leader:
+                if self._fallen_back:
+                    self._fallen_back = False
+                    member.stats.switch_recoveries += 1
+                member.stats.group_reconfigs += 1
+                member.cluster.notify_group_reconfigured(member)
+            else:
+                self._arm_retry()
+
+        self.rebuild(on_group)
+
+    def _path_lost(self, lost: List[PendingEntry]) -> None:
+        """P4CE fallback: "the leader starts sending packets to individual
+        replicas instead of using the switch" (section III-A)."""
+        member = self.member
+        if member._stopped:
+            return
+        member.stats.switch_failures += 1
+        self._fall_back()
+        # Re-issue everything whose aggregated ACK we will never see.
+        for entry in lost:
+            if entry.quorate:
+                continue
+            entry.acks = 0
+            entry.needed = member.config.ack_quorum
+            if self.direct.replicate(entry) == 0:
+                for node_id in member.hb.alive_ids(include_self=False):
+                    self.direct.ensure_path(node_id)
+                sim = self.host.sim
+                sim.schedule_at_fire(sim.now + params.RDMA_TIMEOUT_NS,
+                                     member._replicate, entry)
 
     # -- replication ---------------------------------------------------------------------
 
@@ -404,22 +653,30 @@ class SwitchReplicator:
                 self.member.entry_quorate(entry)
             return
         self.state = SwitchState.FAILED
-        self.member.switch_path_failed(wc.status, entry,
-                                       list(self._drain_entries()))
+        self._path_lost([entry] + self._drain_entries())
 
-    def fail(self, status: WcStatus) -> None:
-        """Abandon the switch path (used on unhealable NAKs: a straggler
-        lost a packet the quorum already acknowledged, which go-back-N
-        cannot repair -- section III-A's fallback trigger)."""
+    def _on_unhealable_nak(self, qp: QueuePair) -> None:
+        """A replica lost a packet the quorum already acknowledged.
+
+        Go-back-N cannot repair it (the leader's window has moved on), so
+        the transport escalates.  Per section III-A we revert to the
+        un-accelerated path: the per-replica direct QPs re-write the
+        affected log range, healing the straggler.
+        """
+        if qp is self.qp and not self.member._stopped:
+            self.fail()
+
+    def fail(self) -> None:
+        """Abandon the switch path (section III-A's fallback trigger)."""
         if self.state == SwitchState.FAILED:
             return
         self.state = SwitchState.FAILED
         qp = self.qp
         if qp is not None:
             self.host.nic.destroy_qp(qp)  # quiesces retransmissions
-        self.member.switch_path_failed(status, None, list(self._drain_entries()))
+        self._path_lost(self._drain_entries())
 
-    def _drain_entries(self):
+    def _drain_entries(self) -> List[PendingEntry]:
         pending = list(self._wr_entries.values())
         self._wr_entries.clear()
         return pending

@@ -140,13 +140,6 @@ class Link:
     def serialization_ns(self, packet: Packet) -> float:
         return params.serialization_ns(packet.wire_size, self.rate_bps)
 
-    def serialization_ns_for(self, wire_size: int) -> float:
-        """Serialization time for a frame of ``wire_size`` bytes --
-        term for term the arithmetic of :meth:`transmit`, for analytic
-        occupancy queries (flight fusion) without a packet in hand."""
-        on_wire = wire_size if wire_size > _MIN_FRAME else _MIN_FRAME
-        return (on_wire + _WIRE_OVERHEAD) * 8 * 1e9 / self.rate_bps
-
     def direction_from(self, src: Port) -> _Direction:
         """The transmitter state for frames leaving ``src`` (analytic
         occupancy queries; treat as read-only)."""

@@ -21,7 +21,7 @@ prove object-mode and bytes-mode agree.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..net.headers import Header, _set
 from .opcodes import AETH_OPCODES, Opcode, RETH_OPCODES
@@ -289,20 +289,3 @@ def parse_roce(data: bytes, has_icrc: bool = True) -> RoceStack:
             raise ValueError("RoCE packet too short for ICRC")
         payload = payload[:-4]
     return bth, reth, aeth, bytes(payload)
-
-
-def roce_stack(packet_upper: List[object]) -> RoceStack:
-    """Extract (BTH, RETH?, AETH?) from a Packet's upper-header list."""
-    bth: Optional[Bth] = None
-    reth: Optional[Reth] = None
-    aeth: Optional[Aeth] = None
-    for header in packet_upper:
-        if isinstance(header, Bth):
-            bth = header
-        elif isinstance(header, Reth):
-            reth = header
-        elif isinstance(header, Aeth):
-            aeth = header
-    if bth is None:
-        raise ValueError("no BTH in packet")
-    return bth, reth, aeth, b""

@@ -67,13 +67,6 @@ _S_SUF_BA = struct.Struct(_SUF_BASE + "I")    # + AETH word
 _S_SUF_BR = struct.Struct(_SUF_BASE + "QII")  # + RETH va/rkey/len
 
 
-def _content_version(header) -> int:
-    """Header version counter, normalized across freeze (which flips sign
-    without changing content)."""
-    ver = header._hver
-    return ver if ver >= 0 else -ver - 1
-
-
 def _header_suffix(packet: Packet, ipv4, udp) -> bytes:
     """Covered header fields in canonical order (hashed after the payload).
 

@@ -128,10 +128,6 @@ class OutstandingRequest:
         self.read_received = 0
         self.posted_at = posted_at
 
-    @property
-    def psn_count(self) -> int:
-        return psn_distance(self.first_psn, self.last_psn) + 1
-
 
 class QueuePair:
     """RC queue-pair context."""

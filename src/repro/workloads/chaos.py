@@ -26,7 +26,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from .. import fastlane, params
-from ..consensus import ClusterConfig, NotLeaderError, ShardedCluster
+from ..consensus import ClusterConfig, ShardedCluster
 from ..faults import (
     REJOIN_RECOVERY_BOUND_NS,
     ChaosController,
@@ -39,13 +39,12 @@ from ..faults import (
     ReplicaCrashRejoin,
     Scenario,
 )
-from .experiments import _apply_lane, install_trace_digest
+from .experiments import ClosedLoopDriver, _apply_lane, install_trace_digest
 
 MS = 1_000_000
-US = 1_000
 
 
-class ChaosLoadDriver:
+class ChaosLoadDriver(ClosedLoopDriver):
     """Closed-loop load that survives losing its window to a dead leader.
 
     The plain closed loop keeps ``window`` proposals in flight and
@@ -63,30 +62,22 @@ class ChaosLoadDriver:
     WATCHDOG_PERIOD_NS = 1 * MS
 
     def __init__(self, cluster, value_size: int, window: int):
-        self.cluster = cluster
-        self.payload = bytes(value_size) if value_size else b""
-        self.window = window
-        self.running = False
-        self.measuring = False
-        self.commits = 0
-        self.window_commits = 0
-        self._last_commit_at = 0.0
+        super().__init__(cluster, value_size, window)
         self._commits_at_tick = -1
         self.max_gap_ns = 0.0
         self._gap_open = 0.0
 
     def start(self) -> None:
-        self.running = True
-        for _ in range(self.window):
-            self._issue()
+        super().start()
         self._watchdog()
 
-    def stop(self) -> None:
-        self.running = False
+    @property
+    def window_commits(self) -> int:
+        return self.throughput.commits
 
     def open_window(self) -> None:
         self.measuring = True
-        self.window_commits = 0
+        self.throughput.open(self.cluster.sim.now)
         self.max_gap_ns = 0.0
         self._gap_open = self.cluster.sim.now
 
@@ -97,21 +88,13 @@ class ChaosLoadDriver:
                               self.cluster.sim.now - self._gap_open)
         self.measuring = False
 
-    def _issue(self) -> None:
-        if not self.running:
-            return
-        try:
-            self.cluster.propose(self.payload, self._on_commit)
-        except NotLeaderError:
-            # Leaderless moment (election in progress): retry shortly.
-            sim = self.cluster.sim
-            sim.schedule_at_fire(sim.now + 100 * US, self._issue)
-
     def _on_commit(self, entry) -> None:
+        # Gaps, not the base class's latency samples: a cell commits
+        # 10^5 times and reports no latency distribution.
         if entry.committed:
             self.commits += 1
             if self.measuring:
-                self.window_commits += 1
+                self.throughput.record(len(entry.payload))
                 now = self.cluster.sim.now
                 self.max_gap_ns = max(self.max_gap_ns, now - self._gap_open)
                 self._gap_open = now

@@ -277,9 +277,7 @@ def measure_failover(protocol: str, num_replicas: int, fault: str, *,
             return {"protocol": protocol, "fault": fault, "time_ms": 0.0}
         start = cluster.sim.now
         done = {"at": None}
-        replica_ips = [i.primary_ip for i in leader._alive_replica_infos()]
-        leader.switch_rep.setup(replica_ips, leader.epoch,
-                                lambda ok: done.update(at=cluster.sim.now))
+        leader.plane.rebuild(lambda ok: done.update(at=cluster.sim.now))
         cluster.sim.run_until(lambda: done["at"] is not None, timeout=500 * MS)
         elapsed = (done["at"] or cluster.sim.now) - start
 
@@ -464,62 +462,6 @@ def run_sweep_point(spec: dict) -> dict:
 # barrier: every shard samples its switch's counter deltas at the
 # barrier, and the runners fold them in (epoch, shard) order into one
 # global counter timeline that must agree between serial and parallel.
-
-
-class ShardedClosedLoopDriver:
-    """Closed-loop load over a :class:`ShardedCluster`: one window of
-    in-flight proposals per shard, per-shard and aggregate metrics."""
-
-    def __init__(self, sharded: ShardedCluster, value_size: int, window: int):
-        self.sharded = sharded
-        self.drivers = [ClosedLoopDriver(shard, value_size, window)
-                        for shard in sharded.shards]
-
-    def start(self) -> None:
-        for driver in self.drivers:
-            driver.start()
-
-    def stop(self) -> None:
-        for driver in self.drivers:
-            driver.stop()
-
-    def open_window(self) -> None:
-        for driver in self.drivers:
-            driver.measuring = True
-            driver.throughput.open(driver.cluster.sim.now)
-
-    def close_window(self) -> None:
-        for driver in self.drivers:
-            driver.throughput.close(driver.cluster.sim.now)
-            driver.measuring = False
-
-    # -- metrics ------------------------------------------------------------
-
-    @property
-    def commits(self) -> int:
-        return sum(driver.commits for driver in self.drivers)
-
-    def per_shard(self) -> List[Dict[str, float]]:
-        return [{
-            "shard": index,
-            "commits": driver.commits,
-            "ops_per_sec": driver.throughput.ops_per_sec,
-            "goodput_gbps": driver.throughput.goodput_gbytes_per_sec,
-            "mean_latency_us": driver.latencies.mean_ns / 1e3,
-        } for index, driver in enumerate(self.drivers)]
-
-    def aggregate(self) -> Dict[str, float]:
-        shards = self.per_shard()
-        total_lat = sum(d.latencies.mean_ns * len(d.latencies)
-                        for d in self.drivers)
-        total_count = sum(len(d.latencies) for d in self.drivers)
-        return {
-            "commits": self.commits,
-            "ops_per_sec": sum(s["ops_per_sec"] for s in shards),
-            "goodput_gbps": sum(s["goodput_gbps"] for s in shards),
-            "mean_latency_us": (total_lat / total_count / 1e3
-                                if total_count else 0.0),
-        }
 
 
 def group_scaling_specs(num_groups: int, *, protocol: str = "p4ce",

@@ -86,10 +86,6 @@ class FleetConfig:
     #: Seed for the fleet's sampling streams.
     seed: int = 0
 
-    @property
-    def per_client_rate(self) -> float:
-        return self.offered_ops_per_sec / max(1, self.clients)
-
 
 class ClientFleet:
     """Per-epoch batch sampler for the aggregate client population.
@@ -375,27 +371,26 @@ class ServingDriver:
                 src_backlog.extend(keep)
         if self.injector is not None:
             self.injector.migration_started(record)
-        replica_ips = [i.primary_ip for i in leader._alive_replica_infos()]
 
         def on_group(ok: bool) -> None:
-            self._finish_move(record, leader, ok)
+            self._finish_move(record, ok)
 
         # The full 40 ms control-plane charge: a live re-provisioning of
         # the destination group through the CM exchange.  While it runs,
         # the replicator reports not-usable and the destination leader
         # serves its own traffic over the direct plane, resuming switch
         # mode when the new group activates.
-        leader.switch_rep.setup(replica_ips, leader.epoch, on_group)
+        leader.plane.rebuild(on_group)
 
-    def _finish_move(self, record: MigrationRecord, leader, ok: bool) -> None:
+    def _finish_move(self, record: MigrationRecord, ok: bool) -> None:
         record.ok = ok
         if not ok:
             # Budget exhausted (CM REJECT) or switch unreachable: the
-            # move must not wedge.  Degrade the destination tenant to
-            # the direct plane -- commits keep flowing -- and flip the
-            # range anyway; the steering entry was already accounted.
+            # move must not wedge.  The failed rebuild leaves the
+            # destination tenant on the direct plane with no retry
+            # armed -- commits keep flowing -- and the range flips
+            # anyway; the steering entry was already accounted.
             record.degraded = True
-            leader.comm_mode = "direct"
         self.planner.complete_move(record.lo, record.dst)
         self._busy_dst.discard(record.dst)
         record.end_ns = self.kernel.elapsed_of(record.dst)

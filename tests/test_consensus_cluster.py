@@ -143,7 +143,7 @@ class TestBatching:
             assert len(done) == 200
             # Count write requests on the broadcast QP, not raw packets
             # (heartbeat reads would drown the signal).
-            results[name] = cluster.leader.switch_rep.qp.requests_posted
+            results[name] = cluster.leader.plane.qp.requests_posted
         assert results["batched"] < results["plain"] / 3
 
 

@@ -176,6 +176,48 @@ class TestReplicaCrash:
             lambda: 4 not in cluster.leader.direct.paths, timeout=200 * MS)
         assert 4 not in cluster.leader.direct.paths
 
+    def test_comm_mode_tells_which_plane_carries_the_writes(self):
+        """Through a live group rebuild, ``comm_mode`` reads "switch"
+        exactly while the BCast QP posts and "direct" exactly while the
+        direct paths do (the leader does not use the still-programmed
+        old group during the ~40 ms)."""
+        from repro.workloads import ClosedLoopDriver
+        cluster = make("p4ce", num_replicas=4)
+        leader = cluster.leader
+        rebuilt = []
+        cluster.on_group_reconfigured = rebuilt.append
+        bcast_qps, direct_qps = [], []
+
+        def posted():
+            for seen, current in (
+                    (bcast_qps, [leader.plane.qp]),
+                    (direct_qps, [p.qp for p in leader.direct.paths.values()])):
+                seen.extend(qp for qp in current if qp not in seen)
+            return (sum(qp.requests_posted for qp in bcast_qps),
+                    sum(qp.requests_posted for qp in direct_qps))
+
+        driver = ClosedLoopDriver(cluster, 64, window=4)
+        driver.start()
+        cluster.run_for(1 * MS)
+        cluster.kill_app(4)  # a follower
+        modes = []
+        after_rebuild = 0
+        while after_rebuild < 2:
+            assert len(modes) < 30, "the group was never rebuilt"
+            mode, (bcast, direct) = leader.comm_mode, posted()
+            cluster.run_for(5 * MS)
+            bcast, direct = (after - before for after, before
+                             in zip(posted(), (bcast, direct)))
+            assert bcast + direct > 0, "the load stalled"
+            if leader.comm_mode == mode:  # no hand-over inside the sample
+                modes.append(mode)
+                assert (bcast > 0) == (mode == "switch"), (modes, bcast, direct)
+                assert (direct > 0) == (mode == "direct"), (modes, bcast, direct)
+            after_rebuild += bool(rebuilt)
+        driver.stop()
+        assert cluster.leader is leader  # no view change
+        assert modes.count("direct") >= 7 and modes[-1] == "switch", modes
+
 
 class TestSwitchCrash:
     @pytest.mark.parametrize("protocol", ["mu", "p4ce"])
@@ -229,3 +271,33 @@ class TestSwitchCrash:
         cluster.run_for(100 * MS)
         for member in cluster.members.values():
             assert member.stats.view_changes == views[member.node_id]
+
+    def test_second_takeover_tries_the_switch_again(self):
+        """A machine that fell back to the direct plane, stepped down
+        before its retry fired and then leads again must not stay on the
+        direct plane: every take-over brings the switch plane up."""
+        cluster = make("p4ce", num_replicas=2)
+        commit_some(cluster)
+        m1 = cluster.members[1]
+
+        def led_by(node_id):
+            return cluster.sim.run_until(
+                lambda: cluster.leader is not None
+                and cluster.leader.node_id == node_id, timeout=200 * MS)
+
+        cluster.kill_app(0)
+        assert led_by(1) and m1.comm_mode == "switch"
+        m1.plane.fail()  # what an unhealable NAK does
+        assert m1.comm_mode == "direct"
+        cluster.restart_app(0)  # back before the 10 ms retry
+        assert led_by(0) and m1.role is Role.FOLLOWER
+        cluster.kill_app(0)
+        assert led_by(1)
+        assert cluster.sim.run_until(lambda: m1.comm_mode == "switch",
+                                     timeout=100 * MS)
+        before = m1.plane.qp.requests_posted
+        done = []
+        cluster.propose(b"accelerated-again", done.append)
+        cluster.run_for(5 * MS)
+        assert done and done[0].committed
+        assert m1.plane.qp.requests_posted == before + 1

@@ -148,6 +148,137 @@ class TestRestartResetsPlanes:
             assert not tracked
 
 
+class RecordingPlane:
+    """Everything a Member asks of its plane, recorded; the work is the
+    member's own mesh."""
+
+    mode = "direct"
+
+    def __init__(self, member):
+        self.direct = member.direct
+        self.calls = []
+        member.plane = self
+
+    def count(self, name):
+        return sum(1 for call in self.calls if call[0] == name)
+
+    def bring_up(self, on_ready):
+        self.calls.append(("bring_up",))
+        on_ready()
+
+    def submit(self, entry):
+        self.calls.append(("submit", len(entry.children or [entry])))
+        self.direct.submit(entry)
+
+    def replica_set_changed(self):
+        self.calls.append(("replica_set_changed",))
+
+    def stop(self):
+        self.calls.append(("stop",))
+
+    def reset(self):
+        self.calls.append(("reset",))
+        self.direct.reset()
+
+
+class TestPlaneSeam:
+    """The whole Member -> plane contract, seen by a fake on a Mu
+    cluster: five calls, and no simulated switch reconfiguration."""
+
+    @staticmethod
+    def led_by(cluster, node_id, timeout=20 * MS):
+        return cluster.sim.run_until(
+            lambda: cluster.leader is not None
+            and cluster.leader.node_id == node_id, timeout=timeout)
+
+    def test_member_drives_its_plane_through_five_calls(self):
+        cluster = make(protocol="mu")
+        planes = {node_id: RecordingPlane(member)
+                  for node_id, member in cluster.members.items()}
+        done = []
+        for i in range(3):
+            cluster.propose(bytes([i]), done.append)
+        cluster.run_for(1 * MS)
+        assert len(done) == 3 and all(e.committed for e in done)
+        assert planes[0].calls == [("submit", 1)] * 3
+
+        # A take-over: stop on the old leader, one bring_up on the new
+        # one -- and no 40 ms wait for a fake that has no switch.
+        start = cluster.sim.now
+        cluster.kill_app(0)
+        assert self.led_by(cluster, 1)
+        assert cluster.sim.now - start < 5 * MS
+        assert planes[0].calls[-1] == ("stop",)
+        assert planes[1].calls == [("bring_up",)]
+        assert planes[2].calls == []
+
+        # Membership changes: one call each; a restart resets the plane.
+        cluster.kill_app(2)
+        cluster.sim.run_until(
+            lambda: planes[1].count("replica_set_changed") == 1,
+            timeout=20 * MS)
+        cluster.restart_app(2)
+        cluster.run_for(20 * MS)
+        assert planes[1].count("replica_set_changed") == 2
+        assert planes[1].count("bring_up") == 1
+        assert planes[2].calls == [("stop",), ("reset",)]
+
+    def test_cancelled_takeover_never_brings_the_plane_up(self):
+        cluster = make(protocol="mu")
+        planes = {node_id: RecordingPlane(member)
+                  for node_id, member in cluster.members.items()}
+        candidate = cluster.members[1]
+        cluster.kill_app(0)
+        assert cluster.sim.run_until(
+            lambda: candidate.role is Role.CANDIDATE, timeout=20 * MS)
+        cluster.restart_app(0)  # the lowest id is back: m1 stands down
+        # (m0 reconnects its mesh first: ~14 ms of connection setup.)
+        assert self.led_by(cluster, 0, timeout=100 * MS)
+        assert candidate.role is Role.FOLLOWER
+        assert planes[1].calls == []
+        assert planes[0].calls == [("stop",), ("reset",), ("bring_up",)]
+
+    def test_one_submit_per_coalesced_batch(self):
+        cluster = make(protocol="mu", batching=True)
+        plane = RecordingPlane(cluster.leader)
+        done = []
+        for i in range(64):
+            cluster.propose(bytes([i]) * 8, done.append)
+        cluster.run_for(2 * MS)
+        assert len(done) == 64 and all(e.committed for e in done)
+        sizes = [call[1] for call in plane.calls]
+        assert plane.count("submit") == len(plane.calls) < 64
+        assert sum(sizes) == 64 and max(sizes) > 1
+
+    def test_mu_builds_no_switch_plane(self, monkeypatch):
+        from repro.consensus import replication
+        from repro.rdma.host import Host
+        from repro.workloads import build_cluster
+        cq_names, timers = [], []
+        create_cq = Host.create_cq
+
+        def recording_create_cq(host, name=""):
+            cq_names.append(name)
+            return create_cq(host, name)
+
+        class RecordingTimer(replication.Timer):
+            def __init__(self, *args):
+                timers.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(Host, "create_cq", recording_create_cq)
+        monkeypatch.setattr(replication, "Timer", RecordingTimer)
+        cluster = build_cluster("mu", 2)
+        assert any(name.endswith(".repl-cq") for name in cq_names)
+        assert not any(name.endswith(".bcast-cq") for name in cq_names)
+        assert not timers
+        assert all(m.plane is m.direct and m.comm_mode == "direct"
+                   for m in cluster.members.values())
+        build_cluster("p4ce", 2)
+        assert len(timers) == 3
+        assert sum(name.endswith(".bcast-cq") for name in cq_names) == 3
+
+
 class TestAppliedRecords:
     """Members whose log bytes agree append one shared record; a log
     that differs, or a record the table no longer holds, gets its own."""

@@ -75,9 +75,8 @@ def _run(fusion_on, fault_fn=None, run_ns=0.6 * MS, replicas=2,
             "hops_batched": planner.hops_batched,
             "batch_splits": planner.batch_splits,
             "fused_at_heal": probe.get("fused_at_heal"),
-            "retransmissions": (leader.switch_rep.qp.retransmissions
-                                if leader.switch_rep is not None
-                                and leader.switch_rep.qp is not None else 0),
+            "retransmissions": (leader.plane.qp.retransmissions
+                                if leader.plane.qp is not None else 0),
         }
     finally:
         fastlane.enable()

@@ -112,7 +112,7 @@ def test_declined_launch_leaves_tx_pipeline_unclaimed():
         planner = cluster.flight_planner
         assert planner.flights_fused > 0  # the path is resolved and clean
         nic = leader.host.nic
-        qp = leader.switch_rep.qp
+        qp = leader.plane.qp
         sim = cluster.sim
         # A SEND is not the WRITE_ONLY shape virtual frames are built from.
         odd = nic._frame(
