@@ -193,20 +193,14 @@ class RNic:
 
     def _launch(self, qp: QueuePair, wr: WorkRequest) -> None:
         first_psn = qp.next_psn
-        if wr.opcode is WrOpcode.RDMA_READ:
-            # A read consumes one PSN per *response* packet.
-            span = packet_count(wr.length, self.pmtu)
-            packets = [self._build_read_request(qp, wr, first_psn)]
-        elif wr.opcode in (WrOpcode.COMPARE_SWAP, WrOpcode.FETCH_ADD):
-            span = 1
-            packets = [self._build_atomic_request(qp, wr, first_psn)]
-        else:
-            packets = self._build_write_or_send(qp, wr, first_psn)
-            span = len(packets)
+        packets = self._build_request(qp, wr, first_psn)
+        # A read consumes one PSN per *response* packet.
+        span = (packet_count(wr.length, self.pmtu)
+                if wr.opcode is WrOpcode.RDMA_READ else len(packets))
         last_psn = psn_add(first_psn, span - 1)
         qp.next_psn = psn_add(last_psn, 1)
-        out = OutstandingRequest(wr, first_psn, last_psn, packets, self.sim.now)
-        qp.outstanding.append(out)
+        qp.outstanding.append(
+            OutstandingRequest(wr, first_psn, last_psn, self.sim.now))
         # Flight fusion: a single-packet write on a clean
         # broadcast path is captured and replayed by the planner instead
         # of being scheduled hop by hop; everything else takes the
@@ -219,8 +213,24 @@ class RNic:
                 self._tx(pkt)
         self._arm_retx(qp)
 
-    def _build_write_or_send(self, qp: QueuePair, wr: WorkRequest,
-                             first_psn: int) -> List[Packet]:
+    def _build_request(self, qp: QueuePair, wr: WorkRequest,
+                       first_psn: int) -> List[Packet]:
+        """The request frames of ``wr`` from ``first_psn`` on.  Called at
+        launch and again per retransmission, the way hardware re-reads
+        host memory: the work request is the only thing the NIC keeps, so
+        nothing the fabric rewrites in flight can come back out of it."""
+        if wr.opcode is WrOpcode.RDMA_READ:
+            bth = Bth(Opcode.RDMA_READ_REQUEST, qp.remote_qpn, first_psn,
+                      ack_req=True)
+            reth = Reth(wr.remote_va, wr.r_key, wr.length)
+            return [self._frame(qp, [bth, reth], b"")]
+        if wr.opcode in (WrOpcode.COMPARE_SWAP, WrOpcode.FETCH_ADD):
+            opcode = (Opcode.COMPARE_SWAP if wr.opcode is WrOpcode.COMPARE_SWAP
+                      else Opcode.FETCH_ADD)
+            bth = Bth(opcode, qp.remote_qpn, first_psn, ack_req=True)
+            atomic = AtomicEth(wr.remote_va, wr.r_key, wr.swap_or_add,
+                               wr.compare)
+            return [self._frame(qp, [bth, atomic], b"")]
         data = wr.data
         chunks = [data[i:i + self.pmtu] for i in range(0, len(data), self.pmtu)] or [b""]
         n = len(chunks)
@@ -251,20 +261,6 @@ class RNic:
                 upper.append(Reth(wr.remote_va, wr.r_key, len(data)))
             packets.append(self._frame(qp, upper, chunk))
         return packets
-
-    def _build_read_request(self, qp: QueuePair, wr: WorkRequest,
-                            psn: int) -> Packet:
-        bth = Bth(Opcode.RDMA_READ_REQUEST, qp.remote_qpn, psn, ack_req=True)
-        reth = Reth(wr.remote_va, wr.r_key, wr.length)
-        return self._frame(qp, [bth, reth], b"")
-
-    def _build_atomic_request(self, qp: QueuePair, wr: WorkRequest,
-                              psn: int) -> Packet:
-        opcode = (Opcode.COMPARE_SWAP if wr.opcode is WrOpcode.COMPARE_SWAP
-                  else Opcode.FETCH_ADD)
-        bth = Bth(opcode, qp.remote_qpn, psn, ack_req=True)
-        atomic = AtomicEth(wr.remote_va, wr.r_key, wr.swap_or_add, wr.compare)
-        return self._frame(qp, [bth, atomic], b"")
 
     def _frame(self, qp: QueuePair, upper: List[object], payload: bytes) -> Packet:
         """Wrap RoCE headers in Eth/IPv4/UDP toward the QP's peer."""
@@ -711,7 +707,8 @@ class RNic:
         self._pump(qp)
 
     def _retransmit_window(self, qp: QueuePair) -> None:
-        """Go-back-N: re-send every outstanding packet in order."""
+        """Go-back-N: re-send every outstanding request, in order, as
+        first built."""
         if qp.state is not QpState.RTS:
             return
         planner = self.sim._flight_planner
@@ -721,8 +718,8 @@ class RNic:
             # from the first PSN issued after recovery.
             planner.on_retransmit(qp)
         for out in qp.outstanding:
-            for pkt in out.packets:
-                self._tx(pkt.copy())
+            for pkt in self._build_request(qp, out.wr, out.first_psn):
+                self._tx(pkt)
         self._arm_retx(qp)
 
     def _on_retx_timeout(self, qp: QueuePair) -> None:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, List, Optional, TYPE_CHECKING
+from typing import Deque, Optional, TYPE_CHECKING
 
 from .. import params
 from .headers import PSN_MASK
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..net import Ipv4Address, Packet
+    from ..net import Ipv4Address
     from .cq import CompletionQueue
 
 
@@ -111,18 +111,21 @@ class ReceiveRequest:
 
 
 class OutstandingRequest:
-    """A request on the wire, kept until cumulative ACK (go-back-N)."""
+    """A request on the wire, kept until cumulative ACK (go-back-N).
 
-    __slots__ = ("wr", "first_psn", "last_psn", "packets", "is_read",
-                 "read_received", "posted_at")
+    It holds the work request and its PSN span, never the frames: a
+    retransmission rebuilds them from ``wr`` (see ``RNic._build_request``),
+    because a frame that left the port is the fabric's to rewrite.
+    """
+
+    __slots__ = ("wr", "first_psn", "last_psn", "is_read", "read_received",
+                 "posted_at")
 
     def __init__(self, wr: WorkRequest, first_psn: int, last_psn: int,
-                 packets: List["Packet"], posted_at: float):
+                 posted_at: float):
         self.wr = wr
         self.first_psn = first_psn
         self.last_psn = last_psn
-        #: Built request packets, retained for retransmission.
-        self.packets = packets
         self.is_read = wr.opcode is WrOpcode.RDMA_READ
         #: Bytes of read-response data received so far.
         self.read_received = 0

@@ -21,7 +21,7 @@ implementation of a hop: every stage is written twice, once as the real
 handler and once as its express stage.
 
 1. **Hops live in a planner-owned heap** (``sim._flight_queue``) as
-   ``(virtual_time, seq, real_fn, real_args, flight, express_fn, ctx)``
+   ``(virtual_time, seq, real_fn, real_args, express_fn, ctx)``
    tuples.  Each push consumes the *kernel's* sequence counter at exactly
    the intra-hop points the slow lane's ``schedule_at_fire`` calls would
    have, so timestamp ties against real events resolve in slow-lane order
@@ -44,12 +44,10 @@ handler and once as its express stage.
    threshold the forwarded ACK materializes into the exact real
    ``Packet`` and the three ``_x_*`` tail stages carry it to the leader,
    where the final hop runs the *real* RX handler so the CQE -> commit ->
-   next-proposal cascade schedules real events.  The launch WRITE's
-   in-place egress rewrite (it is the last multicast leg) is deferred on
-   ``FusedFlight.vrw`` and applied only where the packet can still be
-   observed (defusion); materializing it pins still-virtual pre-rewrite
-   siblings to copies of the pristine bytes first and hands those
-   hops to the real egress handler.
+   next-proposal cascade schedules real events.  The launch WRITE is
+   the wire's alone once it leaves the leader (the NIC keeps the work
+   request, not the frame), so the chain only reads it and every leg
+   that has to become real is a copy of it.
 
 3. **The kernel drains due hops before any later event** (see
    ``Simulator._run``, which polls the hop queue directly): a heartbeat
@@ -138,24 +136,6 @@ _OP_ACK = Opcode.ACKNOWLEDGE
 #: for virtual ACK frames, matching ``Packet.wire_size``).
 _ETH_WRAP = EthernetHeader.SIZE + ETHERNET_FCS_BYTES
 
-class FusedFlight:
-    """One in-flight fused consensus round."""
-
-    __slots__ = ("first_psn", "pending", "vrw")
-
-    def __init__(self, first_psn: int):
-        self.first_psn = first_psn
-        #: Hops of this flight still sitting in the hop queue.
-        self.pending = 0
-        #: The rewritten *last* scatter leg rides the launch original,
-        #: whose in-place template install is deferred until the packet
-        #: can be observed (defusion / fallback) -- this holds that leg's
-        #: _VFrame; ``_VLaunch.installed`` says whether it was applied.
-        #: Nothing below points back at the flight, so a completed flight
-        #: and everything it holds is freed by reference count alone.
-        self.vrw = None
-
-
 class _FusedPath:
     """Everything the express stages need about one broadcast QP's path,
     resolved once per control-plane epoch: devices, link directions,
@@ -179,8 +159,8 @@ class _VLaunch:
     everything every leg derives from the launch WRITE, computed once at
     scatter ingress."""
 
-    __slots__ = ("packet", "installed", "psn0", "ack_req", "va0", "dlen",
-                 "payload", "payload_crc", "fp", "wire")
+    __slots__ = ("packet", "psn0", "ack_req", "va0", "dlen", "payload",
+                 "payload_crc", "fp", "wire")
 
 
 class _VFrame:
@@ -190,9 +170,8 @@ class _VFrame:
     ``Packet`` on demand (fallback, defusion, gather threshold) or to
     feed the columnar digest tap without ever building it."""
 
-    __slots__ = ("kind", "leg", "lau", "last", "rewritten", "psn",
-                 "ack_word", "va", "rkey", "tmpl", "syndrome", "msn",
-                 "wire", "iport")
+    __slots__ = ("kind", "leg", "lau", "rewritten", "psn", "ack_word", "va",
+                 "rkey", "tmpl", "syndrome", "msn", "wire", "iport")
 
 
 class FlightPlanner:
@@ -211,15 +190,13 @@ class FlightPlanner:
         #: per shard; purely a reporting label.
         self.shard_index = shard_index
         #: Global hop heap, shared with the kernel (``sim._flight_queue``):
-        #: (vt, seq, real_fn, real_args, flight, express_fn, ctx) tuples.
+        #: (vt, seq, real_fn, real_args, express_fn, ctx) tuples.
         self._fq: List[tuple] = sim._flight_queue
         #: Fault sources currently armed (ids of faulted devices).  Any
         #: entry disables fusion entirely.
         self._armed: Set[int] = set()
         #: QPs that saw a NAK/retransmission -> first trustworthy PSN.
         self._tainted: Dict[Any, int] = {}
-        #: Live fused flights (for de-fusion bookkeeping).
-        self._flights: Set[FusedFlight] = set()
         #: Resolved paths keyed by (leader nic id, qpn).
         self._paths: Dict[tuple, _FusedPath] = {}
         #: Control-plane epoch: bumped by every table/register/multicast
@@ -315,14 +292,10 @@ class FlightPlanner:
         start = busy if busy > now else now
         finish = start + _TX_GAP
         nic._tx_busy_until = finish
-        t = finish + _TX_LAT
-        flight = FusedFlight(first_psn)
         seq = sim._seq
         sim._seq = seq + 1
-        heapq.heappush(self._fq, (t, seq, nic._emit, (packet,), flight,
+        heapq.heappush(self._fq, (finish + _TX_LAT, seq, nic._emit, (packet,),
                                   self._v_leader_emit, path))
-        flight.pending = 1
-        self._flights.add(flight)
         self.flights_fused += 1
         return True
 
@@ -330,8 +303,7 @@ class FlightPlanner:
     # Hop-queue plumbing
     # ------------------------------------------------------------------
 
-    def _push_hop(self, t: float, fn, args: tuple, flight: FusedFlight,
-                  xfn, ctx) -> None:
+    def _push_hop(self, t: float, fn, args: tuple, xfn, ctx) -> None:
         """Queue a stage's successor hop.  It consumes the kernel's
         sequence counter, so the hop gets exactly the seq the slow lane's
         ``schedule_at_fire`` would have assigned and timestamp ties --
@@ -347,8 +319,7 @@ class FlightPlanner:
             return
         seq = sim._seq
         sim._seq = seq + 1
-        heapq.heappush(self._fq, (t, seq, fn, args, flight, xfn, ctx))
-        flight.pending += 1
+        heapq.heappush(self._fq, (t, seq, fn, args, xfn, ctx))
 
     def _real_args(self, args: tuple) -> tuple:
         """``args`` with any virtual frame rebuilt into its real packet."""
@@ -451,17 +422,13 @@ class FlightPlanner:
             self._run_gen = self._gen
             while True:
                 pop(fq)
-                flight = entry[4]
-                flight.pending -= 1
                 sim._now = entry[0]
                 run += 1
-                xfn = entry[5]
+                xfn = entry[4]
                 if xfn is None:
                     # Completion hop: the real leader-RX handler runs so
                     # the CQE -> commit -> next-proposal cascade schedules
                     # real events at exact absolute times.
-                    if flight.pending == 0:
-                        self._flights.discard(flight)
                     entry[2](*entry[3])
                 else:
                     xfn(entry[0], entry)
@@ -514,7 +481,7 @@ class FlightPlanner:
         must not outrun the new configuration."""
         self._epoch += 1
         self._gen += 1
-        if self._fq or self._flights:
+        if self._fq:
             self._defuse_all()
 
     def _defuse_all(self) -> None:
@@ -524,12 +491,8 @@ class FlightPlanner:
         by construction: each hop tuple carries precisely the (fn, args)
         event the slow lane would have scheduled, and all of that event's
         scheduling-time effects were applied when the hop was pushed.
-        Virtual frames rebuild into real packets -- pre-rewrite scatter
-        legs and ACKs before the rewritten last legs, whose
-        materialization patches the launch original in place and would
-        corrupt later fanout copies."""
+        Virtual frames rebuild into real packets."""
         self._gen += 1
-        sim = self._sim
         fq = self._fq
         if fq:
             self.defusions += 1
@@ -541,33 +504,11 @@ class FlightPlanner:
             self.batch_splits += 1
             ordered = sorted(fq)
             fq.clear()
-            deferred = []
-            for n, entry in enumerate(ordered):
-                args = entry[3]
-                repl = None
-                for i, a in enumerate(args):
-                    if type(a) is not _VFrame:
-                        continue
-                    if a.kind == 0 and a.last and a.rewritten:
-                        deferred.append((n, i))
-                        continue
-                    self.vx_materialized += 1
-                    if repl is None:
-                        repl = list(args)
-                    repl[i] = self._materialize(a)
-                if repl is not None:
-                    ordered[n] = entry[:3] + (tuple(repl),) + entry[4:]
-            for n, i in deferred:
-                entry = ordered[n]
-                args = list(entry[3])
-                self.vx_materialized += 1
-                args[i] = self._materialize(args[i])
-                ordered[n] = entry[:3] + (tuple(args),) + entry[4:]
             # A hop's first four fields *are* the kernel's fire-and-forget
             # entry, historical seq included.
-            heap = sim._heap
+            heap = self._sim._heap
             for entry in ordered:
-                heapq.heappush(heap, entry[:4])
+                heapq.heappush(heap, entry[:3] + (self._real_args(entry[3]),))
             tracer = self._tracer
             if tracer is not None and tracer.enabled:
                 # Fusion never engages while tracing, but a tracer flipped
@@ -579,23 +520,13 @@ class FlightPlanner:
                                  "fn": getattr(entry[2], "__qualname__",
                                                repr(entry[2]))})
                     for entry in ordered])
-        for flight in self._flights:
-            # A live flight whose rewritten last leg already left the hop
-            # queue (delivered, counted at gather) still owes the launch
-            # original its in-place rewrite: the QP window retains that
-            # packet, and a retransmission would re-send its bytes.
-            vf = flight.vrw
-            if vf is not None and not vf.lau.installed:
-                self.vx_materialized += 1
-                self._materialize(vf)
-        self._flights.clear()
 
     # ------------------------------------------------------------------
     # Express stages.  Each mirrors one real handler's observable effects
     # for the proven-clean shape and pushes the successor hop; anything
     # else falls back to the real handler before the first mutation.
     # Stage signature: (vt, entry) with entry =
-    # (vt, seq, real_fn, real_args, flight, stage, ctx).
+    # (vt, seq, real_fn, real_args, stage, ctx).
     #
     # The chain's tail comes first: at the gather threshold the forwarded
     # ACK is a real packet, and these three stages carry it from switch
@@ -605,32 +536,30 @@ class FlightPlanner:
     def _x_gather_egress(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._run_egress for the forwarded ACK (rid 0 passes
         # through on_egress untouched).
-        path = entry[6]
+        path = entry[5]
         args = entry[3]
         ack = args[2]
         path.switch.counters[args[0]].egress_runs += 1
         ack.finalize()
         self._push_hop(vt + path.half_pipe, path.switch._transmit,
-                       (args[0], ack), entry[4], self._x_gather_transmit,
-                       path)
+                       (args[0], ack), self._x_gather_transmit, path)
 
     def _x_gather_transmit(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._transmit + Link.transmit (switch -> leader).
-        path = entry[6]
+        path = entry[5]
         args = entry[3]
         ack = args[1]
         path.switch.counters[args[0]].tx_frames += 1
         t = self._wire_out(path.leader_link, path.dir_down, path.switch_port,
                            ack, vt)
         self._push_hop(t, path.leader_link._deliver, (path.dir_down, ack),
-                       entry[4], self._x_leader_arrive, path)
+                       self._x_leader_arrive, path)
 
     def _x_leader_arrive(self, vt: float, entry: tuple) -> None:
         # Mirrors Link._deliver + RNic.handle_packet at the leader; the
         # pushed successor is the *final* hop (xfn None): the real
         # _rx_process runs the completion cascade with real events.
-        path = entry[6]
-        flight = entry[4]
+        path = entry[5]
         ack = entry[3][1]
         lnic = path.nic
         if lnic._rx_inflight >= lnic.rx_queue_limit:
@@ -641,8 +570,7 @@ class FlightPlanner:
         finish = start + lnic.rx_gap_ns
         lnic._rx_busy_until = finish
         lnic._rx_inflight += 1
-        self._push_hop(finish + _RX_LAT, lnic._rx_process, (ack,), flight,
-                       None, None)
+        self._push_hop(finish + _RX_LAT, lnic._rx_process, (ack,), None, None)
 
     # ------------------------------------------------------------------
     # Materialization and the _v_* stages: the chain from leader TX to
@@ -658,38 +586,12 @@ class FlightPlanner:
         more -- express stages write cells and counters directly -- so
         there is nothing to land; goes when ``BOUNDARIES`` drops it."""
 
-    def _pin_prerewrites(self, lau: _VLaunch) -> None:
-        """Materialize every still-virtual *pre-rewrite* sibling of a
-        launch packet about to be rewritten in place: their fanout copies
-        must capture the pristine bytes.  Each pinned hop keeps its exact
-        (vt, seq) -- the heap invariant is untouched -- and is handed to
-        the real egress handler, which rewrites the fresh copy."""
-        fq = self._fq
-        for n, entry in enumerate(fq):
-            args = entry[3]
-            if len(args) != 3:
-                continue
-            vf = args[2]
-            if (type(vf) is not _VFrame or vf.kind != 0 or vf.rewritten
-                    or vf.lau is not lau):
-                continue
-            self.vx_materialized += 1
-            pkt = lau.packet.copy()
-            pkt.meta["replication_id"] = vf.leg.rid
-            fq[n] = (entry[0], entry[1], entry[2],
-                     (args[0], args[1], pkt), entry[4],
-                     self._real_hop, vf.leg)
-
-    def _real_hop(self, vt: float, entry: tuple) -> None:
-        # Stage of a hop whose frame was pinned to a real packet.
-        self._fallback(entry)
-
     def _materialize(self, vf: _VFrame):
-        """Rebuild the real ``Packet`` a virtual frame stands for.  For a
-        rewritten last leg this applies the deferred template install to
-        the launch original in place (pinning still-virtual pre-rewrite
-        siblings first), byte- and ICRC-identical to the
-        ``scatter_rewrite`` the real egress would have performed."""
+        """Rebuild the real ``Packet`` a virtual frame stands for.  A
+        scatter leg is a copy of the launch packet -- which is only ever
+        read -- plus, past egress, the template install: byte- and
+        ICRC-identical to the ``scatter_rewrite`` the real egress would
+        have performed."""
         leg = vf.leg
         if vf.kind == 1:
             rnic = leg.rnic
@@ -702,15 +604,9 @@ class FlightPlanner:
                 ack.meta["ingress_port"] = vf.iport
             return ack
         lau = vf.lau
-        if vf.last:
-            pkt = lau.packet
-            self._pin_prerewrites(lau)
-        else:
-            pkt = lau.packet.copy()
+        pkt = lau.packet.copy()
         pkt.meta["replication_id"] = leg.rid
         if vf.rewritten:
-            if vf.last:
-                lau.installed = True
             tmpl = vf.tmpl
             block = bytearray(tmpl.block)
             suffix = bytearray(tmpl.suffix)
@@ -729,18 +625,18 @@ class FlightPlanner:
         # Mirrors RNic._emit + Port.send + Link.transmit (leader ->
         # switch).  The launch frame is real (the leader's own TX); only
         # the successor chain goes columnar.
-        path = entry[6]
+        path = entry[5]
         packet = entry[3][0]
         self.vx_hops += 1
         path.nic.packets_sent += 1
         t = self._wire_out(path.leader_link, path.dir_up, path.nic_port,
                            packet, vt)
         self._push_hop(t, path.leader_link._deliver, (path.dir_up, packet),
-                    entry[4], self._v_scatter_arrive, path)
+                       self._v_scatter_arrive, path)
 
     def _v_scatter_arrive(self, vt: float, entry: tuple) -> None:
         # Mirrors Link._deliver + Switch.handle_packet (ingress parser claim).
-        path = entry[6]
+        path = entry[5]
         packet = entry[3][1]
         self.vx_hops += 1
         sw = path.switch
@@ -753,7 +649,7 @@ class FlightPlanner:
         pbusy[idx] = done
         packet.meta["ingress_port"] = idx
         self._push_hop(done, sw._run_ingress, (idx, packet),
-                    entry[4], self._v_scatter_ingress, path)
+                       self._v_scatter_ingress, path)
 
     def _v_scatter_ingress(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._run_ingress + P4ceProgram scatter classification
@@ -762,8 +658,7 @@ class FlightPlanner:
         # packets never.  The register guard reset (_begin_packet) is
         # skipped: guards are only read by RegisterAction.execute, which no
         # express stage calls, and every real ingress resets them first.
-        path = entry[6]
-        flight = entry[4]
+        path = entry[5]
         packet = entry[3][1]
         sw = path.switch
         fc = path.fc
@@ -780,12 +675,12 @@ class FlightPlanner:
         for table, h, m in cached[2]:  # counter parity with the real walk
             table.hits += h
             table.misses += m
-        pre = cached[1]
-        path.numrecv_cells[pre[0] + flight.first_psn % _NUMRECV_SLOTS] = 0
-        path.program.scattered += 1
         upper = packet._upper
         bth = upper[0]
         reth = upper[1]
+        pre = cached[1]
+        path.numrecv_cells[pre[0] + bth.psn % _NUMRECV_SLOTS] = 0
+        path.program.scattered += 1
         payload = packet._payload
         cachedc = packet._payload_crc
         if cachedc is not None and cachedc[0] is payload:
@@ -795,7 +690,6 @@ class FlightPlanner:
             packet._payload_crc = (payload, pcrc)
         lau = _VLaunch()
         lau.packet = packet
-        lau.installed = False
         lau.psn0 = bth.psn
         lau.ack_req = bth.ack_req
         lau.va0 = reth.virtual_address
@@ -805,16 +699,13 @@ class FlightPlanner:
         lau.fp = scatter_fingerprint(packet)
         lau.wire = packet.wire_size
         tm = vt + path.half_pipe
-        legs = path.legs
-        last = len(legs) - 1
         ebusy = sw._egress_parser_busy
         pgap = path.pgap
-        for i, leg in enumerate(legs):
+        for leg in path.legs:
             vf = _VFrame()
             vf.kind = 0
             vf.leg = leg
             vf.lau = lau
-            vf.last = i == last
             vf.rewritten = False
             out = leg.out_port
             busy = ebusy[out]
@@ -822,14 +713,13 @@ class FlightPlanner:
             done = start + pgap
             ebusy[out] = done
             self._push_hop(done, sw._run_egress, (out, leg.rid, vf),
-                        flight, self._v_scatter_egress, leg)
+                           self._v_scatter_egress, leg)
 
     def _v_scatter_egress(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._run_egress + P4ceProgram.on_egress for one
         # multicast leg (egress-cache hit): resolve the wire template and
-        # the leg's varying words; patch nothing.  The last leg's deferred
-        # in-place rewrite of the launch original parks on flight.vrw.
-        leg = entry[6]
+        # the leg's varying words; patch nothing.
+        leg = entry[5]
         path = leg.path
         args = entry[3]
         vf = args[2]
@@ -860,15 +750,13 @@ class FlightPlanner:
         vf.rkey = pre[6]
         vf.tmpl = tmpl
         vf.rewritten = True
-        if vf.last:
-            entry[4].vrw = vf
         self._push_hop(vt + path.half_pipe, sw._transmit, (args[0], vf),
-                    entry[4], self._v_scatter_transmit, leg)
+                       self._v_scatter_transmit, leg)
 
     def _v_scatter_transmit(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._transmit + Link.transmit (switch -> replica);
         # the frame is absorbed by the columnar digest tap.
-        leg = entry[6]
+        leg = entry[5]
         vf = entry[3][1]
         self.vx_hops += 1
         leg.counters.tx_frames += 1
@@ -889,11 +777,11 @@ class FlightPlanner:
             tap.absorb_scatter(vf.tmpl, vf.ack_word, vf.va, lau.payload,
                                lau.payload_crc, vt)
         self._push_hop(finish + link.propagation_ns, link._deliver,
-                    (d, vf), entry[4], self._v_replica_arrive, leg)
+                       (d, vf), self._v_replica_arrive, leg)
 
     def _v_replica_arrive(self, vt: float, entry: tuple) -> None:
         # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
-        leg = entry[6]
+        leg = entry[5]
         vf = entry[3][1]
         rnic = leg.rnic
         if rnic._rx_inflight >= rnic.rx_queue_limit:
@@ -906,7 +794,7 @@ class FlightPlanner:
         rnic._rx_busy_until = finish
         rnic._rx_inflight += 1
         self._push_hop(finish + _RX_LAT, rnic._rx_process, (vf,),
-                    entry[4], self._v_replica_rx, leg)
+                       self._v_replica_rx, leg)
 
     def _v_replica_rx(self, vt: float, entry: tuple) -> None:
         # Mirrors RNic._rx_process + _roce_dispatch + the clean
@@ -916,7 +804,7 @@ class FlightPlanner:
         # hit, so the probes reduce to QP liveness, PSN order and memory
         # access; any unclean answer rebuilds the real packet and falls
         # back whole.
-        leg = entry[6]
+        leg = entry[5]
         vf = entry[3][0]
         rnic = leg.rnic
         qp = rnic.qps.get(leg.rqpn)
@@ -969,12 +857,11 @@ class FlightPlanner:
             avf.iport = None
             # A watcher defusing mid-notify is _push_hop's generation branch:
             # the ACK materializes into a real kernel event.
-            self._push_hop(t, rnic._emit, (avf,), entry[4],
-                        self._v_ack_emit, leg)
+            self._push_hop(t, rnic._emit, (avf,), self._v_ack_emit, leg)
 
     def _v_ack_emit(self, vt: float, entry: tuple) -> None:
         # Mirrors RNic._emit + Link.transmit (replica -> switch).
-        leg = entry[6]
+        leg = entry[5]
         avf = entry[3][0]
         self.vx_hops += 1
         leg.rnic.packets_sent += 1
@@ -994,11 +881,11 @@ class FlightPlanner:
             tap.absorb_ack(avf.tmpl, avf.psn & PSN_MASK,
                            (avf.syndrome << 24) | (avf.msn & PSN_MASK), vt)
         self._push_hop(finish + link.propagation_ns, link._deliver,
-                    (d, avf), entry[4], self._v_ack_arrive, leg)
+                       (d, avf), self._v_ack_arrive, leg)
 
     def _v_ack_arrive(self, vt: float, entry: tuple) -> None:
         # Mirrors Link._deliver + Switch.handle_packet for the ACK.
-        leg = entry[6]
+        leg = entry[5]
         avf = entry[3][1]
         self.vx_hops += 1
         path = leg.path
@@ -1012,7 +899,7 @@ class FlightPlanner:
         pbusy[idx] = done
         avf.iport = idx
         self._push_hop(done, sw._run_ingress, (idx, avf),
-                       entry[4], self._v_gather_ingress, leg)
+                       self._v_gather_ingress, leg)
 
     def _v_gather_ingress(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._run_ingress + P4ceProgram._gather (credit fold,
@@ -1024,7 +911,7 @@ class FlightPlanner:
         # credits), so the NAK branch is unreachable by construction.  At
         # the threshold the forwarded ACK materializes and rides the
         # real-packet tail.
-        leg = entry[6]
+        leg = entry[5]
         path = leg.path
         avf = entry[3][1]
         fc = path.fc
@@ -1072,7 +959,7 @@ class FlightPlanner:
         done = start + path.pgap
         ebusy[out] = done
         self._push_hop(done, sw._run_egress, (out, 0, ack),
-                       entry[4], self._x_gather_egress, path)
+                       self._x_gather_egress, path)
 
     # ------------------------------------------------------------------
     # Path resolution

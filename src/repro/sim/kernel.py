@@ -123,13 +123,13 @@ class Simulator:
         #: Cancelled handles whose entries are still in the heap.
         self._tombstones: int = 0
         #: Flight-fusion hop queue: captured-but-unscheduled hops as
-        #: (time, seq, fn, args, flight, stage, ctx) tuples, owned by the
+        #: (time, seq, fn, args, stage, ctx) tuples, owned by the
         #: FlightPlanner but polled here so due hops replay *before* any
         #: later event executes.  Always mutated in place, never rebound.
         self._flight_queue: List[tuple] = []
         #: The planner's _drain_super(limit) bound method (None until a
         #: FlightPlanner attaches; _flight_queue stays empty until then).
-        self._flight_drain: Optional[Callable[[float], None]] = None
+        self._flight_drain: Optional[Callable[[float], bool]] = None
         self._flight_planner = None
         #: When True, executed events are tallied per callback qualname in
         #: :attr:`component_counts` (cheap bool check per event when off).

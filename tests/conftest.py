@@ -17,6 +17,23 @@ from repro.sim import Simulator
 from repro.switch import L3ForwardProgram, Switch
 
 
+def _connect_qp_pair(sim, client, server, service_id, access, region_len):
+    """CM-handshake a QP pair; returns (client_qp, client_cq, server_qp,
+    server_cq, server_region)."""
+    region = server.reg_mr(region_len, access, "target")
+    server_cq = server.create_cq()
+    server_qp = server.create_qp(server_cq)
+    server.cm.listen(service_id, lambda info: ListenerReply(qp=server_qp))
+    client_cq = client.create_cq()
+    client_qp = client.create_qp(client_cq)
+    result = {}
+    client.cm.connect(server.ip, service_id, client_qp, b"",
+                      lambda qp, pd, err: result.update(err=err))
+    sim.run(until=sim.now + 1_000_000)
+    assert result.get("err") is None, result
+    return client_qp, client_cq, server_qp, server_cq, region
+
+
 class TwoHostRig:
     """Two hosts cabled back-to-back (no switch)."""
 
@@ -33,21 +50,9 @@ class TwoHostRig:
 
     def connected_qp_pair(self, service_id=0x10, access=Access.REMOTE_WRITE
                           | Access.REMOTE_READ, region_len=1 << 20):
-        """CM-handshake a QP pair; returns (client_qp, client_cq, server_qp,
-        server_cq, server_region)."""
-        region = self.server.reg_mr(region_len, access, "target")
-        server_cq = self.server.create_cq()
-        server_qp = self.server.create_qp(server_cq)
-        self.server.cm.listen(
-            service_id, lambda info: ListenerReply(qp=server_qp))
-        client_cq = self.client.create_cq()
-        client_qp = self.client.create_qp(client_cq)
-        result = {}
-        self.client.cm.connect(self.server.ip, service_id, client_qp, b"",
-                               lambda qp, pd, err: result.update(err=err))
-        self.sim.run(until=self.sim.now + 1_000_000)
-        assert result.get("err") is None, result
-        return client_qp, client_cq, server_qp, server_cq, region
+        """Client and server, connected over the one cable."""
+        return _connect_qp_pair(self.sim, self.client, self.server,
+                                service_id, access, region_len)
 
 
 class StarRig:
@@ -68,6 +73,13 @@ class StarRig:
             host.nic.gateway_mac = smac
             self.switch.add_host_route(ip, port.index, mac)
             self.hosts.append(host)
+
+    def connected_qp_pair(self, service_id=0x10, access=Access.REMOTE_WRITE
+                          | Access.REMOTE_READ | Access.REMOTE_ATOMIC,
+                          region_len=1 << 20):
+        """Hosts 0 (client) and 1 (server), connected through the switch."""
+        return _connect_qp_pair(self.sim, self.hosts[0], self.hosts[1],
+                                service_id, access, region_len)
 
 
 @pytest.fixture

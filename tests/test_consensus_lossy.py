@@ -7,11 +7,16 @@ sequences.  Whatever happens, safety must hold; liveness may degrade to
 fallback but must recover.
 """
 
+import functools
+
 import pytest
 
-from repro import Cluster, ClusterConfig, Role
+from repro import Cluster, ClusterConfig, Role, fastlane, params
+from repro.rdma.opcodes import Opcode
+from repro.workloads.experiments import install_trace_digest
 
 MS = 1_000_000
+US = 1_000
 
 
 def make(protocol, loss_node, probability, **kw):
@@ -81,3 +86,86 @@ def test_p4ce_duplicate_acks_do_not_forge_quorum():
         for entry in committed:
             assert entry.payload in payloads, \
                 f"committed entry missing on m{member.node_id}"
+
+
+@functools.lru_cache(maxsize=None)
+def _majority_cut_run(lanes_on: bool) -> dict:
+    """Five machines, three replica cables cut under one proposal; the
+    leader's cable is tapped for the WRITEs it carries toward the switch.
+    Cached: each lane's test compares its wire digest with the other's."""
+    (fastlane.enable if lanes_on else fastlane.disable)()
+    try:
+        cluster = Cluster.build(ClusterConfig(num_replicas=4, protocol="p4ce",
+                                              seed=55))
+        digest = install_trace_digest(cluster)
+        leader = cluster.await_ready()
+        nic = leader.host.nic
+        writes = []
+
+        def tap(src, packet):
+            if src.device is nic and packet.udp is not None \
+                    and packet.udp.dst_port == params.ROCE_UDP_PORT \
+                    and packet.upper[0].opcode is Opcode.RDMA_WRITE_ONLY:
+                bth = packet.upper[0]
+                writes.append((packet.pack(), str(packet.ipv4.src),
+                               str(packet.ipv4.dst), bth.dest_qp, bth.psn))
+            digest(src, packet)
+
+        nic.port.link.tap = tap
+        done = []
+        for i in range(4):  # warm the switch caches so that flights fuse
+            cluster.propose(b"warm%d" % i, done.append)
+            cluster.run_for(50 * US)
+        assert [e.committed for e in done] == [True] * 4
+        fused = cluster.flight_planner.flights_fused
+        cut = [h.nic.port.link for h in cluster.hosts
+               if h.node_id != leader.node_id][:3]
+        for link in cut:
+            link.set_down()
+        writes.clear()
+        cluster.propose(b"minority", done.append)
+        # Two RDMA timeouts: the original and two retransmissions.
+        cluster.run_for(300 * US)
+        out = {
+            "fused": fused,
+            "committed_while_cut": len(done) > 4,
+            "writes": list(writes),
+            "expected_header": (str(nic.ip), str(cluster.switch.ip),
+                                leader.plane.qp.remote_qpn),
+        }
+        for link in cut:
+            link.set_up()
+        out["healed"] = cluster.sim.run_until(
+            lambda: all(len(m.applied) == 5 for m in cluster.members.values()),
+            timeout=5 * MS)
+        out["committed"] = [e.committed for e in done]
+        out["comm_mode"] = leader.comm_mode
+        out["retransmissions"] = leader.plane.qp.retransmissions
+        out["digest"] = digest.hexdigest()
+        return out
+    finally:
+        fastlane.enable()
+
+
+@pytest.mark.parametrize("lanes_on", [True, False])
+def test_p4ce_retransmission_cannot_forge_a_quorum(lanes_on):
+    """A retransmission is the request the leader first sent -- to the
+    BCast QP, to be scattered again and counted from zero -- not the
+    frame the switch rewrote for one replica.  With three of four
+    replicas unreachable, the one that has the write re-ACKs every
+    duplicate; were those ACKs to add up (they did: the leader's window
+    retained the very ``Packet`` the last multicast leg rewrites in
+    place), the entry would commit on 2 of 5 machines."""
+    run = _majority_cut_run(lanes_on)
+    assert (run["fused"] > 0) == lanes_on
+    assert not run["committed_while_cut"]
+    assert len(run["writes"]) >= 3
+    (_wire, src, dst, qpn, _psn), = set(run["writes"])
+    assert (src, dst, qpn) == run["expected_header"]
+    # Cables back: the next retransmission reaches a majority through the
+    # switch, and every machine applies the entry.
+    assert run["healed"]
+    assert run["committed"] == [True] * 5
+    assert run["comm_mode"] == "switch"
+    assert run["retransmissions"] == 3
+    assert run["digest"] == _majority_cut_run(not lanes_on)["digest"]

@@ -280,3 +280,62 @@ def test_numrecv_slot_wrap_keeps_fusing():
     assert fused["flights_fused"] > _NUMRECV_SLOTS
     assert fused["defusions"] == 0
     _assert_identical(fused, plain)
+
+
+_PRE_EGRESS = {"_v_scatter_egress"}
+_POST_EGRESS = {"_v_scatter_transmit", "_v_replica_arrive"}
+_DELIVERED = {"_v_replica_rx", "_v_ack_emit", "_v_ack_arrive",
+              "_v_gather_ingress"}
+
+
+def _defuse_with_legs_at_every_stage(cluster, leader, planner, probe):
+    """Re-seat the digest tap of one replica cable (a defusion trigger,
+    and a no-op for the wire) at an instant when the pipelined window has
+    scatter legs waiting for egress, legs already rewritten and on their
+    way, and legs whose replica has answered."""
+    sim = cluster.sim
+    link = next(h.nic.port.link for h in cluster.hosts
+                if h.node_id != leader.node_id)
+
+    def defuse():
+        fq = sim._flight_queue
+        probe["stages"] = {getattr(entry[4], "__name__", None)
+                           for entry in fq}
+        link.tap = link.tap
+        probe["pending_after"] = len(fq)
+        # Frames and launches live in hop tuples only: with the hop queue
+        # handed back to the kernel the planner is as it was before the
+        # first flight, counters and resolved paths aside.
+        probe["held"] = {
+            name: {type(item).__name__ for item in (
+                value.values() if isinstance(value, dict)
+                else value if isinstance(value, (list, set)) else [value])}
+            for name, value in vars(planner).items()}
+
+    sim.schedule(30.15 * US, defuse)
+
+
+def test_defusion_with_legs_at_every_stage_leaves_no_flight_state():
+    """The planner keeps no per-flight state: a launch packet is read,
+    never written, every leg that must become real is a copy of it, and
+    a flight is nothing but its hops -- so one whose legs all die (a
+    full replica RX queue) leaves nothing behind either."""
+    kwargs = dict(fault_fn=_defuse_with_legs_at_every_stage, replicas=4,
+                  other_lanes=False)
+    fused = _run(fusion_on=True, **kwargs)
+    slow = _run(fusion_on=False, **kwargs)
+    probe = fused["probe"]
+    assert probe["stages"] & _PRE_EGRESS
+    assert probe["stages"] & _POST_EGRESS
+    assert probe["stages"] & _DELIVERED
+    assert fused["defusions"] == 1
+    assert probe["pending_after"] == 0
+    assert slow["probe"]["stages"] == set()
+    for name, kinds in probe["held"].items():
+        assert not kinds & {"_VFrame", "_VLaunch", "Packet"}, name
+        assert kinds <= {"Simulator", "Tracer", "NoneType", "int",
+                         "_FusedPath"}, name
+    # Fusion re-engaged after the one defusion.
+    assert fused["flights_fused"] > 1000
+    for key in ("digest", "commits", "events"):
+        assert fused[key] == slow[key], key

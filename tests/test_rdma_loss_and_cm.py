@@ -99,6 +99,62 @@ class TestLossRecovery:
             assert region.read(region.addr + 16 * i, 16) == bytes([i]) * 16
 
 
+def _post_write_64(host, qp, region):
+    host.post_write(qp, bytes(range(64)), region.addr, region.r_key)
+
+
+def _post_write_4k(host, qp, region):
+    host.post_write(qp, bytes(range(256)) * 16, region.addr, region.r_key)
+
+
+def _post_read(host, qp, region):
+    local = host.reg_mr(4096, Access.LOCAL_WRITE, "sink")
+    host.post_read(qp, local.addr, region.addr, region.r_key, 2048)
+
+
+def _post_fetch_add(host, qp, region):
+    host.post_fetch_add(qp, region.addr, region.r_key, 5)
+
+
+class TestRetransmittedBytes:
+    """What a requester re-sends is the request it built from its work
+    request, whatever the fabric has since done to the first copy: the
+    L3 switch rewrites the Ethernet header of every frame it forwards."""
+
+    @pytest.mark.parametrize("post, frames_per_round", [
+        (_post_write_64, 1), (_post_write_4k, 4), (_post_read, 1),
+        (_post_fetch_add, 1)])
+    def test_retransmission_equals_first_transmission(self, star3, post,
+                                                      frames_per_round):
+        assert params.ROCE_PMTU == 1024
+        client, server = star3.hosts[0], star3.hosts[1]
+        qp, cq, _sqp, _scq, region = star3.connected_qp_pair()
+        done = []
+        cq.on_completion = done.append
+        sent = []
+
+        def tap(src, packet):
+            if src.device is client.nic:
+                sent.append((packet.upper[0].psn, packet.pack()))
+
+        client.nic.port.link.tap = tap
+        server.nic.port.link.up = False
+        post(client, qp, region)
+        # The first transmission and two timeouts' worth of go-back-N.
+        drain(star3, ms=0.3)
+        assert not done
+        assert qp.retransmissions == 2
+        first = sent[:frames_per_round]
+        first_psn = first[0][0]
+        assert [psn for psn, _ in first] == [
+            (first_psn + i) & 0xFFFFFF for i in range(frames_per_round)]
+        assert sent == first * 3
+        # The responder comes back: the next round is answered.
+        server.nic.port.link.up = True
+        drain(star3, ms=0.3)
+        assert done and done[0].ok
+
+
 class TestConnectionManager:
     def test_private_data_both_directions(self, two_hosts):
         server_qp = two_hosts.server.create_qp(two_hosts.server.create_cq())
