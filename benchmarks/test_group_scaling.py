@@ -1,7 +1,7 @@
 """Multi-group sharding: aggregate consensus rate vs group count.
 
 One switch model per shard lane, G independent consensus groups over a
-hash-partitioned keyspace, windows merged by the sharded kernel.  The
+hash-partitioned keyspace, all driven by one ``ShardedCluster``.  The
 shape claim: per-group rate is leader-CPU-bound and groups share nothing,
 so the aggregate simulated commits/s scales ~linearly with G (the PR's
 acceptance gate checks >= 2x at G=4 in the full bench run).
@@ -12,8 +12,7 @@ those rows of the block and keeps the full sweep's G=4,8 rows.
 
 import pytest
 
-from repro.workloads.experiments import (group_scaling_specs,
-                                         run_group_scaling_serial)
+from repro.workloads.experiments import run_groups
 
 from conftest import print_table
 
@@ -24,9 +23,9 @@ GROUPS = (1, 2)
 def run_all():
     results = {}
     for num_groups in GROUPS:
-        specs = group_scaling_specs(num_groups, warmup_ns=0.2 * MS,
-                                    window_ns=0.5 * MS, epochs=4)
-        results[num_groups] = run_group_scaling_serial(specs)
+        results[num_groups] = run_groups(dict(
+            groups=num_groups, warmup_ns=0.2 * MS, window_ns=0.5 * MS,
+            epochs=4))
     return results
 
 

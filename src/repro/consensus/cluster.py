@@ -20,14 +20,13 @@ the failure modes of section V-E.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from .. import params
 from ..net import AddressAllocator, Ipv4Address, connect
 from ..p4ce.controlplane import P4ceControlPlane
 from ..p4ce.dataplane import P4ceProgram
 from ..rdma.host import Host
-from ..sim import SeededRng, ShardedKernel, Simulator, Tracer
+from ..sim import SeededRng, Simulator, Tracer
 from ..sim.flight import FlightPlanner
 from ..switch.forwarding import L3ForwardProgram
 from ..switch.pipeline import Switch
@@ -53,9 +52,8 @@ class SwitchFabric:
     RNG stream, same allocation order) bit for bit.
     """
 
-    def __init__(self, config: ClusterConfig, shard_index: int = 0):
+    def __init__(self, config: ClusterConfig):
         self.config = config
-        self.shard_index = shard_index
         self.sim = Simulator()
         self.rng = SeededRng(config.seed)
         self.tracer = Tracer(self.sim, enabled=config.trace)
@@ -63,8 +61,7 @@ class SwitchFabric:
         # inert unless the lane flag is on and a clean path validates.
         # One planner per fabric = one per shard lane, so fusion engages
         # and defuses independently per shard.
-        self.flight_planner = FlightPlanner(self.sim, tracer=self.tracer,
-                                            shard_index=shard_index)
+        self.flight_planner = FlightPlanner(self.sim, tracer=self.tracer)
         self.alloc = AddressAllocator()
         self.backup_alloc = AddressAllocator(subnet="10.0.1.0",
                                              mac_prefix=0x02_00_01_00_00_00)
@@ -100,8 +97,7 @@ class SwitchFabric:
         return self.switch.resource_snapshot()
 
     def __repr__(self) -> str:
-        return (f"SwitchFabric(shard={self.shard_index}, "
-                f"tenants={len(self.clusters)})")
+        return f"SwitchFabric(tenants={len(self.clusters)})"
 
 
 class Cluster:
@@ -314,16 +310,21 @@ class ShardedCluster:
       Tofino (one :class:`SwitchFabric`, one event kernel).  This is the
       paper's multi-tenant switch: shared register banks, shared
       multicast engine, shared provisioning budget.
-    * ``mode="lanes"`` -- one fabric (switch + kernel lane) per shard,
-      merged through a :class:`~repro.sim.ShardedKernel` in the
-      deterministic (time, shard, seq) order.  Shards share no mutable
-      state, which is exactly the decomposition the process-parallel
-      runner exploits: per-shard traces are reproduced bit-identically
-      whether lanes run interleaved, sequentially, or on worker
-      processes.
+    * ``mode="lanes"`` -- one fabric (switch, kernel, flight planner) per
+      shard.  Lanes share no mutable state and no cable, so each is an
+      independent simulation: a lane's trace does not depend on which
+      other lanes run beside it -- in this process or none at all, which
+      is how the process-parallel group-scaling runner puts one lane on
+      each worker (seeded :meth:`shard_seed`).
 
     Shard 0 always uses ``config.seed`` unchanged, so a single-group
     sharded run is the same simulation as the unsharded harness.
+
+    Fabrics bootstrap independently, so their clocks differ.  Each keeps
+    an *origin* -- its clock when the current :meth:`run_for` began --
+    and drivers that span groups (the serving fleet stamps arrivals on
+    one axis and measures commit latency against it) convert through
+    :meth:`elapsed_of` and :meth:`schedule_at_elapsed`.
     """
 
     #: Multiplier spreading per-shard seeds (any odd constant works; the
@@ -357,30 +358,22 @@ class ShardedCluster:
             self.fabrics.append(fabric)
             for shard in range(num_groups):
                 self.shards.append(Cluster(config, fabric=fabric))
-            self.kernel = None
         else:
             for shard in range(num_groups):
                 shard_config = config.replace(
                     seed=self.shard_seed(config.seed, shard))
-                fabric = SwitchFabric(shard_config, shard_index=shard)
+                fabric = SwitchFabric(shard_config)
                 self.fabrics.append(fabric)
                 self.shards.append(Cluster(shard_config, fabric=fabric))
-            self.kernel = ShardedKernel(
-                [shard.sim for shard in self.shards],
-                lookahead_ns=self.lookahead_ns)
+        #: Each fabric's clock at the last rebase() -- the start of the
+        #: current (or last) run_for().
+        self.origins: List[float] = []
+        self.rebase()
 
     @staticmethod
     def shard_seed(base_seed: int, shard: int) -> int:
         """Seed of shard ``shard``; shard 0 keeps the base seed."""
         return base_seed + ShardedCluster._SEED_STRIDE * shard
-
-    @property
-    def lookahead_ns(self) -> float:
-        """Conservative safe window for parallel shard execution: the
-        minimum latency of any cross-shard link.  The shard topology has
-        *no* cross-shard links, so any positive window is safe; the link
-        propagation delay is the natural (and documented) floor."""
-        return params.LINK_PROPAGATION_NS
 
     # -- keyspace routing ---------------------------------------------------
 
@@ -412,26 +405,65 @@ class ShardedCluster:
 
     def await_ready(self, timeout_ns: float = 2_000_000_000) -> List[Member]:
         """Bootstrap every group to a serving leader (shard order)."""
-        leaders = [shard.await_ready(timeout_ns) for shard in self.shards]
-        if self.kernel is not None:
-            self.kernel.rebase()
-        return leaders
+        return [shard.await_ready(timeout_ns) for shard in self.shards]
+
+    def rebase(self) -> None:
+        """Re-anchor every fabric's origin at its current clock."""
+        self.origins = [fabric.sim.now for fabric in self.fabrics]
 
     def run_for(self, duration_ns: float, epoch_ns: Optional[float] = None,
-                on_epoch=None) -> None:
-        """Advance all groups ``duration_ns``.
+                on_epoch: Optional[Callable[[int, float], None]] = None
+                ) -> int:
+        """Advance every group ``duration_ns`` past its fabric's clock.
 
-        Lanes mode goes through the sharded kernel's epoch barriers
-        (``on_epoch`` fires at each); tenant mode is one shared kernel,
-        so it simply runs.
+        The window is cut at barriers ``epoch_ns`` apart (default: one,
+        at its end).  At barrier ``k`` (from 1) every fabric's simulator
+        has run, in shard order, to ``origin + elapsed``, and then
+        ``on_epoch(k, elapsed)`` fires.  A bounded run of one simulator
+        executes the same events however it is sliced, and fabrics share
+        nothing, so the spacing never changes what a group does -- only
+        where ``on_epoch`` looks at (and injects into) the groups.
+        Returns the number of barriers.
         """
-        if self.kernel is not None:
-            self.kernel.rebase()
-            self.kernel.run_window(duration_ns, epoch_ns=epoch_ns,
-                                   on_epoch=on_epoch)
-        else:
-            sim = self.shards[0].sim
-            sim.run(until=sim.now + duration_ns)
+        if epoch_ns is not None and epoch_ns <= 0:
+            raise ValueError("epoch must be positive")
+        epoch = duration_ns if epoch_ns is None else epoch_ns
+        self.rebase()
+        origins = self.origins
+        elapsed = 0.0
+        k = 0
+        while elapsed < duration_ns:
+            elapsed = min(elapsed + epoch, duration_ns)
+            for fabric, origin in zip(self.fabrics, origins):
+                fabric.sim.run(until=origin + elapsed)
+            k += 1
+            if on_epoch is not None:
+                on_epoch(k, elapsed)
+        return k
+
+    def _lane(self, shard: int) -> int:
+        """Index into :attr:`fabrics` (and :attr:`origins`) of a shard."""
+        return 0 if self.mode == "tenant" else shard
+
+    def elapsed_of(self, shard: int) -> float:
+        """Shard ``shard``'s clock on the elapsed axis of the current
+        (or last) :meth:`run_for`."""
+        lane = self._lane(shard)
+        return self.fabrics[lane].sim.now - self.origins[lane]
+
+    def schedule_at_elapsed(self, shard: int, elapsed_ns: float,
+                            fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` on shard ``shard`` at ``elapsed_ns`` on
+        the elapsed axis, clamped to the shard's clock (so a barrier
+        callback may schedule work "now").  The target instant does not
+        depend on how the window is cut into barriers, so neither does
+        the shard's trace."""
+        lane = self._lane(shard)
+        sim = self.fabrics[lane].sim
+        target = self.origins[lane] + elapsed_ns
+        if target < sim.now:
+            target = sim.now
+        sim.schedule_at_fire(target, fn, *args)
 
     # -- metrics ------------------------------------------------------------
 

@@ -19,8 +19,8 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
 
 ``flow_cache``
     The switch programs memoize their ingress match-action verdict keyed
-    on the parsed flow tuple, invalidated by control-plane table versions
-    (:class:`repro.switch.tables.FlowVerdictCache`).  Off: every packet
+    on the parsed flow tuple, invalidated by every control-plane table
+    write (:class:`repro.switch.tables.FlowVerdictCache`).  Off: every packet
     walks the tables.
 
 ``rewrite_templates``

@@ -34,7 +34,7 @@ fingerprint tuple, so a flow that alternates packet shapes (WRITE_FIRST /
 MIDDLE / LAST) keeps one template per shape instead of thrashing.
 Control-plane invalidation is the caller's job: the P4CE program stores
 scatter template dicts in a :class:`repro.switch.tables.FlowVerdictCache`
-keyed by the egress connection table's version, and gather dicts on the
+that any egress connection table write flushes, and gather dicts on the
 cached ``_GatherPre`` (which the flow cache already regenerates on any
 table write).
 

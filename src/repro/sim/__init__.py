@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel: clock, scheduler, timers, CPU, RNG."""
 
 from .cpu import Cpu
-from .kernel import Event, ShardedKernel, SimulationError, Simulator
+from .kernel import Event, SimulationError, Simulator
 from .rng import SeededRng
 from .timers import PeriodicTimer, Timer
 from .trace import NullTracer, TraceRecord, Tracer
@@ -12,7 +12,6 @@ __all__ = [
     "NullTracer",
     "PeriodicTimer",
     "SeededRng",
-    "ShardedKernel",
     "SimulationError",
     "Simulator",
     "Timer",

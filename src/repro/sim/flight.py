@@ -181,14 +181,9 @@ class FlightPlanner:
     attaches the drain hook the kernel polls before executing events.
     """
 
-    def __init__(self, sim: Simulator, tracer: Optional[Tracer] = None,
-                 shard_index: int = 0):
+    def __init__(self, sim: Simulator, tracer: Optional[Tracer] = None):
         self._sim = sim
         self._tracer = tracer
-        #: Which shard (consensus group) this planner serves -- one
-        #: planner per lane, so fusion engages and defuses independently
-        #: per shard; purely a reporting label.
-        self.shard_index = shard_index
         #: Global hop heap, shared with the kernel (``sim._flight_queue``):
         #: (vt, seq, real_fn, real_args, express_fn, ctx) tuples.
         self._fq: List[tuple] = sim._flight_queue
@@ -229,11 +224,11 @@ class FlightPlanner:
         sim._flight_planner = self
 
     def stats(self) -> Dict[str, int]:
-        """Per-shard fusion attribution (bench reports key these by
-        shard to prove fusion engages at every G)."""
+        """Fusion attribution for this simulator (sharded reports list
+        one per shard, in shard order, to prove fusion engages at every
+        G)."""
         runs = self.runs_fused
         return {
-            "shard_index": self.shard_index,
             "flights_fused": self.flights_fused,
             "hops_replayed": self.hops_replayed,
             "defusions": self.defusions,

@@ -303,29 +303,6 @@ class Simulator:
         """Run the single next event.  Returns False if none remain."""
         return self._run(None, 1) == 1
 
-    def peek_time(self) -> Optional[float]:
-        """Absolute time of the next runnable activity, or None.
-
-        Accounts for both pending stores, the fused-flight hop queue and
-        the heap -- settling lapsed heap entries (tombstones, deferred
-        handles) so a cancelled or re-armed timer can never masquerade as
-        the next activity.  Used by :class:`ShardedKernel` to pick the
-        globally next lane without executing anything.
-        """
-        fq = self._flight_queue
-        best: Optional[float] = fq[0][0] if fq else None
-        heap = self._heap
-        while heap:
-            time, seq, fn, event = heap[0]
-            if fn is None and (event.cancelled or event.seq != seq):
-                heapq.heappop(heap)
-                self._lapsed(seq, event)
-                continue
-            if best is None or time < best:
-                best = time
-            break
-        return best
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have executed.
@@ -369,185 +346,3 @@ class Simulator:
                 return predicate()
         return True
 
-
-class ShardedKernel:
-    """Deterministic executor over per-shard event lanes.
-
-    Each *lane* is an independent :class:`Simulator` carrying one shard
-    (one consensus group with its own switch, hosts and links).  Lanes
-    share no mutable simulation objects, so any interleaving that
-    respects each lane's own (time, seq) order produces bit-identical
-    per-lane behaviour.  The kernel nevertheless fixes ONE canonical
-    global order -- **(time, shard, seq)**, times taken relative to each
-    lane's origin -- so merged traces are reproducible and the
-    process-parallel runner has a serial reference to digest-compare
-    against.
-
-    Two drive modes, equivalent per lane:
-
-    * :meth:`step_merged` / :meth:`run_merged` -- execute events one at a
-      time in the global (time, shard, seq) order (the fine-grained
-      reference);
-    * :meth:`run_window` -- advance every lane through conservative
-      lookahead *epochs*: within an epoch each lane runs alone up to the
-      barrier, lanes taken in shard order.  The safe lookahead window is
-      the minimum cross-shard link latency; with no cross-shard links at
-      all (this repo's shard topology) any positive epoch is safe, and
-      the barrier is where the parallel runner reconciles shared-switch
-      port counters.
-
-    Lane clocks may start at different local times (each shard bootstraps
-    independently); ``origins`` pins each lane's "global zero".  Call
-    :meth:`rebase` after out-of-band per-lane work (e.g. warmup) to
-    re-anchor.
-    """
-
-    def __init__(self, lanes: List[Simulator], lookahead_ns: float = 200.0):
-        if not lanes:
-            raise SimulationError("a ShardedKernel needs at least one lane")
-        if lookahead_ns <= 0:
-            raise SimulationError("lookahead must be positive")
-        self.lanes: List[Simulator] = list(lanes)
-        self.lookahead_ns = float(lookahead_ns)
-        self.origins: List[float] = [lane.now for lane in self.lanes]
-        #: Epoch barriers crossed by run_window (diagnostics).
-        self.epochs_run = 0
-
-    # -- clocks -------------------------------------------------------------
-
-    def rebase(self) -> None:
-        """Re-anchor every lane's origin at its current local clock."""
-        self.origins = [lane.now for lane in self.lanes]
-
-    @property
-    def now(self) -> float:
-        """Global elapsed time: the minimum lane frontier (conservative)."""
-        return min(lane.now - origin
-                   for lane, origin in zip(self.lanes, self.origins))
-
-    def elapsed_of(self, lane_index: int) -> float:
-        """Lane ``lane_index``'s local clock on the global elapsed axis.
-
-        Lanes bootstrap independently, so their local clocks differ by
-        per-lane origins; cross-lane drivers (the serving fleet stamps
-        arrivals on the global axis and measures commit latency against
-        them) convert through this instead of touching ``origins``.
-        """
-        return self.lanes[lane_index].now - self.origins[lane_index]
-
-    def schedule_at_elapsed(self, lane_index: int, elapsed_ns: float,
-                            fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn`` on lane ``lane_index`` at global elapsed time
-        ``elapsed_ns`` (clamped to the lane's current clock, so barrier
-        callbacks may schedule work "now" without underflowing time).
-
-        This is the sanctioned way for epoch-barrier drivers to inject
-        future work into lanes: the target instant is identical however
-        the window is sliced into epochs, so event order -- and with it
-        the per-shard wire digest -- does not depend on epoch size.
-        """
-        lane = self.lanes[lane_index]
-        target = self.origins[lane_index] + elapsed_ns
-        if target < lane.now:
-            target = lane.now
-        lane.schedule_at_fire(target, fn, *args)
-
-    @property
-    def events_executed(self) -> int:
-        return sum(lane.events_executed for lane in self.lanes)
-
-    @property
-    def pending_events(self) -> int:
-        return sum(lane.pending_events for lane in self.lanes)
-
-    def flight_stats(self) -> "List[Dict[str, Any]]":
-        """Per-lane flight-planner attribution in shard order.
-
-        Each lane owns one :class:`~repro.sim.flight.FlightPlanner`, and
-        :meth:`run_window` drains that lane's fused super-batches up to
-        every epoch barrier; this collects the per-group fusion
-        telemetry (flights fused, batched runs, batch splits) so sharded
-        benchmarks can prove super-fusion engages on every group.
-        """
-        out = []
-        for lane in self.lanes:
-            planner = lane._flight_planner
-            if planner is not None:
-                out.append(planner.stats())
-        return out
-
-    # -- merged (fine-grained) execution ------------------------------------
-
-    def _next_lane(self) -> "tuple[Optional[float], Optional[int]]":
-        """(relative time, lane index) of the globally next event."""
-        best: Optional[float] = None
-        best_index: Optional[int] = None
-        for index, lane in enumerate(self.lanes):
-            t = lane.peek_time()
-            if t is None:
-                continue
-            rel = t - self.origins[index]
-            # Strict < keeps the lowest shard index on ties: the
-            # (time, shard, seq) order.
-            if best is None or rel < best:
-                best = rel
-                best_index = index
-        return best, best_index
-
-    def step_merged(self) -> bool:
-        """Execute the single globally next event ((time, shard, seq)
-        order).  Returns False when every lane is drained."""
-        _, index = self._next_lane()
-        if index is None:
-            return False
-        if self.lanes[index].step():
-            return True
-        # The lane's remaining activity was fused hops that drained to
-        # nothing (they are not kernel events): progress happened without
-        # popping an event, so report whether any lane still holds work.
-        return self._next_lane()[1] is not None
-
-    def run_merged(self, window_ns: float) -> int:
-        """Execute every event within ``window_ns`` of the origins, one
-        at a time in global order; advances all lane clocks to the
-        boundary.  Returns the number of events executed."""
-        executed = 0
-        while True:
-            rel, index = self._next_lane()
-            if index is None or rel > window_ns:
-                break
-            if self.lanes[index].step():
-                executed += 1
-        for lane, origin in zip(self.lanes, self.origins):
-            lane.run(until=origin + window_ns)
-        return executed
-
-    # -- epoch (lookahead-barrier) execution --------------------------------
-
-    def run_window(self, window_ns: float, epoch_ns: Optional[float] = None,
-                   on_epoch: Optional[Callable[[int, float], None]] = None) -> int:
-        """Advance every lane ``window_ns`` past its origin in epochs.
-
-        ``epoch_ns`` (default: the lookahead) is the barrier spacing; it
-        may be any multiple of safety the caller can prove -- disjoint
-        shards make every positive value safe, and bounded runs of one
-        lane are event-identical however they are sliced, so the epoch
-        size never changes behaviour, only where ``on_epoch(k, elapsed)``
-        (counter reconciliation) gets to look at the lanes.  Returns the
-        number of epochs run.
-        """
-        epoch = self.lookahead_ns if epoch_ns is None else float(epoch_ns)
-        if epoch <= 0:
-            raise SimulationError("epoch must be positive")
-        origins = self.origins
-        elapsed = 0.0
-        k = 0
-        while elapsed < window_ns:
-            elapsed = min(elapsed + epoch, window_ns)
-            for lane, origin in zip(self.lanes, origins):
-                lane.run(until=origin + elapsed)
-            k += 1
-            self.epochs_run += 1
-            if on_epoch is not None:
-                on_epoch(k, elapsed)
-        return k

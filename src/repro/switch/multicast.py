@@ -39,9 +39,8 @@ class MulticastEngine:
     Copy lists are stored as immutable tuples: the ingress fan-out loop
     iterates the lookup result on the per-packet path, and freezing it
     guarantees no data-plane code can perturb a group between the
-    control-plane writes that define a flow epoch.  ``version`` counts
-    those writes -- the same epoch discipline the match-action tables use
-    (and that the egress rewrite templates key their invalidation on).
+    control-plane writes that define a flow epoch.  Each such write
+    notifies the flight planner watching the engine, as table writes do.
     """
 
     #: Flight-fusion planner watching this engine for control-plane
@@ -51,8 +50,6 @@ class MulticastEngine:
     def __init__(self, capacity: int = 1024):
         self.capacity = capacity
         self._groups: Dict[int, Tuple[MulticastCopy, ...]] = {}
-        #: Bumped on every control-plane write (create/update/delete).
-        self.version = 0
 
     def create_group(self, group_id: int, copies: Sequence[MulticastCopy]) -> None:
         if group_id not in self._groups and len(self._groups) >= self.capacity:
@@ -61,7 +58,6 @@ class MulticastEngine:
         if not copies:
             raise ValueError("a multicast group needs at least one copy")
         self._groups[group_id] = tuple(copies)
-        self.version += 1
         watch = self._flight_watch
         if watch is not None:
             watch.on_cp_write(self)
@@ -72,29 +68,18 @@ class MulticastEngine:
         if not copies:
             raise ValueError("a multicast group needs at least one copy")
         self._groups[group_id] = tuple(copies)
-        self.version += 1
         watch = self._flight_watch
         if watch is not None:
             watch.on_cp_write(self)
 
     def delete_group(self, group_id: int) -> None:
         self._groups.pop(group_id, None)
-        self.version += 1
         watch = self._flight_watch
         if watch is not None:
             watch.on_cp_write(self)
 
     def lookup(self, group_id: int) -> Optional[Tuple[MulticastCopy, ...]]:
         return self._groups.get(group_id)
-
-    def snapshot(self, group_id: int) -> Optional[Tuple[int, Tuple[MulticastCopy, ...]]]:
-        """(version, copies) for a group -- None when absent.  Cached path
-        resolutions (flight fusion) pin the version they were built
-        against and rebuild when it moves."""
-        copies = self._groups.get(group_id)
-        if copies is None:
-            return None
-        return self.version, copies
 
     @property
     def remaining(self) -> int:

@@ -190,9 +190,10 @@ class Switch:
         """Device-wide counter slab: ``[rx_frames, tx_frames, rx_drops,
         egress_runs, drops, to_cpu]`` summed over every port in one pass.
 
-        This is the epoch-barrier read the sharded runners reconcile:
-        per-port rows are written on the frame path, totals are derived
+        Per-port rows are written on the frame path, totals are derived
         on demand -- current whenever it is called, mid-run included.
+        The group-scaling harness compares it per shard between the
+        serial and process-parallel runs of the same lanes.
         """
         rx = tx = drops = egress = 0
         for c in self.counters:

@@ -50,11 +50,6 @@ class Register:
         self._cells = [initial & self.mask] * size
         self._current_packet: Optional[int] = None
         self._accessed_this_packet = False
-        #: Control-plane write epoch: bumped by cp_write/cp_fill.  Cached
-        #: derivations of register contents (flight-fusion path plans) key
-        #: their invalidation on it; data-plane RegisterActions do not
-        #: bump it -- those run identically during fused replay.
-        self.cp_epoch = 0
 
     # -- data-plane access (guarded) -------------------------------------------
 
@@ -70,14 +65,12 @@ class Register:
 
     def cp_write(self, index: int, value: int) -> None:
         self._cells[index] = value & self.mask
-        self.cp_epoch += 1
         watch = self._flight_watch
         if watch is not None:
             watch.on_cp_write(self)
 
     def cp_fill(self, value: int) -> None:
         self._cells[:] = [value & self.mask] * self.size
-        self.cp_epoch += 1
         watch = self._flight_watch
         if watch is not None:
             watch.on_cp_write(self)
@@ -144,18 +137,13 @@ class RegisterWindow:
         self.register.cp_write(self._abs(index), value)
 
     def cp_fill(self, value: int) -> None:
-        """Fill the whole window as one slab operation.
-
-        The epoch advances by ``length`` -- one per cell, as a
-        ``cp_write`` loop would -- and the flight watch is notified once
-        (defusion is idempotent; watchers only compare epochs for
-        equality).
+        """Fill the whole window as one slab operation; the flight watch
+        is notified once, not once per cell (defusion is idempotent).
         """
         register = self.register
         base = self.base
         register._cells[base:base + self.length] = \
             [value & register.mask] * self.length
-        register.cp_epoch += self.length
         watch = register._flight_watch
         if watch is not None:
             watch.on_cp_write(register)

@@ -6,15 +6,15 @@ the table returns an action name plus action parameters, and the program
 executes that action.  Entries are installed exclusively by the control
 plane (table capacity is finite, like TCAM/SRAM budgets on the ASIC).
 
-Every table carries a ``version`` counter bumped on each control-plane
-write (entry add/delete, default change, clear).  Programs use it through
-:class:`FlowVerdictCache` to memoize their match-action walk per flow:
-any table write marks every cache built over the table dirty, so a
+Programs memoize their match-action walk per flow through
+:class:`FlowVerdictCache`: every control-plane write (entry add/delete,
+default change, clear) marks each cache built over the table dirty, so a
 cached verdict can never outlive the entries it was derived from.
 Invalidation is push-based -- writes set a dirty flag on the caches they
 affect -- so the per-packet freshness check is one attribute read
-instead of re-summing table versions on every lookup (control-plane
-writes are rare and slow; packet lookups are the hot path).
+(control-plane writes are rare and slow; packet lookups are the hot
+path).  Flight fusion learns of the same writes through the table's
+``_flight_watch``.
 """
 
 from __future__ import annotations
@@ -65,12 +65,8 @@ class ExactMatchTable:
         self.default = ActionEntry("NoAction")
         self.hits = 0
         self.misses = 0
-        #: Bumped on every control-plane write; pins cached derivations
-        #: (flight-fusion path plans, multicast snapshots).
-        self.version = 0
 
     def _bump(self) -> None:
-        self.version += 1
         for cache in self._verdict_caches:
             cache._dirty = True
 
@@ -154,11 +150,8 @@ class LpmTable:
         self.default = ActionEntry("NoAction")
         self.hits = 0
         self.misses = 0
-        #: Bumped on every control-plane write; pins cached derivations.
-        self.version = 0
 
     def _bump(self) -> None:
-        self.version += 1
         for cache in self._verdict_caches:
             cache._dirty = True
 

@@ -39,7 +39,7 @@ from ..faults import (
     ReplicaCrashRejoin,
     Scenario,
 )
-from .experiments import ClosedLoopDriver, _apply_lane, install_trace_digest
+from .experiments import ClosedLoopDriver, install_trace_digest
 
 MS = 1_000_000
 
@@ -216,9 +216,7 @@ def chaos_cell_specs(quick: bool = False) -> List[dict]:
 def _run_chaos_lane(spec: dict, fast: bool,
                     replay_journal: Optional[List[dict]] = None) -> dict:
     """One lane of one cell: build, load, strike (or replay), measure."""
-    lane_spec = dict(spec)
-    lane_spec["fast_lane"] = fast
-    _apply_lane(lane_spec)
+    fastlane.flags.set_all(fast)
     t0 = time.perf_counter()
     c0 = time.process_time()
     config = ClusterConfig(num_replicas=spec["replicas"],

@@ -18,12 +18,10 @@ Drivers:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
-from .. import fastlane, params
-from ..consensus import (
-    Cluster, ClusterConfig, NotLeaderError, Role, ShardedCluster, SwitchFabric)
-from ..sim import ShardedKernel
+from .. import fastlane
+from ..consensus import Cluster, ClusterConfig, NotLeaderError, ShardedCluster
 from ..sim.columnar import DigestTap
 from .metrics import LatencyRecorder, ThroughputWindow
 
@@ -441,237 +439,65 @@ def run_sweep_point(spec: dict) -> dict:
 
 
 # -- multi-group sharding ----------------------------------------------------
-#
-# G consensus groups, one per shard of a hash-partitioned keyspace.  The
-# same shard lifecycle runs three ways and must produce bit-identical
-# per-shard packet-trace digests:
-#
-#   * standalone        -- one shard alone in one process (the reference;
-#                          shard 0 with the base seed IS the unsharded
-#                          consensus_rate harness run);
-#   * serial lanes      -- all G shards in one process, measured windows
-#                          interleaved by the ShardedKernel's epoch
-#                          barriers in (time, shard, seq) order;
-#   * process-parallel  -- each shard rebuilt from its picklable spec on
-#                          a spawn worker (run_shard_point below).
-#
-# Shards share no mutable state, so the conservative-lookahead argument
-# is exact: with no cross-shard links, every positive epoch window is
-# safe, and per-shard event streams cannot depend on the interleaving.
-# The shared-switch story (port counters) is reconciled at each epoch
-# barrier: every shard samples its switch's counter deltas at the
-# barrier, and the runners fold them in (epoch, shard) order into one
-# global counter timeline that must agree between serial and parallel.
 
 
-def group_scaling_specs(num_groups: int, *, protocol: str = "p4ce",
-                        replicas: int = 2, value_size: int = 64,
-                        window: int = 16, base_seed: int = 7,
-                        warmup_ns: float = 1 * MS, window_ns: float = 4 * MS,
-                        epochs: int = 16, fast_lane: bool = True,
-                        overrides: Optional[dict] = None) -> List[dict]:
-    """Picklable per-shard specs for one group-scaling point.
+def run_groups(spec: dict) -> dict:
+    """G closed-loop groups, one switch each -- also the spawn-pool worker.
 
-    Shard 0 keeps ``base_seed`` (see :meth:`ShardedCluster.shard_seed`),
-    so the G=1 spec describes exactly the unsharded closed-loop harness
-    run -- same config, same RNG streams, same digest.  ``overrides``
-    are extra :class:`ClusterConfig` fields (e.g. ``batching=True``)
-    applied identically on every shard, so a caller can mirror the
-    unsharded workload's exact config shape.
+    Builds ``ShardedCluster(spec["groups"], config, mode="lanes")`` with a
+    wire-digest tap per shard, elects every group, starts one
+    :class:`ClosedLoopDriver` per shard, runs the warm-up, then measures a
+    ``window_ns`` window cut into ``epochs`` barriers.  Lanes share
+    nothing, so a one-group spec seeded
+    ``ShardedCluster.shard_seed(seed, s)`` reproduces shard ``s`` of the
+    G-group run bit for bit: that is the parallel placement.  Keys
+    (defaults in parentheses): ``groups``, ``protocol`` ("p4ce"),
+    ``replicas`` (2), ``value_size`` (64), ``window`` (16), ``seed`` (7),
+    ``overrides`` (extra :class:`ClusterConfig` fields, every shard),
+    ``warmup_ns``, ``window_ns``, ``epochs`` (1), ``fast_lane`` (True).
+    Returns plain data, per shard in shard order.
     """
-    return [{
-        "num_groups": num_groups,
-        "shard": shard,
-        "protocol": protocol,
-        "replicas": replicas,
-        "value_size": value_size,
-        "window": window,
-        "seed": ShardedCluster.shard_seed(base_seed, shard),
-        "warmup_ns": warmup_ns,
-        "window_ns": window_ns,
-        "epochs": epochs,
-        "fast_lane": fast_lane,
-        "overrides": dict(overrides) if overrides else {},
-    } for shard in range(num_groups)]
-
-
-def _sample_switch_counters(cluster) -> List[int]:
-    """Flat port-counter totals of the shard's switch (plus pipeline-level
-    drop/punt counts) -- the state reconciled at epoch barriers."""
-    return cluster.switch.counter_totals()
-
-
-class _ShardRun:
-    """One shard's full harness lifecycle, identical in every placement."""
-
-    def __init__(self, spec: dict):
-        self.spec = spec
-        config = ClusterConfig(num_replicas=spec["replicas"],
-                               protocol=spec["protocol"],
-                               seed=spec["seed"],
-                               value_size_hint=spec["value_size"],
-                               **spec.get("overrides", {}))
-        # Explicit fabric so the shard index labels the flight planner;
-        # shard 0's construction is bit-identical to Cluster.build(config).
-        fabric = SwitchFabric(config, shard_index=spec["shard"])
-        self.cluster = Cluster(config, fabric=fabric)
-        self.digest = install_trace_digest(self.cluster)
-        self.driver: Optional[ClosedLoopDriver] = None
-        self.events_before = 0
-        self.epoch_counters: List[List[int]] = []
-        self._counter_base = _sample_switch_counters(self.cluster)
-        self._t0 = time.perf_counter()
-        self._c0 = time.process_time()
-
-    def bootstrap(self) -> None:
-        """Elect, start the closed loop, run the warm-up (shard alone)."""
-        spec = self.spec
-        self.cluster.await_ready()
-        self.driver = ClosedLoopDriver(self.cluster, spec["value_size"],
-                                       window=spec["window"])
-        self.driver.start()
-        self.cluster.run_for(spec["warmup_ns"])
-
-    def open_window(self) -> None:
-        self.driver.measuring = True
-        self.driver.throughput.open(self.cluster.sim.now)
-        self.events_before = self.cluster.sim.events_executed
-        self._counter_base = _sample_switch_counters(self.cluster)
-
-    def sample_epoch(self) -> None:
-        """Record this shard's switch-counter delta since the previous
-        epoch barrier (what the runners reconcile in (epoch, shard)
-        order)."""
-        now = _sample_switch_counters(self.cluster)
-        self.epoch_counters.append(
-            [a - b for a, b in zip(now, self._counter_base)])
-        self._counter_base = now
-
-    def finalize(self) -> dict:
-        driver = self.driver
-        driver.throughput.close(self.cluster.sim.now)
-        driver.measuring = False
-        driver.stop()
-        planner = self.cluster.flight_planner
-        return {
-            "num_groups": self.spec["num_groups"],
-            "shard": self.spec["shard"],
-            "seed": self.spec["seed"],
-            "commits": driver.commits,
-            "ops_per_sec": driver.throughput.ops_per_sec,
-            "goodput_gbps": driver.throughput.goodput_gbytes_per_sec,
-            "mean_latency_us": driver.latencies.mean_ns / 1e3,
-            "events_executed": (self.cluster.sim.events_executed
-                                - self.events_before),
-            "trace_digest": self.digest.hexdigest(),
-            "epoch_counters": self.epoch_counters,
-            "flight": planner.stats(),
-            "wall_clock_s": time.perf_counter() - self._t0,
-            "cpu_s": time.process_time() - self._c0,
-        }
-
-
-def _epoch_schedule(window_ns: float, epochs: int):
-    """(epoch_ns, kernel lookahead) shared by every placement, so the
-    run-until boundaries are computed from identical floats."""
-    return window_ns / max(1, epochs), params.LINK_PROPAGATION_NS
-
-
-def _apply_lane(spec: dict) -> None:
-    """Set the fast lanes a shard spec asks for: ``fast_lane`` turns
-    everything on or off.  Specs stay picklable, so the same lane
-    selection crosses the spawn boundary unchanged."""
     fastlane.flags.set_all(bool(spec.get("fast_lane", True)))
-
-
-def run_shard_point(spec: dict) -> dict:
-    """One shard, standalone -- also the spawn-pool worker entry point.
-
-    The measured window still goes through a (single-lane) ShardedKernel
-    so the epoch-boundary arithmetic -- and therefore every
-    ``run(until=...)`` bound -- is bit-identical to the serial merged
-    run.  Returns plain ints/floats/strings (crosses the pickle
-    boundary).
-    """
-    _apply_lane(spec)
-    try:
-        run = _ShardRun(spec)
-        run.bootstrap()
-        epoch_ns, lookahead = _epoch_schedule(spec["window_ns"],
-                                              spec["epochs"])
-        kernel = ShardedKernel([run.cluster.sim], lookahead_ns=lookahead)
-        run.open_window()
-        kernel.run_window(spec["window_ns"], epoch_ns=epoch_ns,
-                          on_epoch=lambda k, elapsed: run.sample_epoch())
-        return run.finalize()
-    finally:
-        fastlane.enable()
-
-
-def run_group_scaling_serial(specs: List[dict]) -> Dict[str, object]:
-    """All G shards in one process, windows merged by the sharded kernel.
-
-    Bootstraps every shard in shard order (each lane alone -- shards
-    share nothing, so this is trace-equivalent to any interleaving),
-    then drives the measured windows through one :class:`ShardedKernel`
-    under epoch barriers, sampling each shard's switch-counter deltas at
-    every barrier.
-    """
-    _apply_lane(specs[0])
     try:
         t0 = time.perf_counter()
-        runs = [_ShardRun(spec) for spec in specs]
-        for run in runs:
-            run.bootstrap()
-        epoch_ns, lookahead = _epoch_schedule(specs[0]["window_ns"],
-                                              specs[0]["epochs"])
-        kernel = ShardedKernel([run.cluster.sim for run in runs],
-                               lookahead_ns=lookahead)
-        for run in runs:
-            run.open_window()
-
-        def on_epoch(index: int, elapsed: float) -> None:
-            for run in runs:
-                run.sample_epoch()
-
-        kernel.run_window(specs[0]["window_ns"], epoch_ns=epoch_ns,
-                          on_epoch=on_epoch)
-        shards = [run.finalize() for run in runs]
-        return {
-            "mode": "serial",
-            "shards": shards,
-            "epochs_run": kernel.epochs_run,
-            "reconciled_counters": reconcile_epoch_counters(shards),
-            "wall_clock_s": time.perf_counter() - t0,
-        }
+        c0 = time.process_time()
+        value_size = spec.get("value_size", 64)
+        config = ClusterConfig(num_replicas=spec.get("replicas", 2),
+                               protocol=spec.get("protocol", "p4ce"),
+                               seed=spec.get("seed", 7),
+                               value_size_hint=value_size,
+                               **spec.get("overrides", {}))
+        cluster = ShardedCluster(spec["groups"], config, mode="lanes")
+        taps = [install_trace_digest(shard) for shard in cluster.shards]
+        cluster.await_ready()
+        drivers = [ClosedLoopDriver(shard, value_size,
+                                    window=spec.get("window", 16))
+                   for shard in cluster.shards]
+        for driver in drivers:
+            driver.start()
+        cluster.run_for(spec["warmup_ns"])
+        events_before = [shard.sim.events_executed for shard in cluster.shards]
+        for driver in drivers:
+            driver.measuring = True
+            driver.throughput.open(driver.cluster.sim.now)
+        window_ns = spec["window_ns"]
+        cluster.run_for(window_ns, epoch_ns=window_ns / spec.get("epochs", 1))
+        shards = []
+        for shard, driver, tap, before in zip(cluster.shards, drivers, taps,
+                                              events_before):
+            driver.throughput.close(shard.sim.now)
+            driver.measuring = False
+            driver.stop()
+            shards.append({
+                "trace_digest": tap.hexdigest(),
+                "events_executed": shard.sim.events_executed - before,
+                "commits": driver.commits,
+                "ops_per_sec": driver.throughput.ops_per_sec,
+                "counter_totals": shard.switch.counter_totals(),
+                "flight": shard.flight_planner.stats(),
+            })
+        return {"shards": shards,
+                "wall_clock_s": time.perf_counter() - t0,
+                "cpu_s": time.process_time() - c0}
     finally:
         fastlane.enable()
-
-
-def reconcile_epoch_counters(shards: List[dict]) -> List[List[int]]:
-    """Fold per-shard epoch counter deltas in (epoch, shard) order into
-    the global switch-counter timeline: entry k is the total frames
-    (rx, tx, drops, egress runs, pipeline drops, punts) moved by *all*
-    shards through epoch k.  Serial and parallel runs must produce the
-    identical timeline -- this is the epoch-barrier reconciliation of the
-    shared-switch counters.
-    """
-    if not shards:
-        return []
-    epochs = max(len(shard["epoch_counters"]) for shard in shards)
-    width = len(_COUNTER_FIELDS)
-    timeline: List[List[int]] = []
-    running = [0] * width
-    for epoch in range(epochs):
-        for shard in shards:  # (epoch, shard) fold order
-            deltas = shard["epoch_counters"]
-            if epoch < len(deltas):
-                for i, delta in enumerate(deltas[epoch]):
-                    running[i] += delta
-        timeline.append(list(running))
-    return timeline
-
-
-#: Field names of one _sample_switch_counters() vector, in order.
-_COUNTER_FIELDS = ("rx_frames", "tx_frames", "rx_drops", "egress_runs",
-                   "pipeline_drops", "to_cpu")

@@ -178,8 +178,12 @@ class MigrationRecord:
 class ServingDriver:
     """Open-loop serving of a :class:`ClientFleet` over a sharded cluster.
 
-    Requires ``mode="lanes"`` (one kernel lane per group) and an
-    installed :class:`RangeKeyMap`.  Pass a :class:`HotRangePlanner` to
+    Requires ``mode="lanes"`` (one switch per group, so a migration's
+    re-provisioning charges only its destination) and an installed
+    :class:`RangeKeyMap`.  Arrivals, wake-ups and commit latencies live
+    on the cluster's elapsed axis (:meth:`ShardedCluster.elapsed_of`),
+    and every barrier of :meth:`ShardedCluster.run_for` samples the next
+    epoch of arrivals.  Pass a :class:`HotRangePlanner` to
     enable migration; ``injector`` (a
     :class:`~repro.faults.injector.FaultInjector`) receives
     ``migration_started`` notifications, which is the hook the
@@ -190,12 +194,11 @@ class ServingDriver:
                  planner: Optional[HotRangePlanner] = None,
                  injector=None,
                  warmup_epochs: int = 2):
-        if cluster.kernel is None:
+        if cluster.mode != "lanes":
             raise ValueError("ServingDriver needs mode='lanes'")
         if cluster.key_map is None:
             raise ValueError("ServingDriver needs a RangeKeyMap")
         self.cluster = cluster
-        self.kernel = cluster.kernel
         self.fleet = fleet
         self.planner = planner
         self.injector = injector
@@ -240,7 +243,8 @@ class ServingDriver:
         if armed is not None and armed <= due:
             return
         self._wake_at[shard] = due
-        self.kernel.schedule_at_elapsed(shard, due, self._on_wake, shard, due)
+        self.cluster.schedule_at_elapsed(shard, due, self._on_wake, shard,
+                                         due)
 
     def _on_wake(self, shard: int, due: float) -> None:
         self._wake_at[shard] = None
@@ -252,7 +256,7 @@ class ServingDriver:
     def _pump(self, shard: int, floor: float = 0.0) -> None:
         """Serve backlog while the window, arrivals and pacing allow."""
         backlog = self._backlog[shard]
-        now = self.kernel.elapsed_of(shard)
+        now = self.cluster.elapsed_of(shard)
         if now < floor:
             now = floor
         while (backlog and self._inflight[shard] < self._window
@@ -279,7 +283,7 @@ class ServingDriver:
             self._inflight[shard] -= 1
             self.proposal_rejects += 1
             self._backlog[shard].appendleft((arrival, key))
-            retry = self.kernel.elapsed_of(shard) + \
+            retry = self.cluster.elapsed_of(shard) + \
                 self.cluster.config.heartbeat_period_ns
             if self._next_free[shard] < retry:
                 self._next_free[shard] = retry
@@ -287,7 +291,7 @@ class ServingDriver:
 
     def _on_commit(self, shard: int, arrival: float) -> None:
         self._inflight[shard] -= 1
-        now = self.kernel.elapsed_of(shard)
+        now = self.cluster.elapsed_of(shard)
         self.latencies.record(now - arrival)
         self.commits += 1
         self.per_shard_commits[shard] += 1
@@ -393,7 +397,7 @@ class ServingDriver:
             record.degraded = True
         self.planner.complete_move(record.lo, record.dst)
         self._busy_dst.discard(record.dst)
-        record.end_ns = self.kernel.elapsed_of(record.dst)
+        record.end_ns = self.cluster.elapsed_of(record.dst)
         held = self._held.pop(record.lo, [])
         record.ops_held = len(held)
         if held:
@@ -412,7 +416,7 @@ class ServingDriver:
         """Drive the fleet for ``window_ns`` of simulated time."""
         self._window_ns = float(window_ns)
         self._epoch_ns = float(epoch_ns)
-        self.kernel.rebase()
+        self.cluster.rebase()
         self._inject(0.0, min(self._epoch_ns, self._window_ns))
         self.cluster.run_for(self._window_ns, epoch_ns=self._epoch_ns,
                              on_epoch=self._on_epoch)

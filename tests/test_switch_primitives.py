@@ -112,15 +112,23 @@ class TestRegister:
         # The value must survive exact wire packing (the digest path).
         assert struct.pack("!H", value) == b"\x00\x07"
 
-    def test_window_cp_fill_epoch_matches_per_cell_writes(self):
+    def test_window_cp_fill_writes_cells_and_notifies_watcher(self):
+        class Watch:
+            def __init__(self):
+                self.writes = []
+
+            def on_cp_write(self, device):
+                self.writes.append(device)
+
         reg = Register("r", 64, width=16)
+        reg._flight_watch = watch = Watch()
         window = reg.window(16, 8)
-        before = reg.cp_epoch
-        window.cp_fill(0x1234)
-        # Slab fill advances the epoch exactly as 8 cp_writes would have.
-        assert reg.cp_epoch == before + 8
+        window.cp_fill(0x1_1234)
+        # Masked to the width, inside the window only...
         assert window.cells() == [0x1234] * 8
         assert reg.cp_read(15) == 0 and reg.cp_read(24) == 0
+        # ...and the flight planner hears of the slab write once.
+        assert watch.writes == [reg]
 
     def test_rmw_wraps_through_width_mask(self):
         reg = Register("r", 4, width=16)

@@ -54,16 +54,15 @@ from pathlib import Path
 _REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO / "src"))
 
-from repro import fastlane, params  # noqa: E402
+from repro import fastlane  # noqa: E402
 from repro.faults.injector import FaultSchedule  # noqa: E402
 from repro.workloads import generators  # noqa: E402
 from repro.faults.scenarios import REJOIN_RECOVERY_BOUND_NS  # noqa: E402
 from repro.workloads.chaos import (  # noqa: E402
     chaos_cell_specs, run_chaos_cell)
+from repro.consensus import ShardedCluster  # noqa: E402
 from repro.workloads.experiments import (  # noqa: E402
-    ClosedLoopDriver, build_cluster, group_scaling_specs,
-    install_trace_digest, reconcile_epoch_counters, run_group_scaling_serial,
-    run_shard_point)
+    ClosedLoopDriver, build_cluster, install_trace_digest, run_groups)
 from repro.workloads.fleet import (  # noqa: E402
     run_serving_cell, sampler_attribution)
 
@@ -115,12 +114,7 @@ _GROUP_COUNTS_QUICK = (1, 2)
 #: per-event simulator overhead (every value is its own flight), this
 #: one measures aggregate committed throughput.
 SCALING_SPEC = dict(protocol="p4ce", replicas=2, value_size=64, window=128,
-                    config=dict(batching=True))
-
-#: Lane settings compared per group count in the serial placement
-#: (name, lanes on): every shard must produce bit-identical digests in
-#: both.
-_SCALING_LANES = (("fast", True), ("slow", False))
+                    overrides=dict(batching=True))
 
 
 #: The serving tier: a modeled million-client open-loop fleet (Poisson
@@ -252,7 +246,7 @@ def run_lane(spec: dict, lane_name: str, lane_on: bool, fusion_on: bool,
     try:
         cluster = build_cluster(spec["protocol"], spec["replicas"],
                                 value_size=spec["value_size"],
-                                **spec.get("config", {}))
+                                **spec.get("overrides", {}))
         digest = install_trace_digest(cluster)
         leader = cluster.await_ready()
         driver = ClosedLoopDriver(cluster, spec["value_size"],
@@ -412,11 +406,15 @@ def run_workload(name: str, spec: dict, *, warmup_ns: float, window_ns: float,
     }
 
 
+#: Per-shard results that must be identical in every placement and lane.
+_SHARD_KEYS = ("trace_digest", "events_executed", "counter_totals")
+
+
 def run_group_scaling(groups, *, warmup_ns: float, window_ns: float,
                       epochs: int) -> dict:
-    """The sharding proof: G groups serial (one sharded kernel) vs
-    process-parallel (spawn workers), with per-shard digest equality and
-    epoch-barrier counter reconciliation at every G.
+    """The sharding proof at every G: all groups in one process (fast and
+    slow lanes) vs one group per spawn worker, with per-shard digest,
+    event count and switch-counter equality.
 
     ``aggregate_ops_per_sec`` sums the per-shard committed rates over the
     same simulated window -- the "aggregate simulated commits/s" the
@@ -432,68 +430,46 @@ def run_group_scaling(groups, *, warmup_ns: float, window_ns: float,
     except AttributeError:  # non-Linux
         cores = os.cpu_count() or 1
     out = {
-        "lookahead_ns": params.LINK_PROPAGATION_NS,
         "epochs": epochs,
         "groups": {},
         "deterministic": True,
         "determinism_failures": [],
     }
     failures = out["determinism_failures"]
-    spec = SCALING_SPEC
+    base = dict(SCALING_SPEC, warmup_ns=warmup_ns, window_ns=window_ns,
+                epochs=epochs)
+
+    def compare(num_groups, what, left, right):
+        """Record every per-shard key that differs; True if none do."""
+        same = True
+        for shard, (a, b) in enumerate(zip(left, right)):
+            for key in _SHARD_KEYS:
+                if a[key] != b[key]:
+                    same = False
+                    failures.append(f"group_scaling G={num_groups} shard "
+                                    f"{shard}: {what} {key} differs")
+        return same
+
     for num_groups in groups:
-        # Serial placement, both lane settings: the per-shard digests
-        # must be bit-identical whether flight fusion batches the window
-        # or the reference path runs every event through the heap.
-        lane_serial = {}
-        fast_specs = None
-        for lane_name, lane_on in _SCALING_LANES:
-            lane_specs = group_scaling_specs(
-                num_groups, replicas=spec["replicas"],
-                value_size=spec["value_size"], window=spec["window"],
-                overrides=spec.get("config"), warmup_ns=warmup_ns,
-                window_ns=window_ns, epochs=epochs, fast_lane=lane_on)
-            if lane_name == "fast":
-                fast_specs = lane_specs
-            print(f"[group_scaling] G={num_groups}: serial {lane_name}...")
-            lane_serial[lane_name] = run_group_scaling_serial(lane_specs)
-        serial = lane_serial["fast"]
-        slow_shards = lane_serial["slow"]["shards"]
-        for shard, (s, o) in enumerate(zip(serial["shards"], slow_shards)):
-            if s["trace_digest"] != o["trace_digest"]:
-                failures.append(
-                    f"group_scaling G={num_groups} shard {shard}: fast "
-                    f"and slow trace digests differ "
-                    f"({s['trace_digest'][:16]} vs "
-                    f"{o['trace_digest'][:16]})")
+        print(f"[group_scaling] G={num_groups}: serial fast + slow...")
+        serial = run_groups(dict(base, groups=num_groups))
+        slow = run_groups(dict(base, groups=num_groups, fast_lane=False))
+        compare(num_groups, "fast vs slow", serial["shards"], slow["shards"])
         workers = max(1, min(cores, num_groups))
         print(f"[group_scaling] G={num_groups}: parallel "
               f"({workers} worker(s), spawn)...")
+        # Seed 7 is run_groups' (and run_lane's) default base seed.
+        one_group = [dict(base, groups=1,
+                          seed=ShardedCluster.shard_seed(7, shard))
+                     for shard in range(num_groups)]
         t0 = time.perf_counter()
         with ctx.Pool(processes=workers) as pool:
-            par_shards = pool.map(run_shard_point, fast_specs)
-        parallel = {
-            "mode": "parallel",
-            "workers": workers,
-            "shards": par_shards,
-            "reconciled_counters": reconcile_epoch_counters(par_shards),
-            "wall_clock_s": time.perf_counter() - t0,
-        }
-        digest_match = [
-            s["trace_digest"] == p["trace_digest"]
-            for s, p in zip(serial["shards"], par_shards)]
-        for shard, match in enumerate(digest_match):
-            if not match:
-                failures.append(
-                    f"group_scaling G={num_groups} shard {shard}: serial and "
-                    f"parallel trace digests differ "
-                    f"({serial['shards'][shard]['trace_digest'][:16]} vs "
-                    f"{par_shards[shard]['trace_digest'][:16]})")
-        counters_match = (serial["reconciled_counters"]
-                          == parallel["reconciled_counters"])
-        if not counters_match:
-            failures.append(
-                f"group_scaling G={num_groups}: epoch-barrier counter "
-                f"reconciliation differs between serial and parallel")
+            par_shards = [run["shards"][0]
+                          for run in pool.map(run_groups, one_group)]
+        parallel = {"workers": workers, "shards": par_shards,
+                    "wall_clock_s": time.perf_counter() - t0}
+        shards_match = compare(num_groups, "serial vs parallel",
+                               serial["shards"], par_shards)
         fused = [s["flight"]["flights_fused"] for s in serial["shards"]]
         if not all(fused):
             failures.append(
@@ -511,28 +487,27 @@ def run_group_scaling(groups, *, warmup_ns: float, window_ns: float,
             "aggregate_commits": sum(s["commits"] for s in serial["shards"]),
             "per_shard_ops_per_sec": [s["ops_per_sec"]
                                       for s in serial["shards"]],
+            "per_shard_digests": [s["trace_digest"][:16]
+                                  for s in serial["shards"]],
             "per_shard_flights_fused": fused,
             "per_shard_runs_fused": runs_fused,
-            "digest_match": digest_match,
-            "counters_match": counters_match,
-            "serial_wall_by_lane": {
-                lane_name: lane_serial[lane_name]["wall_clock_s"]
-                for lane_name, _ in _SCALING_LANES},
+            "shards_match": shards_match,
+            "serial_wall_by_lane": {"fast": serial["wall_clock_s"],
+                                    "slow": slow["wall_clock_s"]},
             "serial": serial,
             "parallel": parallel,
         }
         print(f"  aggregate = {aggregate / 1e6:.2f} M commits/s  "
-              f"digests {'OK' if all(digest_match) else 'MISMATCH'}  "
-              f"counters {'OK' if counters_match else 'MISMATCH'}  "
+              f"shards {'OK' if shards_match else 'MISMATCH'}  "
               f"fused/shard = {fused}")
     if "1" in out["groups"]:
         # Self-contained G=1 parity: one unsharded cluster runs the very
         # same saturation shape through the plain harness (no sharded
-        # kernel, no epoch barriers); shard 0 of the G=1 serial run must
+        # cluster, no barriers); shard 0 of the G=1 serial run must
         # produce the identical digest, proving the sharded placement
         # machinery is invisible on the wire.
         print("[group_scaling] G=1 parity: unsharded reference run...")
-        reference = run_lane(spec, "fast", True, True, True, True,
+        reference = run_lane(SCALING_SPEC, "fast", True, True,
                              warmup_ns, window_ns)
         shard0 = out["groups"]["1"]["serial"]["shards"][0]["trace_digest"]
         parity = reference["trace_digest"] == shard0
@@ -669,7 +644,7 @@ def main(argv=None) -> int:
         names = [args.workload]
     else:
         names = sorted(WORKLOADS)
-    run_groups = args.workload in (None, "group_scaling")
+    run_scaling = args.workload in (None, "group_scaling")
     run_fleet = args.workload in (None, "serving")
     run_chaos = args.workload in (None, "chaos_matrix")
     if args.groups:
@@ -729,7 +704,7 @@ def main(argv=None) -> int:
             for failure in result["determinism_failures"]:
                 print(f"  DETERMINISM FAILURE: {failure}")
 
-    if run_groups:
+    if run_scaling:
         epochs = 8 if args.quick else 16
         print(f"[group_scaling] G in {list(groups)} "
               f"({window_ns / MS:g} ms window, {epochs} epoch barriers)...")
