@@ -34,8 +34,9 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
     fields drift.  Off: header objects are rewritten and re-serialized.
 
 ``flight_fusion``
-    Clean-path consensus flights (single-packet write on a healthy
-    broadcast path) are computed hop by hop in a planner-owned timeline
+    Clean-path consensus flights (a write message of any size -- every
+    PMTU segment of it -- on a healthy broadcast path) are computed hop
+    by hop in a planner-owned timeline
     instead of costing one kernel event per hop (:mod:`repro.sim.flight`).
     The kernel polls the hop queue directly and the planner drains it in
     batched **runs** -- consecutive due hops execute back to back, in

@@ -201,14 +201,13 @@ class RNic:
         qp.next_psn = psn_add(last_psn, 1)
         qp.outstanding.append(
             OutstandingRequest(wr, first_psn, last_psn, self.sim.now))
-        # Flight fusion: a single-packet write on a clean
-        # broadcast path is captured and replayed by the planner instead
-        # of being scheduled hop by hop; everything else takes the
-        # ordinary per-packet TX path.
+        # Flight fusion: a write on a clean broadcast path -- every
+        # packet of the message -- is captured and replayed by the
+        # planner instead of being scheduled hop by hop; everything else
+        # takes the ordinary per-packet TX path.
         planner = self.sim._flight_planner
         if (planner is None or wr.opcode is not WrOpcode.RDMA_WRITE
-                or len(packets) != 1
-                or not planner.try_fuse(self, qp, first_psn, packets[0])):
+                or not planner.try_fuse(self, qp, first_psn, packets)):
             for pkt in packets:
                 self._tx(pkt)
         self._arm_retx(qp)

@@ -218,38 +218,32 @@ def scatter_rewrite(packet: Packet, templates: Dict[tuple, _WireTemplate],
             return False
     elif n != 1:
         return False
-    ipv4 = packet._ipv4
-    udp = packet._udp
-    if ipv4 is None or udp is None:
+    if packet._ipv4 is None or packet._udp is None:
         return False
-    fp = (n, int(bth.opcode), bth.solicited, bth.partition_key,
-          packet._eth.ethertype, ipv4.protocol, ipv4.ttl,
-          ipv4.identification, ipv4.dscp, udp.src_port,
-          len(packet._payload),
-          reth.dma_length if reth is not None else 0)
-    tmpl = templates.get(fp)
-    if tmpl is None:
-        tmpl = _build(packet, pre[0], pre[1], pre[2], pre[3], pre[6],
-                      src_mac, src_ip,
-                      _EXT_RETH if reth is not None else _EXT_NONE)
-        templates[fp] = tmpl
-    psn = (bth.psn + pre[4]) & PSN_MASK
-    ack_req = bth.ack_req
+    tmpl = scatter_template(packet, templates, scatter_fingerprint(packet),
+                            pre, src_mac, src_ip)
+    install_scatter(packet, tmpl, (bth.psn + pre[4]) & PSN_MASK, bth.ack_req,
+                    None if reth is None else reth.virtual_address + pre[5],
+                    stamp)
+    return True
+
+
+def install_scatter(packet: Packet, tmpl: _WireTemplate, psn: int,
+                    ack_req: bool, va: Optional[int], stamp: bool) -> None:
+    """Patch a copy of ``tmpl`` with one leg's PSN/AckReq word and, for a
+    leg with a RETH, its virtual address (``va`` None: no RETH), and point
+    ``packet`` at it."""
     ack_word = ((1 << 31) if ack_req else 0) | psn
     block = bytearray(tmpl.block)
     suffix = bytearray(tmpl.suffix)
     _U32.pack_into(block, _ACKPSN_OFF, ack_word)
     _U32.pack_into(suffix, _SUF_ACKPSN_OFF, ack_word)
-    bth2 = tmpl.bth.clone_rewrite(psn, ack_req)
-    if reth is not None:
-        va = reth.virtual_address + pre[5]
+    new_upper = [tmpl.bth.clone_rewrite(psn, ack_req)]
+    if va is not None:
         _U64.pack_into(block, _EXT_OFF + RETH_VA_OFFSET, va)
         _U64.pack_into(suffix, _SUF_EXT_OFF, va)
-        new_upper = [bth2, tmpl.reth.clone_rewrite(va)]
-    else:
-        new_upper = [bth2]
+        new_upper.append(tmpl.reth.clone_rewrite(va))
     _install(packet, tmpl, new_upper, block, suffix, stamp)
-    return True
 
 
 def gather_rewrite(packet: Packet, templates: Dict[tuple, _WireTemplate],
@@ -295,22 +289,24 @@ def gather_rewrite(packet: Packet, templates: Dict[tuple, _WireTemplate],
 
 
 def scatter_fingerprint(packet: Packet) -> tuple:
-    """Template fingerprint of a Bth+Reth WRITE packet.
+    """Template key of a stamped WRITE leg: ``Bth`` alone (``WRITE_MIDDLE``
+    / ``WRITE_LAST``) or ``Bth`` + ``Reth`` (``WRITE_FIRST`` /
+    ``WRITE_ONLY``).
 
-    Identical to the tuple :func:`scatter_rewrite` derives for the
-    two-header shape, so flight fusion's virtual legs share the same template
-    dict entries as materialized ones.  The caller guarantees the shape
-    (columnar flights are gated on Bth+Reth at fuse time).
+    The one definition :func:`scatter_rewrite` and flight fusion's express
+    egress both key the template dict with, so virtual and materialized
+    legs share entries.  The leading header count is the shape
+    :func:`scatter_template` renders.  The caller guarantees the shape.
     """
     upper = packet._upper
     bth = upper[0]
-    reth = upper[1]
+    n = len(upper)
     ipv4 = packet._ipv4
     udp = packet._udp
-    return (2, int(bth.opcode), bth.solicited, bth.partition_key,
+    return (n, int(bth.opcode), bth.solicited, bth.partition_key,
             packet._eth.ethertype, ipv4.protocol, ipv4.ttl,
             ipv4.identification, ipv4.dscp, udp.src_port,
-            len(packet._payload), reth.dma_length)
+            len(packet._payload), upper[1].dma_length if n == 2 else 0)
 
 
 def scatter_template(packet: Packet, templates: Dict[tuple, _WireTemplate],
@@ -327,7 +323,7 @@ def scatter_template(packet: Packet, templates: Dict[tuple, _WireTemplate],
     tmpl = templates.get(fp)
     if tmpl is None:
         tmpl = _build(packet, pre[0], pre[1], pre[2], pre[3], pre[6],
-                      src_mac, src_ip, _EXT_RETH)
+                      src_mac, src_ip, _EXT_RETH if fp[0] == 2 else _EXT_NONE)
         templates[fp] = tmpl
     return tmpl
 

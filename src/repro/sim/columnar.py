@@ -107,10 +107,11 @@ class DigestTap:
         if len(self._events) >= _FLUSH_LIMIT:
             self.flush()
 
-    def absorb_scatter(self, tmpl, ack_word: int, va: int, payload: bytes,
+    def absorb_scatter(self, tmpl, ack_word: int, va, payload: bytes,
                        payload_crc: int, now: float) -> None:
         """Buffer one virtual scattered-WRITE frame (template + varying
-        words), byte-equivalent to tapping the ``scatter_rewrite`` output."""
+        words; ``va`` is None for a frame without a RETH), byte-equivalent
+        to tapping the ``scatter_rewrite`` output."""
         self._events.append((_EV_SCATTER, now, tmpl, ack_word, va, payload,
                              payload_crc))
         if len(self._events) >= _FLUSH_LIMIT:
@@ -165,8 +166,9 @@ class DigestTap:
                 suffix = bytearray(tmpl.suffix)
                 _U32.pack_into(block, _ACKPSN_OFF, ack_word)
                 _U32.pack_into(suffix, _SUF_ACKPSN_OFF, ack_word)
-                _U64.pack_into(block, _VA_OFF, va)
-                _U64.pack_into(suffix, _SUF_EXT_OFF, va)
+                if va is not None:  # WRITE_MIDDLE / LAST carry no RETH
+                    _U64.pack_into(block, _VA_OFF, va)
+                    _U64.pack_into(suffix, _SUF_EXT_OFF, va)
                 icrc = zlib.crc32(bytes(suffix), payload_crc) & 0xFFFFFFFF
                 append(bytes(block))
                 append(payload)

@@ -14,11 +14,20 @@ One chain, or the real handlers
 
 A launch has exactly two ways to run.  Either :meth:`FlightPlanner.try_fuse`
 accepts it and it rides the express chain below, or ``try_fuse`` declines
-it (flag off, tracer on, armed fault, tainted QP, no validated path, odd
-packet shape) and ``RNic._tx`` schedules it through the real handlers --
-the reference every wire digest is judged against.  There is no third
-implementation of a hop: every stage is written twice, once as the real
-handler and once as its express stage.
+it (flag off, tracer on, armed fault, tainted QP, no validated path, a
+packet not of a stamped WRITE shape) and ``RNic._tx`` schedules it
+through the real handlers -- the reference every wire digest is judged
+against.  There is no third implementation of a hop: every stage is
+written twice, once as the real handler and once as its express stage.
+
+A launch is a whole RDMA WRITE message, one packet per PMTU segment:
+``WRITE_ONLY``, or ``WRITE_FIRST``, zero or more ``WRITE_MIDDLE`` and
+``WRITE_LAST``.  ``try_fuse`` claims the TX pipeline packet by packet, as
+``RNic._tx`` would, and each packet rides its own chain of hops.  A head
+(FIRST / ONLY) carries the RETH and opens each replica's write cursor, a
+MIDDLE or LAST continues it, and only the tail (LAST / ONLY) completes the
+message and is ACKed -- so the gather stages see one ACK per message, at
+any size.
 
 1. **Hops live in a planner-owned heap** (``sim._flight_queue``) as
    ``(virtual_time, seq, real_fn, real_args, express_fn, ctx)``
@@ -44,9 +53,9 @@ handler and once as its express stage.
    threshold the forwarded ACK materializes into the exact real
    ``Packet`` and the three ``_x_*`` tail stages carry it to the leader,
    where the final hop runs the *real* RX handler so the CQE -> commit ->
-   next-proposal cascade schedules real events.  The launch WRITE is
+   next-proposal cascade schedules real events.  A launch packet is
    the wire's alone once it leaves the leader (the NIC keeps the work
-   request, not the frame), so the chain only reads it and every leg
+   request, not the frames), so the chain only reads it and every leg
    that has to become real is a copy of it.
 
 3. **The kernel drains due hops before any later event** (see
@@ -101,18 +110,13 @@ from ..rdma.memory import Access
 from ..rdma.opcodes import AethCode, Opcode, make_syndrome, saturate_credits
 from ..rdma.qp import QpState, psn_add
 from ..rdma.wiretemplate import (
-    _ACKPSN_OFF,
-    _SUF_ACKPSN_OFF,
-    _SUF_EXT_OFF,
-    _U32,
-    _U64,
-    _install,
     ack_frame,
     ack_template,
+    install_scatter,
     scatter_fingerprint,
     scatter_template,
 )
-from .columnar import _VA_OFF, DigestTap
+from .columnar import DigestTap
 from .kernel import Simulator
 from .trace import TraceRecord, Tracer
 
@@ -129,8 +133,18 @@ _RX_LAT = params.NIC_RX_LATENCY_NS
 _ROCE_PORT = params.ROCE_UDP_PORT
 _NUMRECV_SLOTS = params.NUMRECV_SLOTS
 _INITIAL_CREDITS = params.INITIAL_CREDITS
-_OP_WRITE_ONLY = Opcode.RDMA_WRITE_ONLY
 _OP_ACK = Opcode.ACKNOWLEDGE
+
+#: The stamped WRITE shapes a fused flight carries: opcode -> (header
+#: count, AckReq).  A head (FIRST / ONLY) is BTH + the RETH that opens the
+#: replica's write cursor; a tail (LAST / ONLY) is the one packet of a
+#: message that asks for an ACK and completes it.
+_WRITE_SHAPES = {
+    Opcode.RDMA_WRITE_ONLY: (2, True),
+    Opcode.RDMA_WRITE_FIRST: (2, False),
+    Opcode.RDMA_WRITE_MIDDLE: (1, False),
+    Opcode.RDMA_WRITE_LAST: (1, True),
+}
 
 #: Ethernet framing bytes around the IPv4 datagram (wire-size arithmetic
 #: for virtual ACK frames, matching ``Packet.wire_size``).
@@ -143,7 +157,7 @@ class _FusedPath:
 
     __slots__ = ("epoch", "nic", "nic_port", "switch", "program",
                  "leader_link", "leader_in_port", "switch_port", "dir_up",
-                 "dir_down", "scatter_key", "fc", "ecache", "econn", "tcache",
+                 "dir_down", "fc", "ecache", "econn", "tcache",
                  "numrecv_cells", "numrecv_mask", "half_pipe", "pgap", "legs")
 
 
@@ -155,9 +169,10 @@ class _FusedLeg:
 
 
 class _VLaunch:
-    """Shared per-flight launch info for virtual scatter legs:
-    everything every leg derives from the launch WRITE, computed once at
-    scatter ingress."""
+    """Shared per-packet launch info for virtual scatter legs:
+    everything every leg derives from one launch WRITE packet, computed
+    once at scatter ingress.  ``va0`` and ``dlen`` are the RETH's, None
+    for a ``WRITE_MIDDLE`` / ``WRITE_LAST``."""
 
     __slots__ = ("packet", "psn0", "ack_req", "va0", "dlen", "payload",
                  "payload_crc", "fp", "wire")
@@ -168,7 +183,8 @@ class _VFrame:
     scatter leg (``kind`` 0) or one replica ACK (``kind`` 1) plus a
     wire-template reference -- enough to rebuild the exact real
     ``Packet`` on demand (fallback, defusion, gather threshold) or to
-    feed the columnar digest tap without ever building it."""
+    feed the columnar digest tap without ever building it.  A scatter
+    leg's ``va`` is None when its frame has no RETH."""
 
     __slots__ = ("kind", "leg", "lau", "rewritten", "psn", "ack_word", "va",
                  "rkey", "tmpl", "syndrome", "msn", "wire", "iport")
@@ -246,12 +262,13 @@ class FlightPlanner:
     # Fusion entry point (called from RNic._launch)
     # ------------------------------------------------------------------
 
-    def try_fuse(self, nic, qp, first_psn: int, packet) -> bool:
-        """Compute a one-packet write as a fused flight.  Returns False
-        to decline: the caller then takes the ordinary per-hop TX path,
-        i.e. the real handlers.  Every probe precedes the first mutation,
-        so a declined launch leaves no trace (``nic._tx_busy_until`` is
-        where ``RNic._tx`` expects to claim it)."""
+    def try_fuse(self, nic, qp, first_psn: int, packets) -> bool:
+        """Compute a write message -- its ``packets``, one per PMTU
+        segment -- as a fused flight.  Returns False to decline: the
+        caller then takes the ordinary per-hop TX path, i.e. the real
+        handlers.  Every probe precedes the first mutation, so a declined
+        launch leaves no trace (``nic._tx_busy_until`` is where
+        ``RNic._tx`` expects to claim it)."""
         flags = fastlane.flags
         if (not flags.flight_fusion or self._armed
                 or not flags.rewrite_templates or not flags.flow_cache):
@@ -271,26 +288,36 @@ class FlightPlanner:
                 return False
             del self._tainted[qp]
         path = self._resolve_path(nic, qp)
-        up = packet._upper
-        if (path is None or len(up) != 2 or type(up[0]) is not Bth
-                or type(up[1]) is not Reth
-                or up[0].opcode is not _OP_WRITE_ONLY or not packet.has_icrc):
-            # No validated path, or not the stamped WRITE_ONLY shape the
-            # virtual frames are built from.
+        if path is not None:
+            for packet in packets:
+                up = packet._upper
+                bth = up[0]
+                n = len(up)
+                if (type(bth) is not Bth or not packet.has_icrc
+                        or _WRITE_SHAPES.get(bth.opcode) != (n, bth.ack_req)
+                        or (n == 2 and type(up[1]) is not Reth)):
+                    path = None
+                    break
+        if path is None:
+            # No validated path, or a packet not of a stamped WRITE shape
+            # the virtual frames are built from.
             self.fuse_rejects += 1
             return False
         sim = self._sim
         now = sim._now
-        # Inline RNic._tx for the clean hop (powered is path-validated and
-        # fault-watched): claim the TX pipeline, then push the emit hop.
+        fq = self._fq
+        emit = nic._emit
+        xfn = self._v_leader_emit
+        # Inline RNic._tx per packet, in order (powered is path-validated
+        # and fault-watched): claim the TX pipeline, push the emit hop.
         busy = nic._tx_busy_until
-        start = busy if busy > now else now
-        finish = start + _TX_GAP
-        nic._tx_busy_until = finish
-        seq = sim._seq
-        sim._seq = seq + 1
-        heapq.heappush(self._fq, (finish + _TX_LAT, seq, nic._emit, (packet,),
-                                  self._v_leader_emit, path))
+        for packet in packets:
+            busy = (busy if busy > now else now) + _TX_GAP
+            seq = sim._seq
+            sim._seq = seq + 1
+            heapq.heappush(fq, (busy + _TX_LAT, seq, emit, (packet,), xfn,
+                                path))
+        nic._tx_busy_until = busy
         self.flights_fused += 1
         return True
 
@@ -602,17 +629,8 @@ class FlightPlanner:
         pkt = lau.packet.copy()
         pkt.meta["replication_id"] = leg.rid
         if vf.rewritten:
-            tmpl = vf.tmpl
-            block = bytearray(tmpl.block)
-            suffix = bytearray(tmpl.suffix)
-            _U32.pack_into(block, _ACKPSN_OFF, vf.ack_word)
-            _U32.pack_into(suffix, _SUF_ACKPSN_OFF, vf.ack_word)
-            _U64.pack_into(block, _VA_OFF, vf.va)
-            _U64.pack_into(suffix, _SUF_EXT_OFF, vf.va)
-            new_upper = [tmpl.bth.clone_rewrite(vf.psn, lau.ack_req),
-                         tmpl.reth.clone_rewrite(vf.va)]
             # Paths are template-stamping by construction (_rebuild_path).
-            _install(pkt, tmpl, new_upper, block, suffix, True)
+            install_scatter(pkt, vf.tmpl, vf.psn, lau.ack_req, vf.va, True)
             pkt.finalize()
         return pkt
 
@@ -648,19 +666,24 @@ class FlightPlanner:
 
     def _v_scatter_ingress(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._run_ingress + P4ceProgram scatter classification
-        # (flow-cache hit path) + multicast fan-out, but the fan-out pushes
-        # _VFrames: per-leg varying words are computed at egress, the
-        # packets never.  The register guard reset (_begin_packet) is
-        # skipped: guards are only read by RegisterAction.execute, which no
-        # express stage calls, and every real ingress resets them first.
+        # (flow-cache hit path, keyed by (bcast QPN, opcode) as the real
+        # _classify_roce keys it: each message shape has its own verdict)
+        # + the packet's own NumRecv slot reset + multicast fan-out, but
+        # the fan-out pushes _VFrames: per-leg varying words are computed
+        # at egress, the packets never.  The register guard reset
+        # (_begin_packet) is skipped: guards are only read by
+        # RegisterAction.execute, which no express stage calls, and every
+        # real ingress resets them first.
         path = entry[5]
         packet = entry[3][1]
+        upper = packet._upper
+        bth = upper[0]
         sw = path.switch
         fc = path.fc
-        cached = fc._cache.get(path.scatter_key)
+        cached = fc._cache.get((bth.dest_qp, bth.opcode))
         if cached is None or cached[0] != _K_SCATTER:
             # Cold or foreign verdict: let the real walk classify (and
-            # warm the cache for the next flight).
+            # warm the cache for the next packet of this shape).
             self._fallback(entry)
             return
         self.vx_hops += 1
@@ -670,9 +693,6 @@ class FlightPlanner:
         for table, h, m in cached[2]:  # counter parity with the real walk
             table.hits += h
             table.misses += m
-        upper = packet._upper
-        bth = upper[0]
-        reth = upper[1]
         pre = cached[1]
         path.numrecv_cells[pre[0] + bth.psn % _NUMRECV_SLOTS] = 0
         path.program.scattered += 1
@@ -687,8 +707,12 @@ class FlightPlanner:
         lau.packet = packet
         lau.psn0 = bth.psn
         lau.ack_req = bth.ack_req
-        lau.va0 = reth.virtual_address
-        lau.dlen = reth.dma_length
+        if len(upper) == 2:
+            reth = upper[1]
+            lau.va0 = reth.virtual_address
+            lau.dlen = reth.dma_length
+        else:
+            lau.va0 = lau.dlen = None
         lau.payload = payload
         lau.payload_crc = pcrc
         lau.fp = scatter_fingerprint(packet)
@@ -736,12 +760,15 @@ class FlightPlanner:
             tcache.hits += 1
         lau = vf.lau
         sw = path.switch
+        # The template's shape (with or without RETH) is the packet's:
+        # the fingerprint leads with its header count.
         tmpl = scatter_template(lau.packet, templates, lau.fp, pre,
                                 sw.mac, sw.ip)
         psn = (lau.psn0 + pre[4]) & PSN_MASK
         vf.psn = psn
         vf.ack_word = ((1 << 31) if lau.ack_req else 0) | psn
-        vf.va = lau.va0 + pre[5]
+        va0 = lau.va0
+        vf.va = None if va0 is None else va0 + pre[5]
         vf.rkey = pre[6]
         vf.tmpl = tmpl
         vf.rewritten = True
@@ -793,12 +820,14 @@ class FlightPlanner:
 
     def _v_replica_rx(self, vt: float, entry: tuple) -> None:
         # Mirrors RNic._rx_process + _roce_dispatch + the clean
-        # _responder_write path + the ACK build/TX.  Shape and opcode are
-        # guaranteed by construction (the template carries the launch
-        # WRITE_ONLY), and the ICRC check is a guaranteed template-cache
-        # hit, so the probes reduce to QP liveness, PSN order and memory
-        # access; any unclean answer rebuilds the real packet and falls
-        # back whole.
+        # _responder_write path for the leg's shape + the ACK build/TX.
+        # The shape is one of try_fuse's stamped WRITE shapes, AckReq set
+        # exactly on the tail, and the ICRC check is a guaranteed
+        # template-cache hit, so the probes reduce to QP liveness, PSN
+        # order and the handler's shape checks: memory access over the
+        # RETH's DMA length for a head (FIRST / ONLY), the write cursor's
+        # room and R_key for a MIDDLE / LAST.  Any unclean answer rebuilds
+        # the real packet and falls back whole.
         leg = entry[5]
         vf = entry[3][0]
         rnic = leg.rnic
@@ -808,23 +837,32 @@ class FlightPlanner:
             self._fallback(entry)
             return
         lau = vf.lau
-        region = rnic._check_remote_access(qp, vf.va, lau.dlen, vf.rkey,
-                                           Access.REMOTE_WRITE)
+        payload = lau.payload
+        va = vf.va
+        if va is not None:
+            region = rnic._check_remote_access(qp, va, lau.dlen, vf.rkey,
+                                               Access.REMOTE_WRITE)
+        elif qp.write_cursor_remaining >= len(payload):
+            region = rnic.host.address_space.by_rkey(qp.write_cursor_rkey)
+        else:
+            region = None
         if region is None:
             self._fallback(entry)
             return
         self.vx_hops += 1
         rnic._rx_inflight -= 1
         rnic.packets_received += 1
-        payload = lau.payload
-        qp.write_cursor_va = vf.va
-        qp.write_cursor_rkey = vf.rkey
-        qp.write_cursor_remaining = lau.dlen
+        if va is not None:
+            qp.write_cursor_va = va
+            qp.write_cursor_rkey = vf.rkey
+            qp.write_cursor_remaining = lau.dlen
         if payload:
             region.write(qp.write_cursor_va, payload)
             qp.write_cursor_va += len(payload)
             qp.write_cursor_remaining -= len(payload)
         qp.expected_psn = psn_add(vf.psn, 1)
+        if not lau.ack_req:
+            return  # FIRST / MIDDLE: no completion, no ACK
         qp.msn = psn_add(qp.msn, 1)
         rnic.host.notify_remote_write(
             qp, vf.tmpl.bth.clone_rewrite(vf.psn, lau.ack_req), payload)
@@ -1030,7 +1068,6 @@ class FlightPlanner:
         path.switch_port = switch_port
         path.dir_up = link.direction_from(port)
         path.dir_down = dir_down
-        path.scatter_key = (qp.remote_qpn, _OP_WRITE_ONLY)
         path.fc = fc
         path.ecache = ecache
         path.econn = econn

@@ -1,8 +1,9 @@
 """Flight fusion's columnar express chain: fidelity, property-based.
 
-Hypothesis draws random run shapes -- closed-loop window depth, doorbell
-batching on/off, and an optional mid-run link fault at a random time
-with a random outage -- and each drawn scenario runs twice:
+Hypothesis draws random run shapes -- value size (one, two or five
+packets per write message), closed-loop window depth, doorbell batching
+on/off, and an optional mid-run link fault at a random time with a random
+outage -- and each drawn scenario runs twice:
 
 * **fused** -- the full fast stack, flight fusion batching clean runs
   into column operations and bulk-hashing the wire digest;
@@ -71,13 +72,13 @@ def _observe(cluster):
     )
 
 
-def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
-         fault_outage_ns) -> dict:
+def _run(lane: str, *, value_size: int, batching: bool, window: int,
+         fault_at_ns, fault_outage_ns) -> dict:
     """One seeded run of the drawn scenario under one lane setting."""
     fastlane.flags.set_all(lane == "fused")
     fastlane.reset_columnar()
     try:
-        cluster = build_cluster("p4ce", 2, value_size=64, seed=7,
+        cluster = build_cluster("p4ce", 2, value_size=value_size, seed=7,
                                 batching=batching)
         # The DigestTap (not a bare hash closure): fusion only engages
         # when every tap on the path can absorb virtual frames; a
@@ -91,7 +92,7 @@ def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
 
         for member in cluster.members.values():
             member.on_apply = on_apply
-        driver = ClosedLoopDriver(cluster, 64, window=window)
+        driver = ClosedLoopDriver(cluster, value_size, window=window)
         driver.start()
         if fault_at_ns is not None:
             schedule = FaultSchedule(cluster)
@@ -116,6 +117,8 @@ def _run(lane: str, *, batching: bool, window: int, fault_at_ns,
 
 
 _scenarios = st.fixed_dictionaries({
+    # One WRITE_ONLY, a FIRST + LAST pair, or five packets per message.
+    "value_size": st.sampled_from((64, 1500, 4096)),
     "batching": st.booleans(),
     "window": st.sampled_from((1, 4, 32, 128)),
     # None -> a clean run; otherwise cut the leader's primary cable at a
@@ -133,7 +136,8 @@ _scenarios = st.fixed_dictionaries({
 @given(scenario=_scenarios)
 def test_fused_matches_reference(scenario):
     fault = scenario["fault"]
-    kwargs = dict(batching=scenario["batching"],
+    kwargs = dict(value_size=scenario["value_size"],
+                  batching=scenario["batching"],
                   window=scenario["window"],
                   fault_at_ns=None if fault is None else fault[0],
                   fault_outage_ns=None if fault is None else fault[1])

@@ -93,7 +93,8 @@ def test_register_values_stay_plain_ints(monkeypatch):
 
     monkeypatch.setattr(RNic, "_requester_ack", spy_ack)
     monkeypatch.setattr(RegisterAction, "execute", spy_execute)
-    run = _run(value_size=4096)  # 4 packets per write: never fuses
+    # Fusion off: every scatter and gather runs the real RegisterActions.
+    run = _run(off=("flight_fusion",), value_size=4096)
     assert run["flights_fused"] == 0 and run["commits"] > 0
     assert syndromes and set(syndromes) == {int}
     assert outputs and set(outputs) == {int}

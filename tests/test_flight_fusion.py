@@ -4,9 +4,11 @@ Every test runs the same seeded workload twice -- flight fusion on and
 off (the other lanes stay on, so the comparison isolates fusion) -- and
 asserts the *entire observable run* is identical: the packet-trace
 digest over every frame accepted by every link (wire bytes + ICRC +
-timestamp), the commit count, and the kernel's executed-event count.
-The fused run must additionally prove it actually fused (and, for the
-fault scenarios, defused and re-engaged) via the planner's counters.
+timestamp), the commit count, and the kernel's executed-event and
+handed-out seq counts (some tests add the all-lanes-off reference as a
+third run).  The fused run must additionally prove it actually fused
+(and, for the fault scenarios, defused and re-engaged) via the planner's
+counters.
 Every run also samples the verdict caches' hit counters from every
 member's ``on_apply`` -- inside the run, where SMR code reads them -- and
 the two timelines must be equal: an express stage bumps them where and
@@ -15,8 +17,11 @@ when the real handler's cache lookup does.
 
 from __future__ import annotations
 
-from repro import fastlane
+import pytest
+
+from repro import fastlane, params
 from repro.faults.injector import FaultSchedule
+from repro.rdma.opcodes import Opcode
 from repro.sim.flight import _NUMRECV_SLOTS
 from repro.workloads.experiments import (
     ClosedLoopDriver, build_cluster, install_trace_digest)
@@ -55,6 +60,7 @@ def _run(fusion_on, fault_fn=None, run_ns=0.6 * MS, replicas=2,
         driver.start()
         cluster.run_for(0.1 * MS)
         planner = cluster.flight_planner
+        warm_fallbacks = planner.express_fallbacks
         probe = {}
         if fault_fn is not None:
             fault_fn(cluster, leader, planner, probe)
@@ -67,9 +73,14 @@ def _run(fusion_on, fault_fn=None, run_ns=0.6 * MS, replicas=2,
             "digest": digest.hexdigest(),
             "commits": driver.commits,
             "events": cluster.sim.events_executed,
+            # Kernel seqs handed out: a hop draws the one its real event
+            # would have, or ties against real events break differently.
+            "seqs": cluster.sim._seq,
             "cache_hits": cache_hits,
             "probe": probe,
             "flights_fused": planner.flights_fused,
+            "fallbacks_after_warmup": (planner.express_fallbacks
+                                       - warm_fallbacks),
             "defusions": planner.defusions,
             "runs_fused": planner.runs_fused,
             "hops_batched": planner.hops_batched,
@@ -86,7 +97,14 @@ def _assert_identical(fused, plain):
     assert fused["digest"] == plain["digest"]
     assert fused["commits"] == plain["commits"]
     assert fused["events"] == plain["events"]
+    assert fused["seqs"] == plain["seqs"]
     assert fused["cache_hits"] == plain["cache_hits"]
+
+
+def _packets_per_write(value_size):
+    """PMTU segments of one replicated log entry (header + value)."""
+    length = params.LOG_ENTRY_HEADER_BYTES + value_size
+    return -(-length // params.ROCE_PMTU)
 
 
 def _leader_link_fault(cluster, leader, planner, probe):
@@ -173,7 +191,7 @@ def test_mid_window_control_plane_register_writes_match_reference():
     assert slow["flights_fused"] == 0
     # Fusion re-engaged between and after the writes.
     assert fused["flights_fused"] > fused["defusions"]
-    for key in ("digest", "commits", "events"):
+    for key in ("digest", "commits", "events", "seqs"):
         assert fused[key] == slow[key], key
     f, s = fused["probe"], slow["probe"]
     assert f["at_credit_write"] == s["at_credit_write"]
@@ -267,17 +285,21 @@ def test_numrecv_wrap_inside_super_batches():
     _assert_identical(batched, plain)
 
 
-def test_numrecv_slot_wrap_keeps_fusing():
+@pytest.mark.parametrize("value_size", [64, 4096])
+def test_numrecv_slot_wrap_keeps_fusing(value_size):
     """PSN slot reuse in the gather registers is not an invalidation.
 
-    NumRecv aggregates 256 PSNs per connection (section IV-C); beyond
-    256 fused flights the express gather stage reuses slots exactly like
-    the real RegisterActions do, so fusion neither disengages nor
-    diverges when the PSN wraps past the register file.
+    NumRecv aggregates 256 PSNs per connection (section IV-C); once the
+    fused flights have spent more PSNs than that -- 257 one-packet
+    messages, or 52 five-packet 4 KiB ones -- the express gather stage
+    reuses slots exactly like the real RegisterActions do, so fusion
+    neither disengages nor diverges when the PSN wraps past the register
+    file.
     """
-    fused = _run(fusion_on=True, run_ns=0.5 * MS)
-    plain = _run(fusion_on=False, run_ns=0.5 * MS)
-    assert fused["flights_fused"] > _NUMRECV_SLOTS
+    fused = _run(fusion_on=True, run_ns=0.5 * MS, value_size=value_size)
+    plain = _run(fusion_on=False, run_ns=0.5 * MS, value_size=value_size)
+    assert (fused["flights_fused"] * _packets_per_write(value_size)
+            > _NUMRECV_SLOTS)
     assert fused["defusions"] == 0
     _assert_identical(fused, plain)
 
@@ -337,5 +359,139 @@ def test_defusion_with_legs_at_every_stage_leaves_no_flight_state():
                          "_FusedPath"}, name
     # Fusion re-engaged after the one defusion.
     assert fused["flights_fused"] > 1000
-    for key in ("digest", "commits", "events"):
+    for key in ("digest", "commits", "events", "seqs"):
         assert fused[key] == slow[key], key
+
+
+# -- Multi-packet messages ---------------------------------------------------
+
+_WRITES = {Opcode.RDMA_WRITE_ONLY, Opcode.RDMA_WRITE_FIRST,
+           Opcode.RDMA_WRITE_MIDDLE, Opcode.RDMA_WRITE_LAST}
+
+
+@pytest.mark.parametrize("value_size,packets", [
+    (1008, 1),     # one full PMTU: WRITE_ONLY, the boundary
+    (1024, 2),     # FIRST + a 16-byte LAST
+    (1025, 2),     # FIRST + LAST, unaligned tail
+    (1500, 2),
+    (4096, 5),     # FIRST + 3 MIDDLE + LAST
+    (65536, 65),
+])
+def test_multi_packet_writes_fuse_and_match_references(value_size, packets):
+    """A write message fuses whole at every size the NIC segments it
+    into, and matches both fusion's own off-half and the all-lanes-off
+    reference."""
+    assert _packets_per_write(value_size) == packets
+    fused = _run(fusion_on=True, value_size=value_size)
+    plain = _run(fusion_on=False, value_size=value_size)
+    slow = _run(fusion_on=False, value_size=value_size, other_lanes=False)
+    assert fused["flights_fused"] > 0
+    assert fused["fallbacks_after_warmup"] == 0
+    assert fused["defusions"] == 0
+    _assert_identical(fused, plain)
+    for key in ("digest", "commits", "events", "seqs"):
+        assert fused[key] == slow[key], key
+    # The verdict caches' hits are lane state (0 with flow_cache off):
+    # against the reference, the timeline is the apply instants.
+    assert ([sample[0] for sample in fused["cache_hits"]]
+            == [sample[0] for sample in slow["cache_hits"]])
+
+
+def _uplink_writes(cluster, leader):
+    """Opcodes of the WRITE frames on the leader's cable toward the
+    switch, in delivery order, from whichever queue holds their delivery
+    (the kernel heap, or the hop queue while fused)."""
+    port = leader.host.nic.port
+    link = port.link
+    up = link.direction_from(port)
+    deliver = link._deliver
+    sim = cluster.sim
+    pending = sorted(
+        (entry[0], entry[1], entry[3][1]._upper[0].opcode)
+        for entry in (*sim._heap, *sim._flight_queue)
+        if entry[2] == deliver and entry[3][0] is up
+        and entry[3][1]._upper)
+    return [op for _, _, op in pending if op in _WRITES]
+
+
+def _when(cluster, cond, then, step_ns=10):
+    """Run ``then`` at the first ``step_ns`` tick where ``cond()`` holds.
+    The ticks are kernel events in both lanes, so both count them."""
+    def tick():
+        if cond():
+            then()
+        else:
+            cluster.sim.schedule(step_ns, tick)
+    cluster.sim.schedule(step_ns, tick)
+
+
+def _mid_message_leader_cut(cluster, leader, planner, probe):
+    """Cut the leader's cable when the next WRITE frame due at the switch
+    is a MIDDLE: its message's FIRST has been scattered, the rest is lost
+    on the wire.  Heal before lease loss."""
+    schedule = FaultSchedule(cluster)
+
+    def cut():
+        probe["uplink"] = _uplink_writes(cluster, leader)
+        schedule.injector.partition_host(leader.node_id, False)
+
+    _when(cluster,
+          lambda: _uplink_writes(cluster, leader)[:1] == [
+              Opcode.RDMA_WRITE_MIDDLE],
+          cut)
+    schedule.at_ns(0.25 * MS).heal_host(leader.node_id)
+    schedule.arm()
+    cluster.sim.schedule(
+        0.25 * MS,
+        lambda: probe.__setitem__("fused_at_heal", planner.flights_fused))
+
+
+def test_leader_cut_mid_message_defuses_and_retransmits_whole_message():
+    """The cut lands between a message's FIRST and LAST: the pending
+    hops defuse mid-message, the lost tail heals through go-back-N from
+    the work request, and fusion re-engages."""
+    kwargs = dict(fault_fn=_mid_message_leader_cut, run_ns=1 * MS,
+                  value_size=4096)
+    fused = _run(fusion_on=True, **kwargs)
+    plain = _run(fusion_on=False, **kwargs)
+    uplink = fused["probe"]["uplink"]
+    assert uplink == plain["probe"]["uplink"]
+    # The FIRST was delivered, a MIDDLE and the LAST were still on the wire.
+    assert uplink[0] is Opcode.RDMA_WRITE_MIDDLE
+    assert Opcode.RDMA_WRITE_LAST in uplink
+    assert fused["defusions"] >= 1
+    assert fused["retransmissions"] > 0
+    assert plain["retransmissions"] == fused["retransmissions"]
+    assert fused["fused_at_heal"] is not None
+    assert fused["flights_fused"] > fused["fused_at_heal"]
+    _assert_identical(fused, plain)
+
+
+def _mid_message_replica_crash(cluster, leader, planner, probe):
+    """Crash a follower between the FIRST and the LAST of the message it
+    is receiving (its write cursor is open)."""
+    victim = next(h for h in cluster.hosts if h.node_id != leader.node_id)
+    schedule = FaultSchedule(cluster)
+
+    def open_cursor():
+        return max(qp.write_cursor_remaining
+                   for qp in victim.nic.qps.values())
+
+    def crash():
+        probe["cursor_remaining"] = open_cursor()
+        schedule.injector.crash_host(victim.node_id)
+
+    _when(cluster, lambda: open_cursor() > 0, crash)
+
+
+def test_replica_crash_mid_message_matches_unfused_digest():
+    kwargs = dict(fault_fn=_mid_message_replica_crash, run_ns=1 * MS,
+                  value_size=4096)
+    fused = _run(fusion_on=True, **kwargs)
+    plain = _run(fusion_on=False, **kwargs)
+    assert fused["probe"]["cursor_remaining"] > 0
+    assert (fused["probe"]["cursor_remaining"]
+            == plain["probe"]["cursor_remaining"])
+    assert fused["defusions"] >= 1
+    assert fused["flights_fused"] > 0
+    _assert_identical(fused, plain)

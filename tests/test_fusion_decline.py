@@ -4,8 +4,10 @@ A launch rides the express chain or ``try_fuse`` declines it to the real
 handlers; a stage that cannot prove its hop clean hands it to the real
 handler.  These tests pin the three places that used to route into a
 second express implementation instead: a foreign tap on a replica link,
-an odd launch shape, and a cold egress cache.  The reference in every
-comparison is the all-lanes-off run.
+an odd launch shape (a SEND; multi-packet SENDs and READs), and a cold
+egress cache -- plus the cold ingress verdict one shape of a multi-packet
+WRITE can meet on its own.  The reference in every comparison is the
+all-lanes-off run.
 """
 
 from __future__ import annotations
@@ -16,18 +18,19 @@ from repro import fastlane, params
 from repro.net.packet import Packet
 from repro.rdma.headers import Bth
 from repro.rdma.opcodes import Opcode
+from repro.rdma.qp import WorkRequest, WrOpcode
 from repro.workloads.experiments import (
     ClosedLoopDriver, build_cluster, install_trace_digest)
 
 MS = 1_000_000
 
 
-def _start(lanes_on: bool, replicas: int = 2):
+def _start(lanes_on: bool, replicas: int = 2, value_size: int = 64):
     fastlane.flags.set_all(lanes_on)
-    cluster = build_cluster("p4ce", replicas, value_size=64, seed=7)
+    cluster = build_cluster("p4ce", replicas, value_size=value_size, seed=7)
     digest = install_trace_digest(cluster)
     leader = cluster.await_ready()
-    driver = ClosedLoopDriver(cluster, 64, window=16)
+    driver = ClosedLoopDriver(cluster, value_size, window=16)
     driver.start()
     return cluster, digest, leader, driver
 
@@ -101,35 +104,76 @@ def test_foreign_tap_declines_launches(install_at_ns):
         assert fused[key] == slow[key], key
 
 
+def _clean_leader():
+    """A stopped clean fused run: the leader's broadcast path is resolved."""
+    cluster, _, leader, driver = _start(True)
+    cluster.run_for(0.1 * MS)
+    driver.stop()
+    assert cluster.flight_planner.flights_fused > 0
+    return cluster, leader.host.nic, leader.plane.qp
+
+
+def _assert_declined_unclaimed(cluster, nic, qp, packets) -> None:
+    """``try_fuse`` declines ``packets`` and leaves ``_tx_busy_until``
+    where ``RNic._tx`` expects to claim it, with no kernel seq consumed."""
+    planner = cluster.flight_planner
+    sim = cluster.sim
+    busy, seq = nic._tx_busy_until, sim._seq
+    pending = len(sim._flight_queue)
+    fused, rejects = planner.flights_fused, planner.fuse_rejects
+    assert planner.try_fuse(nic, qp, qp.next_psn, packets) is False
+    assert planner.fuse_rejects == rejects + 1
+    assert planner.flights_fused == fused
+    assert nic._tx_busy_until == busy
+    assert sim._seq == seq
+    assert len(sim._flight_queue) == pending
+
+
 def test_declined_launch_leaves_tx_pipeline_unclaimed():
     """Every probe in ``try_fuse`` precedes its first mutation: a launch
     declined on its shape finds ``_tx_busy_until`` where ``RNic._tx``
     expects to claim it, and consumes no kernel seq."""
     try:
-        cluster, _, leader, driver = _start(True)
-        cluster.run_for(0.1 * MS)
-        driver.stop()
-        planner = cluster.flight_planner
-        assert planner.flights_fused > 0  # the path is resolved and clean
-        nic = leader.host.nic
-        qp = leader.plane.qp
-        sim = cluster.sim
-        # A SEND is not the WRITE_ONLY shape virtual frames are built from.
+        cluster, nic, qp = _clean_leader()
+        # A SEND is not a WRITE shape virtual frames are built from.
         odd = nic._frame(
             qp, [Bth(Opcode.SEND_ONLY, qp.remote_qpn, qp.next_psn,
                      ack_req=True)], b"x")
-        busy, seq = nic._tx_busy_until, sim._seq
-        pending = len(sim._flight_queue)
-        fused, rejects = planner.flights_fused, planner.fuse_rejects
-        assert planner.try_fuse(nic, qp, qp.next_psn, odd) is False
-        assert planner.fuse_rejects == rejects + 1
-        assert planner.flights_fused == fused
-        assert nic._tx_busy_until == busy
-        assert sim._seq == seq
-        assert len(sim._flight_queue) == pending
+        busy = nic._tx_busy_until
+        _assert_declined_unclaimed(cluster, nic, qp, [odd])
         nic._tx(odd)
-        assert nic._tx_busy_until == (max(busy, sim.now)
+        assert nic._tx_busy_until == (max(busy, cluster.sim.now)
                                       + params.NIC_PACKET_GAP_NS)
+    finally:
+        fastlane.enable()
+
+
+@pytest.mark.parametrize("kind", ["send", "read"])
+def test_multi_packet_send_and_read_take_the_real_path(kind):
+    """Only WRITE messages fuse: a three-packet SEND and a READ spanning
+    four response PSNs are declined before any claim, and their launch
+    puts one real ``_emit`` event per request packet on the kernel heap."""
+    try:
+        cluster, nic, qp = _clean_leader()
+        pmtu = nic.pmtu
+        if kind == "send":
+            wr = WorkRequest(1, WrOpcode.SEND, data=bytes(2 * pmtu + 1))
+            opcodes = [Opcode.SEND_FIRST, Opcode.SEND_MIDDLE,
+                       Opcode.SEND_LAST]
+        else:
+            wr = WorkRequest(1, WrOpcode.RDMA_READ, length=4 * pmtu)
+            opcodes = [Opcode.RDMA_READ_REQUEST]
+        packets = nic._build_request(qp, wr, qp.next_psn)
+        assert [p._upper[0].opcode for p in packets] == opcodes
+        _assert_declined_unclaimed(cluster, nic, qp, packets)
+        sim = cluster.sim
+        pending = len(sim._flight_queue)
+        nic._launch(qp, wr)
+        assert len(sim._flight_queue) == pending
+        emitted = sorted((entry[0], entry[1], entry[3][0]._upper[0].opcode)
+                         for entry in sim._heap
+                         if entry[2] == nic._emit and entry[3][0]._upper)
+        assert [op for _, _, op in emitted][-len(opcodes):] == opcodes
     finally:
         fastlane.enable()
 
@@ -175,6 +219,50 @@ def test_cold_egress_cache_falls_back_to_real_egress():
     # leg and handed each to the real _run_egress, which refilled it...
     assert fused["fallbacks"] - fused["fallbacks_before"] >= fused["legs"]
     assert fused["fills"] - fused["fills_before"] == fused["legs"]
+    # ...and fusion carried on.
+    assert fused["flights_fused"] > fused["fused_before"]
+    for key in ("digest", "commits", "events"):
+        assert fused[key] == slow[key], key
+
+
+def _run_with_cold_middle_verdict(lanes_on: bool) -> dict:
+    try:
+        cluster, digest, leader, driver = _start(lanes_on, value_size=4096)
+        cluster.run_for(0.2 * MS)
+        driver.stop()
+        cluster.run_for(0.1 * MS)
+        planner = cluster.flight_planner
+        fc = cluster.switch.program._flow_cache
+        out = {"fallbacks_before": planner.express_fallbacks,
+               "fused_before": planner.flights_fused,
+               "fills_before": fc.fills}
+        # A fresh epoch, and the ingress verdict of one message shape
+        # gone: the first fused flight's FIRST finds its verdict, its
+        # first MIDDLE does not.
+        planner.on_cp_write()
+        key = (leader.plane.qp.remote_qpn, Opcode.RDMA_WRITE_MIDDLE)
+        out["had_verdict"] = fc._cache.pop(key, None) is not None
+        driver.start()
+        cluster.run_for(0.3 * MS)
+        driver.stop()
+        out.update(_observables(cluster, digest, driver))
+        out.update(fallbacks=planner.express_fallbacks,
+                   flights_fused=planner.flights_fused, fills=fc.fills,
+                   has_verdict=key in fc._cache)
+        return out
+    finally:
+        fastlane.enable()
+
+
+def test_cold_middle_verdict_falls_back_to_real_ingress():
+    fused = _run_with_cold_middle_verdict(True)
+    slow = _run_with_cold_middle_verdict(False)
+    assert fused["had_verdict"]
+    # One MIDDLE met the cold (QPN, opcode) verdict and went through the
+    # real _run_ingress, whose walk refilled it for the rest...
+    assert fused["fallbacks"] - fused["fallbacks_before"] == 1
+    assert fused["fills"] - fused["fills_before"] == 1
+    assert fused["has_verdict"]
     # ...and fusion carried on.
     assert fused["flights_fused"] > fused["fused_before"]
     for key in ("digest", "commits", "events"):
