@@ -3,8 +3,8 @@
 One switch model per shard lane, G independent consensus groups over a
 hash-partitioned keyspace, all driven by one ``ShardedCluster``.  The
 shape claim: per-group rate is leader-CPU-bound and groups share nothing,
-so the aggregate simulated commits/s scales ~linearly with G (the PR's
-acceptance gate checks >= 2x at G=4 in the full bench run).
+so the aggregate simulated commits/s scales ~linearly with G -- by
+construction: G independent lanes are G x the single-group rate.
 
 The table is keyed by G: a quick partial re-run (say G=1,2) rewrites just
 those rows of the block and keeps the full sweep's G=4,8 rows.
@@ -50,7 +50,7 @@ def test_group_scaling_aggregate_rate(benchmark):
             f"G={num_groups}: flight fusion disengaged on some shard"
         # ...and every shard actually commits.
         assert all(s["commits"] > 0 for s in run["shards"])
-    # Disjoint groups scale the aggregate ~linearly (generous floor: the
-    # gate run in tools/bench_sim.py enforces >= 2x at G=4).
+    # Disjoint groups scale the aggregate ~linearly (generous floor; the
+    # per-shard digests behind it are what tools/sweeps.py checks).
     aggregate_2 = sum(s["ops_per_sec"] for s in results[2]["shards"])
     assert aggregate_2 >= 1.6 * base

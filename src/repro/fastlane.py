@@ -1,9 +1,10 @@
 """Fast-lane switches for the per-packet hot path.
 
 The simulator's behaviour (every byte, every timestamp, every metric) is
-identical with the fast lanes on or off; the flags exist so that
-``tools/bench_sim.py`` can *prove* it by running the same workload both
-ways and comparing ``events_executed`` and the packet-trace digest.
+identical with the fast lanes on or off; the flags exist so that the
+tests, ``tools/sweeps.py`` and ``bench/run.py`` can *prove* it by running
+the same workload both ways and comparing ``events_executed`` and the
+packet-trace digest.
 
 A flag exists only where its off-half is a *different algorithm* for
 something observable, so that the all-off run is a reference the fast

@@ -33,8 +33,8 @@ header identities and version counters makes the receiver-side
 ``check_icrc`` of an unmodified packet a cache hit.
 
 Both lanes -- incremental and full -- hash the same canonical string, so
-they produce bit-identical values; ``tools/bench_sim.py`` asserts this by
-running whole workloads with the fast lane on and off.
+they produce bit-identical values; ``tests/test_fastlane_flags.py``
+asserts this by running whole workloads with the lane on and off.
 """
 
 from __future__ import annotations

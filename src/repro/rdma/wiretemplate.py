@@ -42,7 +42,7 @@ Determinism: the patched wire image is byte-for-byte what the slow path's
 ``pack()`` produces, and the patched suffix is byte-for-byte what
 ``repro.rdma.icrc._header_suffix`` packs, so digests and ICRC values are
 bit-identical with the lane on or off -- the randomized equivalence tests
-and ``tools/bench_sim.py`` both pin this.
+and ``tests/test_fastlane_flags.py`` both pin this.
 """
 
 from __future__ import annotations

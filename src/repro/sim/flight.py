@@ -90,10 +90,11 @@ Links whose tap is not the batched :class:`~repro.sim.columnar.DigestTap`
 want real frames on every hop; a path over one is not validated, so its
 launches are declined.
 
-The fast-vs-slow digest harness (``tools/bench_sim.py``) proves all of
-this end to end: identical ``events_executed``, metrics and packet-trace
-digests on every workload, including fault sweeps where fusion disengages
-and re-engages mid-run.
+The fused-vs-reference tests (``tests/test_flight_fusion.py``,
+``tests/test_columnar_express.py``) and the digest-parity sweeps
+(``tools/sweeps.py``) prove all of this end to end: identical
+``events_executed``, metrics and packet-trace digests, including fault
+runs where fusion disengages and re-engages mid-run.
 """
 
 from __future__ import annotations

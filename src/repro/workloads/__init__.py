@@ -14,7 +14,6 @@ from .fleet import (
     FleetConfig,
     ServingDriver,
     run_serving_cell,
-    sampler_attribution,
 )
 from .generators import (
     SplitMix64,
@@ -44,6 +43,5 @@ __all__ = [
     "measure_latency_at_load",
     "percentile",
     "run_serving_cell",
-    "sampler_attribution",
     "zipf_share",
 ]

@@ -218,7 +218,6 @@ def _run_chaos_lane(spec: dict, fast: bool,
     """One lane of one cell: build, load, strike (or replay), measure."""
     fastlane.flags.set_all(fast)
     t0 = time.perf_counter()
-    c0 = time.process_time()
     config = ClusterConfig(num_replicas=spec["replicas"],
                            protocol=spec["protocol"],
                            seed=spec["seed"],
@@ -290,7 +289,6 @@ def _run_chaos_lane(spec: dict, fast: bool,
                                for s in {id(x.sim): x for x in sc.shards}
                                .values()),
         "wall_clock_s": time.perf_counter() - t0,
-        "cpu_s": time.process_time() - c0,
     }
 
 
@@ -337,15 +335,10 @@ def run_chaos_cell(spec: dict) -> dict:
                                   if bound_ns is not None else None),
             "recovery_ok": recovery_ok,
             "progress_ok": progress_ok,
-            "speedup_vs_slow_lane": (slow["wall_clock_s"]
-                                     / fast["wall_clock_s"]
-                                     if fast["wall_clock_s"] else 0.0),
             "fast": fast,
             "slow": {k: v for k, v in slow.items() if k != "journal"},
             "wall_clock_s": (fast["wall_clock_s"] + slow["wall_clock_s"]
                              + (replay["wall_clock_s"] if replay else 0.0)),
-            "cpu_s": (fast["cpu_s"] + slow["cpu_s"]
-                      + (replay["cpu_s"] if replay else 0.0)),
         }
         return result
     finally:

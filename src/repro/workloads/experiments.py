@@ -17,7 +17,6 @@ Drivers:
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List
 
 from .. import fastlane
@@ -325,119 +324,6 @@ def measure_failover(protocol: str, num_replicas: int, fault: str, *,
             "time_ms": elapsed / 1e6}
 
 
-# -- parallel sweep support --------------------------------------------------
-#
-# ``tools/bench_suite.py`` fans the benchmark matrix below across worker
-# processes.  Everything here must be importable (no closures) so the
-# point specs and the worker function pickle across the spawn boundary.
-
-#: Value sizes swept by the suite (Fig. 5's axis, thinned to three points).
-SWEEP_VALUE_SIZES = (64, 512, 4096)
-#: Replica counts swept by the suite (section V-E's scaling axis).
-SWEEP_REPLICA_COUNTS = (2, 3, 5)
-#: Ablations from the paper's section V, as ClusterConfig overrides.
-SWEEP_ABLATIONS = {
-    "batching": {"batching": True},
-    "ack_drop_in_egress": {"ack_drop_in_egress": True},
-    "no_credit_aggregation": {"credit_aggregation": False},
-}
-
-
-def sweep_matrix(*, quick: bool = False, base_seed: int = 7) -> List[dict]:
-    """Build the point specs of one full suite run.
-
-    Each point carries its own derived seed (``base_seed + index``) so
-    workers never share a random stream, and all timing parameters, so a
-    worker needs nothing but the spec.
-    """
-    sizes = SWEEP_VALUE_SIZES[::2] if quick else SWEEP_VALUE_SIZES
-    replicas = SWEEP_REPLICA_COUNTS[:2] if quick else SWEEP_REPLICA_COUNTS
-    ablations = dict(list(SWEEP_ABLATIONS.items())[:1]) if quick \
-        else SWEEP_ABLATIONS
-    warmup_ns = 0.3 * MS if quick else 1 * MS
-    window_ns = 1 * MS if quick else 4 * MS
-    specs: List[dict] = []
-
-    def add(name: str, protocol: str, n: int, size: int, overrides: dict) -> None:
-        specs.append({
-            "name": name,
-            "protocol": protocol,
-            "replicas": n,
-            "value_size": size,
-            "overrides": overrides,
-            "warmup_ns": warmup_ns,
-            "window_ns": window_ns,
-            "pipeline": 16,
-            "seed": base_seed + len(specs),
-            "fast_lane": True,
-        })
-
-    for size in sizes:
-        for n in replicas:
-            add(f"p4ce_n{n}_v{size}", "p4ce", n, size, {})
-    # Mu baseline along the value-size axis (Fig. 5's second series).
-    for size in sizes:
-        add(f"mu_n{replicas[0]}_v{size}", "mu", replicas[0], size, {})
-    for name, overrides in ablations.items():
-        add(f"ablation_{name}", "p4ce", replicas[-1], sizes[0], dict(overrides))
-    return specs
-
-
-def run_sweep_point(spec: dict) -> dict:
-    """One point of the benchmark matrix; runs inside a worker process.
-
-    Returns plain floats/ints only (the dict crosses the process
-    boundary).  ``wall_clock_s`` covers the whole point -- build, warm-up
-    and measured window; ``cpu_s`` is the worker's process CPU time over
-    the same span, which stays honest when workers time-slice a core
-    (the suite sums it as the serial-equivalent cost).
-    ``events_per_sec`` is measured over the window alone.
-    """
-    fastlane.flags.set_all(bool(spec.get("fast_lane", True)))
-    try:
-        t0 = time.perf_counter()
-        c0 = time.process_time()
-        cluster = build_cluster(spec["protocol"], spec["replicas"],
-                                value_size=spec["value_size"],
-                                seed=spec["seed"],
-                                **spec.get("overrides", {}))
-        cluster.await_ready()
-        driver = ClosedLoopDriver(cluster, spec["value_size"],
-                                  window=spec.get("pipeline", 16))
-        driver.start()
-        cluster.run_for(spec["warmup_ns"])
-        driver.measuring = True
-        driver.throughput.open(cluster.sim.now)
-        events_before = cluster.sim.events_executed
-        w0 = time.perf_counter()
-        cluster.run_for(spec["window_ns"])
-        window_wall = time.perf_counter() - w0
-        driver.throughput.close(cluster.sim.now)
-        driver.measuring = False
-        driver.stop()
-        events = cluster.sim.events_executed - events_before
-        return {
-            "name": spec["name"],
-            "protocol": spec["protocol"],
-            "replicas": spec["replicas"],
-            "value_size": spec["value_size"],
-            "seed": spec["seed"],
-            "overrides": spec.get("overrides", {}),
-            "commits": driver.commits,
-            "ops_per_sec": driver.throughput.ops_per_sec,
-            "goodput_gbps": driver.throughput.goodput_gbytes_per_sec,
-            "mean_latency_us": driver.latencies.mean_ns / 1e3,
-            "events_executed": events,
-            "window_wall_s": window_wall,
-            "events_per_sec": events / window_wall if window_wall else 0.0,
-            "wall_clock_s": time.perf_counter() - t0,
-            "cpu_s": time.process_time() - c0,
-            "fastlane": fastlane.flags.as_dict(),
-        }
-    finally:
-        fastlane.enable()
-
-
 # -- multi-group sharding ----------------------------------------------------
 
 
@@ -459,8 +345,6 @@ def run_groups(spec: dict) -> dict:
     """
     fastlane.flags.set_all(bool(spec.get("fast_lane", True)))
     try:
-        t0 = time.perf_counter()
-        c0 = time.process_time()
         value_size = spec.get("value_size", 64)
         config = ClusterConfig(num_replicas=spec.get("replicas", 2),
                                protocol=spec.get("protocol", "p4ce"),
@@ -496,8 +380,6 @@ def run_groups(spec: dict) -> dict:
                 "counter_totals": shard.switch.counter_totals(),
                 "flight": shard.flight_planner.stats(),
             })
-        return {"shards": shards,
-                "wall_clock_s": time.perf_counter() - t0,
-                "cpu_s": time.process_time() - c0}
+        return {"shards": shards}
     finally:
         fastlane.enable()

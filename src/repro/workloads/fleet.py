@@ -524,32 +524,3 @@ def run_serving_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
         return report
     finally:
         fastlane.enable()
-
-
-def sampler_attribution(samples: int = 1_000_000, keyspace: int = 100_000,
-                        theta: float = 0.99, seed: int = 1) -> Dict[str, Any]:
-    """Batch-vs-scalar sampling cost at fleet scale (wall clock).
-
-    The acceptance gate for the fleet driver: ``sample_batch`` must be
-    >= 10x the per-call path at 10^6 draws so a million-client epoch
-    never bottlenecks on workload generation.  Reporting only -- wall
-    clock never feeds back into simulated behaviour.
-    """
-    batch_gen = ZipfianGenerator(keyspace, theta, SeededRng(seed))
-    t0 = time.perf_counter()
-    batch = batch_gen.sample_batch(samples)
-    batch_s = time.perf_counter() - t0
-    scalar_gen = ZipfianGenerator(keyspace, theta, SeededRng(seed))
-    nxt = scalar_gen.next
-    t0 = time.perf_counter()
-    for _ in range(samples):
-        nxt()
-    scalar_s = time.perf_counter() - t0
-    del batch
-    return {
-        "samples": samples,
-        "vectorized_backend": _gen.NUMPY,
-        "batch_ns_per_sample": batch_s * 1e9 / samples,
-        "scalar_ns_per_sample": scalar_s * 1e9 / samples,
-        "speedup_batch_vs_scalar": (scalar_s / batch_s) if batch_s else 0.0,
-    }

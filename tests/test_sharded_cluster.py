@@ -8,7 +8,10 @@
   shard s of the G-group run, so one group per spawn worker reproduces
   the serial run (the pool itself is skipped on single-core runners --
   it would only serialize there; the contract is checked without it);
-* ``tools/bench_sim.py``'s group-scaling workload runs end to end.
+* G=1 is the plain harness: shard 0 of a one-group run is an unsharded
+  cluster's closed loop of the same spec, bit for bit;
+* ``tools/sweeps.py``'s group-scaling sweep runs end to end, and a bare
+  run writes no report.
 """
 
 import importlib.util
@@ -19,7 +22,8 @@ import pathlib
 import pytest
 
 from repro import ShardedCluster
-from repro.workloads.experiments import run_groups
+from repro.workloads.experiments import (
+    ClosedLoopDriver, build_cluster, install_trace_digest, run_groups)
 
 MS = 1_000_000
 #: Sub-millisecond closed loops: enough for fusion to engage per shard.
@@ -107,6 +111,24 @@ class TestShardedConsensusDeterminism:
             # The sharding target rides on fusion staying engaged per shard.
             assert alone["shards"][0]["flight"]["flights_fused"] > 0
 
+    def test_one_group_is_the_unsharded_closed_loop(self):
+        # Shard 0 keeps the base seed, so the sharded placement must be
+        # invisible on the wire: a plain cluster with the same tap and
+        # closed loop gives the same digest, events and commits.
+        shard = run_groups(dict(SPEC, groups=1))["shards"][0]
+        cluster = build_cluster("p4ce", 2, value_size=64, seed=7)
+        tap = install_trace_digest(cluster)
+        cluster.await_ready()
+        driver = ClosedLoopDriver(cluster, 64, window=16)
+        driver.start()
+        cluster.run_for(SPEC["warmup_ns"])
+        before = cluster.sim.events_executed
+        cluster.run_for(SPEC["window_ns"])
+        assert ((shard["trace_digest"], shard["events_executed"],
+                 shard["commits"])
+                == (tap.hexdigest(), cluster.sim.events_executed - before,
+                    driver.commits))
+
     @pytest.mark.skipif(_cores() < 2,
                         reason="process-parallel run needs multiple cores")
     def test_parallel_workers_reproduce_serial_digests(self, two_groups):
@@ -118,15 +140,24 @@ class TestShardedConsensusDeterminism:
                 == _per_shard(two_groups))
 
 
+@pytest.fixture(scope="module")
+def sweeps():
+    path = (pathlib.Path(__file__).resolve().parent.parent
+            / "tools" / "sweeps.py")
+    spec = importlib.util.spec_from_file_location("sweeps", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestGroupScalingHarness:
-    def test_bench_sim_group_scaling_runs(self):
-        path = (pathlib.Path(__file__).resolve().parent.parent
-                / "tools" / "bench_sim.py")
-        spec = importlib.util.spec_from_file_location("bench_sim", path)
-        bench_sim = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench_sim)
-        out = bench_sim.run_group_scaling((1,), warmup_ns=0.05 * MS,
-                                          window_ns=0.2 * MS, epochs=2)
-        assert out["deterministic"], out["determinism_failures"]
-        assert out["g1_unsharded_digest_match"]
+    def test_sweeps_group_scaling_runs(self, sweeps):
+        out = sweeps.run_group_scaling((1,), warmup_ns=0.05 * MS,
+                                       window_ns=0.2 * MS, epochs=2)
+        assert out["failures"] == []
         assert out["groups"]["1"]["shards_match"]
+
+    def test_bare_run_writes_no_report(self, sweeps):
+        # The BENCH_*.json files at the repository root are history: only
+        # an explicit --output writes a report.
+        assert sweeps.build_parser().parse_args([]).output is None
