@@ -45,15 +45,18 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
     barrier.  The interior per-leg frames of a flight -- the scattered
     replica writes and their ACKs -- are never materialized as ``Packet``
     objects: each virtual express stage runs at its hop's ``(time, seq)``
-    turn and writes the same register cells, counters and busy horizons
-    its real handler would, so all of them are current at any instant a
-    callback can run; the wire-digest tap renders each batch of virtual
-    frames from pre-rendered templates and feeds SHA-256 one contiguous
-    buffer in exact frame order (:mod:`repro.sim.columnar`).
-    Only the forwarded ACK and the terminal leader-completion hop are
-    real.  There is one express chain: a launch the planner cannot prove
-    clean is declined to the real handlers, and a stage that cannot prove
-    its hop clean falls back to the real handler at the warped clock.
+    turn and calls the effect methods its real handler calls (one
+    definition per hop: the link's serialization claim, the parser and
+    NIC pipeline claims, the responder's write, the verdict-cache replay,
+    the gather tally), so every register cell, counter and busy horizon
+    is current at any instant a callback can run; the wire-digest tap
+    renders each batch of virtual frames with the real frames' template
+    patches and feeds SHA-256 one contiguous buffer in exact frame order
+    (:mod:`repro.sim.columnar`).  Only the forwarded ACK and the
+    terminal leader-completion hop are real.  There is one express
+    chain: a launch the planner cannot prove clean is declined to the
+    real handlers, and a stage that cannot prove its hop clean falls
+    back to the real handler at the warped clock.
     Faults, control-plane writes, NAKs and retransmissions materialize
     pending hops back into ordinary events and disable fusion until
     recovery.  Off: every hop is a kernel event through the real handlers.

@@ -22,7 +22,7 @@ from .. import params
 from ..sim import SeededRng, Simulator
 from .packet import Packet
 
-# Ethernet wire constants hoisted for the transmit() fast path.  These are
+# Ethernet wire constants hoisted for the per-frame _Direction.send.  These are
 # physical-layer invariants, never reconfigured at runtime.
 _MIN_FRAME = params.ETHERNET_MIN_FRAME_BYTES
 _WIRE_OVERHEAD = params.ETHERNET_WIRE_OVERHEAD_BYTES
@@ -89,12 +89,32 @@ class _Direction:
     counters.  Resolved from the source port with one identity compare in
     :meth:`Link.transmit` -- the hottest call in the simulator."""
 
-    __slots__ = ("dst", "stats", "busy_until")
+    __slots__ = ("link", "dst", "stats", "busy_until")
 
-    def __init__(self, dst: Port) -> None:
+    def __init__(self, link: "Link", dst: Port) -> None:
+        self.link = link
         self.dst = dst
         self.stats = DirectionStats()
         self.busy_until = 0.0
+
+    def send(self, wire_size: int) -> float:
+        """Serialize one frame of ``wire_size`` bytes now: queue it FIFO
+        behind the frames ahead, count it, and return when it arrives at
+        :attr:`dst`.  The serialization arithmetic is term for term
+        :func:`params.serialization_ns`, so timing is bit-identical to
+        computing it through the helper.  Flight fusion's express stages
+        call this too."""
+        link = self.link
+        now = link._sim._now  # raw clock read; runs once per frame
+        busy = self.busy_until
+        start = busy if busy > now else now
+        on_wire = wire_size if wire_size > _MIN_FRAME else _MIN_FRAME
+        finish = start + (on_wire + _WIRE_OVERHEAD) * 8 * 1e9 / link.rate_bps
+        self.busy_until = finish
+        stats = self.stats
+        stats.frames += 1
+        stats.bytes += wire_size
+        return finish + link.propagation_ns
 
 
 class Link:
@@ -122,8 +142,8 @@ class Link:
         self._drop_probability = 0.0
         self._rng = rng or SeededRng(0)
         # Per-direction transmitter state (FIFO serialization queue).
-        self._dir_a = _Direction(b)
-        self._dir_b = _Direction(a)
+        self._dir_a = _Direction(self, b)
+        self._dir_b = _Direction(self, a)
         self.stats: Dict[int, DirectionStats] = {
             id(a): self._dir_a.stats, id(b): self._dir_b.stats}
         self._tap: Optional[Callable[[Port, Packet], Any]] = None
@@ -136,9 +156,6 @@ class Link:
         if port is self.b:
             return self.a
         raise ValueError(f"{port!r} is not an end of {self.name}")
-
-    def serialization_ns(self, packet: Packet) -> float:
-        return params.serialization_ns(packet.wire_size, self.rate_bps)
 
     def direction_from(self, src: Port) -> _Direction:
         """The transmitter state for frames leaving ``src`` (analytic
@@ -188,10 +205,7 @@ class Link:
         real cable, acceptance is not delivery).
 
         This is the hottest per-frame call in the simulator, so the
-        direction state is one identity compare away and the
-        serialization arithmetic is open-coded (term for term the same
-        expression as :func:`params.serialization_ns`, so timing is
-        bit-identical to computing it through the helper).
+        direction state is one identity compare away.
         """
         if src is self.a:
             d = self._dir_a
@@ -199,27 +213,17 @@ class Link:
             d = self._dir_b
         else:
             raise ValueError(f"{src!r} is not an end of {self.name}")
-        stats = d.stats
-        wire_size = packet.wire_size
-        now = self._sim._now  # raw clock read; transmit runs per frame
-        busy = d.busy_until
-        start = busy if busy > now else now
-        on_wire = wire_size if wire_size > _MIN_FRAME else _MIN_FRAME
-        finish = start + (on_wire + _WIRE_OVERHEAD) * 8 * 1e9 / self.rate_bps
-        d.busy_until = finish
-        stats.frames += 1
-        stats.bytes += wire_size
+        arrival = d.send(packet.wire_size)
         tap = self._tap  # private read: property is off the hot path
         if tap is not None:
             tap(src, packet)
         drop = self._drop_probability  # private read: property is off the hot path
         if not self.up or (drop > 0.0 and self._rng.chance(drop)):
-            stats.dropped += 1
+            d.stats.dropped += 1
             return True
         # Fire-and-forget: no delivery handle escapes, so the kernel spends
         # one heap tuple on it and no Event object.
-        self._sim.schedule_at_fire(finish + self.propagation_ns, self._deliver,
-                                   d, packet)
+        self._sim.schedule_at_fire(arrival, self._deliver, d, packet)
         return True
 
     def _deliver(self, d: "_Direction", packet: Packet) -> None:

@@ -234,13 +234,9 @@ class P4ceProgram(SwitchProgram):
         if cache is None:
             return self._classify_roce_walk(bth)
         key = (bth.dest_qp, bth.opcode)
-        cached = cache.get(key)
+        cached = cache.hit(key)
         if cached is not None:
-            kind, pre, delta = cached
-            for t, h, m in delta:  # inline counter replay (per-packet path)
-                t.hits += h
-                t.misses += m
-            return kind, pre
+            return cached[0], cached[1]
         before = cache.counters_snapshot()
         kind, pre = self._classify_roce_walk(bth)
         cache.put(key, (kind, pre, cache.counters_delta(before)))
@@ -291,33 +287,44 @@ class P4ceProgram(SwitchProgram):
             self._rewrite_to_leader(packet, bth, aeth, leader_psn, pre,
                                     new_syndrome=syndrome)
             return pre.leader_verdict
-        self.gathered_acks += 1
-        own_credit = syndrome & 0x1F
-        if self.credit_aggregation:
-            min_credit = self._aggregate_credits(
-                pre.group_index, pre.credit_slot, own_credit)
-        else:
-            min_credit = own_credit
-        numrecv_slot = pre.numrecv_base + leader_psn % params.NUMRECV_SLOTS
-        count = self._numrecv_count.execute(numrecv_slot)
-        tracer = self.switch.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.record("p4ce-dp", "gather", psn=leader_psn, count=count,
-                          threshold=pre.ack_threshold, min_credit=min_credit)
-        if count == pre.ack_threshold:
-            self.forwarded_acks += 1
+        count = self._numrecv_count.execute(
+            pre.numrecv_base + leader_psn % params.NUMRECV_SLOTS)
+        min_credit = self._gather_ack(pre, leader_psn, syndrome & 0x1F, count)
+        if min_credit is not None:
             # make_syndrome(AethCode.ACK, min_credit) with the code bits
             # known to be zero: the syndrome is just the 5-bit credit.
             self._rewrite_to_leader(packet, bth, aeth, leader_psn, pre,
                                     new_syndrome=min_credit)
             return pre.leader_verdict
-        self.dropped_acks += 1
         if self.ack_drop_in_egress:
             # First-implementation behaviour: let the surplus ACK occupy
             # the leader's egress parser before being discarded there.
             packet.meta["p4ce_drop_in_egress"] = True
             return pre.leader_verdict
         return _VERDICT_DROP
+
+    def _gather_ack(self, pre: _GatherPre, leader_psn: int, own_credit: int,
+                    count: int) -> Optional[int]:
+        """Tally a positive ACK, the ``count``-th for ``leader_psn``: fold
+        its credit into the group minimum, then forward it if it is the
+        f-th and drop it otherwise.  Returns the minimum to forward, or
+        None.  Flight fusion's express gather calls this too, after its
+        own masked ``NumRecv`` count."""
+        self.gathered_acks += 1
+        if self.credit_aggregation:
+            min_credit = self._aggregate_credits(
+                pre.group_index, pre.credit_slot, own_credit)
+        else:
+            min_credit = own_credit
+        tracer = self.switch.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.record("p4ce-dp", "gather", psn=leader_psn, count=count,
+                          threshold=pre.ack_threshold, min_credit=min_credit)
+        if count == pre.ack_threshold:
+            self.forwarded_acks += 1
+            return min_credit
+        self.dropped_acks += 1
+        return None
 
     def _aggregate_credits(self, group_index: int, own_slot: int,
                            own_credit: int) -> int:
@@ -334,8 +341,8 @@ class P4ceProgram(SwitchProgram):
         # smaller 8-bit value -- which `<` computes directly since every
         # credit is already masked on write.  One method call per slot
         # (16 calls per ACK) disappears from the hottest gather loop.
-        # Flight fusion's express gather calls this same method: there is
-        # one definition of the fold.
+        # Flight fusion's express gather reaches it through _gather_ack:
+        # there is one definition of the fold.
         minimum = EMPTY_CREDIT
         slot = 0
         for reg in self.credits:
@@ -390,29 +397,12 @@ class P4ceProgram(SwitchProgram):
             return False  # ablation: surplus ACK discarded at the leader's egress
         if replication_id == 0:
             return True  # unicast traffic passes through untouched
-        pre = None
-        cache = self._egress_cache if fastlane.flags.flow_cache else None
-        if cache is not None:
-            pre = cache.get(replication_id)
-        if pre is None:
-            entry = self.egress_conn_table.lookup(replication_id)
-            if entry.action != "rewrite":
-                return False
-            p = entry.params
-            pre = (p["mac"], p["ip"], int(p["udp_port"]), int(p["qpn"]),
-                   int(p["psn_offset"]), int(p["va_base"]), int(p["r_key"]))
-            if cache is not None:
-                cache.put(replication_id, pre)
-        else:
-            # Counter parity with the un-cached walk: one table hit.
-            self.egress_conn_table.hits += 1
+        leg = self._egress_leg(replication_id)
+        if leg is None:
+            return False
+        pre, templates = leg
         switch = self.switch
-        if fastlane.flags.rewrite_templates:
-            tcache = self._egress_templates
-            templates = tcache.get(replication_id)
-            if templates is None:
-                templates = {}
-                tcache.put(replication_id, templates)
+        if templates is not None:
             if scatter_rewrite(packet, templates, pre, switch.mac, switch.ip,
                                stamp=self.recompute_icrc):
                 return True
@@ -440,6 +430,39 @@ class P4ceProgram(SwitchProgram):
         if self.recompute_icrc:
             stamp_icrc(packet)
         return True
+
+    def _egress_leg(self, replication_id: int
+                    ) -> Optional[Tuple[tuple, Optional[dict]]]:
+        """Resolve one multicast leg's egress rewrite: an egress-cache hit
+        (plus, for counter parity, the one connection-table hit of the
+        walk it stands for), or the walk, which fills the cache on the
+        flow-cache lane.  Returns ``(pre, templates)`` -- the connection
+        tuple and, on the template lane, the leg's wire-template dict
+        (else None) -- or None when the leg has no rewrite entry.  Flight
+        fusion's express egress calls this too."""
+        pre = None
+        cache = self._egress_cache if fastlane.flags.flow_cache else None
+        if cache is not None:
+            pre = cache.get(replication_id)
+        if pre is not None:
+            self.egress_conn_table.hits += 1
+        else:
+            entry = self.egress_conn_table.lookup(replication_id)
+            if entry.action != "rewrite":
+                return None
+            p = entry.params
+            pre = (p["mac"], p["ip"], int(p["udp_port"]), int(p["qpn"]),
+                   int(p["psn_offset"]), int(p["va_base"]), int(p["r_key"]))
+            if cache is not None:
+                cache.put(replication_id, pre)
+        if not fastlane.flags.rewrite_templates:
+            return pre, None
+        tcache = self._egress_templates
+        templates = tcache.get(replication_id)
+        if templates is None:
+            templates = {}
+            tcache.put(replication_id, templates)
+        return pre, templates
 
     # ------------------------------------------------------------------
 

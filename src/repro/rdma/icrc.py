@@ -144,13 +144,8 @@ def compute_icrc(packet: Packet) -> int:
             if vsum == state[7]:
                 return state[0]
 
-    cached = packet._payload_crc
-    if cached is not None and cached[0] is payload:
-        payload_crc = cached[1]
-    else:
-        payload_crc = zlib.crc32(payload)
-        packet._payload_crc = (payload, payload_crc)
-    value = zlib.crc32(_header_suffix(packet, ipv4, udp), payload_crc) & 0xFFFFFFFF
+    value = zlib.crc32(_header_suffix(packet, ipv4, udp),
+                       payload_crc(packet)) & 0xFFFFFFFF
     vsum = 0
     for h in upper:
         vsum += h._hver
@@ -159,6 +154,18 @@ def compute_icrc(packet: Packet) -> int:
         payload,
     )
     return value
+
+
+def payload_crc(packet: Packet) -> int:
+    """CRC32 of the packet's payload, the seed of its running-form ICRC:
+    cached on the packet, valid while the payload object is the same."""
+    payload = packet._payload
+    cached = packet._payload_crc
+    if cached is not None and cached[0] is payload:
+        return cached[1]
+    crc = zlib.crc32(payload)
+    packet._payload_crc = (payload, crc)
+    return crc
 
 
 def stamp_icrc(packet: Packet) -> None:

@@ -266,15 +266,14 @@ class RNic:
         assert qp.remote_ip is not None
         if fastlane.flags.rewrite_templates:
             pkt = tx_frame(qp.tx_templates, self.gateway_mac, self.mac,
-                           self.ip, qp.remote_ip, 49152 + (qp.qpn & 0x3FF),
+                           self.ip, qp.remote_ip, qp.udp_sport,
                            params.ROCE_UDP_PORT, upper, payload)
             if pkt is not None:
                 return pkt
             # Non-covered extension headers (atomics): object-build path.
         eth = EthernetHeader(self.gateway_mac, self.mac)
         ipv4 = Ipv4Header(self.ip, qp.remote_ip)
-        # Ephemeral source port derived from the QPN (ECMP entropy).
-        udp = UdpHeader(49152 + (qp.qpn & 0x3FF), params.ROCE_UDP_PORT)
+        udp = UdpHeader(qp.udp_sport, params.ROCE_UDP_PORT)
         pkt = Packet(eth, ipv4, udp, upper, payload, has_icrc=True)
         pkt.finalize()
         stamp_icrc(pkt)
@@ -284,17 +283,26 @@ class RNic:
     # TX / RX pipelines
     # ------------------------------------------------------------------
 
+    # The hop effects of the two pipelines (_tx_claim, _rx_admit, and the
+    # responder's _land_write, _complete_write and _ack_syndrome below)
+    # are shared with flight fusion's express stages: each is the one
+    # definition of what a hop does to this NIC, and reads the clock as
+    # ``sim._now`` (raw: they run once per frame; the drain sets it to
+    # the hop's time).
+
     def _tx(self, packet: Packet) -> None:
         if not self.powered:
             return
-        # Raw clock read (sim._now): _tx runs once per transmitted frame.
+        self.sim.schedule_at_fire(self._tx_claim(), self._emit, packet)
+
+    def _tx_claim(self) -> float:
+        """Occupy the TX pipeline for one frame; returns when it leaves."""
         now = self.sim._now
         busy = self._tx_busy_until
         start = busy if busy > now else now
         finish = start + params.NIC_PACKET_GAP_NS
         self._tx_busy_until = finish
-        self.sim.schedule_at_fire(finish + params.NIC_TX_LATENCY_NS, self._emit,
-                                  packet)
+        return finish + params.NIC_TX_LATENCY_NS
 
     def _emit(self, packet: Packet) -> None:
         if not self.powered:
@@ -319,17 +327,23 @@ class RNic:
         if ipv4 is None or ipv4.dst != self.ip:
             # Not for us; a host NIC is not a router.
             return
+        ready = self._rx_admit()
+        if ready is not None:
+            self.sim.schedule_at_fire(ready, self._rx_process, packet)
+
+    def _rx_admit(self) -> Optional[float]:
+        """Admit one arriving frame to the RX pipeline.  Returns when it is
+        processed, or None: the input buffer is full and it is dropped."""
         if self._rx_inflight >= self.rx_queue_limit:
             self.rx_dropped += 1
-            return
+            return None
         now = self.sim._now
         busy = self._rx_busy_until
         start = busy if busy > now else now
         finish = start + self.rx_gap_ns
         self._rx_busy_until = finish
         self._rx_inflight += 1
-        self.sim.schedule_at_fire(finish + params.NIC_RX_LATENCY_NS,
-                                  self._rx_process, packet)
+        return finish + params.NIC_RX_LATENCY_NS
 
     def _rx_process(self, packet: Packet) -> None:
         self._rx_inflight -= 1
@@ -418,8 +432,7 @@ class RNic:
             # frame (static Eth/IPv4/UDP/BTH prefix + 8 patched bytes)
             # replaces the whole header-object build.
             self._tx(ack_frame(qp.tx_templates, self.gateway_mac, self.mac,
-                               self.ip, qp.remote_ip,
-                               49152 + (qp.qpn & 0x3FF),
+                               self.ip, qp.remote_ip, qp.udp_sport,
                                params.ROCE_UDP_PORT, qp.remote_qpn, psn,
                                syndrome, qp.msn))
             return
@@ -430,9 +443,12 @@ class RNic:
         self._tx(self._frame(qp, upper, payload))
 
     def _send_ack(self, qp: QueuePair, psn: int) -> None:
+        self._respond(qp, Opcode.ACKNOWLEDGE, psn, self._ack_syndrome())
+
+    def _ack_syndrome(self) -> int:
+        """Count one ACK sent; its AETH syndrome advertises the credits."""
         self.acks_sent += 1
-        syndrome = make_syndrome(AethCode.ACK, self._advertised_credits())
-        self._respond(qp, Opcode.ACKNOWLEDGE, psn, syndrome)
+        return make_syndrome(AethCode.ACK, self._advertised_credits())
 
     def _send_nak(self, qp: QueuePair, psn: int, code: NakCode) -> None:
         self.naks_sent += 1
@@ -479,37 +495,56 @@ class RNic:
         if not self._psn_check(qp, bth):
             return
         opcode = bth.opcode
-        if opcode in WRITE_HEAD_OPCODES:
-            if reth is None:
-                self._send_nak(qp, bth.psn, NakCode.INVALID_REQUEST)
-                return
-            region = self._check_remote_access(qp, reth.virtual_address,
-                                               reth.dma_length, reth.r_key,
-                                               Access.REMOTE_WRITE)
-            if region is None:
-                self._send_nak(qp, bth.psn, NakCode.REMOTE_ACCESS_ERROR)
-                return
-            qp.write_cursor_va = reth.virtual_address
-            qp.write_cursor_rkey = reth.r_key
-            qp.write_cursor_remaining = reth.dma_length
+        if opcode not in WRITE_HEAD_OPCODES:
+            nak = self._land_write(qp, bth.psn, None, 0, 0, payload)
+        elif reth is None:
+            nak = NakCode.INVALID_REQUEST
         else:
-            if qp.write_cursor_remaining < len(payload):
-                self._send_nak(qp, bth.psn, NakCode.INVALID_REQUEST)
-                return
-            region = self.host.address_space.by_rkey(qp.write_cursor_rkey)
-            if region is None:
-                self._send_nak(qp, bth.psn, NakCode.REMOTE_OPERATIONAL_ERROR)
-                return
-        if payload:
-            region.write(qp.write_cursor_va, payload)
-            qp.write_cursor_va += len(payload)
-            qp.write_cursor_remaining -= len(payload)
-        qp.expected_psn = psn_add(bth.psn, 1)
+            nak = self._land_write(qp, bth.psn, reth.virtual_address,
+                                   reth.r_key, reth.dma_length, payload)
+        if nak is not None:
+            self._send_nak(qp, bth.psn, nak)
+            return
         if opcode in WRITE_TAIL_OPCODES:
-            qp.msn = psn_add(qp.msn, 1)
-            self.host.notify_remote_write(qp, bth, payload)
+            self._complete_write(qp, bth, payload)
         if bth.ack_req or opcode in WRITE_TAIL_OPCODES:
             self._send_ack(qp, bth.psn)
+
+    def _land_write(self, qp: QueuePair, psn: int, va: Optional[int],
+                    r_key: int, dma_length: int,
+                    payload: bytes) -> Optional[NakCode]:
+        """DMA one in-order WRITE segment.  A head (FIRST / ONLY: ``va``,
+        ``r_key`` and ``dma_length`` from its RETH) opens the write cursor
+        after the access check; a MIDDLE / LAST (``va`` None) continues
+        it.  Returns the NAK code, with nothing changed, when the segment
+        may not land."""
+        length = len(payload)
+        if va is not None:
+            region = self._check_remote_access(qp, va, dma_length, r_key,
+                                               Access.REMOTE_WRITE)
+            if region is None:
+                return NakCode.REMOTE_ACCESS_ERROR
+            qp.write_cursor_va = va
+            qp.write_cursor_rkey = r_key
+            qp.write_cursor_remaining = dma_length
+        elif qp.write_cursor_remaining < length:
+            return NakCode.INVALID_REQUEST
+        else:
+            region = self.host.address_space.by_rkey(qp.write_cursor_rkey)
+            if region is None:
+                return NakCode.REMOTE_OPERATIONAL_ERROR
+        if payload:
+            region.write(qp.write_cursor_va, payload)
+            qp.write_cursor_va += length
+            qp.write_cursor_remaining -= length
+        qp.expected_psn = psn_add(psn, 1)
+        return None
+
+    def _complete_write(self, qp: QueuePair, bth: Bth,
+                        payload: bytes) -> None:
+        """A WRITE message's tail landed: count it and tell the host."""
+        qp.msn = psn_add(qp.msn, 1)
+        self.host.notify_remote_write(qp, bth, payload)
 
     def _responder_read(self, qp: QueuePair, bth: Bth, reth: Reth) -> None:
         if not self._psn_check(qp, bth):

@@ -139,6 +139,9 @@ class QueuePair:
                  max_send_wr: int = 1024,
                  max_pending: int = params.MAX_PENDING_REQUESTS):
         self.qpn = qpn
+        #: RoCE UDP source port of every frame this QP sends: ephemeral,
+        #: derived from the QPN (ECMP entropy).
+        self.udp_sport = 49152 + (qpn & 0x3FF)
         self.cq = cq
         self.state = QpState.RESET
         self.max_send_wr = max_send_wr

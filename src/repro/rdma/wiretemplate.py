@@ -66,7 +66,7 @@ from .headers import (
     _S_BTH,
     _S_RETH,
 )
-from .icrc import _S_SUF_B, _S_SUF_BA, _S_SUF_BR
+from .icrc import _S_SUF_B, _S_SUF_BA, _S_SUF_BR, payload_crc
 from .opcodes import Opcode
 
 _OP_ACK = Opcode.ACKNOWLEDGE
@@ -75,6 +75,7 @@ _OP_ACK = Opcode.ACKNOWLEDGE
 _BTH_OFF = EthernetHeader.SIZE + Ipv4Header.SIZE + UdpHeader.SIZE
 _ACKPSN_OFF = _BTH_OFF + BTH_ACKPSN_OFFSET
 _EXT_OFF = _BTH_OFF + Bth.SIZE  # RETH (scatter) or AETH (gather)
+_VA_OFF = _EXT_OFF + RETH_VA_OFFSET
 
 # Suffix offsets: the canonical string is <pseudo-header | BTH | ext>, so
 # the AckReq|PSN word is the last BTH field and the extension follows it.
@@ -163,15 +164,10 @@ def _build(packet: Packet, dst_mac, dst_ip, dst_port: int, dest_qp: int,
 
 
 def _install(packet: Packet, tmpl: _WireTemplate, upper: list,
-             block: bytearray, suffix: bytearray, stamp: bool) -> None:
-    """Point ``packet`` at the patched image and the template's headers."""
+             block: bytes, icrc: int, stamp: bool) -> None:
+    """Point ``packet`` at the patched image and the template's headers
+    (the caller computed ``icrc`` off :func:`payload_crc`)."""
     payload = packet._payload
-    cached = packet._payload_crc
-    if cached is not None and cached[0] is payload:
-        payload_crc = cached[1]
-    else:
-        payload_crc = zlib.crc32(payload)
-    icrc = zlib.crc32(bytes(suffix), payload_crc) & 0xFFFFFFFF
     ipv4 = tmpl.ipv4
     udp = tmpl.udp
     packet._eth = tmpl.eth
@@ -183,13 +179,12 @@ def _install(packet: Packet, tmpl: _WireTemplate, upper: list,
     # corrupting every other leg of the flow.  The upper clones are ours.
     packet._shared = _SH_ETH | _SH_IPV4 | _SH_UDP
     packet._upper_size = tmpl.upper_size
-    packet._payload_crc = (payload, payload_crc)
     # Fresh clones sit at version 0, so the upper version-sum is 0; the
     # shape matches repro.rdma.icrc.compute_icrc's cache tuple, making the
     # receiver's check_icrc a pure cache hit.
     packet._icrc_state = (icrc, ipv4, ipv4._hver, udp, udp._hver, upper,
                           len(upper), 0, payload)
-    packet._wire = (bytes(block), _ICRC_ZEROS)
+    packet._wire = (block, _ICRC_ZEROS)
     if stamp:
         packet.meta["icrc"] = icrc
 
@@ -233,17 +228,28 @@ def install_scatter(packet: Packet, tmpl: _WireTemplate, psn: int,
     """Patch a copy of ``tmpl`` with one leg's PSN/AckReq word and, for a
     leg with a RETH, its virtual address (``va`` None: no RETH), and point
     ``packet`` at it."""
-    ack_word = ((1 << 31) if ack_req else 0) | psn
+    block, icrc = scatter_patch(tmpl, ((1 << 31) if ack_req else 0) | psn,
+                                va, payload_crc(packet))
+    new_upper = [tmpl.bth.clone_rewrite(psn, ack_req)]
+    if va is not None:
+        new_upper.append(tmpl.reth.clone_rewrite(va))
+    _install(packet, tmpl, new_upper, block, icrc, stamp)
+
+
+def scatter_patch(tmpl: _WireTemplate, ack_word: int, va: Optional[int],
+                  seed: int) -> Tuple[bytes, int]:
+    """One scatter leg's header block and ICRC: ``tmpl`` patched with the
+    leg's AckReq|PSN word and, for a leg with a RETH, its virtual address
+    (``va`` None: no RETH); ``seed`` is the payload's CRC.  The one
+    definition :func:`install_scatter` and the columnar digest tap share."""
     block = bytearray(tmpl.block)
     suffix = bytearray(tmpl.suffix)
     _U32.pack_into(block, _ACKPSN_OFF, ack_word)
     _U32.pack_into(suffix, _SUF_ACKPSN_OFF, ack_word)
-    new_upper = [tmpl.bth.clone_rewrite(psn, ack_req)]
     if va is not None:
-        _U64.pack_into(block, _EXT_OFF + RETH_VA_OFFSET, va)
+        _U64.pack_into(block, _VA_OFF, va)
         _U64.pack_into(suffix, _SUF_EXT_OFF, va)
-        new_upper.append(tmpl.reth.clone_rewrite(va))
-    _install(packet, tmpl, new_upper, block, suffix, stamp)
+    return bytes(block), zlib.crc32(suffix, seed) & 0xFFFFFFFF
 
 
 def gather_rewrite(packet: Packet, templates: Dict[tuple, _WireTemplate],
@@ -284,7 +290,8 @@ def gather_rewrite(packet: Packet, templates: Dict[tuple, _WireTemplate],
     _U32.pack_into(suffix, _SUF_EXT_OFF, aeth_word)
     new_upper = [tmpl.bth.clone_rewrite(leader_psn, ack_req),
                  aeth.clone_rewrite(new_syndrome, aeth.msn)]
-    _install(packet, tmpl, new_upper, block, suffix, stamp)
+    icrc = zlib.crc32(suffix, payload_crc(packet)) & 0xFFFFFFFF
+    _install(packet, tmpl, new_upper, bytes(block), icrc, stamp)
     return True
 
 
@@ -424,9 +431,7 @@ def ack_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
     """
     tmpl = ack_template(templates, gateway_mac, src_mac, src_ip, dst_ip,
                         src_port, dst_port, dest_qp)
-    tail = _S_ACK_TAIL.pack(psn & PSN_MASK,
-                            (syndrome << 24) | (msn & PSN_MASK))
-    icrc = zlib.crc32(tail, tmpl.state) & 0xFFFFFFFF
+    tail, icrc = ack_patch(tmpl, psn, syndrome, msn)
     upper = [Bth(_OP_ACK, dest_qp, psn), Aeth(syndrome, msn)]
     base = tmpl.base
     ipv4 = base.ipv4
@@ -441,6 +446,16 @@ def ack_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
     pkt._wire = (tmpl.prefix + tail, _ICRC_ZEROS)
     pkt.meta["icrc"] = icrc
     return pkt
+
+
+def ack_patch(tmpl: _AckTemplate, psn: int, syndrome: int,
+              msn: int) -> Tuple[bytes, int]:
+    """One ACK's varying tail (the BTH AckReq|PSN word and the AETH
+    syndrome|MSN word) and its ICRC.  The one definition :func:`ack_frame`
+    and the columnar digest tap share."""
+    tail = _S_ACK_TAIL.pack(psn & PSN_MASK,
+                            (syndrome << 24) | (msn & PSN_MASK))
+    return tail, zlib.crc32(tail, tmpl.state) & 0xFFFFFFFF
 
 
 def tx_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,

@@ -26,33 +26,21 @@ so feeding one contiguous buffer per batch -- with every frame's bytes at
 the offset its turn in the order dictates -- produces the bit-identical
 hexdigest the per-frame path produces.
 
-Each buffered virtual frame renders with ``pack_into`` patches on a copy
-of its template and a direct ``zlib.crc32`` over the patched ICRC suffix,
-seeded with the payload CRC the launch already computed.
+Each buffered virtual frame renders through the patch its real twin is
+built with (:func:`~repro.rdma.wiretemplate.scatter_patch` seeded with the
+payload CRC the launch already computed, or
+:func:`~repro.rdma.wiretemplate.ack_patch`), so there is one definition
+of a fused frame's bytes and ICRC.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-import zlib
 from typing import Any, List
 
 from .. import fastlane
-from ..rdma.wiretemplate import (
-    _ACKPSN_OFF,
-    _EXT_OFF,
-    _ICRC_ZEROS,
-    _S_ACK_TAIL,
-    _SUF_ACKPSN_OFF,
-    _SUF_EXT_OFF,
-    _U32,
-    _U64,
-)
-from ..rdma.headers import RETH_VA_OFFSET
-
-#: Frame offset of the 8-byte RETH virtual address inside a scatter block.
-_VA_OFF = _EXT_OFF + RETH_VA_OFFSET
+from ..rdma.wiretemplate import _ICRC_ZEROS, ack_patch, scatter_patch
 
 #: Per-frame digest trailer: ``pack("!dI", sim.now, icrc)``.
 _S_META = struct.Struct("!dI")
@@ -62,7 +50,7 @@ _S_META = struct.Struct("!dI")
 #: its ``(time, seq)`` turn, so the buffer is appended in wire order.
 _EV_RAW = 0      # (kind, now, block, payload, trailer, icrc)  -- real frame
 _EV_SCATTER = 1  # (kind, now, tmpl, ack_word, va, payload, payload_crc)
-_EV_ACK = 2      # (kind, now, tmpl, psn_word, aeth_word)
+_EV_ACK = 2      # (kind, now, tmpl, psn, syndrome, msn)
 
 #: Flush when this many events are buffered (bounds peak memory; has no
 #: observable effect -- SHA-256 streams).
@@ -108,20 +96,20 @@ class DigestTap:
             self.flush()
 
     def absorb_scatter(self, tmpl, ack_word: int, va, payload: bytes,
-                       payload_crc: int, now: float) -> None:
+                       payload_crc: int) -> None:
         """Buffer one virtual scattered-WRITE frame (template + varying
         words; ``va`` is None for a frame without a RETH), byte-equivalent
         to tapping the ``scatter_rewrite`` output."""
-        self._events.append((_EV_SCATTER, now, tmpl, ack_word, va, payload,
-                             payload_crc))
+        self._events.append((_EV_SCATTER, self.sim._now, tmpl, ack_word, va,
+                             payload, payload_crc))
         if len(self._events) >= _FLUSH_LIMIT:
             self.flush()
 
-    def absorb_ack(self, tmpl, psn_word: int, aeth_word: int,
-                   now: float) -> None:
-        """Buffer one virtual replica ACK (template + the two tail words),
+    def absorb_ack(self, tmpl, psn: int, syndrome: int, msn: int) -> None:
+        """Buffer one virtual replica ACK (template + the varying fields),
         byte-equivalent to tapping the ``ack_frame`` output."""
-        self._events.append((_EV_ACK, now, tmpl, psn_word, aeth_word))
+        self._events.append((_EV_ACK, self.sim._now, tmpl, psn, syndrome,
+                             msn))
         if len(self._events) >= _FLUSH_LIMIT:
             self.flush()
 
@@ -148,7 +136,7 @@ class DigestTap:
         self.flush()
 
     def _render(self, events) -> bytes:
-        """Per-frame template patches + direct ``zlib.crc32``."""
+        """Real frames' parts, virtual frames' patched templates."""
         pack_meta = _S_META.pack
         parts = []
         append = parts.append
@@ -159,29 +147,19 @@ class DigestTap:
                 append(block)
                 append(payload)
                 append(trailer)
-                append(pack_meta(now, icrc))
             elif kind == _EV_SCATTER:
                 _, now, tmpl, ack_word, va, payload, payload_crc = ev
-                block = bytearray(tmpl.block)
-                suffix = bytearray(tmpl.suffix)
-                _U32.pack_into(block, _ACKPSN_OFF, ack_word)
-                _U32.pack_into(suffix, _SUF_ACKPSN_OFF, ack_word)
-                if va is not None:  # WRITE_MIDDLE / LAST carry no RETH
-                    _U64.pack_into(block, _VA_OFF, va)
-                    _U64.pack_into(suffix, _SUF_EXT_OFF, va)
-                icrc = zlib.crc32(bytes(suffix), payload_crc) & 0xFFFFFFFF
-                append(bytes(block))
+                block, icrc = scatter_patch(tmpl, ack_word, va, payload_crc)
+                append(block)
                 append(payload)
                 append(_ICRC_ZEROS)
-                append(pack_meta(now, icrc))
             else:
-                _, now, tmpl, psn_word, aeth_word = ev
-                tail = _S_ACK_TAIL.pack(psn_word, aeth_word)
-                icrc = zlib.crc32(tail, tmpl.state) & 0xFFFFFFFF
+                _, now, tmpl, psn, syndrome, msn = ev
+                tail, icrc = ack_patch(tmpl, psn, syndrome, msn)
                 append(tmpl.prefix)
                 append(tail)
                 append(_ICRC_ZEROS)
-                append(pack_meta(now, icrc))
+            append(pack_meta(now, icrc))
         return b"".join(parts)
 
     # -- digest protocol -------------------------------------------------------

@@ -17,8 +17,12 @@ accepts it and it rides the express chain below, or ``try_fuse`` declines
 it (flag off, tracer on, armed fault, tainted QP, no validated path, a
 packet not of a stamped WRITE shape) and ``RNic._tx`` schedules it
 through the real handlers -- the reference every wire digest is judged
-against.  There is no third implementation of a hop: every stage is
-written twice, once as the real handler and once as its express stage.
+against.  A stage is a call, not a copy: what a hop does to a device has
+one definition, a small method on its owner (``_Direction.send``,
+``Switch._parse_ingress``, ``RNic._land_write``, ...; docs/PERF.md §9
+lists them) that the real handler and the express stage both call.
+Effects read ``sim._now``, which the drain sets to the hop's time.  What
+is left in a stage is its probes, its virtual frame and its successor.
 
 A launch is a whole RDMA WRITE message, one packet per PMTU segment:
 ``WRITE_ONLY``, or ``WRITE_FIRST``, zero or more ``WRITE_MIDDLE`` and
@@ -44,17 +48,18 @@ any size.
    frame).  That is the only thing a stage leaves out.  The invariant
    that carries fusion: **an express stage executes at its hop's
    ``(time, seq)`` turn and mutates the same cells and counters its
-   real handler would** -- busy horizons, ``NumRecv`` and credit cells
-   (the fold is the real ``P4ceProgram._aggregate_credits``), switch,
-   NIC, link, table and cache counters, in the handler's order -- and
-   hands the frame to the digest tap in wire order.  Nothing is staged,
-   so every register and counter is live at every instant a callback
-   can run and there is no barrier to miss.  At the gather
-   threshold the forwarded ACK materializes into the exact real
-   ``Packet`` and the three ``_x_*`` tail stages carry it to the leader,
-   where the final hop runs the *real* RX handler so the CQE -> commit ->
-   next-proposal cascade schedules real events.  A launch packet is
-   the wire's alone once it leaves the leader (the NIC keeps the work
+   real handler would** -- by calling the same effect methods, in the
+   handler's order -- and hands the frame to the digest tap in wire
+   order.  Nothing is staged, so every register and counter is live at
+   every instant a callback can run and there is no barrier to miss.
+   At the gather threshold the forwarded ACK materializes into the exact
+   real ``Packet`` and the three ``_x_*`` tail stages carry it to the
+   leader, where the final hop runs the *real* RX handler so the CQE ->
+   commit -> next-proposal cascade schedules real events.  (Handing the
+   ACK to the real ``Switch._to_egress`` instead cost ~3 % of host time
+   on the 64 B closed loop: three more kernel events per flight, and a
+   run split; docs/PERF.md has the pairs.)  A launch packet is the
+   wire's alone once it leaves the leader (the NIC keeps the work
    request, not the frames), so the chain only reads it and every leg
    that has to become real is a copy of it.
 
@@ -100,16 +105,14 @@ runs where fusion disengages and re-engages mid-run.
 from __future__ import annotations
 
 import heapq
-import zlib
 from typing import Any, Dict, List, Optional, Set
 
 from .. import fastlane, params
 from ..net.headers import ETHERNET_FCS_BYTES, EthernetHeader
-from ..p4ce.dataplane import _K_GATHER, _K_SCATTER
 from ..rdma.headers import Bth, PSN_MASK, Reth
-from ..rdma.memory import Access
-from ..rdma.opcodes import AethCode, Opcode, make_syndrome, saturate_credits
-from ..rdma.qp import QpState, psn_add
+from ..rdma.icrc import payload_crc
+from ..rdma.opcodes import Opcode
+from ..rdma.qp import QpState
 from ..rdma.wiretemplate import (
     ack_frame,
     ack_template,
@@ -124,16 +127,8 @@ from .trace import TraceRecord, Tracer
 #: Half the 24-bit PSN space, for "not before" window comparisons.
 _PSN_HALF = 1 << 23
 
-# Wire/NIC timing constants hoisted for the express stages (physical-layer
-# invariants, never reconfigured at runtime).
-_MIN_FRAME = params.ETHERNET_MIN_FRAME_BYTES
-_WIRE_OVERHEAD = params.ETHERNET_WIRE_OVERHEAD_BYTES
-_TX_GAP = params.NIC_PACKET_GAP_NS
-_TX_LAT = params.NIC_TX_LATENCY_NS
-_RX_LAT = params.NIC_RX_LATENCY_NS
 _ROCE_PORT = params.ROCE_UDP_PORT
 _NUMRECV_SLOTS = params.NUMRECV_SLOTS
-_INITIAL_CREDITS = params.INITIAL_CREDITS
 _OP_ACK = Opcode.ACKNOWLEDGE
 
 #: The stamped WRITE shapes a fused flight carries: opcode -> (header
@@ -158,15 +153,15 @@ class _FusedPath:
 
     __slots__ = ("epoch", "nic", "nic_port", "switch", "program",
                  "leader_link", "leader_in_port", "switch_port", "dir_up",
-                 "dir_down", "fc", "ecache", "econn", "tcache",
-                 "numrecv_cells", "numrecv_mask", "half_pipe", "pgap", "legs")
+                 "dir_down", "fc", "ecache", "numrecv_cells", "numrecv_mask",
+                 "half_pipe", "legs")
 
 
 class _FusedLeg:
     """One scatter/gather leg of a fused path (one replica)."""
 
     __slots__ = ("path", "rid", "out_port", "counters", "link", "dir_down",
-                 "dir_back", "rnic", "rqp", "rqpn", "ack_sport", "gather_key")
+                 "dir_back", "rnic", "rqp", "rqpn", "gather_key")
 
 
 class _VLaunch:
@@ -305,20 +300,16 @@ class FlightPlanner:
             self.fuse_rejects += 1
             return False
         sim = self._sim
-        now = sim._now
         fq = self._fq
         emit = nic._emit
         xfn = self._v_leader_emit
-        # Inline RNic._tx per packet, in order (powered is path-validated
-        # and fault-watched): claim the TX pipeline, push the emit hop.
-        busy = nic._tx_busy_until
+        # RNic._tx per packet, in order (powered is path-validated and
+        # fault-watched): claim the TX pipeline, push the emit hop.
         for packet in packets:
-            busy = (busy if busy > now else now) + _TX_GAP
+            t = nic._tx_claim()
             seq = sim._seq
             sim._seq = seq + 1
-            heapq.heappush(fq, (busy + _TX_LAT, seq, emit, (packet,), xfn,
-                                path))
-        nic._tx_busy_until = busy
+            heapq.heappush(fq, (t, seq, emit, (packet,), xfn, path))
         self.flights_fused += 1
         return True
 
@@ -361,24 +352,6 @@ class FlightPlanner:
         the hop's args is rebuilt into its real packet first."""
         self.express_fallbacks += 1
         entry[2](*self._real_args(entry[3]))
-
-    def _wire_out(self, link, d, src_port, packet, vt: float) -> float:
-        """Inline ``Link.transmit`` for a clean hop (link up, lossless --
-        path-validated and fault-watched, so the loss RNG is provably not
-        consumed, exactly as in the slow lane).  Returns delivery time."""
-        stats = d.stats
-        wire = packet.wire_size
-        busy = d.busy_until
-        start = busy if busy > vt else vt
-        on_wire = wire if wire > _MIN_FRAME else _MIN_FRAME
-        finish = start + (on_wire + _WIRE_OVERHEAD) * 8 * 1e9 / link.rate_bps
-        d.busy_until = finish
-        stats.frames += 1
-        stats.bytes += wire
-        tap = link._tap
-        if tap is not None:
-            tap(src_port, packet)
-        return finish + link.propagation_ns
 
     # ------------------------------------------------------------------
     # Drain: called by the kernel before any event at/after a due hop
@@ -546,8 +519,9 @@ class FlightPlanner:
 
     # ------------------------------------------------------------------
     # Express stages.  Each mirrors one real handler's observable effects
-    # for the proven-clean shape and pushes the successor hop; anything
-    # else falls back to the real handler before the first mutation.
+    # for the proven-clean shape -- by calling the effect methods that
+    # handler calls -- and pushes the successor hop; anything else falls
+    # back to the real handler before the first mutation.
     # Stage signature: (vt, entry) with entry =
     # (vt, seq, real_fn, real_args, stage, ctx).
     #
@@ -573,34 +547,31 @@ class FlightPlanner:
         args = entry[3]
         ack = args[1]
         path.switch.counters[args[0]].tx_frames += 1
-        t = self._wire_out(path.leader_link, path.dir_down, path.switch_port,
-                           ack, vt)
-        self._push_hop(t, path.leader_link._deliver, (path.dir_down, ack),
-                       self._x_leader_arrive, path)
+        link = path.leader_link
+        d = path.dir_down
+        t = d.send(ack.wire_size)
+        tap = link._tap
+        if tap is not None:
+            tap(path.switch_port, ack)
+        self._push_hop(t, link._deliver, (d, ack), self._x_leader_arrive,
+                       path)
 
     def _x_leader_arrive(self, vt: float, entry: tuple) -> None:
         # Mirrors Link._deliver + RNic.handle_packet at the leader; the
         # pushed successor is the *final* hop (xfn None): the real
         # _rx_process runs the completion cascade with real events.
         path = entry[5]
-        ack = entry[3][1]
         lnic = path.nic
-        if lnic._rx_inflight >= lnic.rx_queue_limit:
-            lnic.rx_dropped += 1
-            return
-        busy = lnic._rx_busy_until
-        start = busy if busy > vt else vt
-        finish = start + lnic.rx_gap_ns
-        lnic._rx_busy_until = finish
-        lnic._rx_inflight += 1
-        self._push_hop(finish + _RX_LAT, lnic._rx_process, (ack,), None, None)
+        ready = lnic._rx_admit()
+        if ready is not None:
+            self._push_hop(ready, lnic._rx_process, (entry[3][1],), None,
+                           None)
 
     # ------------------------------------------------------------------
     # Materialization and the _v_* stages: the chain from leader TX to
     # the gather threshold.  Each hop runs at the (vt, seq) turn the real
-    # handler's event would have, does the same timing arithmetic and
-    # writes the same register cells and counters; only the interior
-    # frames differ -- they are _VFrames, never built.
+    # handler's event would have and calls the same effect methods; only
+    # the interior frames differ -- they are _VFrames, never built.
     # ------------------------------------------------------------------
 
     def flush_columnar(self) -> None:
@@ -620,7 +591,7 @@ class FlightPlanner:
             rnic = leg.rnic
             rqp = leg.rqp
             ack = ack_frame(rqp.tx_templates, rnic.gateway_mac, rnic.mac,
-                            rnic.ip, rqp.remote_ip, leg.ack_sport,
+                            rnic.ip, rqp.remote_ip, rqp.udp_sport,
                             _ROCE_PORT, rqp.remote_qpn, vf.psn, vf.syndrome,
                             vf.msn)
             if vf.iport is not None:
@@ -643,9 +614,13 @@ class FlightPlanner:
         packet = entry[3][0]
         self.vx_hops += 1
         path.nic.packets_sent += 1
-        t = self._wire_out(path.leader_link, path.dir_up, path.nic_port,
-                           packet, vt)
-        self._push_hop(t, path.leader_link._deliver, (path.dir_up, packet),
+        d = path.dir_up
+        link = path.leader_link
+        t = d.send(packet.wire_size)
+        tap = link._tap
+        if tap is not None:
+            tap(path.nic_port, packet)
+        self._push_hop(t, link._deliver, (d, packet),
                        self._v_scatter_arrive, path)
 
     def _v_scatter_arrive(self, vt: float, entry: tuple) -> None:
@@ -655,19 +630,14 @@ class FlightPlanner:
         self.vx_hops += 1
         sw = path.switch
         idx = path.leader_in_port
-        sw.counters[idx].rx_frames += 1
-        pbusy = sw._ingress_parser_busy
-        busy = pbusy[idx]
-        start = busy if busy > vt else vt
-        done = start + path.pgap
-        pbusy[idx] = done
+        done = sw._parse_ingress(idx)
         packet.meta["ingress_port"] = idx
         self._push_hop(done, sw._run_ingress, (idx, packet),
                        self._v_scatter_ingress, path)
 
     def _v_scatter_ingress(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._run_ingress + P4ceProgram scatter classification
-        # (flow-cache hit path, keyed by (bcast QPN, opcode) as the real
+        # (flow-cache hit, keyed by (bcast QPN, opcode) as the real
         # _classify_roce keys it: each message shape has its own verdict)
         # + the packet's own NumRecv slot reset + multicast fan-out, but
         # the fan-out pushes _VFrames: per-leg varying words are computed
@@ -679,31 +649,20 @@ class FlightPlanner:
         packet = entry[3][1]
         upper = packet._upper
         bth = upper[0]
-        sw = path.switch
-        fc = path.fc
-        cached = fc._cache.get((bth.dest_qp, bth.opcode))
-        if cached is None or cached[0] != _K_SCATTER:
-            # Cold or foreign verdict: let the real walk classify (and
-            # warm the cache for the next packet of this shape).
+        # The verdict is a scatter one: _rebuild_path checked the tables
+        # the walk reads, and any write to them flushes the cache.
+        cached = path.fc.hit((bth.dest_qp, bth.opcode))
+        if cached is None:
+            # Cold verdict: let the real walk classify (and warm the cache
+            # for the next packet of this shape).
             self._fallback(entry)
             return
         self.vx_hops += 1
+        sw = path.switch
         packet.meta["packet_token"] = sw._next_packet_token
         sw._next_packet_token += 1
-        fc.hits += 1
-        for table, h, m in cached[2]:  # counter parity with the real walk
-            table.hits += h
-            table.misses += m
-        pre = cached[1]
-        path.numrecv_cells[pre[0] + bth.psn % _NUMRECV_SLOTS] = 0
+        path.numrecv_cells[cached[1][0] + bth.psn % _NUMRECV_SLOTS] = 0
         path.program.scattered += 1
-        payload = packet._payload
-        cachedc = packet._payload_crc
-        if cachedc is not None and cachedc[0] is payload:
-            pcrc = cachedc[1]
-        else:
-            pcrc = zlib.crc32(payload)
-            packet._payload_crc = (payload, pcrc)
         lau = _VLaunch()
         lau.packet = packet
         lau.psn0 = bth.psn
@@ -714,13 +673,11 @@ class FlightPlanner:
             lau.dlen = reth.dma_length
         else:
             lau.va0 = lau.dlen = None
-        lau.payload = payload
-        lau.payload_crc = pcrc
+        lau.payload = packet._payload
+        lau.payload_crc = payload_crc(packet)
         lau.fp = scatter_fingerprint(packet)
         lau.wire = packet.wire_size
         tm = vt + path.half_pipe
-        ebusy = sw._egress_parser_busy
-        pgap = path.pgap
         for leg in path.legs:
             vf = _VFrame()
             vf.kind = 0
@@ -728,12 +685,8 @@ class FlightPlanner:
             vf.lau = lau
             vf.rewritten = False
             out = leg.out_port
-            busy = ebusy[out]
-            start = busy if busy > tm else tm
-            done = start + pgap
-            ebusy[out] = done
-            self._push_hop(done, sw._run_egress, (out, leg.rid, vf),
-                           self._v_scatter_egress, leg)
+            self._push_hop(sw._parse_egress(out, tm), sw._run_egress,
+                           (out, leg.rid, vf), self._v_scatter_egress, leg)
 
     def _v_scatter_egress(self, vt: float, entry: tuple) -> None:
         # Mirrors Switch._run_egress + P4ceProgram.on_egress for one
@@ -742,23 +695,14 @@ class FlightPlanner:
         leg = entry[5]
         path = leg.path
         args = entry[3]
-        vf = args[2]
         rid = args[1]
-        pre = path.ecache._cache.get(rid)
-        if pre is None:
+        if rid not in path.ecache._cache:
             self._fallback(entry)  # cold cache: real egress fills it
             return
         self.vx_hops += 1
         leg.counters.egress_runs += 1
-        path.ecache.hits += 1
-        path.econn.hits += 1
-        tcache = path.tcache
-        templates = tcache._cache.get(rid)
-        if templates is None:
-            templates = {}
-            tcache.put(rid, templates)
-        else:
-            tcache.hits += 1
+        pre, templates = path.program._egress_leg(rid)
+        vf = args[2]
         lau = vf.lau
         sw = path.switch
         # The template's shape (with or without RETH) is the packet's:
@@ -784,51 +728,35 @@ class FlightPlanner:
         self.vx_hops += 1
         leg.counters.tx_frames += 1
         lau = vf.lau
-        wire = lau.wire
         link = leg.link
         d = leg.dir_down
-        busy = d.busy_until
-        start = busy if busy > vt else vt
-        on_wire = wire if wire > _MIN_FRAME else _MIN_FRAME
-        finish = start + (on_wire + _WIRE_OVERHEAD) * 8 * 1e9 / link.rate_bps
-        d.busy_until = finish
-        stats = d.stats
-        stats.frames += 1
-        stats.bytes += wire
+        t = d.send(lau.wire)
         tap = link._tap
         if tap is not None:
             tap.absorb_scatter(vf.tmpl, vf.ack_word, vf.va, lau.payload,
-                               lau.payload_crc, vt)
-        self._push_hop(finish + link.propagation_ns, link._deliver,
-                       (d, vf), self._v_replica_arrive, leg)
+                               lau.payload_crc)
+        self._push_hop(t, link._deliver, (d, vf), self._v_replica_arrive,
+                       leg)
 
     def _v_replica_arrive(self, vt: float, entry: tuple) -> None:
         # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
         leg = entry[5]
-        vf = entry[3][1]
         rnic = leg.rnic
-        if rnic._rx_inflight >= rnic.rx_queue_limit:
-            rnic.rx_dropped += 1
+        ready = rnic._rx_admit()
+        if ready is None:
             return  # the leg dies here, exactly as in the slow lane
         self.vx_hops += 1
-        busy = rnic._rx_busy_until
-        start = busy if busy > vt else vt
-        finish = start + rnic.rx_gap_ns
-        rnic._rx_busy_until = finish
-        rnic._rx_inflight += 1
-        self._push_hop(finish + _RX_LAT, rnic._rx_process, (vf,),
+        self._push_hop(ready, rnic._rx_process, (entry[3][1],),
                        self._v_replica_rx, leg)
 
     def _v_replica_rx(self, vt: float, entry: tuple) -> None:
-        # Mirrors RNic._rx_process + _roce_dispatch + the clean
-        # _responder_write path for the leg's shape + the ACK build/TX.
-        # The shape is one of try_fuse's stamped WRITE shapes, AckReq set
-        # exactly on the tail, and the ICRC check is a guaranteed
-        # template-cache hit, so the probes reduce to QP liveness, PSN
-        # order and the handler's shape checks: memory access over the
-        # RETH's DMA length for a head (FIRST / ONLY), the write cursor's
-        # room and R_key for a MIDDLE / LAST.  Any unclean answer rebuilds
-        # the real packet and falls back whole.
+        # Mirrors RNic._rx_process + _roce_dispatch + _responder_write for the
+        # leg's shape + the ACK build/TX.  The shape is one of try_fuse's
+        # stamped WRITE shapes, AckReq set exactly on the tail, and the
+        # ICRC check is a guaranteed template-cache hit, so the probes
+        # reduce to QP liveness, PSN order and _land_write's own checks,
+        # which change nothing when they fail.  Any unclean answer
+        # rebuilds the real packet and falls back whole.
         leg = entry[5]
         vf = entry[3][0]
         rnic = leg.rnic
@@ -839,47 +767,22 @@ class FlightPlanner:
             return
         lau = vf.lau
         payload = lau.payload
-        va = vf.va
-        if va is not None:
-            region = rnic._check_remote_access(qp, va, lau.dlen, vf.rkey,
-                                               Access.REMOTE_WRITE)
-        elif qp.write_cursor_remaining >= len(payload):
-            region = rnic.host.address_space.by_rkey(qp.write_cursor_rkey)
-        else:
-            region = None
-        if region is None:
+        if rnic._land_write(qp, vf.psn, vf.va, vf.rkey, lau.dlen,
+                            payload) is not None:
             self._fallback(entry)
             return
         self.vx_hops += 1
         rnic._rx_inflight -= 1
         rnic.packets_received += 1
-        if va is not None:
-            qp.write_cursor_va = va
-            qp.write_cursor_rkey = vf.rkey
-            qp.write_cursor_remaining = lau.dlen
-        if payload:
-            region.write(qp.write_cursor_va, payload)
-            qp.write_cursor_va += len(payload)
-            qp.write_cursor_remaining -= len(payload)
-        qp.expected_psn = psn_add(vf.psn, 1)
         if not lau.ack_req:
             return  # FIRST / MIDDLE: no completion, no ACK
-        qp.msn = psn_add(qp.msn, 1)
-        rnic.host.notify_remote_write(
-            qp, vf.tmpl.bth.clone_rewrite(vf.psn, lau.ack_req), payload)
-        rnic.acks_sent += 1
-        syndrome = make_syndrome(
-            AethCode.ACK,
-            saturate_credits(_INITIAL_CREDITS - rnic._rx_inflight))
+        rnic._complete_write(qp, vf.tmpl.bth.clone_rewrite(vf.psn, True),
+                             payload)
+        syndrome = rnic._ack_syndrome()
         atmpl = ack_template(qp.tx_templates, rnic.gateway_mac, rnic.mac,
-                             rnic.ip, qp.remote_ip, leg.ack_sport,
+                             rnic.ip, qp.remote_ip, qp.udp_sport,
                              _ROCE_PORT, qp.remote_qpn)
         if rnic.powered:  # a notify watcher may have crashed the host
-            busy = rnic._tx_busy_until
-            start = busy if busy > vt else vt
-            finish = start + _TX_GAP
-            rnic._tx_busy_until = finish
-            t = finish + _TX_LAT
             avf = _VFrame()
             avf.kind = 1
             avf.leg = leg
@@ -891,7 +794,8 @@ class FlightPlanner:
             avf.iport = None
             # A watcher defusing mid-notify is _push_hop's generation branch:
             # the ACK materializes into a real kernel event.
-            self._push_hop(t, rnic._emit, (avf,), self._v_ack_emit, leg)
+            self._push_hop(rnic._tx_claim(), rnic._emit, (avf,),
+                           self._v_ack_emit, leg)
 
     def _v_ack_emit(self, vt: float, entry: tuple) -> None:
         # Mirrors RNic._emit + Link.transmit (replica -> switch).
@@ -901,99 +805,65 @@ class FlightPlanner:
         leg.rnic.packets_sent += 1
         link = leg.link
         d = leg.dir_back
-        wire = avf.wire
-        busy = d.busy_until
-        start = busy if busy > vt else vt
-        on_wire = wire if wire > _MIN_FRAME else _MIN_FRAME
-        finish = start + (on_wire + _WIRE_OVERHEAD) * 8 * 1e9 / link.rate_bps
-        d.busy_until = finish
-        stats = d.stats
-        stats.frames += 1
-        stats.bytes += wire
+        t = d.send(avf.wire)
         tap = link._tap
         if tap is not None:
-            tap.absorb_ack(avf.tmpl, avf.psn & PSN_MASK,
-                           (avf.syndrome << 24) | (avf.msn & PSN_MASK), vt)
-        self._push_hop(finish + link.propagation_ns, link._deliver,
-                       (d, avf), self._v_ack_arrive, leg)
+            tap.absorb_ack(avf.tmpl, avf.psn, avf.syndrome, avf.msn)
+        self._push_hop(t, link._deliver, (d, avf), self._v_ack_arrive, leg)
 
     def _v_ack_arrive(self, vt: float, entry: tuple) -> None:
         # Mirrors Link._deliver + Switch.handle_packet for the ACK.
         leg = entry[5]
         avf = entry[3][1]
         self.vx_hops += 1
-        path = leg.path
-        sw = path.switch
+        sw = leg.path.switch
         idx = leg.out_port
-        leg.counters.rx_frames += 1
-        pbusy = sw._ingress_parser_busy
-        busy = pbusy[idx]
-        start = busy if busy > vt else vt
-        done = start + path.pgap
-        pbusy[idx] = done
+        done = sw._parse_ingress(idx)
         avf.iport = idx
         self._push_hop(done, sw._run_ingress, (idx, avf),
                        self._v_gather_ingress, leg)
 
     def _v_gather_ingress(self, vt: float, entry: tuple) -> None:
-        # Mirrors Switch._run_ingress + P4ceProgram._gather (credit fold,
-        # NumRecv count, forward-or-drop) on the live register cells: the
-        # credit fold *is* the real _aggregate_credits, and the count runs
-        # the RegisterAction's masked arithmetic -- compared unmasked, as
-        # _numrecv_count returns it, so 256-slot PSN wrap behaves
-        # identically.  Virtual ACKs always carry make_syndrome(ACK,
-        # credits), so the NAK branch is unreachable by construction.  At
-        # the threshold the forwarded ACK materializes and rides the
-        # real-packet tail.
+        # Mirrors Switch._run_ingress + P4ceProgram._gather (NumRecv
+        # count, credit fold, forward-or-drop) on the live register cells:
+        # the count runs the RegisterAction's masked arithmetic --
+        # compared unmasked, as _numrecv_count returns it, so 256-slot PSN
+        # wrap behaves identically -- and the rest is the real _gather_ack.
+        # Virtual ACKs always carry make_syndrome(ACK, credits), so the
+        # NAK branch is unreachable by construction.  At the threshold
+        # the forwarded ACK materializes and rides the real-packet tail.
         leg = entry[5]
         path = leg.path
         avf = entry[3][1]
-        fc = path.fc
-        cached = fc._cache.get(leg.gather_key)
-        if cached is None or cached[0] != _K_GATHER:
+        cached = path.fc.hit(leg.gather_key)  # a gather verdict, as above
+        if cached is None:
             self._fallback(entry)
             return
         self.vx_hops += 1
         sw = path.switch
         token = sw._next_packet_token
         sw._next_packet_token = token + 1
-        fc.hits += 1
-        for table, h, m in cached[2]:  # counter parity with the real walk
-            table.hits += h
-            table.misses += m
         pre = cached[1]  # _GatherPre
         leader_psn = (avf.psn - pre.psn_offset) & PSN_MASK
-        prog = path.program
-        prog.gathered_acks += 1
-        minimum = avf.syndrome & 0x1F
-        if prog.credit_aggregation:
-            minimum = prog._aggregate_credits(pre.group_index,
-                                              pre.credit_slot, minimum)
         cells = path.numrecv_cells
         nslot = pre.numrecv_base + leader_psn % _NUMRECV_SLOTS
         count = cells[nslot] + 1
         cells[nslot] = count & path.numrecv_mask
-        if count != pre.ack_threshold:
-            # Surplus (or early) ACK: counted and dropped in ingress.
-            prog.dropped_acks += 1
-            sw.drops += 1
-            leg.counters.rx_drops += 1
+        prog = path.program
+        minimum = prog._gather_ack(pre, leader_psn, avf.syndrome & 0x1F,
+                                   count)
+        if minimum is None:
+            sw._ingress_drop(leg.out_port)  # surplus (or early) ACK
             return
-        prog.forwarded_acks += 1
         ack = self._materialize(avf)
         ack.meta["packet_token"] = token
         upper = ack._upper
         prog._rewrite_to_leader(ack, upper[0], upper[1], leader_psn, pre,
                                 minimum)
         out = path.leader_in_port
-        tm = vt + path.half_pipe
-        ebusy = sw._egress_parser_busy
-        busy = ebusy[out]
-        start = busy if busy > tm else tm
-        done = start + path.pgap
-        ebusy[out] = done
-        self._push_hop(done, sw._run_egress, (out, 0, ack),
-                       self._x_gather_egress, path)
+        self._push_hop(sw._parse_egress(out, vt + path.half_pipe),
+                       sw._run_egress, (out, 0, ack), self._x_gather_egress,
+                       path)
 
     # ------------------------------------------------------------------
     # Path resolution
@@ -1044,7 +914,6 @@ class FlightPlanner:
             return None
         fc = program._flow_cache
         ecache = program._egress_cache
-        tcache = program._egress_templates
         if fc is None or ecache is None:
             return None
         l3 = switch.l3_table
@@ -1054,7 +923,7 @@ class FlightPlanner:
         # reconcile would bump invalidation counters at a different
         # instant than the slow lane.  A couple of slow flights after any
         # control-plane write warm everything back up.
-        if fc._dirty or ecache._dirty or tcache._dirty:
+        if fc._dirty or ecache._dirty or program._egress_templates._dirty:
             return None
         dir_down = link.direction_from(switch_port)
         if dir_down.dst.device is not nic:
@@ -1066,17 +935,14 @@ class FlightPlanner:
         path.program = program
         path.leader_link = link
         path.leader_in_port = switch_port.index
-        path.switch_port = switch_port
         path.dir_up = link.direction_from(port)
         path.dir_down = dir_down
+        path.switch_port = switch_port
         path.fc = fc
         path.ecache = ecache
-        path.econn = econn
-        path.tcache = tcache
         path.numrecv_cells = program.numrecv._cells
         path.numrecv_mask = program.numrecv.mask
         path.half_pipe = switch.pipeline_latency_ns * 0.5
-        path.pgap = switch.parser_gap_ns
         path.legs = legs = []
         ports = switch.ports
         nports = len(ports)
@@ -1110,6 +976,9 @@ class FlightPlanner:
             rqp = rnic.qps.get(int(cp["qpn"]))
             if rqp is None or rqp.remote_ip != switch.ip:
                 return None
+            bentry = bcast._entries.get((rqp.remote_qpn,))
+            if bentry is not None and bentry.action == "broadcast":
+                return None  # the walk would not classify its ACKs gather
             aentry = aggr._entries.get((rqp.remote_qpn,))
             if aentry is None or aentry.action != "gather":
                 return None
@@ -1128,7 +997,6 @@ class FlightPlanner:
             leg.rnic = rnic
             leg.rqp = rqp
             leg.rqpn = rqp.qpn
-            leg.ack_sport = 49152 + (rqp.qpn & 0x3FF)
             leg.gather_key = (rqp.remote_qpn, _OP_ACK)
             legs.append(leg)
             watched.append(rlink)

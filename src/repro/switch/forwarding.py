@@ -39,12 +39,9 @@ def cached_l3_forward(switch, packet: Packet,
             packet.eth.dst = dst_mac
         return IngressVerdict.unicast(port)
     key = ("l3", dst)
-    cached = cache.get(key)
+    cached = cache.hit(key)
     if cached is not None:
-        result, delta = cached
-        for t, h, m in delta:  # inline replay: hottest L3 branch
-            t.hits += h
-            t.misses += m
+        result = cached[0]
     else:
         before = cache.counters_snapshot()
         walk = _l3_walk(switch, dst)

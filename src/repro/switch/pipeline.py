@@ -212,16 +212,40 @@ class Switch:
         if not self.powered:
             return
         index = port.index
+        done = self._parse_ingress(index)
+        packet.meta["ingress_port"] = index
+        self.sim.schedule_at_fire(done, self._run_ingress, index, packet)
+
+    # The hop effects below are shared with flight fusion's express
+    # stages: each is the one definition of what a hop does to this
+    # device, and reads the clock as ``sim._now`` (the drain sets it to
+    # the hop's time).  Raw clock reads on the per-frame path: the
+    # property indirection costs a visible fraction of hot-loop time.
+
+    def _parse_ingress(self, index: int) -> float:
+        """A frame arrives on port ``index``: count it and occupy that
+        port's ingress parser.  Returns when ingress may run."""
         self.counters[index].rx_frames += 1
-        # Raw clock reads (sim._now) on the per-frame path: the property
-        # indirection costs a visible fraction of hot-loop time.
         now = self.sim._now
         busy = self._ingress_parser_busy[index]
         start = busy if busy > now else now
         done = start + self.parser_gap_ns
         self._ingress_parser_busy[index] = done
-        packet.meta["ingress_port"] = index
-        self.sim.schedule_at_fire(done, self._run_ingress, index, packet)
+        return done
+
+    def _parse_egress(self, out_port: int, ready_time: float) -> float:
+        """A copy reaches port ``out_port``'s egress parser at
+        ``ready_time``: occupy it.  Returns when egress may run."""
+        busy = self._egress_parser_busy[out_port]
+        start = busy if busy > ready_time else ready_time
+        done = start + self.parser_gap_ns
+        self._egress_parser_busy[out_port] = done
+        return done
+
+    def _ingress_drop(self, in_port: int) -> None:
+        """Ingress dropped a frame that arrived on ``in_port``."""
+        self.drops += 1
+        self.counters[in_port].rx_drops += 1
 
     def _run_ingress(self, in_port: int, packet: Packet) -> None:
         if not self.powered or self.program is None:
@@ -230,8 +254,7 @@ class Switch:
         self._next_packet_token += 1
         verdict = self.program.on_ingress(in_port, packet)
         if verdict.kind is VerdictKind.DROP:
-            self.drops += 1
-            self.counters[in_port].rx_drops += 1
+            self._ingress_drop(in_port)
             return
         if verdict.kind is VerdictKind.TO_CPU:
             self.to_cpu_count += 1
@@ -262,11 +285,8 @@ class Switch:
         if not 0 <= out_port < len(self.ports):
             self.drops += 1
             return
-        busy = self._egress_parser_busy[out_port]
-        start = busy if busy > ready_time else ready_time
-        done = start + self.parser_gap_ns
-        self._egress_parser_busy[out_port] = done
-        self.sim.schedule_at_fire(done, self._run_egress, out_port,
+        self.sim.schedule_at_fire(self._parse_egress(out_port, ready_time),
+                                  self._run_egress, out_port,
                                   replication_id, packet)
 
     def _run_egress(self, out_port: int, replication_id: int, packet: Packet) -> None:

@@ -245,17 +245,36 @@ class FlowVerdictCache:
         self.invalidations = 0
 
     def get(self, key: Any) -> Optional[Any]:
-        """Cached value for ``key``, or None (after the freshness check)."""
+        """Cached value for ``key``, or None (after the freshness check);
+        a hit is counted."""
         if self._dirty:
-            self._dirty = False
-            if self._cache:
-                self._cache.clear()
-                self.invalidations += 1
-            return None
+            return self._flush()
         value = self._cache.get(key)
         if value is not None:
             self.hits += 1
         return value
+
+    def hit(self, key: Any) -> Optional[tuple]:
+        """Cached table-walk verdict for ``key`` -- a tuple whose last
+        element is the walk's :meth:`counters_delta` -- or None (after the
+        freshness check).  A hit is counted and its delta replayed, so the
+        table counters end up as if the walk had run."""
+        if self._dirty:
+            return self._flush()
+        verdict = self._cache.get(key)
+        if verdict is not None:
+            self.hits += 1
+            for table, hits, misses in verdict[-1]:
+                table.hits += hits
+                table.misses += misses
+        return verdict
+
+    def _flush(self) -> None:
+        """A control-plane write made every entry suspect: drop them all."""
+        self._dirty = False
+        if self._cache:
+            self._cache.clear()
+            self.invalidations += 1
 
     def put(self, key: Any, value: Any) -> None:
         """Store a verdict computed at the generation last seen by get()."""

@@ -17,6 +17,9 @@ when the real handler's cache lookup does.
 
 from __future__ import annotations
 
+import importlib
+import sys
+
 import pytest
 
 from repro import fastlane, params
@@ -495,3 +498,85 @@ def test_replica_crash_mid_message_matches_unfused_digest():
     assert fused["defusions"] >= 1
     assert fused["flights_fused"] > 0
     _assert_identical(fused, plain)
+
+
+# -- One definition per hop ---------------------------------------------------
+
+#: The hop effects the real handlers and the express stages share:
+#: (module, owner class or None, name, what the wrapper does, reference).
+#: A "time" effect returns when the hop's successor runs, and the wrapper
+#: delays it by 1 ns; an "icrc" effect is a wire patch, and the wrapper
+#: flips a bit of the ICRC it returns; every other wrapper counts calls.
+#: The reference is the all-lanes-off run, except for effects only the
+#: template and flow-cache lanes reach, which are compared against
+#: fusion's own off-half.
+_SHARED_EFFECTS = [
+    ("repro.net.link", "_Direction", "send", "time", "slow"),
+    ("repro.switch.pipeline", "Switch", "_parse_ingress", "time", "slow"),
+    ("repro.switch.pipeline", "Switch", "_parse_egress", "time", "slow"),
+    ("repro.switch.pipeline", "Switch", "_ingress_drop", "count", "slow"),
+    ("repro.rdma.nic", "RNic", "_tx_claim", "time", "slow"),
+    ("repro.rdma.nic", "RNic", "_rx_admit", "time", "slow"),
+    ("repro.rdma.nic", "RNic", "_land_write", "count", "slow"),
+    ("repro.rdma.nic", "RNic", "_complete_write", "count", "slow"),
+    ("repro.rdma.nic", "RNic", "_ack_syndrome", "count", "slow"),
+    ("repro.p4ce.dataplane", "P4ceProgram", "_egress_leg", "count", "slow"),
+    ("repro.p4ce.dataplane", "P4ceProgram", "_gather_ack", "count", "slow"),
+    ("repro.switch.tables", "FlowVerdictCache", "hit", "count", "plain"),
+    ("repro.rdma.wiretemplate", None, "scatter_patch", "icrc", "plain"),
+    ("repro.rdma.wiretemplate", None, "ack_patch", "icrc", "plain"),
+]
+
+
+def _wrap_effect(monkeypatch, module, owner, name, mode, calls):
+    """Replace one shared effect with its perturbing wrapper wherever the
+    simulator looks it up: on its class, or in every module that imports
+    the function by name."""
+    mod = importlib.import_module(module)
+    target = getattr(mod, owner) if owner else mod
+    original = getattr(target, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        result = original(*args, **kwargs)
+        if mode == "time" and result is not None:
+            return result + 1.0
+        if mode == "icrc":
+            return result[0], result[1] ^ 1
+        return result
+
+    monkeypatch.setattr(target, name, wrapper)
+    if owner is None:
+        for other in list(sys.modules.values()):
+            if (other is not mod and getattr(other, "__name__", "")
+                    .startswith("repro.")
+                    and getattr(other, name, None) is original):
+                monkeypatch.setattr(other, name, wrapper)
+
+
+@pytest.mark.parametrize("value_size", [64, 4096])
+@pytest.mark.parametrize("module,owner,name,mode,reference", _SHARED_EFFECTS,
+                         ids=[e[2] for e in _SHARED_EFFECTS])
+def test_express_stages_call_the_shared_effects(monkeypatch, value_size,
+                                                module, owner, name, mode,
+                                                reference):
+    """A stage is a call, not a copy: perturb one shared effect and the
+    fused run still agrees with the reference on the wire, in events and
+    in kernel seqs, and calls a counted effect as often -- an express
+    stage (or the digest tap) with its own copy of the effect would keep
+    the old timing, bytes or count, and diverge.  (A wire patch runs when
+    the tap renders a virtual frame but when the real egress builds a
+    real one, so its count is not compared: its bytes are.)"""
+    calls = [0]
+    _wrap_effect(monkeypatch, module, owner, name, mode, calls)
+    kwargs = dict(run_ns=0.15 * MS, value_size=value_size)
+    fused = _run(fusion_on=True, **kwargs)
+    fused_calls, calls[0] = calls[0], 0
+    ref = _run(fusion_on=False, other_lanes=reference == "plain", **kwargs)
+    assert fused["flights_fused"] > 0 and fused["commits"] > 0
+    assert fused["fallbacks_after_warmup"] == 0
+    assert fused_calls > 0
+    if mode == "count":
+        assert fused_calls == calls[0]
+    for key in ("digest", "commits", "events", "seqs"):
+        assert fused[key] == ref[key], key
