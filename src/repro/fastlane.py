@@ -11,13 +11,6 @@ something observable, so that the all-off run is a reference the fast
 path is judged against.  The lanes (the ``_LANES`` tuple below is the
 list), mirroring the optimisations described in ``docs/PERF.md``:
 
-``incremental_icrc``
-    :func:`repro.rdma.icrc.compute_icrc` caches the CRC over the invariant
-    payload and recombines it with the small rewritten header prefix using
-    ``zlib.crc32``'s running form, plus a whole-result cache validated by
-    header version counters.  Off: every call hashes the full canonical
-    string.
-
 ``flow_cache``
     The switch programs memoize their ingress match-action verdict keyed
     on the parsed flow tuple, invalidated by every control-plane table
@@ -61,11 +54,12 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
     pending hops back into ordinary events and disable fusion until
     recovery.  Off: every hop is a kernel event through the real handlers.
 
-Copy-on-write packet copies (:mod:`repro.net.packet`) and the direct
-replicated-log decode (:meth:`repro.consensus.log.Log.peek`) were lanes
-once; their off-halves ran the same algorithm with a different copy
-strategy, so nothing observable could differ and they now run
-unconditionally (``docs/PERF.md``, "Retired flags").
+Copy-on-write packet copies (:mod:`repro.net.packet`), the direct
+replicated-log decode (:meth:`repro.consensus.log.Log.peek`) and the
+running-form ICRC (:mod:`repro.rdma.icrc`) were lanes once; their
+off-halves ran the same algorithm with a different copy strategy or a
+different grouping of the same CRC, so nothing observable could differ
+and they now run unconditionally (``docs/PERF.md``, "Retired flags").
 
 All lanes default to on.  ``REPRO_FASTLANE=off`` (or ``0``/``false``)
 disables all of them for a process; ``enable()`` / ``disable()`` flip them
@@ -78,9 +72,8 @@ from __future__ import annotations
 
 import os
 
-#: The four lane flags.
-_LANES = ("incremental_icrc", "flow_cache", "rewrite_templates",
-          "flight_fusion")
+#: The three lane flags.
+_LANES = ("flow_cache", "rewrite_templates", "flight_fusion")
 
 
 class _Flags:

@@ -59,8 +59,7 @@ class Packet:
     """One Ethernet frame in flight."""
 
     __slots__ = ("_eth", "_ipv4", "_udp", "_upper", "_payload", "has_icrc",
-                 "meta", "_shared", "_upper_size", "_payload_crc", "_icrc_state",
-                 "_wire")
+                 "meta", "_shared", "_upper_size", "_payload_crc", "_wire")
 
     def __init__(self, eth: EthernetHeader, ipv4: Optional[Ipv4Header] = None,
                  udp: Optional[UdpHeader] = None,
@@ -77,10 +76,9 @@ class Packet:
         self._shared = 0
         #: ``(len(upper), size)`` cache for :attr:`upper_size`.
         self._upper_size: Optional[tuple] = None
-        #: ``(payload_object, crc32)`` cache used by the incremental ICRC.
+        #: ``(payload_object, crc32)`` cache, the seed of the running-form
+        #: ICRC (:func:`repro.rdma.icrc.payload_crc`).
         self._payload_crc: Optional[tuple] = None
-        #: Cached invariant-CRC state, owned by :mod:`repro.rdma.icrc`.
-        self._icrc_state: Optional[tuple] = None
         #: ``(header_block, trailer)`` pre-serialized wire cache, set by the
         #: rewrite-template engine.  Valid as long as no header slot is
         #: touched (every header property access clears it); the payload is
@@ -310,7 +308,6 @@ class Packet:
         clone.meta = dict(self.meta)
         clone._upper_size = self._upper_size
         clone._payload_crc = self._payload_crc
-        clone._icrc_state = self._icrc_state
         clone._wire = self._wire
         return clone
 

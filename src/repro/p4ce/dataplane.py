@@ -105,13 +105,8 @@ class P4ceProgram(SwitchProgram):
     name = "p4ce"
 
     def __init__(self, ack_drop_in_egress: bool = False,
-                 credit_aggregation: bool = True,
-                 recompute_icrc: bool = True):
+                 credit_aggregation: bool = True):
         super().__init__()
-        #: Recompute the invariant CRC after rewriting packet fields.
-        #: Turning this off demonstrates *why* it is mandatory: every
-        #: rewritten packet fails the NICs' ICRC check and is discarded.
-        self.recompute_icrc = recompute_icrc
         #: Ablation: drop surplus ACKs in the leader's egress instead of
         #: the replica's ingress (the paper's first implementation, which
         #: capped aggregation at one parser's 121 Mpps).
@@ -369,8 +364,7 @@ class P4ceProgram(SwitchProgram):
             if gather_rewrite(packet, templates, pre.leader_mac,
                               pre.leader_ip, params.ROCE_UDP_PORT,
                               pre.leader_qpn, switch.mac, switch.ip,
-                              leader_psn, new_syndrome,
-                              stamp=self.recompute_icrc):
+                              leader_psn, new_syndrome):
                 return
         eth = packet.eth
         eth.src = switch.mac
@@ -385,8 +379,7 @@ class P4ceProgram(SwitchProgram):
         bth.psn = leader_psn
         aeth.syndrome = new_syndrome
         packet.finalize()
-        if self.recompute_icrc:
-            stamp_icrc(packet)
+        stamp_icrc(packet)
 
     # ------------------------------------------------------------------
     # Egress
@@ -403,8 +396,7 @@ class P4ceProgram(SwitchProgram):
         pre, templates = leg
         switch = self.switch
         if templates is not None:
-            if scatter_rewrite(packet, templates, pre, switch.mac, switch.ip,
-                               stamp=self.recompute_icrc):
+            if scatter_rewrite(packet, templates, pre, switch.mac, switch.ip):
                 return True
             # Unsupported shape: fall through to the header-object rewrite.
         dst_mac, dst_ip, udp_port, qpn, psn_offset, va_base, r_key = pre
@@ -427,8 +419,7 @@ class P4ceProgram(SwitchProgram):
             reth.virtual_address = reth.virtual_address + va_base
             reth.r_key = r_key
         packet.finalize()
-        if self.recompute_icrc:
-            stamp_icrc(packet)
+        stamp_icrc(packet)
         return True
 
     def _egress_leg(self, replication_id: int

@@ -10,31 +10,34 @@ R_key, it *must* recompute the ICRC, or every replica would discard the
 scattered writes.
 
 We compute a CRC32 over a canonical byte string of the covered fields
-(DESIGN.md documents the simplification versus the IBTA bit-exact
-polynomial coverage: the masked-field *set* matches the spec; reserved
-regions are compressed).  The properties that matter are preserved:
+(DESIGN.md §7 lists where it departs from the IBTA definition: payload
+first, UDP source port masked, reserved regions compressed, the value
+carried beside the frame bytes).  The properties that matter are
+preserved:
 
 * any change to a covered field invalidates the checksum;
 * changes to masked fields (TTL, DSCP) do not;
 * the switch's egress rewrite must call :func:`compute_icrc` again.
 
-Incremental computation
------------------------
+Running form
+------------
 
 The canonical string is ordered *payload first*, then the covered header
 fields.  The payload is by far the largest covered region and never
 changes in flight, while the switch egress rewrite touches only a few
 dozen header bytes per replica.  Because ``zlib.crc32(b, crc32(a)) ==
-crc32(a + b)``, the CRC over the payload can be computed once, cached on
-the packet (keyed by payload object identity -- payload bytes are
-immutable and shared across copy-on-write copies), and used to seed the
-CRC over the short header suffix.  A whole-result cache validated by
-header identities and version counters makes the receiver-side
-``check_icrc`` of an unmodified packet a cache hit.
+crc32(a + b)``, the CRC over the payload is computed once, cached on the
+packet (:func:`payload_crc`, keyed by payload object identity -- payload
+bytes are immutable and shared across copy-on-write copies), and seeds
+:func:`fold` over the short header suffix.  Nothing else is cached: every
+:func:`check_icrc` re-derives the suffix from the headers the packet
+carries, so a frame stamped with a wrong value is dropped.
 
-Both lanes -- incremental and full -- hash the same canonical string, so
-they produce bit-identical values; ``tests/test_fastlane_flags.py``
-asserts this by running whole workloads with the lane on and off.
+This module is the one owner of the suffix layout.  The wire templates
+(:mod:`repro.rdma.wiretemplate`) render their zeroed suffix with
+:func:`header_suffix`, patch it with :func:`patched_icrc`, take the TX
+pseudo-header from :func:`pseudo_header` and seed :func:`fold` with the
+payload CRC; they hold no suffix codec or offset of their own.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import struct
 import zlib
 from typing import Optional
 
-from .. import fastlane
 from ..net import Packet
 from .headers import Aeth, Bth, Reth
 
@@ -51,9 +53,9 @@ from .headers import Aeth, Bth, Reth
 #: P4CE never rewrites in flight; matching the seed's covered set).
 _COVERED = (Bth, Reth, Aeth)
 
-#: Pseudo-header codec: protocol, UDP dst port, UDP length -- the
-#: concatenation of the covered IP/UDP scalar fields.
-_S_PSEUDO = struct.Struct("!BHH")
+#: Pseudo-header codec: IP source and destination, protocol, UDP dst
+#: port, UDP length -- the covered IP/UDP scalar fields, in order.
+_S_PSEUDO = struct.Struct("!IIBHH")
 
 # One-shot codecs for the three header stacks RC traffic actually uses:
 # pseudo-header + BTH (writes mid-message), + BTH/AETH (ACKs and read
@@ -66,16 +68,26 @@ _S_SUF_B = struct.Struct(_SUF_BASE)
 _S_SUF_BA = struct.Struct(_SUF_BASE + "I")    # + AETH word
 _S_SUF_BR = struct.Struct(_SUF_BASE + "QII")  # + RETH va/rkey/len
 
+# Suffix offsets of the two words a template patches: the canonical
+# string is <pseudo-header | BTH | ext>, so the AckReq|PSN word is the
+# last BTH field and the extension (RETH VA or AETH word) follows it.
+_SUF_ACKPSN_OFF = _S_SUF_B.size - 4
+_SUF_EXT_OFF = _S_SUF_B.size
 
-def _header_suffix(packet: Packet, ipv4, udp) -> bytes:
-    """Covered header fields in canonical order (hashed after the payload).
+_U32 = struct.Struct("!I")
 
-    The covered set: IP addresses + protocol (TTL/DSCP/checksum are
-    mutable in flight and masked, represented by their absence), UDP dst
-    port and length (the source port is entropy, masked like the spec's
-    variant fields for ECMP-friendly middleboxes), then BTH/RETH/AETH.
-    """
-    upper = packet._upper
+
+def pseudo_header(ipv4, udp) -> bytes:
+    """The covered IP/UDP fields (TTL/DSCP/checksum are mutable in flight
+    and masked, represented by their absence; the UDP source port is
+    entropy for ECMP-friendly middleboxes, masked likewise)."""
+    return _S_PSEUDO.pack(ipv4.src.value, ipv4.dst.value, ipv4.protocol,
+                          udp.dst_port, udp.length)
+
+
+def header_suffix(ipv4, udp, upper: list) -> bytes:
+    """Covered header fields in canonical order (hashed after the
+    payload): the pseudo-header, then BTH/RETH/AETH."""
     n = len(upper)
     if n and type(upper[0]) is Bth:
         bth = upper[0]
@@ -102,15 +114,31 @@ def _header_suffix(packet: Packet, ipv4, udp) -> bytes:
                     bth.opcode, flags, bth.partition_key, bth.dest_qp, ack_psn,
                     second.virtual_address, second.r_key, second.dma_length)
     # General path: arbitrary header stacks (atomics, multi-extension).
-    parts = [
-        ipv4.src.to_bytes(),
-        ipv4.dst.to_bytes(),
-        _S_PSEUDO.pack(ipv4.protocol, udp.dst_port, udp.length),
-    ]
+    parts = [pseudo_header(ipv4, udp)]
     for header in upper:
         if isinstance(header, _COVERED):
             parts.append(header.pack())
     return b"".join(parts)
+
+
+def fold(covered: bytes, seed: int) -> int:
+    """CRC32 of ``covered`` continued from ``seed``, the CRC of what the
+    canonical string holds before it (the payload, or a template's
+    constant prefix)."""
+    return zlib.crc32(covered, seed) & 0xFFFFFFFF
+
+
+def patched_icrc(suffix: bytes, ack_word: int, ext: Optional[struct.Struct],
+                 word: int, seed: int) -> int:
+    """ICRC of a template suffix (its varying fields zeroed) with the
+    AckReq|PSN word and, when ``ext`` is a codec, the extension's leading
+    ``word`` (RETH VA or AETH syndrome|MSN) patched in; ``seed`` is the
+    payload's CRC."""
+    buf = bytearray(suffix)
+    _U32.pack_into(buf, _SUF_ACKPSN_OFF, ack_word)
+    if ext is not None:
+        ext.pack_into(buf, _SUF_EXT_OFF, word)
+    return zlib.crc32(buf, seed) & 0xFFFFFFFF
 
 
 def compute_icrc(packet: Packet) -> int:
@@ -124,36 +152,8 @@ def compute_icrc(packet: Packet) -> int:
     udp = packet._udp
     if ipv4 is None or udp is None:
         raise ValueError("not a routable RoCE packet")
-    payload = packet._payload
-    if not fastlane.flags.incremental_icrc:
-        return zlib.crc32(payload + _header_suffix(packet, ipv4, udp)) & 0xFFFFFFFF
-
-    upper = packet._upper
-    state = packet._icrc_state
-    if state is not None:
-        # Raw ``_hver`` compares: freeze flips the counter's sign without
-        # changing content, which reads as a miss here -- a rare, harmless
-        # recompute.  Writes only ever increment the counters, so the
-        # per-stack version *sum* changing is a sound invalidation signal.
-        if (state[8] is payload and state[1] is ipv4 and state[3] is udp
-                and state[2] == ipv4._hver and state[4] == udp._hver
-                and state[5] is upper and state[6] == len(upper)):
-            vsum = 0
-            for h in upper:
-                vsum += h._hver
-            if vsum == state[7]:
-                return state[0]
-
-    value = zlib.crc32(_header_suffix(packet, ipv4, udp),
-                       payload_crc(packet)) & 0xFFFFFFFF
-    vsum = 0
-    for h in upper:
-        vsum += h._hver
-    packet._icrc_state = (
-        value, ipv4, ipv4._hver, udp, udp._hver, upper, len(upper), vsum,
-        payload,
-    )
-    return value
+    return zlib.crc32(header_suffix(ipv4, udp, packet._upper),
+                      payload_crc(packet)) & 0xFFFFFFFF
 
 
 def payload_crc(packet: Packet) -> int:

@@ -22,9 +22,12 @@ pre-renders:
   copy-on-write bits.
 
 Emitting a leg then costs two small ``bytearray`` copies, two to four
-``pack_into`` patches, one or two ``_set``-based header clones and a
-``zlib.crc32`` over the ~25-41 byte suffix seeded with the cached payload
-CRC.  No header thaws, no ``finalize``, no full re-pack.
+``pack_into`` patches, one or two ``_set``-based header clones and a CRC
+over the ~25-41 byte suffix seeded with the cached payload CRC.  No
+header thaws, no ``finalize``, no full re-pack.  The suffix and its CRC
+belong to :mod:`repro.rdma.icrc`: a template renders its zeroed suffix
+with ``header_suffix`` over its own header objects and patches it with
+``patched_icrc``; this module knows only the frame layout.
 
 A template is only valid while the flow keeps sending packets with the
 same invariant fields (TTL, identification, DSCP, UDP source port,
@@ -40,15 +43,16 @@ table write).
 
 Determinism: the patched wire image is byte-for-byte what the slow path's
 ``pack()`` produces, and the patched suffix is byte-for-byte what
-``repro.rdma.icrc._header_suffix`` packs, so digests and ICRC values are
-bit-identical with the lane on or off -- the randomized equivalence tests
-and ``tests/test_fastlane_flags.py`` both pin this.
+``repro.rdma.icrc.header_suffix`` packs for the installed headers, so
+digests and ICRC values are bit-identical with the lane on or off -- the
+randomized equivalence tests and ``tests/test_fastlane_flags.py`` both
+pin this, and every receiver's ``check_icrc`` recomputes the value from
+the installed headers.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from typing import Dict, Optional, Tuple
 
 from ..net.headers import EthernetHeader, Ipv4Header, UdpHeader, _set
@@ -62,11 +66,9 @@ from .headers import (
     QPN_MASK,
     RETH_VA_OFFSET,
     Reth,
-    _S_AETH,
     _S_BTH,
-    _S_RETH,
 )
-from .icrc import _S_SUF_B, _S_SUF_BA, _S_SUF_BR, payload_crc
+from .icrc import fold, header_suffix, patched_icrc, payload_crc, pseudo_header
 from .opcodes import Opcode
 
 _OP_ACK = Opcode.ACKNOWLEDGE
@@ -75,23 +77,17 @@ _OP_ACK = Opcode.ACKNOWLEDGE
 _BTH_OFF = EthernetHeader.SIZE + Ipv4Header.SIZE + UdpHeader.SIZE
 _ACKPSN_OFF = _BTH_OFF + BTH_ACKPSN_OFFSET
 _EXT_OFF = _BTH_OFF + Bth.SIZE  # RETH (scatter) or AETH (gather)
-_VA_OFF = _EXT_OFF + RETH_VA_OFFSET
-
-# Suffix offsets: the canonical string is <pseudo-header | BTH | ext>, so
-# the AckReq|PSN word is the last BTH field and the extension follows it.
-_SUF_ACKPSN_OFF = _S_SUF_B.size - 4
-_SUF_EXT_OFF = _S_SUF_B.size
-assert _EXT_OFF - _ACKPSN_OFF == _SUF_EXT_OFF - _SUF_ACKPSN_OFF == 4
+# The varying word opens either extension, in the frame as in the suffix.
+assert RETH_VA_OFFSET == AETH_WORD_OFFSET == 0
 
 _U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
 
 _ICRC_ZEROS = b"\x00\x00\x00\x00"
 
-# Template extension kinds (which header follows the BTH).
-_EXT_NONE = 0
-_EXT_RETH = 1
-_EXT_AETH = 2
+# Template extension codecs: the varying word of the header that follows
+# the BTH (None: no extension).
+_EXT_RETH = struct.Struct("!Q")  # virtual address
+_EXT_AETH = _U32                 # syndrome|MSN
 
 
 class _WireTemplate:
@@ -102,7 +98,8 @@ class _WireTemplate:
 
     def __init__(self, block: bytes, suffix: bytes, eth: EthernetHeader,
                  ipv4: Ipv4Header, udp: UdpHeader, bth: Bth,
-                 reth: Optional[Reth], upper_size: Tuple[int, int], ext: int):
+                 reth: Optional[Reth], upper_size: Tuple[int, int],
+                 ext: Optional[struct.Struct]):
         self.block = block
         self.suffix = suffix
         self.eth = eth
@@ -115,13 +112,13 @@ class _WireTemplate:
 
 
 def _build(packet: Packet, dst_mac, dst_ip, dst_port: int, dest_qp: int,
-           r_key: int, src_mac, src_ip, ext: int) -> _WireTemplate:
+           r_key: int, src_mac, src_ip,
+           ext: Optional[struct.Struct]) -> _WireTemplate:
     """Render the rewritten wire image of ``packet`` with the per-packet
     fields (PSN word, VA / AETH word) zeroed for patching."""
     ipv4 = packet._ipv4
     udp = packet._udp
     upper = packet._upper
-    bth = upper[0]
     eth2 = EthernetHeader(dst_mac, src_mac, packet._eth.ethertype)
     ipv42 = Ipv4Header(src_ip, dst_ip, ipv4.protocol, ipv4.total_length,
                        ipv4.ttl, ipv4.identification, ipv4.dscp)
@@ -131,66 +128,42 @@ def _build(packet: Packet, dst_mac, dst_ip, dst_port: int, dest_qp: int,
     eth2.freeze()
     ipv42.freeze()
     udp2.freeze()
-    bth2 = bth.clone_rewrite(0, False)
+    bth2 = upper[0].clone_rewrite(0, False)
     _set(bth2, "dest_qp", dest_qp)
-    flags = 0x40 if bth.solicited else 0
-    opcode = int(bth.opcode)
-    pkey = bth.partition_key
-    parts = [eth2.pack(), ipv42.pack(), udp2.pack(),
-             _S_BTH.pack(opcode, flags, pkey, dest_qp, 0)]
+    covered = [bth2]
     reth2: Optional[Reth] = None
-    if ext == _EXT_RETH:
-        reth_in = upper[1]
-        reth2 = reth_in.clone_rewrite(0)
+    if ext is _EXT_RETH:
+        reth2 = upper[1].clone_rewrite(0)
         _set(reth2, "r_key", r_key)
-        parts.append(_S_RETH.pack(0, r_key, reth_in.dma_length))
-        suffix = _S_SUF_BR.pack(src_ip.value, dst_ip.value, ipv4.protocol,
-                                dst_port, udp.length, opcode, flags, pkey,
-                                dest_qp, 0, 0, r_key, reth_in.dma_length)
-        upper_size = (2, Bth.SIZE + Reth.SIZE)
-    elif ext == _EXT_AETH:
-        parts.append(_S_AETH.pack(0))
-        suffix = _S_SUF_BA.pack(src_ip.value, dst_ip.value, ipv4.protocol,
-                                dst_port, udp.length, opcode, flags, pkey,
-                                dest_qp, 0, 0)
-        upper_size = (2, Bth.SIZE + Aeth.SIZE)
-    else:
-        suffix = _S_SUF_B.pack(src_ip.value, dst_ip.value, ipv4.protocol,
-                               dst_port, udp.length, opcode, flags, pkey,
-                               dest_qp, 0)
-        upper_size = (1, Bth.SIZE)
-    return _WireTemplate(b"".join(parts), suffix, eth2, ipv42, udp2, bth2,
-                         reth2, upper_size, ext)
+        covered.append(reth2)
+    elif ext is _EXT_AETH:
+        covered.append(Aeth(0, 0))
+    block = b"".join([eth2.pack(), ipv42.pack(), udp2.pack()]
+                     + [h.pack() for h in covered])
+    upper_size = (len(covered), sum(h.SIZE for h in covered))
+    return _WireTemplate(block, header_suffix(ipv42, udp2, covered), eth2,
+                         ipv42, udp2, bth2, reth2, upper_size, ext)
 
 
 def _install(packet: Packet, tmpl: _WireTemplate, upper: list,
-             block: bytes, icrc: int, stamp: bool) -> None:
-    """Point ``packet`` at the patched image and the template's headers
-    (the caller computed ``icrc`` off :func:`payload_crc`)."""
-    payload = packet._payload
-    ipv4 = tmpl.ipv4
-    udp = tmpl.udp
+             block: bytes, icrc: int) -> None:
+    """Point ``packet`` at the patched image and the template's headers,
+    stamped with ``icrc`` (the caller computed it off :func:`payload_crc`)."""
     packet._eth = tmpl.eth
-    packet._ipv4 = ipv4
-    packet._udp = udp
+    packet._ipv4 = tmpl.ipv4
+    packet._udp = tmpl.udp
     packet._upper = upper
     # The lower headers alias the template: mark them shared so a write
     # through the packet properties thaws a private copy instead of
     # corrupting every other leg of the flow.  The upper clones are ours.
     packet._shared = _SH_ETH | _SH_IPV4 | _SH_UDP
     packet._upper_size = tmpl.upper_size
-    # Fresh clones sit at version 0, so the upper version-sum is 0; the
-    # shape matches repro.rdma.icrc.compute_icrc's cache tuple, making the
-    # receiver's check_icrc a pure cache hit.
-    packet._icrc_state = (icrc, ipv4, ipv4._hver, udp, udp._hver, upper,
-                          len(upper), 0, payload)
     packet._wire = (block, _ICRC_ZEROS)
-    if stamp:
-        packet.meta["icrc"] = icrc
+    packet.meta["icrc"] = icrc
 
 
 def scatter_rewrite(packet: Packet, templates: Dict[tuple, _WireTemplate],
-                    pre: tuple, src_mac, src_ip, stamp: bool) -> bool:
+                    pre: tuple, src_mac, src_ip) -> bool:
     """Egress rewrite of one multicast leg via a template.
 
     ``pre`` is the P4CE egress connection tuple ``(mac, ip, udp_port, qpn,
@@ -218,13 +191,12 @@ def scatter_rewrite(packet: Packet, templates: Dict[tuple, _WireTemplate],
     tmpl = scatter_template(packet, templates, scatter_fingerprint(packet),
                             pre, src_mac, src_ip)
     install_scatter(packet, tmpl, (bth.psn + pre[4]) & PSN_MASK, bth.ack_req,
-                    None if reth is None else reth.virtual_address + pre[5],
-                    stamp)
+                    None if reth is None else reth.virtual_address + pre[5])
     return True
 
 
 def install_scatter(packet: Packet, tmpl: _WireTemplate, psn: int,
-                    ack_req: bool, va: Optional[int], stamp: bool) -> None:
+                    ack_req: bool, va: Optional[int]) -> None:
     """Patch a copy of ``tmpl`` with one leg's PSN/AckReq word and, for a
     leg with a RETH, its virtual address (``va`` None: no RETH), and point
     ``packet`` at it."""
@@ -233,29 +205,29 @@ def install_scatter(packet: Packet, tmpl: _WireTemplate, psn: int,
     new_upper = [tmpl.bth.clone_rewrite(psn, ack_req)]
     if va is not None:
         new_upper.append(tmpl.reth.clone_rewrite(va))
-    _install(packet, tmpl, new_upper, block, icrc, stamp)
+    _install(packet, tmpl, new_upper, block, icrc)
 
 
-def scatter_patch(tmpl: _WireTemplate, ack_word: int, va: Optional[int],
+def scatter_patch(tmpl: _WireTemplate, ack_word: int, word: Optional[int],
                   seed: int) -> Tuple[bytes, int]:
-    """One scatter leg's header block and ICRC: ``tmpl`` patched with the
-    leg's AckReq|PSN word and, for a leg with a RETH, its virtual address
-    (``va`` None: no RETH); ``seed`` is the payload's CRC.  The one
-    definition :func:`install_scatter` and the columnar digest tap share."""
+    """One leg's header block and ICRC: ``tmpl`` patched with the leg's
+    AckReq|PSN word and, when the template has an extension, its varying
+    ``word`` (a scatter leg's RETH virtual address, a forwarded ACK's AETH
+    syndrome|MSN; None without one); ``seed`` is the payload's CRC.  The
+    one definition :func:`install_scatter`, :func:`gather_rewrite` and the
+    columnar digest tap share."""
     block = bytearray(tmpl.block)
-    suffix = bytearray(tmpl.suffix)
     _U32.pack_into(block, _ACKPSN_OFF, ack_word)
-    _U32.pack_into(suffix, _SUF_ACKPSN_OFF, ack_word)
-    if va is not None:
-        _U64.pack_into(block, _VA_OFF, va)
-        _U64.pack_into(suffix, _SUF_EXT_OFF, va)
-    return bytes(block), zlib.crc32(suffix, seed) & 0xFFFFFFFF
+    ext = tmpl.ext
+    if ext is not None:
+        ext.pack_into(block, _EXT_OFF, word)
+    return bytes(block), patched_icrc(tmpl.suffix, ack_word, ext, word, seed)
 
 
 def gather_rewrite(packet: Packet, templates: Dict[tuple, _WireTemplate],
                    leader_mac, leader_ip, leader_port: int, leader_qpn: int,
-                   src_mac, src_ip, leader_psn: int, new_syndrome: int,
-                   stamp: bool) -> bool:
+                   src_mac, src_ip, leader_psn: int,
+                   new_syndrome: int) -> bool:
     """Rewrite a forwarded (aggregated) ACK toward the leader via a
     template.  Same contract as :func:`scatter_rewrite`; the per-packet
     variables are the PSN word and the AETH syndrome|MSN word."""
@@ -280,18 +252,12 @@ def gather_rewrite(packet: Packet, templates: Dict[tuple, _WireTemplate],
                       0, src_mac, src_ip, _EXT_AETH)
         templates[fp] = tmpl
     ack_req = bth.ack_req
-    ack_word = ((1 << 31) if ack_req else 0) | leader_psn
-    aeth_word = (new_syndrome << 24) | aeth.msn
-    block = bytearray(tmpl.block)
-    suffix = bytearray(tmpl.suffix)
-    _U32.pack_into(block, _ACKPSN_OFF, ack_word)
-    _U32.pack_into(suffix, _SUF_ACKPSN_OFF, ack_word)
-    _U32.pack_into(block, _EXT_OFF + AETH_WORD_OFFSET, aeth_word)
-    _U32.pack_into(suffix, _SUF_EXT_OFF, aeth_word)
+    block, icrc = scatter_patch(
+        tmpl, ((1 << 31) if ack_req else 0) | leader_psn,
+        (new_syndrome << 24) | aeth.msn, payload_crc(packet))
     new_upper = [tmpl.bth.clone_rewrite(leader_psn, ack_req),
                  aeth.clone_rewrite(new_syndrome, aeth.msn)]
-    icrc = zlib.crc32(suffix, payload_crc(packet)) & 0xFFFFFFFF
-    _install(packet, tmpl, new_upper, bytes(block), icrc, stamp)
+    _install(packet, tmpl, new_upper, block, icrc)
     return True
 
 
@@ -330,7 +296,7 @@ def scatter_template(packet: Packet, templates: Dict[tuple, _WireTemplate],
     tmpl = templates.get(fp)
     if tmpl is None:
         tmpl = _build(packet, pre[0], pre[1], pre[2], pre[3], pre[6],
-                      src_mac, src_ip, _EXT_RETH if fp[0] == 2 else _EXT_NONE)
+                      src_mac, src_ip, _EXT_RETH if fp[0] == 2 else None)
         templates[fp] = tmpl
     return tmpl
 
@@ -338,12 +304,6 @@ def scatter_template(packet: Packet, templates: Dict[tuple, _WireTemplate],
 # ---------------------------------------------------------------------------
 # NIC TX frame templates
 # ---------------------------------------------------------------------------
-
-# Suffix pseudo-header: src, dst, protocol, UDP dst port, UDP length --
-# byte-identical to the address-bytes + _S_PSEUDO concatenation the slow
-# suffix packs (and to the leading fields of the one-shot suffix codecs).
-_S_TX_PSEUDO = struct.Struct("!IIBHH")
-
 
 class _TxTemplate:
     """Pre-rendered Ethernet/IPv4/UDP prefix for one (QP, frame length).
@@ -367,8 +327,7 @@ class _TxTemplate:
         ipv4.freeze()
         udp.freeze()
         self.prefix = eth.pack() + ipv4.pack() + udp.pack()
-        self.pseudo = _S_TX_PSEUDO.pack(src_ip.value, dst_ip.value,
-                                        ipv4.protocol, dst_port, udp_len)
+        self.pseudo = pseudo_header(ipv4, udp)
         self.eth = eth
         self.ipv4 = ipv4
         self.udp = udp
@@ -398,7 +357,7 @@ class _AckTemplate:
                                  dest_qp & QPN_MASK, 0)[:8]
         self.base = base
         self.prefix = base.prefix + bth_static
-        self.state = zlib.crc32(base.pseudo + bth_static)
+        self.state = fold(base.pseudo + bth_static, 0)
 
 
 def ack_template(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
@@ -434,15 +393,11 @@ def ack_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
     tail, icrc = ack_patch(tmpl, psn, syndrome, msn)
     upper = [Bth(_OP_ACK, dest_qp, psn), Aeth(syndrome, msn)]
     base = tmpl.base
-    ipv4 = base.ipv4
-    udp = base.udp
     payload = b""
-    pkt = Packet(base.eth, ipv4, udp, upper, payload, has_icrc=True)
+    pkt = Packet(base.eth, base.ipv4, base.udp, upper, payload, has_icrc=True)
     pkt._shared = _SH_ETH | _SH_IPV4 | _SH_UDP
     pkt._upper_size = (2, Bth.SIZE + Aeth.SIZE)
-    pkt._payload_crc = (payload, 0)  # zlib.crc32(b"") == 0
-    pkt._icrc_state = (icrc, ipv4, ipv4._hver, udp, udp._hver, upper, 2, 0,
-                       payload)
+    pkt._payload_crc = (payload, 0)  # the CRC32 of b"" is 0
     pkt._wire = (tmpl.prefix + tail, _ICRC_ZEROS)
     pkt.meta["icrc"] = icrc
     return pkt
@@ -455,7 +410,7 @@ def ack_patch(tmpl: _AckTemplate, psn: int, syndrome: int,
     and the columnar digest tap share."""
     tail = _S_ACK_TAIL.pack(psn & PSN_MASK,
                             (syndrome << 24) | (msn & PSN_MASK))
-    return tail, zlib.crc32(tail, tmpl.state) & 0xFFFFFFFF
+    return tail, fold(tail, tmpl.state)
 
 
 def tx_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
@@ -468,9 +423,9 @@ def tx_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
     template is keyed by (upper size, payload length); ``gateway_mac`` is
     revalidated by identity so re-cabling rebuilds instead of lying.
     """
-    # One fused pass: type-check, size, pack and version-sum together
-    # (the common stacks are one or two headers; a list+join per frame
-    # costs more than the unrolled concatenations).
+    # One fused pass: type-check, size and pack together (the common
+    # stacks are one or two headers; a list+join per frame costs more
+    # than the unrolled concatenations).
     n = len(upper)
     if n == 2:
         h0 = upper[0]
@@ -482,7 +437,6 @@ def tx_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
             return None
         upper_size = t0.SIZE + t1.SIZE
         tail = h0.pack() + h1.pack()
-        vsum = h0._hver + h1._hver
     elif n == 1:
         h0 = upper[0]
         t0 = type(h0)
@@ -490,10 +444,8 @@ def tx_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
             return None
         upper_size = t0.SIZE
         tail = h0.pack()
-        vsum = h0._hver
     else:
         upper_size = 0
-        vsum = 0
         parts = []
         for h in upper:
             t = type(h)
@@ -501,7 +453,6 @@ def tx_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
                 return None
             upper_size += t.SIZE
             parts.append(h.pack())
-            vsum += h._hver
         tail = b"".join(parts)
     key = (upper_size, len(payload))
     tmpl = templates.get(key)
@@ -509,17 +460,9 @@ def tx_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
         tmpl = _TxTemplate(gateway_mac, src_mac, src_ip, dst_ip, src_port,
                            dst_port, upper_size, len(payload))
         templates[key] = tmpl
-    suffix = tmpl.pseudo + tail
-    payload_crc = zlib.crc32(payload)
-    icrc = zlib.crc32(suffix, payload_crc) & 0xFFFFFFFF
-    ipv4 = tmpl.ipv4
-    udp = tmpl.udp
-    pkt = Packet(tmpl.eth, ipv4, udp, upper, payload, has_icrc=True)
+    pkt = Packet(tmpl.eth, tmpl.ipv4, tmpl.udp, upper, payload, has_icrc=True)
     pkt._shared = _SH_ETH | _SH_IPV4 | _SH_UDP
     pkt._upper_size = (len(upper), upper_size)
-    pkt._payload_crc = (payload, payload_crc)
-    pkt._icrc_state = (icrc, ipv4, ipv4._hver, udp, udp._hver, upper,
-                       len(upper), vsum, payload)
     pkt._wire = (tmpl.prefix + tail, _ICRC_ZEROS)
-    pkt.meta["icrc"] = icrc
+    pkt.meta["icrc"] = fold(tmpl.pseudo + tail, payload_crc(pkt))
     return pkt

@@ -601,8 +601,7 @@ class FlightPlanner:
         pkt = lau.packet.copy()
         pkt.meta["replication_id"] = leg.rid
         if vf.rewritten:
-            # Paths are template-stamping by construction (_rebuild_path).
-            install_scatter(pkt, vf.tmpl, vf.psn, lau.ack_req, vf.va, True)
+            install_scatter(pkt, vf.tmpl, vf.psn, lau.ack_req, vf.va)
             pkt.finalize()
         return pkt
 
@@ -753,10 +752,13 @@ class FlightPlanner:
         # Mirrors RNic._rx_process + _roce_dispatch + _responder_write for the
         # leg's shape + the ACK build/TX.  The shape is one of try_fuse's
         # stamped WRITE shapes, AckReq set exactly on the tail, and the
-        # ICRC check is a guaranteed template-cache hit, so the probes
-        # reduce to QP liveness, PSN order and _land_write's own checks,
-        # which change nothing when they fail.  Any unclean answer
-        # rebuilds the real packet and falls back whole.
+        # ICRC check is not run: the leg's ICRC is the template patch,
+        # which a real replica's check recomputes from the installed
+        # headers and accepts (a fusion-off run would drop the frame and
+        # diverge from the fused one otherwise).  So the probes reduce to
+        # QP liveness, PSN order and _land_write's own checks, which
+        # change nothing when they fail.  Any unclean answer rebuilds the
+        # real packet and falls back whole.
         leg = entry[5]
         vf = entry[3][0]
         rnic = leg.rnic
@@ -898,11 +900,9 @@ class FlightPlanner:
         bcast = getattr(program, "bcast_table", None)
         if bcast is None or not switch.powered:
             return None
-        if program.ack_drop_in_egress or not program.recompute_icrc:
-            # Ablation configs: surplus ACKs traverse the leader's egress
-            # parser, where the express gather drops them in ingress
-            # only; and the virtual ICRC algebra needs the stamped
-            # template install.
+        if program.ack_drop_in_egress:
+            # Ablation config: surplus ACKs traverse the leader's egress
+            # parser, where the express gather drops them in ingress only.
             return None
         if qp.remote_ip != switch.ip:
             return None

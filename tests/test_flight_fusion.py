@@ -505,8 +505,10 @@ def test_replica_crash_mid_message_matches_unfused_digest():
 #: The hop effects the real handlers and the express stages share:
 #: (module, owner class or None, name, what the wrapper does, reference).
 #: A "time" effect returns when the hop's successor runs, and the wrapper
-#: delays it by 1 ns; an "icrc" effect is a wire patch, and the wrapper
-#: flips a bit of the ICRC it returns; every other wrapper counts calls.
+#: delays it by 1 ns; a "wire" effect is a wire patch, and the wrapper
+#: flips a bit of the header block or tail it returns (not of its ICRC:
+#: a real receiver recomputes that and would drop the frame); every other
+#: wrapper counts calls.
 #: The reference is the all-lanes-off run, except for effects only the
 #: template and flow-cache lanes reach, which are compared against
 #: fusion's own off-half.
@@ -523,8 +525,8 @@ _SHARED_EFFECTS = [
     ("repro.p4ce.dataplane", "P4ceProgram", "_egress_leg", "count", "slow"),
     ("repro.p4ce.dataplane", "P4ceProgram", "_gather_ack", "count", "slow"),
     ("repro.switch.tables", "FlowVerdictCache", "hit", "count", "plain"),
-    ("repro.rdma.wiretemplate", None, "scatter_patch", "icrc", "plain"),
-    ("repro.rdma.wiretemplate", None, "ack_patch", "icrc", "plain"),
+    ("repro.rdma.wiretemplate", None, "scatter_patch", "wire", "plain"),
+    ("repro.rdma.wiretemplate", None, "ack_patch", "wire", "plain"),
 ]
 
 
@@ -541,8 +543,9 @@ def _wrap_effect(monkeypatch, module, owner, name, mode, calls):
         result = original(*args, **kwargs)
         if mode == "time" and result is not None:
             return result + 1.0
-        if mode == "icrc":
-            return result[0], result[1] ^ 1
+        if mode == "wire":
+            data = result[0]
+            return data[:-1] + bytes((data[-1] ^ 1,)), result[1]
         return result
 
     monkeypatch.setattr(target, name, wrapper)

@@ -27,12 +27,13 @@ MS = 1_000_000
 
 
 class P4ceRig:
-    def __init__(self, num_replicas=2, randomize_psn=True, **program_kwargs):
+    def __init__(self, num_replicas=2, randomize_psn=True,
+                 program_class=P4ceProgram, **program_kwargs):
         self.sim = Simulator()
         alloc = AddressAllocator()
         smac, sip = alloc.switch_address()
         self.switch = Switch(self.sim, "sw", smac, sip)
-        self.program = P4ceProgram(**program_kwargs)
+        self.program = program_class(**program_kwargs)
         self.switch.load_program(self.program)
         self.cp = P4ceControlPlane(self.sim, self.switch, self.program,
                                    randomize_psn=randomize_psn)

@@ -2,6 +2,8 @@
 
 import random
 import struct
+import sys
+import zlib
 
 import pytest
 
@@ -14,9 +16,14 @@ from repro.net import (
     Packet,
     UdpHeader,
 )
+from repro.p4ce import P4ceProgram
+from repro.rdma import WcStatus, wiretemplate
 from repro.rdma.headers import Aeth, AtomicEth, Bth, Reth
-from repro.rdma.icrc import _header_suffix, check_icrc, compute_icrc, stamp_icrc
+from repro.rdma.icrc import check_icrc, compute_icrc, header_suffix, stamp_icrc
 from repro.rdma.opcodes import Opcode
+
+sys.path.insert(0, "tests")
+from test_p4ce_plane import MS, MemberAdvert, P4ceRig  # noqa: E402
 
 
 def roce_packet(payload=b"data" * 16, psn=7, qp=0x12):
@@ -108,23 +115,33 @@ def _random_roce_packet(rng: random.Random) -> Packet:
     return pkt
 
 
+def _reference_suffix(pkt: Packet) -> bytes:
+    """The canonical covered-fields string, assembled from the address
+    bytes and each covered header's own codec."""
+    ipv4, udp = pkt.ipv4, pkt.udp
+    return b"".join(
+        [ipv4.src.to_bytes(), ipv4.dst.to_bytes(),
+         struct.pack("!BHH", ipv4.protocol, udp.dst_port, udp.length)]
+        + [h.pack() for h in pkt.upper if isinstance(h, (Bth, Reth, Aeth))])
+
+
+def _reference_icrc(pkt: Packet) -> int:
+    """The ICRC in one pass over the whole canonical string."""
+    return zlib.crc32(pkt.payload + _reference_suffix(pkt)) & 0xFFFFFFFF
+
+
 class TestIncrementalEqualsFull:
-    """The incremental lane must agree bit-for-bit with full recompute."""
+    """The running form (payload CRC seeding the header suffix) must agree
+    bit-for-bit with one CRC over the whole canonical string."""
 
     def test_randomized_packets(self):
         rng = random.Random(0x1C2C)
         for _ in range(200):
             pkt = _random_roce_packet(rng)
-            fastlane.flags.incremental_icrc = True
-            try:
-                incremental = compute_icrc(pkt)
-                # Second call exercises the whole-result cache.
-                assert compute_icrc(pkt) == incremental
-                fastlane.flags.incremental_icrc = False
-                full = compute_icrc(pkt)
-            finally:
-                fastlane.flags.incremental_icrc = True
-            assert incremental == full
+            incremental = compute_icrc(pkt)
+            # Second call exercises the cached payload CRC.
+            assert compute_icrc(pkt) == incremental
+            assert incremental == _reference_icrc(pkt)
 
     def test_randomized_rewrites(self):
         """Switch-egress-style rewrites: the cached payload CRC must
@@ -132,7 +149,7 @@ class TestIncrementalEqualsFull:
         rng = random.Random(0xE9)
         for _ in range(100):
             pkt = _random_roce_packet(rng)
-            compute_icrc(pkt)  # warm the payload + whole-result caches
+            compute_icrc(pkt)  # warm the payload CRC
             bth = pkt.upper[0]
             bth.dest_qp = rng.randrange(1 << 24)
             bth.psn = rng.randrange(1 << 24)
@@ -142,12 +159,7 @@ class TestIncrementalEqualsFull:
                     header.virtual_address = rng.randrange(1 << 48)
                     header.r_key = rng.randrange(1 << 32)
             pkt.finalize()
-            incremental = compute_icrc(pkt)
-            fastlane.flags.incremental_icrc = False
-            try:
-                assert compute_icrc(pkt) == incremental
-            finally:
-                fastlane.flags.incremental_icrc = True
+            assert compute_icrc(pkt) == _reference_icrc(pkt)
 
     def test_suffix_codecs_match_general_path(self):
         """The one-shot struct codecs for [Bth], [Bth, Aeth] and
@@ -156,13 +168,8 @@ class TestIncrementalEqualsFull:
         rng = random.Random(0xACE)
         for _ in range(200):
             pkt = _random_roce_packet(rng)
-            ipv4, udp = pkt.ipv4, pkt.udp
-            reference = b"".join(
-                [ipv4.src.to_bytes(), ipv4.dst.to_bytes(),
-                 struct.pack("!BHH", ipv4.protocol, udp.dst_port, udp.length)]
-                + [h.pack() for h in pkt.upper
-                   if isinstance(h, (Bth, Reth, Aeth))])
-            assert _header_suffix(pkt, ipv4, udp) == reference
+            assert (header_suffix(pkt.ipv4, pkt.udp, pkt.upper)
+                    == _reference_suffix(pkt))
 
     def test_masked_fields_do_not_invalidate_cached_value(self):
         pkt = roce_packet()
@@ -193,42 +200,66 @@ class TestIncrementalEqualsFull:
             assert compute_icrc(pkt) != before
 
 
+class _ForgetfulProgram(P4ceProgram):
+    """A P4CE program that rewrites every scattered leg's headers but
+    forgets the ICRC: it puts back the value the leader stamped."""
+
+    def on_egress(self, out_port, replication_id, packet):
+        stale = packet.meta.get("icrc")
+        forwarded = super().on_egress(out_port, replication_id, packet)
+        if stale is not None:
+            packet.meta["icrc"] = stale
+        return forwarded
+
+
+def _write_one(rig, value, run_ms):
+    """Post one write through the rig's group; return the completions."""
+    qp, cq, result = rig.create_group()
+    advert = MemberAdvert.unpack(result["pd"])
+    done = []
+    cq.on_completion = done.append
+    rig.leader.post_write(qp, value, 0, advert.r_key)
+    rig.sim.run(until=rig.sim.now + run_ms * MS)
+    return done
+
+
+def _assert_write_dropped(rig, done, size):
+    """Every replica dropped the rewritten packets at the ICRC check: no
+    byte landed, and the leader's write times out."""
+    assert sum(r.nic.icrc_drops for r in rig.replicas) > 0
+    for region in rig.logs.values():
+        assert region.read(region.addr, size) == b"\x00" * size
+    assert done and done[0].status is WcStatus.RETRY_EXCEEDED
+
+
 class TestSwitchMustRecompute:
-    def test_p4ce_without_icrc_recompute_delivers_nothing(self, two_hosts=None):
+    def test_p4ce_without_icrc_recompute_delivers_nothing(self):
         """The negative proof: a P4CE program that rewrites headers but
         forgets the ICRC gets every scattered write discarded by the
         replicas' NICs, and the leader's write times out."""
-        import sys
-        sys.path.insert(0, "tests")
-        from test_p4ce_plane import P4ceRig, MemberAdvert, MS
-        from repro.rdma import WcStatus
-
-        rig = P4ceRig(recompute_icrc=False)
-        qp, cq, result = rig.create_group()
-        advert = MemberAdvert.unpack(result["pd"])
-        done = []
-        cq.on_completion = done.append
-        rig.leader.post_write(qp, b"doomed", 0, advert.r_key)
-        rig.sim.run(until=rig.sim.now + 5 * MS)
-        # Every replica dropped the rewritten packets at the ICRC check.
-        drops = sum(r.nic.icrc_drops for r in rig.replicas)
-        assert drops > 0
-        for region in rig.logs.values():
-            assert region.read(region.addr, 6) == b"\x00" * 6
-        assert done and done[0].status is WcStatus.RETRY_EXCEEDED
+        rig = P4ceRig(program_class=_ForgetfulProgram)
+        _assert_write_dropped(rig, _write_one(rig, b"doomed", 5), 6)
 
     def test_p4ce_with_recompute_passes_checks(self):
-        import sys
-        sys.path.insert(0, "tests")
-        from test_p4ce_plane import P4ceRig, MemberAdvert, MS
-
-        rig = P4ceRig(recompute_icrc=True)
-        qp, cq, result = rig.create_group()
-        advert = MemberAdvert.unpack(result["pd"])
-        done = []
-        cq.on_completion = done.append
-        rig.leader.post_write(qp, b"intact", 0, advert.r_key)
-        rig.sim.run(until=rig.sim.now + 2 * MS)
+        rig = P4ceRig()
+        done = _write_one(rig, b"intact", 2)
         assert done and done[0].ok
         assert all(r.nic.icrc_drops == 0 for r in rig.replicas)
         assert rig.leader.nic.icrc_drops == 0
+
+    def test_wrong_template_icrc_is_dropped(self, monkeypatch):
+        """The receivers check the template path too: a scatter leg
+        stamped with a wrong template ICRC is dropped, however the
+        frame was built."""
+        monkeypatch.setattr(fastlane.flags, "flight_fusion", False)
+        patched_icrc = wiretemplate.patched_icrc
+        calls = [0]
+
+        def flipped(*args):
+            calls[0] += 1
+            return patched_icrc(*args) ^ 1
+
+        monkeypatch.setattr(wiretemplate, "patched_icrc", flipped)
+        rig = P4ceRig()
+        _assert_write_dropped(rig, _write_one(rig, b"forged", 5), 6)
+        assert calls[0] > 0  # the legs were template-built
