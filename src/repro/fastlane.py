@@ -29,16 +29,14 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
 
 ``flight_fusion``
     Clean-path consensus flights (a write message of any size -- every
-    PMTU segment of it -- on a healthy broadcast path) are computed hop
-    by hop in a planner-owned timeline
-    instead of costing one kernel event per hop (:mod:`repro.sim.flight`).
-    The kernel polls the hop queue directly and the planner drains it in
-    batched **runs** -- consecutive due hops execute back to back, in
-    exact ``(time, seq)`` order, against one precomputed real-event
-    barrier.  The interior per-leg frames of a flight -- the scattered
-    replica writes and their ACKs -- are never materialized as ``Packet``
-    objects: each virtual express stage runs at its hop's ``(time, seq)``
-    turn and calls the effect methods its real handler calls (one
+    PMTU segment of it -- on a healthy broadcast path) run as express
+    stages instead of the real per-hop handlers (:mod:`repro.sim.flight`).
+    Each hop is still one kernel event, at the ``(time, seq)`` its real
+    event would have had: an express stage is a fire-and-forget heap
+    entry that carries the real event it stands for.  The interior
+    per-leg frames of a flight -- the scattered replica writes and their
+    ACKs -- are never materialized as ``Packet`` objects: each express
+    stage calls the effect methods its real handler calls (one
     definition per hop: the link's serialization claim, the parser and
     NIC pipeline claims, the responder's write, the verdict-cache replay,
     the gather tally), so every register cell, counter and busy horizon
@@ -49,10 +47,11 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
     terminal leader-completion hop are real.  There is one express
     chain: a launch the planner cannot prove clean is declined to the
     real handlers, and a stage that cannot prove its hop clean falls
-    back to the real handler at the warped clock.
-    Faults, control-plane writes, NAKs and retransmissions materialize
-    pending hops back into ordinary events and disable fusion until
-    recovery.  Off: every hop is a kernel event through the real handlers.
+    back to the real handler at its own turn.
+    Faults, control-plane writes, NAKs and retransmissions rewrite
+    pending hops in place into the ordinary events they stand for and
+    disable fusion until recovery.  Off: every hop runs through the real
+    handlers.
 
 Copy-on-write packet copies (:mod:`repro.net.packet`), the direct
 replicated-log decode (:meth:`repro.consensus.log.Log.peek`) and the
@@ -98,19 +97,15 @@ flags = _Flags()
 
 
 #: Process-wide columnar telemetry of flight fusion, aggregated across
-#: planners and digest taps.  ``runs_vectorized`` counts drains that
-#: executed at least one virtual hop, ``hops_batched`` the virtual hops
-#: themselves, ``columnar_fallbacks`` virtual frames materialized back
-#: into packets (defusion or unclean probes) -- those three are settled
-#: by the planner at the end of each drain -- ``frames_bulk_hashed``
-#: frames absorbed through the batched digest tap, and ``digest_flushes``
-#: the contiguous buffers handed to SHA-256.  Benchmarks call
-#: :func:`reset_columnar` before a run so the numbers they embed are
-#: per-run.
+#: digest taps: ``frames_bulk_hashed`` counts frames absorbed through the
+#: batched digest tap and ``digest_flushes`` the contiguous buffers handed
+#: to SHA-256.  ``hops_batched`` is a frozen zero that ``bench/run.py``
+#: reads by name (hops run one kernel event at a time, there are no
+#: batches; ``FlightPlanner.stats()`` counts express stages and virtual
+#: frames materialized).  Benchmarks call :func:`reset_columnar` before a
+#: run so the numbers they embed are per-run.
 columnar = {
-    "runs_vectorized": 0,
     "hops_batched": 0,
-    "columnar_fallbacks": 0,
     "frames_bulk_hashed": 0,
     "digest_flushes": 0,
 }

@@ -258,9 +258,9 @@ class FaultInjector:
         Raising the per-packet gap starves the switch's credit window for
         that endpoint -- the credit-exhaustion scenario; restoring it to
         ``params.NIC_PACKET_GAP_NS`` heals.  Safe under flight fusion:
-        planning reads ``rx_gap_ns`` live and fused drains never run a
-        hop past the next real heap event, so arming the planner at the
-        mutation instant suffices.
+        planning reads ``rx_gap_ns`` live and every fused hop is a kernel
+        event run at its own turn, so arming the planner at the mutation
+        instant suffices.
         """
         host = self.cluster.hosts[node_id]
         nic = host.backup_nic if backup else host.nic

@@ -128,10 +128,6 @@ class P4ceProgram(SwitchProgram):
         ]
         self._numrecv_reset = RegisterAction(self.numrecv, _numrecv_reset, "reset")
         self._numrecv_count = RegisterAction(self.numrecv, _numrecv_count, "count")
-        self._credit_update = [RegisterAction(reg, _credit_update, "update")
-                               for reg in self.credits]
-        self._credit_read = [RegisterAction(reg, _credit_read, "read")
-                             for reg in self.credits]
         # Counters (diagnostics, mirrors P4 direct counters).
         self.scattered = 0
         self.gathered_acks = 0
@@ -474,14 +470,6 @@ def _numrecv_reset(current: int, _arg) -> Tuple[int, int]:
 def _numrecv_count(current: int, _arg) -> Tuple[int, int]:
     new = current + 1
     return new, new
-
-
-def _credit_update(current: int, fresh: int) -> Tuple[int, int]:
-    return fresh, fresh
-
-
-def _credit_read(current: int, _arg) -> Tuple[int, int]:
-    return current, current
 
 
 # -- header finders --------------------------------------------------------------

@@ -287,7 +287,7 @@ class RNic:
     # responder's _land_write, _complete_write and _ack_syndrome below)
     # are shared with flight fusion's express stages: each is the one
     # definition of what a hop does to this NIC, and reads the clock as
-    # ``sim._now`` (raw: they run once per frame; the drain sets it to
+    # ``sim._now`` (raw: they run once per frame; the kernel sets it to
     # the hop's time).
 
     def _tx(self, packet: Packet) -> None:
@@ -317,9 +317,10 @@ class RNic:
 
         The RX side only ever *reads* headers, so it goes through the
         private slots (like :func:`repro.rdma.icrc.compute_icrc` does)
-        instead of the thaw-on-access properties -- a received packet's
-        copy-on-write shares stay intact, keeping the sender's cached
-        ICRC state valid for the receiver's check.
+        instead of the thaw-on-access properties: a received packet's
+        copy-on-write shares stay intact, the payload CRC cached on the
+        shared payload included.  The ICRC check itself recomputes from
+        the headers the packet carries (:func:`repro.rdma.icrc.check_icrc`).
         """
         if not self.powered:
             return

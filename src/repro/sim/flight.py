@@ -1,13 +1,13 @@
-"""Flight fusion: the clean-path consensus round trip as one precomputed
-event timeline instead of O(n) scheduled kernel events.
+"""Flight fusion: the clean-path consensus round trip through express
+stages instead of the real per-hop handlers.
 
 P4CE's whole point is that one consensus round is *one* leader request and
 *one* switch-gathered response -- yet simulating it costs ``7n + 7`` kernel
 events per PSN (leader TX, switch ingress, n scatter legs, n replica RX,
 n ACKs, switch gather, leader RX) even when nothing interesting happens.
-Fusion stops paying the kernel for that machinery on the clean path, the
-same move switch-based designs (P4xos, Paxos made switch-y) make in
-hardware: treat the group round trip as a single pipeline stage.
+On the clean path every one of those hops is determined in advance, so
+fusion keeps the events and drops the handlers' generality: each hop runs
+as an express stage that builds no per-leg packet and walks no table.
 
 One chain, or the real handlers
 -------------------------------
@@ -21,8 +21,9 @@ against.  A stage is a call, not a copy: what a hop does to a device has
 one definition, a small method on its owner (``_Direction.send``,
 ``Switch._parse_ingress``, ``RNic._land_write``, ...; docs/PERF.md §9
 lists them) that the real handler and the express stage both call.
-Effects read ``sim._now``, which the drain sets to the hop's time.  What
-is left in a stage is its probes, its virtual frame and its successor.
+Effects read ``sim._now``, which the kernel sets to the hop's time like
+any event's.  What is left in a stage is its probes, its virtual frame
+and its successor.
 
 A launch is a whole RDMA WRITE message, one packet per PMTU segment:
 ``WRITE_ONLY``, or ``WRITE_FIRST``, zero or more ``WRITE_MIDDLE`` and
@@ -33,13 +34,15 @@ MIDDLE or LAST continues it, and only the tail (LAST / ONLY) completes the
 message and is ACKed -- so the gather stages see one ACK per message, at
 any size.
 
-1. **Hops live in a planner-owned heap** (``sim._flight_queue``) as
-   ``(virtual_time, seq, real_fn, real_args, express_fn, ctx)``
-   tuples.  Each push consumes the *kernel's* sequence counter at exactly
-   the intra-hop points the slow lane's ``schedule_at_fire`` calls would
-   have, so timestamp ties against real events resolve in slow-lane order
-   -- and ``(real_fn, real_args)`` is precisely the event the slow lane
-   would have scheduled, which makes de-fusion trivially exact.
+1. **A hop is a kernel event.**  It sits in the kernel heap
+   (``sim._heap``) as ``(time, seq, stage, (real_fn, real_args, ctx,
+   gen))``: the kernel pops it at its turn, counts it and calls
+   ``stage(real_fn, real_args, ctx, gen)``.  Each push consumes the
+   kernel's sequence counter at exactly the intra-hop points the slow
+   lane's ``schedule_at_fire`` calls would have, so timestamp ties
+   against real events resolve in slow-lane order -- and ``(real_fn,
+   real_args)`` is precisely the event the slow lane would have
+   scheduled, which makes de-fusion a rewrite of the entry in place.
 
 2. **Interior frames are columnar.**  From the leader's TX to the gather
    threshold the ``_v_*`` stages never build the per-leg packets: each
@@ -57,35 +60,33 @@ any size.
    leader, where the final hop runs the *real* RX handler so the CQE ->
    commit -> next-proposal cascade schedules real events.  (Handing the
    ACK to the real ``Switch._to_egress`` instead cost ~3 % of host time
-   on the 64 B closed loop: three more kernel events per flight, and a
-   run split; docs/PERF.md has the pairs.)  A launch packet is the
+   on the 64 B closed loop, measured when hops still ran outside the
+   kernel; docs/PERF.md has the pairs.)  A launch packet is the
    wire's alone once it leaves the leader (the NIC keeps the work
    request, not the frames), so the chain only reads it and every leg
    that has to become real is a copy of it.
 
-3. **The kernel drains due hops before any later event** (see
-   ``Simulator._run``, which polls the hop queue directly): a heartbeat
-   or timer never observes a replica log, credit register or link
-   horizon the slow lane would have already advanced.
-   :meth:`FlightPlanner._drain_super` replays due hops in batched runs
-   against one real-event barrier; a stage's successor goes back on the
-   hop heap and is popped at its own turn, never run ahead of it.  Each
-   hop credits ``events_executed``, keeping the event count
-   bit-identical.
+3. **One heap orders everything.**  A stage's successor goes back on
+   the kernel heap and is popped at its own turn, never run ahead of it,
+   so a heartbeat or timer never observes a replica log, credit register
+   or link horizon the slow lane would have already advanced.  Every hop
+   is one kernel step, which keeps ``events_executed`` bit-identical and
+   makes :meth:`~repro.sim.kernel.Simulator.step` and ``run_until`` stop
+   where they stop in the reference.
 
 4. **A stage that cannot prove its hop clean declines it to the real
    handler** (cache miss, foreign QP state, full RX queue, PSN out of
    order): :meth:`FlightPlanner._fallback` rebuilds any virtual frame
-   into its real packet and invokes the hop's real handler at the warped
-   clock -- never half-applied, because every probe precedes the stage's
+   into its real packet and invokes the hop's real handler at the hop's
+   own turn -- never half-applied, because every probe precedes the stage's
    first mutation.  From there the flight is ordinary kernel events.
 
 5. **Faults defuse.**  The moment a fault injector arms (link down or
    lossy, switch or NIC power-off), a control-plane write touches any
    traversed table/register/multicast group, a tap is installed on a
    traversed link, or a NAK/retransmission taints a QP, every pending
-   hop is re-materialized as an ordinary kernel event at its exact
-   virtual time and original seq, and fusion stays off until the fault
+   hop is rewritten in place into the ordinary kernel event it stands
+   for (same time, same seq), and fusion stays off until the fault
    heals (taint clears at the first fresh PSN).  Gather-register slot
    wrap (``NumRecv``'s 256-slot reuse) needs no fallback at all: the
    express gather executes the same masked register-cell arithmetic as
@@ -105,7 +106,7 @@ runs where fusion disengages and re-engages mid-run.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from .. import fastlane, params
 from ..net.headers import ETHERNET_FCS_BYTES, EthernetHeader
@@ -189,16 +190,13 @@ class _VFrame:
 class FlightPlanner:
     """Validates and computes fused consensus flights.
 
-    One planner per :class:`~repro.sim.kernel.Simulator`; constructing it
-    attaches the drain hook the kernel polls before executing events.
+    One planner per :class:`~repro.sim.kernel.Simulator`; ``RNic``
+    finds it as ``sim._flight_planner``.
     """
 
     def __init__(self, sim: Simulator, tracer: Optional[Tracer] = None):
         self._sim = sim
         self._tracer = tracer
-        #: Global hop heap, shared with the kernel (``sim._flight_queue``):
-        #: (vt, seq, real_fn, real_args, express_fn, ctx) tuples.
-        self._fq: List[tuple] = sim._flight_queue
         #: Fault sources currently armed (ids of faulted devices).  Any
         #: entry disables fusion entirely.
         self._armed: Set[int] = set()
@@ -210,47 +208,35 @@ class FlightPlanner:
         #: write on a watched device; cached paths pin the epoch they were
         #: resolved against.
         self._epoch = 0
-        #: Defusion generation: bumped whenever pending work materializes;
-        #: ``_run_gen`` is its value when the current run began (mid-stage
-        #: guard -- see _push_hop).
+        #: Defusion generation: bumped whenever pending work materializes.
+        #: Every hop carries the one it was pushed under (mid-stage guard
+        #: -- see _push_hop).
         self._gen = 0
-        self._run_gen = -1
         # Diagnostics / attribution.
         self.flights_fused = 0
+        #: Express stages run (a stage that falls back is not counted).
         self.hops_replayed = 0
         self.defusions = 0
         self.fuse_rejects = 0
         self.express_fallbacks = 0
-        # Batched-drain telemetry.
-        self.runs_fused = 0
-        self.hops_batched = 0
-        self.max_run_len = 0
-        self.batch_splits = 0
-        # Columnar telemetry; ``fastlane.columnar`` is credited at
-        # _drain_super exit (materializations also happen outside drains,
-        # hence the settled mark).
-        self.vx_hops = 0
+        #: Virtual frames rebuilt into packets (fallback or defusion).
         self.vx_materialized = 0
-        self._vx_mat_settled = 0
-        sim._flight_drain = self._drain_super
         sim._flight_planner = self
 
     def stats(self) -> Dict[str, int]:
         """Fusion attribution for this simulator (sharded reports list
         one per shard, in shard order, to prove fusion engages at every
-        G)."""
-        runs = self.runs_fused
+        G).  ``runs_fused`` and ``mean_run_len`` are frozen zeros:
+        ``bench/run.py`` reads them by name, and hops run one kernel
+        event at a time, so there are no runs to report."""
         return {
             "flights_fused": self.flights_fused,
             "hops_replayed": self.hops_replayed,
             "defusions": self.defusions,
             "fuse_rejects": self.fuse_rejects,
             "express_fallbacks": self.express_fallbacks,
-            "runs_fused": runs,
-            "mean_run_len": (self.hops_batched / runs) if runs else 0.0,
-            "max_run_len": self.max_run_len,
-            "batch_splits": self.batch_splits,
-            "vx_hops": self.vx_hops,
+            "runs_fused": 0,
+            "mean_run_len": 0.0,
             "vx_materialized": self.vx_materialized,
         }
 
@@ -300,40 +286,41 @@ class FlightPlanner:
             self.fuse_rejects += 1
             return False
         sim = self._sim
-        fq = self._fq
+        heap = sim._heap
         emit = nic._emit
         xfn = self._v_leader_emit
+        gen = self._gen
         # RNic._tx per packet, in order (powered is path-validated and
         # fault-watched): claim the TX pipeline, push the emit hop.
         for packet in packets:
             t = nic._tx_claim()
             seq = sim._seq
             sim._seq = seq + 1
-            heapq.heappush(fq, (t, seq, emit, (packet,), xfn, path))
+            heapq.heappush(heap, (t, seq, xfn, (emit, (packet,), path, gen)))
         self.flights_fused += 1
         return True
 
     # ------------------------------------------------------------------
-    # Hop-queue plumbing
+    # Hop plumbing
     # ------------------------------------------------------------------
 
-    def _push_hop(self, t: float, fn, args: tuple, xfn, ctx) -> None:
-        """Queue a stage's successor hop.  It consumes the kernel's
-        sequence counter, so the hop gets exactly the seq the slow lane's
-        ``schedule_at_fire`` would have assigned and timestamp ties --
-        hop vs real event, and real events scheduled later -- resolve in
-        slow-lane order; the drain then runs it at that ``(time, seq)``
-        turn.  A defusion since the run began (a notify watcher in the
-        replica-RX stage can defuse mid-stage) means express stages must
-        not outrun the new configuration: the hop becomes a real kernel
-        event."""
+    def _push_hop(self, t: float, fn, args: tuple, xfn, ctx, gen) -> None:
+        """Push a stage's successor hop onto the kernel heap.  It consumes
+        the kernel's sequence counter, so the hop gets exactly the seq the
+        slow lane's ``schedule_at_fire`` would have assigned and timestamp
+        ties -- hop vs real event, and real events scheduled later --
+        resolve in slow-lane order.  ``gen`` is the generation the running
+        stage was pushed under: a defusion since then (a notify watcher in
+        the replica-RX stage can defuse mid-stage) means express stages
+        must not outrun the new configuration, so the hop becomes the real
+        kernel event it stands for."""
         sim = self._sim
-        if self._gen != self._run_gen:
+        if gen != self._gen:
             sim.schedule_at_fire(t, fn, *self._real_args(args))
             return
         seq = sim._seq
         sim._seq = seq + 1
-        heapq.heappush(self._fq, (t, seq, fn, args, xfn, ctx))
+        heapq.heappush(sim._heap, (t, seq, xfn, (fn, args, ctx, gen)))
 
     def _real_args(self, args: tuple) -> tuple:
         """``args`` with any virtual frame rebuilt into its real packet."""
@@ -343,113 +330,26 @@ class FlightPlanner:
                 args = args[:i] + (self._materialize(a),) + args[i + 1:]
         return args
 
-    def _fallback(self, entry: tuple) -> None:
-        """Run a hop's real handler (at the warped clock) instead of its
-        express stage.  Every express probe precedes its stage's first
+    def _fallback(self, fn, args: tuple) -> None:
+        """Run a hop's real handler instead of its express stage, at the
+        hop's own turn.  Every express probe precedes its stage's first
         mutation, so the real handler starts from pristine state; the
         events it schedules are real kernel events with the exact seqs
         the slow lane would have consumed next.  Any virtual frame in
         the hop's args is rebuilt into its real packet first."""
         self.express_fallbacks += 1
-        entry[2](*self._real_args(entry[3]))
-
-    # ------------------------------------------------------------------
-    # Drain: called by the kernel before any event at/after a due hop
-    # ------------------------------------------------------------------
+        fn(*self._real_args(args))
 
     def drain(self, limit: float) -> bool:
-        """Replay pending hops due at or before ``limit``: the public
-        name of :meth:`_drain_super`, which is what the kernel calls
-        (``sim._flight_drain``).  A separate function, not an alias,
-        because ``bench/trace.py`` instruments both names."""
-        return self._drain_super(limit)
+        """Frozen name, no caller under ``src/``: ``bench/trace.py``
+        resolves it in the class ``__dict__``.  Hops are kernel events,
+        so there is nothing to drain; goes when ``BOUNDARIES`` drops it."""
+        return False
 
     def _drain_super(self, limit: float) -> bool:
-        """Replay pending hops due at or before ``limit`` in batched
-        **runs**, stopping early when a real kernel event becomes due
-        first (timestamp ties resolve by kernel seq -- slow-lane order).
-        Returns True if at least one hop ran (False tells the kernel the
-        front real event genuinely goes first).
-
-        At saturation the hop queue holds a pipelined window of
-        interleaved clean flights -- tens of thousands of hops between
-        real kernel events.  The real-event barrier (heap front peek,
-        seq tie-break) is derived once per run, and consecutive due hops
-        then execute back to back, which is exact because the barrier
-        cannot move earlier while the heap is untouched.  The run splits
-        -- falling back to a fresh barrier derivation -- the moment a
-        hop schedules kernel work (``len(heap)`` moved: terminal commit
-        cascades, express fallbacks, mid-stage defusions) or the barrier
-        time is reached.  Hops tied with the barrier timestamp are left
-        for the next outer iteration, where the seq comparison resolves
-        the tie in slow-lane order.
-
-        Every hop -- a stage's successor included -- is popped here at
-        its own ``(time, seq)`` turn, so everything a stage reads or
-        writes (busy horizons, registers, counters, the digest tap's
-        buffer) is in slow-lane order at every instant.
-        """
-        sim = self._sim
-        fq = self._fq
-        if not fq:
-            return False
-        heap = sim._heap
-        pop = heapq.heappop
-        credits = 0
-        vx0 = self.vx_hops
-        while fq:
-            entry = fq[0]
-            vt = entry[0]
-            if vt > limit:
-                break
-            if heap:
-                top = heap[0]
-                barrier = top[0]
-                if barrier < vt or (barrier == vt and top[1] < entry[1]):
-                    break
-                if limit < barrier:
-                    barrier = limit
-            else:
-                barrier = limit
-            # One run: every hop strictly before ``barrier`` outruns any
-            # real event while the heap stays put.
-            run = 0
-            hlen = len(heap)
-            self._run_gen = self._gen
-            while True:
-                pop(fq)
-                sim._now = entry[0]
-                run += 1
-                xfn = entry[4]
-                if xfn is None:
-                    # Completion hop: the real leader-RX handler runs so
-                    # the CQE -> commit -> next-proposal cascade schedules
-                    # real events at exact absolute times.
-                    entry[2](*entry[3])
-                else:
-                    xfn(entry[0], entry)
-                if not fq or len(heap) != hlen:
-                    break
-                entry = fq[0]
-                if entry[0] >= barrier:
-                    break
-            credits += run
-            self.runs_fused += 1
-            self.hops_batched += run
-            if run > self.max_run_len:
-                self.max_run_len = run
-        if credits:
-            # Each hop is an event the slow lane executed.
-            sim._event_count += credits
-            self.hops_replayed += credits
-            col = fastlane.columnar
-            if self.vx_hops != vx0:
-                col["runs_vectorized"] += 1
-                col["hops_batched"] += self.vx_hops - vx0
-            col["columnar_fallbacks"] += (self.vx_materialized
-                                          - self._vx_mat_settled)
-            self._vx_mat_settled = self.vx_materialized
-            return True
+        """Frozen name, a no-op like :meth:`drain` and for the same
+        reason; a separate function, because ``bench/trace.py``
+        instruments both names."""
         return False
 
     # ------------------------------------------------------------------
@@ -476,76 +376,70 @@ class FlightPlanner:
         engine: every cached path is stale, and in-flight express hops
         must not outrun the new configuration."""
         self._epoch += 1
-        self._gen += 1
-        if self._fq:
-            self._defuse_all()
+        self._defuse_all()
 
     def _defuse_all(self) -> None:
-        """Re-materialize every pending hop as an ordinary kernel event at
-        its exact virtual time *and original kernel seq* (pushes consumed
-        real seqs, so ordering against live events is preserved).  Exact
-        by construction: each hop tuple carries precisely the (fn, args)
+        """Rewrite every pending hop in place into the ordinary kernel
+        event it stands for: ``(t, seq, stage, (fn, args, ...))`` becomes
+        ``(t, seq, fn, args)``.  The key is unchanged, so the heap needs
+        no re-heapify and ordering against live events is preserved.
+        Exact by construction: each hop carries precisely the (fn, args)
         event the slow lane would have scheduled, and all of that event's
         scheduling-time effects were applied when the hop was pushed.
-        Virtual frames rebuild into real packets."""
+        Virtual frames rebuild into real packets, in ``(time, seq)``
+        order.  The generation bump also reaches a stage running right
+        now, whose successors then go real (see _push_hop)."""
         self._gen += 1
-        fq = self._fq
-        if fq:
-            self.defusions += 1
-            # The trigger (fault, heal, CP write, retransmit) landed
-            # while a batched window was held: the batch splits here and
-            # the un-executed tail below re-materializes at exact
-            # timestamps.  A trigger landing *inside* a run also ends the
-            # run early (the heap-length check in _drain_super).
-            self.batch_splits += 1
-            ordered = sorted(fq)
-            fq.clear()
-            # A hop's first four fields *are* the kernel's fire-and-forget
-            # entry, historical seq included.
-            heap = self._sim._heap
-            for entry in ordered:
-                heapq.heappush(heap, entry[:3] + (self._real_args(entry[3]),))
-            tracer = self._tracer
-            if tracer is not None and tracer.enabled:
-                # Fusion never engages while tracing, but a tracer flipped
-                # on mid-run (diagnostics) still sees the split: one bulk
-                # emission for the whole re-materialized tail.
-                tracer.emit_many([
-                    TraceRecord(entry[0], "flight", "rematerialize",
-                                {"seq": entry[1],
-                                 "fn": getattr(entry[2], "__qualname__",
-                                               repr(entry[2]))})
-                    for entry in ordered])
+        heap = self._sim._heap
+        hops = [i for i, entry in enumerate(heap)
+                if getattr(entry[2], "__self__", None) is self]
+        if not hops:
+            return
+        self.defusions += 1
+        hops.sort(key=heap.__getitem__)
+        for i in hops:
+            t, seq, _, (fn, args, _, _) = heap[i]
+            heap[i] = (t, seq, fn, self._real_args(args))
+        tracer = self._tracer
+        if tracer is not None and tracer.enabled:
+            # Fusion never engages while tracing, but a tracer flipped on
+            # mid-run (diagnostics) still sees the defusion: one bulk
+            # emission for every re-materialized hop.
+            tracer.emit_many([
+                TraceRecord(heap[i][0], "flight", "rematerialize",
+                            {"seq": heap[i][1],
+                             "fn": getattr(heap[i][2], "__qualname__",
+                                           repr(heap[i][2]))})
+                for i in hops])
 
     # ------------------------------------------------------------------
     # Express stages.  Each mirrors one real handler's observable effects
     # for the proven-clean shape -- by calling the effect methods that
     # handler calls -- and pushes the successor hop; anything else falls
     # back to the real handler before the first mutation.
-    # Stage signature: (vt, entry) with entry =
-    # (vt, seq, real_fn, real_args, stage, ctx).
+    # Stage signature: (fn, args, ctx, gen) -- the real event (fn, args)
+    # the hop stands for, the path or leg, and the push generation.  A
+    # stage reads the clock as ``self._sim._now``.
     #
     # The chain's tail comes first: at the gather threshold the forwarded
     # ACK is a real packet, and these three stages carry it from switch
     # egress to the leader's RX pipeline.
     # ------------------------------------------------------------------
 
-    def _x_gather_egress(self, vt: float, entry: tuple) -> None:
+    def _x_gather_egress(self, fn, args: tuple, path, gen: int) -> None:
         # Mirrors Switch._run_egress for the forwarded ACK (rid 0 passes
         # through on_egress untouched).
-        path = entry[5]
-        args = entry[3]
         ack = args[2]
+        self.hops_replayed += 1
         path.switch.counters[args[0]].egress_runs += 1
         ack.finalize()
-        self._push_hop(vt + path.half_pipe, path.switch._transmit,
-                       (args[0], ack), self._x_gather_transmit, path)
+        self._push_hop(self._sim._now + path.half_pipe, path.switch._transmit,
+                       (args[0], ack), self._x_gather_transmit, path, gen)
 
-    def _x_gather_transmit(self, vt: float, entry: tuple) -> None:
+    def _x_gather_transmit(self, fn, args: tuple, path, gen: int) -> None:
         # Mirrors Switch._transmit + Link.transmit (switch -> leader).
-        path = entry[5]
-        args = entry[3]
         ack = args[1]
+        self.hops_replayed += 1
         path.switch.counters[args[0]].tx_frames += 1
         link = path.leader_link
         d = path.dir_down
@@ -554,22 +448,21 @@ class FlightPlanner:
         if tap is not None:
             tap(path.switch_port, ack)
         self._push_hop(t, link._deliver, (d, ack), self._x_leader_arrive,
-                       path)
+                       path, gen)
 
-    def _x_leader_arrive(self, vt: float, entry: tuple) -> None:
+    def _x_leader_arrive(self, fn, args: tuple, path, gen: int) -> None:
         # Mirrors Link._deliver + RNic.handle_packet at the leader; the
-        # pushed successor is the *final* hop (xfn None): the real
-        # _rx_process runs the completion cascade with real events.
-        path = entry[5]
+        # successor is a real event: _rx_process runs the completion
+        # cascade (CQE -> commit -> next proposal) with real events.
+        self.hops_replayed += 1
         lnic = path.nic
         ready = lnic._rx_admit()
         if ready is not None:
-            self._push_hop(ready, lnic._rx_process, (entry[3][1],), None,
-                           None)
+            self._sim.schedule_at_fire(ready, lnic._rx_process, args[1])
 
     # ------------------------------------------------------------------
     # Materialization and the _v_* stages: the chain from leader TX to
-    # the gather threshold.  Each hop runs at the (vt, seq) turn the real
+    # the gather threshold.  Each hop runs at the (time, seq) turn the real
     # handler's event would have and calls the same effect methods; only
     # the interior frames differ -- they are _VFrames, never built.
     # ------------------------------------------------------------------
@@ -605,13 +498,12 @@ class FlightPlanner:
             pkt.finalize()
         return pkt
 
-    def _v_leader_emit(self, vt: float, entry: tuple) -> None:
+    def _v_leader_emit(self, fn, args: tuple, path, gen: int) -> None:
         # Mirrors RNic._emit + Port.send + Link.transmit (leader ->
         # switch).  The launch frame is real (the leader's own TX); only
         # the successor chain goes columnar.
-        path = entry[5]
-        packet = entry[3][0]
-        self.vx_hops += 1
+        packet = args[0]
+        self.hops_replayed += 1
         path.nic.packets_sent += 1
         d = path.dir_up
         link = path.leader_link
@@ -620,21 +512,20 @@ class FlightPlanner:
         if tap is not None:
             tap(path.nic_port, packet)
         self._push_hop(t, link._deliver, (d, packet),
-                       self._v_scatter_arrive, path)
+                       self._v_scatter_arrive, path, gen)
 
-    def _v_scatter_arrive(self, vt: float, entry: tuple) -> None:
+    def _v_scatter_arrive(self, fn, args: tuple, path, gen: int) -> None:
         # Mirrors Link._deliver + Switch.handle_packet (ingress parser claim).
-        path = entry[5]
-        packet = entry[3][1]
-        self.vx_hops += 1
+        packet = args[1]
+        self.hops_replayed += 1
         sw = path.switch
         idx = path.leader_in_port
         done = sw._parse_ingress(idx)
         packet.meta["ingress_port"] = idx
         self._push_hop(done, sw._run_ingress, (idx, packet),
-                       self._v_scatter_ingress, path)
+                       self._v_scatter_ingress, path, gen)
 
-    def _v_scatter_ingress(self, vt: float, entry: tuple) -> None:
+    def _v_scatter_ingress(self, fn, args: tuple, path, gen: int) -> None:
         # Mirrors Switch._run_ingress + P4ceProgram scatter classification
         # (flow-cache hit, keyed by (bcast QPN, opcode) as the real
         # _classify_roce keys it: each message shape has its own verdict)
@@ -644,8 +535,7 @@ class FlightPlanner:
         # (_begin_packet) is skipped: guards are only read by
         # RegisterAction.execute, which no express stage calls, and every
         # real ingress resets them first.
-        path = entry[5]
-        packet = entry[3][1]
+        packet = args[1]
         upper = packet._upper
         bth = upper[0]
         # The verdict is a scatter one: _rebuild_path checked the tables
@@ -654,9 +544,9 @@ class FlightPlanner:
         if cached is None:
             # Cold verdict: let the real walk classify (and warm the cache
             # for the next packet of this shape).
-            self._fallback(entry)
+            self._fallback(fn, args)
             return
-        self.vx_hops += 1
+        self.hops_replayed += 1
         sw = path.switch
         packet.meta["packet_token"] = sw._next_packet_token
         sw._next_packet_token += 1
@@ -676,7 +566,7 @@ class FlightPlanner:
         lau.payload_crc = payload_crc(packet)
         lau.fp = scatter_fingerprint(packet)
         lau.wire = packet.wire_size
-        tm = vt + path.half_pipe
+        tm = self._sim._now + path.half_pipe
         for leg in path.legs:
             vf = _VFrame()
             vf.kind = 0
@@ -685,20 +575,19 @@ class FlightPlanner:
             vf.rewritten = False
             out = leg.out_port
             self._push_hop(sw._parse_egress(out, tm), sw._run_egress,
-                           (out, leg.rid, vf), self._v_scatter_egress, leg)
+                           (out, leg.rid, vf), self._v_scatter_egress, leg,
+                           gen)
 
-    def _v_scatter_egress(self, vt: float, entry: tuple) -> None:
+    def _v_scatter_egress(self, fn, args: tuple, leg, gen: int) -> None:
         # Mirrors Switch._run_egress + P4ceProgram.on_egress for one
         # multicast leg (egress-cache hit): resolve the wire template and
         # the leg's varying words; patch nothing.
-        leg = entry[5]
         path = leg.path
-        args = entry[3]
         rid = args[1]
         if rid not in path.ecache._cache:
-            self._fallback(entry)  # cold cache: real egress fills it
+            self._fallback(fn, args)  # cold cache: real egress fills it
             return
-        self.vx_hops += 1
+        self.hops_replayed += 1
         leg.counters.egress_runs += 1
         pre, templates = path.program._egress_leg(rid)
         vf = args[2]
@@ -716,15 +605,14 @@ class FlightPlanner:
         vf.rkey = pre[6]
         vf.tmpl = tmpl
         vf.rewritten = True
-        self._push_hop(vt + path.half_pipe, sw._transmit, (args[0], vf),
-                       self._v_scatter_transmit, leg)
+        self._push_hop(self._sim._now + path.half_pipe, sw._transmit,
+                       (args[0], vf), self._v_scatter_transmit, leg, gen)
 
-    def _v_scatter_transmit(self, vt: float, entry: tuple) -> None:
+    def _v_scatter_transmit(self, fn, args: tuple, leg, gen: int) -> None:
         # Mirrors Switch._transmit + Link.transmit (switch -> replica);
         # the frame is absorbed by the columnar digest tap.
-        leg = entry[5]
-        vf = entry[3][1]
-        self.vx_hops += 1
+        vf = args[1]
+        self.hops_replayed += 1
         leg.counters.tx_frames += 1
         lau = vf.lau
         link = leg.link
@@ -735,20 +623,19 @@ class FlightPlanner:
             tap.absorb_scatter(vf.tmpl, vf.ack_word, vf.va, lau.payload,
                                lau.payload_crc)
         self._push_hop(t, link._deliver, (d, vf), self._v_replica_arrive,
-                       leg)
+                       leg, gen)
 
-    def _v_replica_arrive(self, vt: float, entry: tuple) -> None:
+    def _v_replica_arrive(self, fn, args: tuple, leg, gen: int) -> None:
         # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
-        leg = entry[5]
+        self.hops_replayed += 1
         rnic = leg.rnic
         ready = rnic._rx_admit()
         if ready is None:
             return  # the leg dies here, exactly as in the slow lane
-        self.vx_hops += 1
-        self._push_hop(ready, rnic._rx_process, (entry[3][1],),
-                       self._v_replica_rx, leg)
+        self._push_hop(ready, rnic._rx_process, (args[1],),
+                       self._v_replica_rx, leg, gen)
 
-    def _v_replica_rx(self, vt: float, entry: tuple) -> None:
+    def _v_replica_rx(self, fn, args: tuple, leg, gen: int) -> None:
         # Mirrors RNic._rx_process + _roce_dispatch + _responder_write for the
         # leg's shape + the ACK build/TX.  The shape is one of try_fuse's
         # stamped WRITE shapes, AckReq set exactly on the tail, and the
@@ -759,21 +646,20 @@ class FlightPlanner:
         # QP liveness, PSN order and _land_write's own checks, which
         # change nothing when they fail.  Any unclean answer rebuilds the
         # real packet and falls back whole.
-        leg = entry[5]
-        vf = entry[3][0]
+        vf = args[0]
         rnic = leg.rnic
         qp = rnic.qps.get(leg.rqpn)
         if (not rnic.powered or qp is None or qp.state is QpState.ERROR
                 or vf.psn != qp.expected_psn):
-            self._fallback(entry)
+            self._fallback(fn, args)
             return
         lau = vf.lau
         payload = lau.payload
         if rnic._land_write(qp, vf.psn, vf.va, vf.rkey, lau.dlen,
                             payload) is not None:
-            self._fallback(entry)
+            self._fallback(fn, args)
             return
-        self.vx_hops += 1
+        self.hops_replayed += 1
         rnic._rx_inflight -= 1
         rnic.packets_received += 1
         if not lau.ack_req:
@@ -797,13 +683,12 @@ class FlightPlanner:
             # A watcher defusing mid-notify is _push_hop's generation branch:
             # the ACK materializes into a real kernel event.
             self._push_hop(rnic._tx_claim(), rnic._emit, (avf,),
-                           self._v_ack_emit, leg)
+                           self._v_ack_emit, leg, gen)
 
-    def _v_ack_emit(self, vt: float, entry: tuple) -> None:
+    def _v_ack_emit(self, fn, args: tuple, leg, gen: int) -> None:
         # Mirrors RNic._emit + Link.transmit (replica -> switch).
-        leg = entry[5]
-        avf = entry[3][0]
-        self.vx_hops += 1
+        avf = args[0]
+        self.hops_replayed += 1
         leg.rnic.packets_sent += 1
         link = leg.link
         d = leg.dir_back
@@ -811,21 +696,21 @@ class FlightPlanner:
         tap = link._tap
         if tap is not None:
             tap.absorb_ack(avf.tmpl, avf.psn, avf.syndrome, avf.msn)
-        self._push_hop(t, link._deliver, (d, avf), self._v_ack_arrive, leg)
+        self._push_hop(t, link._deliver, (d, avf), self._v_ack_arrive, leg,
+                       gen)
 
-    def _v_ack_arrive(self, vt: float, entry: tuple) -> None:
+    def _v_ack_arrive(self, fn, args: tuple, leg, gen: int) -> None:
         # Mirrors Link._deliver + Switch.handle_packet for the ACK.
-        leg = entry[5]
-        avf = entry[3][1]
-        self.vx_hops += 1
+        avf = args[1]
+        self.hops_replayed += 1
         sw = leg.path.switch
         idx = leg.out_port
         done = sw._parse_ingress(idx)
         avf.iport = idx
         self._push_hop(done, sw._run_ingress, (idx, avf),
-                       self._v_gather_ingress, leg)
+                       self._v_gather_ingress, leg, gen)
 
-    def _v_gather_ingress(self, vt: float, entry: tuple) -> None:
+    def _v_gather_ingress(self, fn, args: tuple, leg, gen: int) -> None:
         # Mirrors Switch._run_ingress + P4ceProgram._gather (NumRecv
         # count, credit fold, forward-or-drop) on the live register cells:
         # the count runs the RegisterAction's masked arithmetic --
@@ -834,14 +719,13 @@ class FlightPlanner:
         # Virtual ACKs always carry make_syndrome(ACK, credits), so the
         # NAK branch is unreachable by construction.  At the threshold
         # the forwarded ACK materializes and rides the real-packet tail.
-        leg = entry[5]
         path = leg.path
-        avf = entry[3][1]
+        avf = args[1]
         cached = path.fc.hit(leg.gather_key)  # a gather verdict, as above
         if cached is None:
-            self._fallback(entry)
+            self._fallback(fn, args)
             return
-        self.vx_hops += 1
+        self.hops_replayed += 1
         sw = path.switch
         token = sw._next_packet_token
         sw._next_packet_token = token + 1
@@ -863,9 +747,9 @@ class FlightPlanner:
         prog._rewrite_to_leader(ack, upper[0], upper[1], leader_psn, pre,
                                 minimum)
         out = path.leader_in_port
-        self._push_hop(sw._parse_egress(out, vt + path.half_pipe),
+        self._push_hop(sw._parse_egress(out, self._sim._now + path.half_pipe),
                        sw._run_egress, (out, 0, ack), self._x_gather_egress,
-                       path)
+                       path, gen)
 
     # ------------------------------------------------------------------
     # Path resolution

@@ -17,7 +17,11 @@ Design notes
   - ``(time, seq, fn, args)`` -- a fire-and-forget event
     (:meth:`Simulator.schedule_at_fire`).  Nothing else is allocated for
     it, and nothing can cancel it.  Every per-frame site (link delivery,
-    pipeline stages, NIC tx/rx, CPU jobs) schedules this way.
+    pipeline stages, NIC tx/rx, CPU jobs) schedules this way, and so does
+    flight fusion: an express hop is ``(time, seq, stage, (fn, args,
+    ctx, gen))``, popped, counted and called like any other event
+    (:mod:`repro.sim.flight`), so ``pending_events``, :meth:`step` and
+    :meth:`run_until` see a fused run as they see the reference.
   - ``(time, seq, None, event)`` -- a cancellable :class:`Event` handle
     (:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`).  Handles
     are the exception: timers keep theirs, one-shot fault scripts are
@@ -115,21 +119,14 @@ class Simulator:
         self._now: float = 0.0
         #: ``(time, seq, fn, args)`` and ``(time, seq, None, Event)``
         #: entries (see the module docstring).  Always mutated in place,
-        #: never rebound: the flight planner holds an alias.
+        #: never rebound: the pop loop holds a local alias.
         self._heap: List[tuple] = []
         self._seq: int = 0
         self._running = False
         self._event_count: int = 0
         #: Cancelled handles whose entries are still in the heap.
         self._tombstones: int = 0
-        #: Flight-fusion hop queue: captured-but-unscheduled hops as
-        #: (time, seq, fn, args, stage, ctx) tuples, owned by the
-        #: FlightPlanner but polled here so due hops replay *before* any
-        #: later event executes.  Always mutated in place, never rebound.
-        self._flight_queue: List[tuple] = []
-        #: The planner's _drain_super(limit) bound method (None until a
-        #: FlightPlanner attaches; _flight_queue stays empty until then).
-        self._flight_drain: Optional[Callable[[float], bool]] = None
+        #: The FlightPlanner pushing express hops onto the heap, if any.
         self._flight_planner = None
         #: When True, executed events are tallied per callback qualname in
         #: :attr:`component_counts` (cheap bool check per event when off).
@@ -246,37 +243,12 @@ class Simulator:
         :meth:`run_until`.  Returns the number of events executed."""
         heap = self._heap
         heappop = heapq.heappop
-        fq = self._flight_queue
-        fdrain = self._flight_drain
         profiled = self.profile_components
         executed = 0
         try:
-            while heap or fq:
+            while heap:
                 if executed == max_events:
                     return executed
-                if fq:
-                    # Fused-flight hops due before the next heap event
-                    # (bounded by ``until``) replay first so every later
-                    # event observes slow-lane-identical state.  A False
-                    # return means the front heap event wins the
-                    # timestamp tie on seq: fall through and pop it
-                    # normally.  Fused flights keep nothing in the heap,
-                    # which can be empty while hops pend: then ``until``
-                    # (or the hop queue itself) bounds the drain.
-                    if heap:
-                        limit = heap[0][0]
-                        if until is not None and until < limit:
-                            limit = until
-                    elif until is not None:
-                        limit = until
-                    else:
-                        limit = fq[0][0]
-                    if fq[0][0] <= limit and fdrain(limit):
-                        continue
-                    if not heap:
-                        # Every pending hop lies strictly beyond
-                        # ``until``; nothing else can run this call.
-                        break
                 if until is not None and heap[0][0] > until:
                     break
                 time, seq, fn, args = heappop(heap)

@@ -218,7 +218,7 @@ class Switch:
 
     # The hop effects below are shared with flight fusion's express
     # stages: each is the one definition of what a hop does to this
-    # device, and reads the clock as ``sim._now`` (the drain sets it to
+    # device, and reads the clock as ``sim._now`` (the kernel sets it to
     # the hop's time).  Raw clock reads on the per-frame path: the
     # property indirection costs a visible fraction of hot-loop time.
 

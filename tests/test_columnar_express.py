@@ -5,8 +5,8 @@ packets per write message), closed-loop window depth, doorbell batching
 on/off, and an optional mid-run link fault at a random time with a random
 outage -- and each drawn scenario runs twice:
 
-* **fused** -- the full fast stack, flight fusion batching clean runs
-  into column operations and bulk-hashing the wire digest;
+* **fused** -- the full fast stack, flight fusion running clean flights
+  as express stages and bulk-hashing the wire digest;
 * **slow** -- all lanes off, every hop a kernel event through the real
   handlers: the reference.
 
@@ -110,7 +110,7 @@ def _run(lane: str, *, value_size: int, batching: bool, window: int,
             "events": cluster.sim.events_executed,
             "timeline": timeline,
             "slabs": _register_slabs(cluster),
-            "hops_batched": fastlane.columnar["hops_batched"],
+            "hops_replayed": cluster.flight_planner.hops_replayed,
         }
     finally:
         fastlane.enable()
@@ -124,7 +124,7 @@ _scenarios = st.fixed_dictionaries({
     # None -> a clean run; otherwise cut the leader's primary cable at a
     # random time and heal it after a random outage, so defusion, the
     # slow-path recovery, and re-engagement land at arbitrary points of
-    # the fused window (including mid-drain fallbacks).
+    # the fused window (including fallbacks mid-flight).
     "fault": st.one_of(
         st.none(),
         st.tuples(st.integers(50_000, 250_000),
@@ -149,9 +149,7 @@ def test_fused_matches_reference(scenario):
     for n, (a, b) in enumerate(zip(fused["timeline"], slow["timeline"])):
         assert a == b, f"timeline sample {n} of {len(slow['timeline'])}"
     if fault is None and scenario["window"] >= 32:
-        # A deep clean run must actually exercise the columnar kernels,
-        # or the equalities above prove nothing about them (shallow
-        # windows may never pipeline enough flights for the drain to
-        # form a batchable run).
-        assert fused["hops_batched"] > 0
-        assert slow["hops_batched"] == 0
+        # A deep clean run must actually exercise the express stages,
+        # or the equalities above prove nothing about them.
+        assert fused["hops_replayed"] > 0
+        assert slow["hops_replayed"] == 0

@@ -85,9 +85,7 @@ def _run(fusion_on, fault_fn=None, run_ns=0.6 * MS, replicas=2,
             "fallbacks_after_warmup": (planner.express_fallbacks
                                        - warm_fallbacks),
             "defusions": planner.defusions,
-            "runs_fused": planner.runs_fused,
-            "hops_batched": planner.hops_batched,
-            "batch_splits": planner.batch_splits,
+            "hops_replayed": planner.hops_replayed,
             "fused_at_heal": probe.get("fused_at_heal"),
             "retransmissions": (leader.plane.qp.retransmissions
                                 if leader.plane.qp is not None else 0),
@@ -210,6 +208,55 @@ def test_mid_window_control_plane_register_writes_match_reference():
     assert f["numrecv"] == s["numrecv"]
 
 
+def _kernel_steps(fusion_on):
+    """Drive a warmed-up seeded closed loop through the kernel's three
+    stepping calls and record where each one stops."""
+    fastlane.flags.set_all(True)
+    fastlane.flags.flight_fusion = fusion_on
+    try:
+        cluster = build_cluster("p4ce", 2, value_size=64, seed=7)
+        install_trace_digest(cluster)
+        leader = cluster.await_ready()
+        replica_nic = next(h.nic for h in cluster.hosts
+                           if h.node_id != leader.node_id)
+        driver = ClosedLoopDriver(cluster, 64, window=16)
+        driver.start()
+        cluster.run_for(0.1 * MS)
+        sim = cluster.sim
+        out = {}
+        events = sim.events_executed
+        assert sim.step()
+        out["step"] = sim.events_executed - events
+        events = sim.events_executed
+        sim.run(max_events=50)
+        out["run"] = sim.events_executed - events
+        n0 = replica_nic.packets_received
+        out["reached"] = sim.run_until(
+            lambda: replica_nic.packets_received >= n0 + 100, 1 * MS)
+        out["now"] = sim.now
+        out["events"] = sim.events_executed
+        out["hops_replayed"] = cluster.flight_planner.hops_replayed
+        driver.stop()
+        return out
+    finally:
+        fastlane.enable()
+
+
+def test_a_hop_is_one_kernel_step():
+    """An express hop is a kernel event: ``step()`` runs one, a bounded
+    ``run`` counts each, and ``run_until`` checks its predicate after
+    each -- so all three stop exactly where they stop unfused."""
+    fused = _kernel_steps(fusion_on=True)
+    plain = _kernel_steps(fusion_on=False)
+    assert fused["hops_replayed"] > 0
+    assert plain["hops_replayed"] == 0
+    assert fused["step"] == plain["step"] == 1
+    assert fused["run"] == plain["run"] == 50
+    assert fused["reached"] and plain["reached"]
+    assert fused["now"] == plain["now"]
+    assert fused["events"] == plain["events"]
+
+
 def test_clean_run_fuses_and_matches_unfused_digest():
     fused = _run(fusion_on=True)
     plain = _run(fusion_on=False)
@@ -246,45 +293,43 @@ def test_replica_crash_defuses_and_matches_unfused_digest():
 
 
 def test_superfusion_batches_clean_window():
-    """The drain collapses a clean run into multi-hop batches -- and its
-    digest matches the unfused reference."""
+    """A clean window runs its hops as express stages -- and its digest
+    matches the unfused reference."""
     batched = _run(fusion_on=True)
     plain = _run(fusion_on=False)
-    assert batched["runs_fused"] > 0
-    # Batches actually batch: strictly more hops than runs.
-    assert batched["hops_batched"] > batched["runs_fused"]
+    assert batched["hops_replayed"] > 0
+    assert plain["hops_replayed"] == 0
     _assert_identical(batched, plain)
 
 
 def test_mid_window_fault_splits_batch_and_replays_tail():
-    """A fault landing inside a fused window must split the batch at the
-    boundary and re-materialize the un-executed tail as real events at
-    their exact timestamps.
+    """A fault landing inside a fused window must rewrite the pending
+    hops into real events at their exact timestamps.
 
     The digest covers every frame's wire bytes *and* timestamp, so
-    equality with the unfused lane proves the replayed tail ran at the
-    same instants the slow path would have chosen; ``batch_splits``
-    proves the split machinery (not a lucky empty queue) handled it.
+    equality with the unfused lane proves the rewritten tail ran at the
+    same instants the slow path would have chosen; ``defusions`` proves
+    the defusion (not a lucky empty heap) handled it.
     """
     batched = _run(fusion_on=True, fault_fn=_leader_link_fault, run_ns=1 * MS)
     plain = _run(fusion_on=False, fault_fn=_leader_link_fault, run_ns=1 * MS)
-    assert batched["runs_fused"] > 0
-    assert batched["batch_splits"] >= 1
-    # Fusion (and with it, batching) re-engaged after the heal.
+    assert batched["hops_replayed"] > 0
+    assert batched["defusions"] >= 1
+    # Fusion re-engaged after the heal.
     assert batched["fused_at_heal"] is not None
     assert batched["flights_fused"] > batched["fused_at_heal"]
     _assert_identical(batched, plain)
 
 
 def test_numrecv_wrap_inside_super_batches():
-    """PSN slot reuse under the batched drain: >256 fused flights wrap
-    the NumRecv register file while the drain is batching runs, with no
-    splits and no divergence from the unfused lane."""
+    """PSN slot reuse under express stages: >256 fused flights wrap the
+    NumRecv register file with no defusion and no divergence from the
+    unfused lane."""
     batched = _run(fusion_on=True, run_ns=0.5 * MS)
     plain = _run(fusion_on=False, run_ns=0.5 * MS)
     assert batched["flights_fused"] > _NUMRECV_SLOTS
-    assert batched["runs_fused"] > 0
-    assert batched["batch_splits"] == 0
+    assert batched["hops_replayed"] > 0
+    assert batched["defusions"] == 0
     _assert_identical(batched, plain)
 
 
@@ -307,6 +352,16 @@ def test_numrecv_slot_wrap_keeps_fusing(value_size):
     _assert_identical(fused, plain)
 
 
+def _heap_hops(sim, planner):
+    """``(stage name, real fn, real args)`` of every planner-owned entry
+    of the kernel heap, in ``(time, seq)`` order: an express hop is
+    ``(t, seq, stage, (fn, args, ctx, gen))``, and defusion rewrites it
+    into ``(t, seq, fn, args)``."""
+    return [(entry[2].__name__, entry[3][0], entry[3][1])
+            for entry in sorted(sim._heap)
+            if getattr(entry[2], "__self__", None) is planner]
+
+
 _PRE_EGRESS = {"_v_scatter_egress"}
 _POST_EGRESS = {"_v_scatter_transmit", "_v_replica_arrive"}
 _DELIVERED = {"_v_replica_rx", "_v_ack_emit", "_v_ack_arrive",
@@ -323,14 +378,12 @@ def _defuse_with_legs_at_every_stage(cluster, leader, planner, probe):
                 if h.node_id != leader.node_id)
 
     def defuse():
-        fq = sim._flight_queue
-        probe["stages"] = {getattr(entry[4], "__name__", None)
-                           for entry in fq}
+        probe["stages"] = {name for name, _, _ in _heap_hops(sim, planner)}
         link.tap = link.tap
-        probe["pending_after"] = len(fq)
-        # Frames and launches live in hop tuples only: with the hop queue
-        # handed back to the kernel the planner is as it was before the
-        # first flight, counters and resolved paths aside.
+        probe["pending_after"] = len(_heap_hops(sim, planner))
+        # Frames and launches live in hop tuples only: with every hop
+        # rewritten into its real event the planner is as it was before
+        # the first flight, counters and resolved paths aside.
         probe["held"] = {
             name: {type(item).__name__ for item in (
                 value.values() if isinstance(value, dict)
@@ -402,19 +455,22 @@ def test_multi_packet_writes_fuse_and_match_references(value_size, packets):
 
 def _uplink_writes(cluster, leader):
     """Opcodes of the WRITE frames on the leader's cable toward the
-    switch, in delivery order, from whichever queue holds their delivery
-    (the kernel heap, or the hop queue while fused)."""
+    switch, in delivery order, from the kernel heap: a real delivery
+    event, or an express hop standing for one while fused."""
     port = leader.host.nic.port
     link = port.link
     up = link.direction_from(port)
     deliver = link._deliver
     sim = cluster.sim
-    pending = sorted(
-        (entry[0], entry[1], entry[3][1]._upper[0].opcode)
-        for entry in (*sim._heap, *sim._flight_queue)
-        if entry[2] == deliver and entry[3][0] is up
-        and entry[3][1]._upper)
-    return [op for _, _, op in pending if op in _WRITES]
+    planner = cluster.flight_planner
+    pending = []
+    for entry in sim._heap:
+        fn, args = entry[2], entry[3]
+        if getattr(fn, "__self__", None) is planner:
+            fn, args = args[0], args[1]
+        if fn == deliver and args[0] is up and args[1]._upper:
+            pending.append((entry[0], entry[1], args[1]._upper[0].opcode))
+    return [op for _, _, op in sorted(pending) if op in _WRITES]
 
 
 def _when(cluster, cond, then, step_ns=10):

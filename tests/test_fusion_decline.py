@@ -40,6 +40,16 @@ def _observables(cluster, digest, driver) -> dict:
             "events": cluster.sim.events_executed}
 
 
+def _heap_hops(cluster):
+    """``(stage name, real fn, real args)`` of every planner-owned entry
+    of the kernel heap, in ``(time, seq)`` order: an express hop is
+    ``(t, seq, stage, (fn, args, ctx, gen))``."""
+    planner = cluster.flight_planner
+    return [(entry[2].__name__, entry[3][0], entry[3][1])
+            for entry in sorted(cluster.sim._heap)
+            if getattr(entry[2], "__self__", None) is planner]
+
+
 def _replica_link(cluster, leader):
     return next(h for h in cluster.hosts
                 if h.node_id != leader.node_id).nic.port.link
@@ -67,7 +77,7 @@ def _run_with_foreign_tap(lanes_on: bool, install_at_ns: float) -> dict:
         if install_at_ns:
             cluster.run_for(install_at_ns)
             # Mid-window: fused hops are in flight as virtual frames.
-            out["pending_at_install"] = len(cluster.sim._flight_queue)
+            out["pending_at_install"] = len(_heap_hops(cluster))
         out["fused_at_install"] = planner.flights_fused
         out["rejects_at_install"] = planner.fuse_rejects
         _foreign_tap(_replica_link(cluster, leader), frames)
@@ -119,14 +129,14 @@ def _assert_declined_unclaimed(cluster, nic, qp, packets) -> None:
     planner = cluster.flight_planner
     sim = cluster.sim
     busy, seq = nic._tx_busy_until, sim._seq
-    pending = len(sim._flight_queue)
+    pending = _heap_hops(cluster)
     fused, rejects = planner.flights_fused, planner.fuse_rejects
     assert planner.try_fuse(nic, qp, qp.next_psn, packets) is False
     assert planner.fuse_rejects == rejects + 1
     assert planner.flights_fused == fused
     assert nic._tx_busy_until == busy
     assert sim._seq == seq
-    assert len(sim._flight_queue) == pending
+    assert _heap_hops(cluster) == pending
 
 
 def test_declined_launch_leaves_tx_pipeline_unclaimed():
@@ -167,9 +177,9 @@ def test_multi_packet_send_and_read_take_the_real_path(kind):
         assert [p._upper[0].opcode for p in packets] == opcodes
         _assert_declined_unclaimed(cluster, nic, qp, packets)
         sim = cluster.sim
-        pending = len(sim._flight_queue)
+        pending = _heap_hops(cluster)
         nic._launch(qp, wr)
-        assert len(sim._flight_queue) == pending
+        assert _heap_hops(cluster) == pending
         emitted = sorted((entry[0], entry[1], entry[3][0]._upper[0].opcode)
                          for entry in sim._heap
                          if entry[2] == nic._emit and entry[3][0]._upper)

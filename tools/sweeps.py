@@ -147,9 +147,9 @@ def run_group_scaling(groups, *, warmup_ns: float, window_ns: float,
         shards_match = compare(num_groups, "serial vs parallel", serial,
                                parallel)
         fused = [s["flight"]["flights_fused"] for s in serial]
-        runs_fused = [s["flight"]["runs_fused"] for s in serial]
+        replayed = [s["flight"]["hops_replayed"] for s in serial]
         for what, counts in (("flight fusion never engaged", fused),
-                             ("the drain never batched a run", runs_fused)):
+                             ("no express stage ran", replayed)):
             idle = [i for i, n in enumerate(counts) if not n]
             if idle:
                 failures.append(f"group_scaling G={num_groups}: {what} "
