@@ -48,10 +48,13 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
     chain: a launch the planner cannot prove clean is declined to the
     real handlers, and a stage that cannot prove its hop clean falls
     back to the real handler at its own turn.
-    Faults, control-plane writes, NAKs and retransmissions rewrite
-    pending hops in place into the ordinary events they stand for and
-    disable fusion until recovery.  Off: every hop runs through the real
-    handlers.
+    One rule invalidates it, the path epoch: a fault on a traversed
+    device, a control-plane write to a table/register/multicast group a
+    path reads, or a tap on a traversed link bumps it, rewrites pending
+    hops in place into the ordinary events they stand for and makes
+    every path re-validate at its next launch, so fusion stays off only
+    while a traversed device is impaired.  Off: every hop runs through
+    the real handlers.
 
 Copy-on-write packet copies (:mod:`repro.net.packet`), the direct
 replicated-log decode (:meth:`repro.consensus.log.Log.peek`) and the

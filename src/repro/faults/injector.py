@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
-from .. import params
 from ..net import Link
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,27 +109,6 @@ class FaultInjector:
         return json.dumps(self.journal_dicts(actions_only=actions_only),
                           sort_keys=True)
 
-    # Flight-fusion invalidation: every injected fault must disengage the
-    # planner before its effects can race a fused flight.  The device
-    # hooks (Link.set_down, Switch.power_off, RNic.power_off, the
-    # drop_probability setter) already notify the planner for devices it
-    # watches; these calls make the notification unconditional, covering
-    # devices no fused path has traversed yet.  Both are idempotent --
-    # the planner keys armed faults by device identity.
-
-    def _planner(self):
-        return getattr(self.cluster.sim, "_flight_planner", None)
-
-    def _planner_fault(self, device: Any) -> None:
-        planner = self._planner()
-        if planner is not None and device is not None:
-            planner.on_fault(device)
-
-    def _planner_heal(self, device: Any, still_faulty: bool = False) -> None:
-        planner = self._planner()
-        if planner is not None and device is not None:
-            planner.on_heal(device, still_faulty)
-
     # -- process faults ------------------------------------------------------------
 
     def kill_app(self, node_id: int) -> None:
@@ -149,30 +127,22 @@ class FaultInjector:
         """Power the machine off entirely."""
         self._record("crash_host", node_id, args=(node_id,), action=True)
         self.cluster.crash_host(node_id)
-        host = self.cluster.hosts[node_id]
-        for nic in (host.nic, host.backup_nic):
-            self._planner_fault(nic)
 
     def revive_host(self, node_id: int) -> None:
         """Power a crashed machine back on; its process restarts with a
         cold NIC (all QPs lost) and rejoins the group."""
         self._record("revive_host", node_id, args=(node_id,), action=True)
         self.cluster.revive_host(node_id)
-        host = self.cluster.hosts[node_id]
-        for nic in (host.nic, host.backup_nic):
-            self._planner_heal(nic)
 
     # -- switch faults -------------------------------------------------------------
 
     def crash_switch(self) -> None:
         self._record("crash_switch", "primary", args=(), action=True)
         self.cluster.crash_switch()
-        self._planner_fault(self.cluster.switch)
 
     def revive_switch(self) -> None:
         self._record("revive_switch", "primary", args=(), action=True)
         self.cluster.revive_switch()
-        self._planner_heal(self.cluster.switch)
 
     def restart_control_plane(self) -> None:
         """Restart the switch-CPU control-plane application: dataplane
@@ -204,10 +174,6 @@ class FaultInjector:
         self._record("set_loss", (node_id, probability),
                      args=(node_id, probability, backup), action=True)
         link.drop_probability = probability
-        if probability > 0.0:
-            self._planner_fault(link)
-        else:
-            self._planner_heal(link, still_faulty=not link.up)
 
     def cut_link(self, node_id: int, backup: bool = False) -> None:
         """Unplug one cable (the NIC stays up; the link goes dark)."""
@@ -218,7 +184,6 @@ class FaultInjector:
         self._record("cut_link", (node_id, backup),
                      args=(node_id, backup), action=True)
         link.set_down()
-        self._planner_fault(link)
 
     def heal_link(self, node_id: int, backup: bool = False) -> None:
         """Re-plug one cable and clear any injected loss on it."""
@@ -230,7 +195,6 @@ class FaultInjector:
                      args=(node_id, backup), action=True)
         link.set_up()
         link.drop_probability = 0.0
-        self._planner_heal(link)
 
     def partition_host(self, node_id: int, backup_too: bool = True) -> None:
         """Unplug a host (its NICs stay up; the cables go dark).
@@ -257,10 +221,10 @@ class FaultInjector:
 
         Raising the per-packet gap starves the switch's credit window for
         that endpoint -- the credit-exhaustion scenario; restoring it to
-        ``params.NIC_PACKET_GAP_NS`` heals.  Safe under flight fusion:
-        planning reads ``rx_gap_ns`` live and every fused hop is a kernel
-        event run at its own turn, so arming the planner at the mutation
-        instant suffices.
+        ``params.NIC_PACKET_GAP_NS`` heals.  Flight fusion needs no word
+        of it: the express RX stage claims the NIC pipeline through
+        ``RNic._rx_admit``, which reads ``rx_gap_ns`` live at the hop's
+        own turn, as the real handler does.
         """
         host = self.cluster.hosts[node_id]
         nic = host.backup_nic if backup else host.nic
@@ -270,10 +234,6 @@ class FaultInjector:
         self._record("set_nic_rx_gap", (node_id, gap_ns),
                      args=(node_id, gap_ns, backup), action=True)
         nic.rx_gap_ns = gap_ns
-        if gap_ns > params.NIC_PACKET_GAP_NS:
-            self._planner_fault(nic)
-        else:
-            self._planner_heal(nic, still_faulty=not nic.powered)
 
     # -- migration-window fault point ----------------------------------------------
 

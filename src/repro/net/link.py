@@ -121,8 +121,8 @@ class Link:
     """Full-duplex cable between two ports."""
 
     #: Flight-fusion planner watching this link (set lazily when a fused
-    #: path first traverses it).  Any fault -- cable cut or loss
-    #: probability -- must disengage fusion before taking effect.
+    #: path first traverses it).  A cut, a loss probability or a new tap
+    #: invalidates its paths before taking effect.
     _flight_watch = None
 
     def __init__(self, sim: Simulator, a: Port, b: Port,
@@ -180,7 +180,7 @@ class Link:
             # Whether a fused path may cross this cable depends on its
             # tap, and frames already in flight are virtual: re-validate
             # the paths and hand pending hops back to the kernel.
-            watch.on_cp_write(self)
+            watch.invalidate(self)
 
     @property
     def drop_probability(self) -> float:
@@ -191,11 +191,8 @@ class Link:
     def drop_probability(self, probability: float) -> None:
         self._drop_probability = probability
         watch = self._flight_watch
-        if watch is not None:
-            if probability > 0.0:
-                watch.on_fault(self)
-            else:
-                watch.on_heal(self, still_faulty=not self.up)
+        if watch is not None and probability > 0.0:
+            watch.invalidate(self)
 
     def transmit(self, src: Port, packet: Packet) -> bool:
         """Serialize a frame from ``src`` toward the opposite port.
@@ -243,13 +240,10 @@ class Link:
         self.up = False
         watch = self._flight_watch
         if watch is not None:
-            watch.on_fault(self)
+            watch.invalidate(self)
 
     def set_up(self) -> None:
         self.up = True
-        watch = self._flight_watch
-        if watch is not None:
-            watch.on_heal(self, still_faulty=self._drop_probability > 0.0)
 
     def stats_from(self, port: Port) -> DirectionStats:
         return self.stats[id(port)]

@@ -97,7 +97,7 @@ class RNic:
     """One RoCE v2 network adapter with a single 100 GbE port."""
 
     #: Flight-fusion planner watching this NIC (set lazily when a fused
-    #: path first traverses it); power-off must disengage fusion.
+    #: path first traverses it); power-off invalidates its paths.
     _flight_watch = None
 
     def __init__(self, sim: Simulator, host: "Host", name: str,
@@ -207,7 +207,7 @@ class RNic:
         # takes the ordinary per-packet TX path.
         planner = self.sim._flight_planner
         if (planner is None or wr.opcode is not WrOpcode.RDMA_WRITE
-                or not planner.try_fuse(self, qp, first_psn, packets)):
+                or not planner.try_fuse(self, qp, packets)):
             for pkt in packets:
                 self._tx(pkt)
         self._arm_retx(qp)
@@ -746,12 +746,6 @@ class RNic:
         first built."""
         if qp.state is not QpState.RTS:
             return
-        planner = self.sim._flight_planner
-        if planner is not None:
-            # Retransmissions (NAK heal, RNR backoff, timeout) invalidate
-            # fusion: materialize in-flight fused work and re-engage only
-            # from the first PSN issued after recovery.
-            planner.on_retransmit(qp)
         for out in qp.outstanding:
             for pkt in self._build_request(qp, out.wr, out.first_psn):
                 self._tx(pkt)
@@ -821,7 +815,7 @@ class RNic:
         self.powered = False
         watch = self._flight_watch
         if watch is not None:
-            watch.on_fault(self)
+            watch.invalidate(self)
         for timer in self._retx_timers.values():
             timer.stop()
 
@@ -845,9 +839,6 @@ class RNic:
         self.qps.clear()
         self._tx_busy_until = 0.0
         self._rx_busy_until = 0.0
-        watch = self._flight_watch
-        if watch is not None:
-            watch.on_heal(self)
 
     def _trace(self, event: str, packet: Packet) -> None:
         details = {"src": str(packet.ipv4.src), "dst": str(packet.ipv4.dst),

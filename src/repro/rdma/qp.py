@@ -45,8 +45,7 @@ def psn_not_before(psn: int, reference: int) -> bool:
     """True if ``psn`` is at or ahead of ``reference`` in the circular
     24-bit space (i.e. ``reference`` -> ``psn`` is a forward hop of less
     than half the space).  The canonical "is this ACK/PSN new enough?"
-    comparison used by cumulative completion, NAK healing and fusion
-    re-engagement."""
+    comparison used by cumulative completion and NAK healing."""
     return (psn - reference) & PSN_MASK < (PSN_MASK + 1) // 2
 
 

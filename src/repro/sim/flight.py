@@ -14,8 +14,8 @@ One chain, or the real handlers
 
 A launch has exactly two ways to run.  Either :meth:`FlightPlanner.try_fuse`
 accepts it and it rides the express chain below, or ``try_fuse`` declines
-it (flag off, tracer on, armed fault, tainted QP, no validated path, a
-packet not of a stamped WRITE shape) and ``RNic._tx`` schedules it
+it (flag off, tracer on, no validated path, a packet not of a stamped
+WRITE shape) and ``RNic._tx`` schedules it
 through the real handlers -- the reference every wire digest is judged
 against.  A stage is a call, not a copy: what a hop does to a device has
 one definition, a small method on its owner (``_Direction.send``,
@@ -35,11 +35,11 @@ message and is ACKed -- so the gather stages see one ACK per message, at
 any size.
 
 1. **A hop is a kernel event.**  It sits in the kernel heap
-   (``sim._heap``) as ``(time, seq, stage, (real_fn, real_args, ctx,
-   gen))``: the kernel pops it at its turn, counts it and calls
-   ``stage(real_fn, real_args, ctx, gen)``.  Each push consumes the
-   kernel's sequence counter at exactly the intra-hop points the slow
-   lane's ``schedule_at_fire`` calls would have, so timestamp ties
+   (``sim._heap``) as ``(time, seq, stage, (real_fn, real_args, ctx))``,
+   ``ctx`` being the path or leg it rides: the kernel pops it at its
+   turn, counts it and calls ``stage(real_fn, real_args, ctx)``.  Each
+   push consumes the kernel's sequence counter at exactly the intra-hop
+   points the slow lane's ``schedule_at_fire`` calls would have, so ties
    against real events resolve in slow-lane order -- and ``(real_fn,
    real_args)`` is precisely the event the slow lane would have
    scheduled, which makes de-fusion a rewrite of the entry in place.
@@ -81,16 +81,22 @@ any size.
    own turn -- never half-applied, because every probe precedes the stage's
    first mutation.  From there the flight is ordinary kernel events.
 
-5. **Faults defuse.**  The moment a fault injector arms (link down or
-   lossy, switch or NIC power-off), a control-plane write touches any
-   traversed table/register/multicast group, a tap is installed on a
-   traversed link, or a NAK/retransmission taints a QP, every pending
-   hop is rewritten in place into the ordinary kernel event it stands
-   for (same time, same seq), and fusion stays off until the fault
-   heals (taint clears at the first fresh PSN).  Gather-register slot
-   wrap (``NumRecv``'s 256-slot reuse) needs no fallback at all: the
-   express gather executes the same masked register-cell arithmetic as
-   the real RegisterActions, so reuse is exact.
+5. **One invalidation rule: the path epoch.**  A fault on a traversed
+   device (cable cut or made lossy, switch or NIC power-off), a
+   control-plane write to a table/register/multicast group a path reads,
+   or a tap installed on a traversed link calls
+   :meth:`FlightPlanner.invalidate`: the epoch moves, every pending hop is
+   rewritten in place into the ordinary kernel event it stands for (same
+   time, same seq), and every cached path is validated afresh at its next
+   launch -- so fusion stays off exactly while a traversed device is
+   impaired, and a fault off every fused path costs nothing.  A heal
+   calls nothing: the fault already dropped the cached paths.  A
+   retransmission calls nothing either: it runs through the real
+   handlers, and the stages' own probes (PSN order, QP state) decline
+   any hop it disturbs.  Gather-register slot wrap (``NumRecv``'s
+   256-slot reuse) needs no fallback at all: the express gather executes
+   the same masked register-cell arithmetic as the real RegisterActions,
+   so reuse is exact.
 
 Links whose tap is not the batched :class:`~repro.sim.columnar.DigestTap`
 want real frames on every hop; a path over one is not validated, so its
@@ -106,7 +112,7 @@ runs where fusion disengages and re-engages mid-run.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional
 
 from .. import fastlane, params
 from ..net.headers import ETHERNET_FCS_BYTES, EthernetHeader
@@ -124,9 +130,6 @@ from ..rdma.wiretemplate import (
 from .columnar import DigestTap
 from .kernel import Simulator
 from .trace import TraceRecord, Tracer
-
-#: Half the 24-bit PSN space, for "not before" window comparisons.
-_PSN_HALF = 1 << 23
 
 _ROCE_PORT = params.ROCE_UDP_PORT
 _NUMRECV_SLOTS = params.NUMRECV_SLOTS
@@ -149,8 +152,8 @@ _ETH_WRAP = EthernetHeader.SIZE + ETHERNET_FCS_BYTES
 
 class _FusedPath:
     """Everything the express stages need about one broadcast QP's path,
-    resolved once per control-plane epoch: devices, link directions,
-    caches, register cells and timing constants."""
+    resolved once per path epoch: devices, link directions, caches,
+    register cells and timing constants."""
 
     __slots__ = ("epoch", "nic", "nic_port", "switch", "program",
                  "leader_link", "leader_in_port", "switch_port", "dir_up",
@@ -159,10 +162,11 @@ class _FusedPath:
 
 
 class _FusedLeg:
-    """One scatter/gather leg of a fused path (one replica)."""
+    """One scatter/gather leg of a fused path (one replica).  It
+    carries its path's epoch, so a stage checks either context alike."""
 
-    __slots__ = ("path", "rid", "out_port", "counters", "link", "dir_down",
-                 "dir_back", "rnic", "rqp", "rqpn", "gather_key")
+    __slots__ = ("epoch", "path", "rid", "out_port", "counters", "link",
+                 "dir_down", "dir_back", "rnic", "rqp", "rqpn", "gather_key")
 
 
 class _VLaunch:
@@ -197,21 +201,11 @@ class FlightPlanner:
     def __init__(self, sim: Simulator, tracer: Optional[Tracer] = None):
         self._sim = sim
         self._tracer = tracer
-        #: Fault sources currently armed (ids of faulted devices).  Any
-        #: entry disables fusion entirely.
-        self._armed: Set[int] = set()
-        #: QPs that saw a NAK/retransmission -> first trustworthy PSN.
-        self._tainted: Dict[Any, int] = {}
         #: Resolved paths keyed by (leader nic id, qpn).
         self._paths: Dict[tuple, _FusedPath] = {}
-        #: Control-plane epoch: bumped by every table/register/multicast
-        #: write on a watched device; cached paths pin the epoch they were
-        #: resolved against.
+        #: Path epoch: bumped by every :meth:`invalidate`; paths and legs
+        #: pin the epoch they were resolved against.
         self._epoch = 0
-        #: Defusion generation: bumped whenever pending work materializes.
-        #: Every hop carries the one it was pushed under (mid-stage guard
-        #: -- see _push_hop).
-        self._gen = 0
         # Diagnostics / attribution.
         self.flights_fused = 0
         #: Express stages run (a stage that falls back is not counted).
@@ -244,7 +238,7 @@ class FlightPlanner:
     # Fusion entry point (called from RNic._launch)
     # ------------------------------------------------------------------
 
-    def try_fuse(self, nic, qp, first_psn: int, packets) -> bool:
+    def try_fuse(self, nic, qp, packets) -> bool:
         """Compute a write message -- its ``packets``, one per PMTU
         segment -- as a fused flight.  Returns False to decline: the
         caller then takes the ordinary per-hop TX path, i.e. the real
@@ -252,8 +246,8 @@ class FlightPlanner:
         launch leaves no trace (``nic._tx_busy_until`` is where
         ``RNic._tx`` expects to claim it)."""
         flags = fastlane.flags
-        if (not flags.flight_fusion or self._armed
-                or not flags.rewrite_templates or not flags.flow_cache):
+        if (not flags.flight_fusion or not flags.rewrite_templates
+                or not flags.flow_cache):
             # Fusion layers on the template/cache lanes: the express
             # stages reproduce *their* counters and wire images, not the
             # slow header-object path's allocation pattern.
@@ -261,14 +255,6 @@ class FlightPlanner:
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             return False
-        marker = self._tainted.get(qp)
-        if marker is not None:
-            # Re-engage only from the first PSN issued after recovery:
-            # older PSNs may still race retransmitted duplicates.
-            if ((first_psn - marker) & 0xFFFFFF) >= _PSN_HALF:
-                self.fuse_rejects += 1
-                return False
-            del self._tainted[qp]
         path = self._resolve_path(nic, qp)
         if path is not None:
             for packet in packets:
@@ -289,14 +275,13 @@ class FlightPlanner:
         heap = sim._heap
         emit = nic._emit
         xfn = self._v_leader_emit
-        gen = self._gen
         # RNic._tx per packet, in order (powered is path-validated and
         # fault-watched): claim the TX pipeline, push the emit hop.
         for packet in packets:
             t = nic._tx_claim()
             seq = sim._seq
             sim._seq = seq + 1
-            heapq.heappush(heap, (t, seq, xfn, (emit, (packet,), path, gen)))
+            heapq.heappush(heap, (t, seq, xfn, (emit, (packet,), path)))
         self.flights_fused += 1
         return True
 
@@ -304,23 +289,23 @@ class FlightPlanner:
     # Hop plumbing
     # ------------------------------------------------------------------
 
-    def _push_hop(self, t: float, fn, args: tuple, xfn, ctx, gen) -> None:
+    def _push_hop(self, t: float, fn, args: tuple, xfn, ctx) -> None:
         """Push a stage's successor hop onto the kernel heap.  It consumes
         the kernel's sequence counter, so the hop gets exactly the seq the
         slow lane's ``schedule_at_fire`` would have assigned and timestamp
         ties -- hop vs real event, and real events scheduled later --
-        resolve in slow-lane order.  ``gen`` is the generation the running
-        stage was pushed under: a defusion since then (a notify watcher in
-        the replica-RX stage can defuse mid-stage) means express stages
-        must not outrun the new configuration, so the hop becomes the real
-        kernel event it stands for."""
+        resolve in slow-lane order.  ``ctx`` (path or leg) pins the epoch
+        its path was resolved under: an invalidation since then (a notify
+        watcher in the replica-RX stage can invalidate mid-stage) means
+        express stages must not outrun the new configuration, so the hop
+        becomes the real kernel event it stands for."""
         sim = self._sim
-        if gen != self._gen:
+        if ctx.epoch != self._epoch:
             sim.schedule_at_fire(t, fn, *self._real_args(args))
             return
         seq = sim._seq
         sim._seq = seq + 1
-        heapq.heappush(sim._heap, (t, seq, xfn, (fn, args, ctx, gen)))
+        heapq.heappush(sim._heap, (t, seq, xfn, (fn, args, ctx)))
 
     def _real_args(self, args: tuple) -> tuple:
         """``args`` with any virtual frame rebuilt into its real packet."""
@@ -353,43 +338,25 @@ class FlightPlanner:
         return False
 
     # ------------------------------------------------------------------
-    # Invalidation: fault hooks, CP writes and NAK/retransmit taint
+    # Invalidation: the path epoch
     # ------------------------------------------------------------------
 
-    def on_fault(self, device: Any) -> None:
-        """A traversed device faulted: disengage fusion until it heals."""
-        self._armed.add(id(device))
-        self._defuse_all()
-
-    def on_heal(self, device: Any, still_faulty: bool = False) -> None:
-        if not still_faulty:
-            self._armed.discard(id(device))
-
-    def on_retransmit(self, qp) -> None:
-        """A NAK or timeout retransmission on ``qp``: materialize fused
-        work and re-engage only from the next fresh PSN."""
-        self._tainted[qp] = qp.next_psn
-        self._defuse_all()
-
-    def on_cp_write(self, source: Any = None) -> None:
-        """A control-plane write on a watched table/register/multicast
-        engine: every cached path is stale, and in-flight express hops
-        must not outrun the new configuration."""
-        self._epoch += 1
-        self._defuse_all()
-
-    def _defuse_all(self) -> None:
-        """Rewrite every pending hop in place into the ordinary kernel
-        event it stands for: ``(t, seq, stage, (fn, args, ...))`` becomes
-        ``(t, seq, fn, args)``.  The key is unchanged, so the heap needs
-        no re-heapify and ordering against live events is preserved.
-        Exact by construction: each hop carries precisely the (fn, args)
-        event the slow lane would have scheduled, and all of that event's
+    def invalidate(self, source: Any = None) -> None:
+        """A watched device faulted (``source`` is it), a tap landed on a
+        traversed link, or a control-plane write touched a watched
+        table/register/multicast engine: bump the epoch, so every cached
+        path is validated afresh at its next launch, and rewrite every
+        pending hop in place into the ordinary kernel event it stands
+        for: ``(t, seq, stage, (fn, args, ctx))`` becomes ``(t, seq, fn,
+        args)``.  The key is unchanged, so the heap needs no re-heapify
+        and ordering against live events is preserved.  Exact by
+        construction: each hop carries precisely the (fn, args) event the
+        slow lane would have scheduled, and all of that event's
         scheduling-time effects were applied when the hop was pushed.
         Virtual frames rebuild into real packets, in ``(time, seq)``
-        order.  The generation bump also reaches a stage running right
-        now, whose successors then go real (see _push_hop)."""
-        self._gen += 1
+        order.  The bump also reaches a stage running right now, whose
+        successors then go real (see _push_hop)."""
+        self._epoch += 1
         heap = self._sim._heap
         hops = [i for i, entry in enumerate(heap)
                 if getattr(entry[2], "__self__", None) is self]
@@ -398,7 +365,7 @@ class FlightPlanner:
         self.defusions += 1
         hops.sort(key=heap.__getitem__)
         for i in hops:
-            t, seq, _, (fn, args, _, _) = heap[i]
+            t, seq, _, (fn, args, _) = heap[i]
             heap[i] = (t, seq, fn, self._real_args(args))
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
@@ -417,16 +384,16 @@ class FlightPlanner:
     # for the proven-clean shape -- by calling the effect methods that
     # handler calls -- and pushes the successor hop; anything else falls
     # back to the real handler before the first mutation.
-    # Stage signature: (fn, args, ctx, gen) -- the real event (fn, args)
-    # the hop stands for, the path or leg, and the push generation.  A
-    # stage reads the clock as ``self._sim._now``.
+    # Stage signature: (fn, args, ctx) -- the real event (fn, args) the
+    # hop stands for and the path or leg it rides.  A stage reads the
+    # clock as ``self._sim._now``.
     #
     # The chain's tail comes first: at the gather threshold the forwarded
     # ACK is a real packet, and these three stages carry it from switch
     # egress to the leader's RX pipeline.
     # ------------------------------------------------------------------
 
-    def _x_gather_egress(self, fn, args: tuple, path, gen: int) -> None:
+    def _x_gather_egress(self, fn, args: tuple, path) -> None:
         # Mirrors Switch._run_egress for the forwarded ACK (rid 0 passes
         # through on_egress untouched).
         ack = args[2]
@@ -434,9 +401,9 @@ class FlightPlanner:
         path.switch.counters[args[0]].egress_runs += 1
         ack.finalize()
         self._push_hop(self._sim._now + path.half_pipe, path.switch._transmit,
-                       (args[0], ack), self._x_gather_transmit, path, gen)
+                       (args[0], ack), self._x_gather_transmit, path)
 
-    def _x_gather_transmit(self, fn, args: tuple, path, gen: int) -> None:
+    def _x_gather_transmit(self, fn, args: tuple, path) -> None:
         # Mirrors Switch._transmit + Link.transmit (switch -> leader).
         ack = args[1]
         self.hops_replayed += 1
@@ -448,9 +415,9 @@ class FlightPlanner:
         if tap is not None:
             tap(path.switch_port, ack)
         self._push_hop(t, link._deliver, (d, ack), self._x_leader_arrive,
-                       path, gen)
+                       path)
 
-    def _x_leader_arrive(self, fn, args: tuple, path, gen: int) -> None:
+    def _x_leader_arrive(self, fn, args: tuple, path) -> None:
         # Mirrors Link._deliver + RNic.handle_packet at the leader; the
         # successor is a real event: _rx_process runs the completion
         # cascade (CQE -> commit -> next proposal) with real events.
@@ -498,7 +465,7 @@ class FlightPlanner:
             pkt.finalize()
         return pkt
 
-    def _v_leader_emit(self, fn, args: tuple, path, gen: int) -> None:
+    def _v_leader_emit(self, fn, args: tuple, path) -> None:
         # Mirrors RNic._emit + Port.send + Link.transmit (leader ->
         # switch).  The launch frame is real (the leader's own TX); only
         # the successor chain goes columnar.
@@ -512,9 +479,9 @@ class FlightPlanner:
         if tap is not None:
             tap(path.nic_port, packet)
         self._push_hop(t, link._deliver, (d, packet),
-                       self._v_scatter_arrive, path, gen)
+                       self._v_scatter_arrive, path)
 
-    def _v_scatter_arrive(self, fn, args: tuple, path, gen: int) -> None:
+    def _v_scatter_arrive(self, fn, args: tuple, path) -> None:
         # Mirrors Link._deliver + Switch.handle_packet (ingress parser claim).
         packet = args[1]
         self.hops_replayed += 1
@@ -523,9 +490,9 @@ class FlightPlanner:
         done = sw._parse_ingress(idx)
         packet.meta["ingress_port"] = idx
         self._push_hop(done, sw._run_ingress, (idx, packet),
-                       self._v_scatter_ingress, path, gen)
+                       self._v_scatter_ingress, path)
 
-    def _v_scatter_ingress(self, fn, args: tuple, path, gen: int) -> None:
+    def _v_scatter_ingress(self, fn, args: tuple, path) -> None:
         # Mirrors Switch._run_ingress + P4ceProgram scatter classification
         # (flow-cache hit, keyed by (bcast QPN, opcode) as the real
         # _classify_roce keys it: each message shape has its own verdict)
@@ -575,10 +542,9 @@ class FlightPlanner:
             vf.rewritten = False
             out = leg.out_port
             self._push_hop(sw._parse_egress(out, tm), sw._run_egress,
-                           (out, leg.rid, vf), self._v_scatter_egress, leg,
-                           gen)
+                           (out, leg.rid, vf), self._v_scatter_egress, leg)
 
-    def _v_scatter_egress(self, fn, args: tuple, leg, gen: int) -> None:
+    def _v_scatter_egress(self, fn, args: tuple, leg) -> None:
         # Mirrors Switch._run_egress + P4ceProgram.on_egress for one
         # multicast leg (egress-cache hit): resolve the wire template and
         # the leg's varying words; patch nothing.
@@ -606,9 +572,9 @@ class FlightPlanner:
         vf.tmpl = tmpl
         vf.rewritten = True
         self._push_hop(self._sim._now + path.half_pipe, sw._transmit,
-                       (args[0], vf), self._v_scatter_transmit, leg, gen)
+                       (args[0], vf), self._v_scatter_transmit, leg)
 
-    def _v_scatter_transmit(self, fn, args: tuple, leg, gen: int) -> None:
+    def _v_scatter_transmit(self, fn, args: tuple, leg) -> None:
         # Mirrors Switch._transmit + Link.transmit (switch -> replica);
         # the frame is absorbed by the columnar digest tap.
         vf = args[1]
@@ -623,9 +589,9 @@ class FlightPlanner:
             tap.absorb_scatter(vf.tmpl, vf.ack_word, vf.va, lau.payload,
                                lau.payload_crc)
         self._push_hop(t, link._deliver, (d, vf), self._v_replica_arrive,
-                       leg, gen)
+                       leg)
 
-    def _v_replica_arrive(self, fn, args: tuple, leg, gen: int) -> None:
+    def _v_replica_arrive(self, fn, args: tuple, leg) -> None:
         # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
         self.hops_replayed += 1
         rnic = leg.rnic
@@ -633,9 +599,9 @@ class FlightPlanner:
         if ready is None:
             return  # the leg dies here, exactly as in the slow lane
         self._push_hop(ready, rnic._rx_process, (args[1],),
-                       self._v_replica_rx, leg, gen)
+                       self._v_replica_rx, leg)
 
-    def _v_replica_rx(self, fn, args: tuple, leg, gen: int) -> None:
+    def _v_replica_rx(self, fn, args: tuple, leg) -> None:
         # Mirrors RNic._rx_process + _roce_dispatch + _responder_write for the
         # leg's shape + the ACK build/TX.  The shape is one of try_fuse's
         # stamped WRITE shapes, AckReq set exactly on the tail, and the
@@ -680,12 +646,12 @@ class FlightPlanner:
             avf.msn = qp.msn
             avf.wire = atmpl.base.ipv4.total_length + _ETH_WRAP
             avf.iport = None
-            # A watcher defusing mid-notify is _push_hop's generation branch:
-            # the ACK materializes into a real kernel event.
+            # A watcher invalidating mid-notify is _push_hop's stale-hop
+            # branch: the ACK materializes into a real kernel event.
             self._push_hop(rnic._tx_claim(), rnic._emit, (avf,),
-                           self._v_ack_emit, leg, gen)
+                           self._v_ack_emit, leg)
 
-    def _v_ack_emit(self, fn, args: tuple, leg, gen: int) -> None:
+    def _v_ack_emit(self, fn, args: tuple, leg) -> None:
         # Mirrors RNic._emit + Link.transmit (replica -> switch).
         avf = args[0]
         self.hops_replayed += 1
@@ -696,10 +662,9 @@ class FlightPlanner:
         tap = link._tap
         if tap is not None:
             tap.absorb_ack(avf.tmpl, avf.psn, avf.syndrome, avf.msn)
-        self._push_hop(t, link._deliver, (d, avf), self._v_ack_arrive, leg,
-                       gen)
+        self._push_hop(t, link._deliver, (d, avf), self._v_ack_arrive, leg)
 
-    def _v_ack_arrive(self, fn, args: tuple, leg, gen: int) -> None:
+    def _v_ack_arrive(self, fn, args: tuple, leg) -> None:
         # Mirrors Link._deliver + Switch.handle_packet for the ACK.
         avf = args[1]
         self.hops_replayed += 1
@@ -708,9 +673,9 @@ class FlightPlanner:
         done = sw._parse_ingress(idx)
         avf.iport = idx
         self._push_hop(done, sw._run_ingress, (idx, avf),
-                       self._v_gather_ingress, leg, gen)
+                       self._v_gather_ingress, leg)
 
-    def _v_gather_ingress(self, fn, args: tuple, leg, gen: int) -> None:
+    def _v_gather_ingress(self, fn, args: tuple, leg) -> None:
         # Mirrors Switch._run_ingress + P4ceProgram._gather (NumRecv
         # count, credit fold, forward-or-drop) on the live register cells:
         # the count runs the RegisterAction's masked arithmetic --
@@ -749,7 +714,7 @@ class FlightPlanner:
         out = path.leader_in_port
         self._push_hop(sw._parse_egress(out, self._sim._now + path.half_pipe),
                        sw._run_egress, (out, 0, ack), self._x_gather_egress,
-                       path, gen)
+                       path)
 
     # ------------------------------------------------------------------
     # Path resolution
@@ -871,6 +836,7 @@ class FlightPlanner:
                     or ap["leader_ip"] != nic.ip:
                 return None
             leg = _FusedLeg()
+            leg.epoch = self._epoch
             leg.path = path
             leg.rid = rid
             leg.out_port = out
@@ -885,9 +851,8 @@ class FlightPlanner:
             legs.append(leg)
             watched.append(rlink)
             watched.append(rnic)
-        # Fault watches: any impairment on a traversed device disengages
-        # fusion immediately; CP-write watches: any table/register/
-        # multicast write invalidates every resolved path.
+        # Watches: a fault on a traversed device and any table/register/
+        # multicast write call invalidate().
         for device in watched:
             device._flight_watch = self
         for table in (bcast, aggr, econn, l3):

@@ -19,7 +19,7 @@ Design notes
     it, and nothing can cancel it.  Every per-frame site (link delivery,
     pipeline stages, NIC tx/rx, CPU jobs) schedules this way, and so does
     flight fusion: an express hop is ``(time, seq, stage, (fn, args,
-    ctx, gen))``, popped, counted and called like any other event
+    ctx))``, popped, counted and called like any other event
     (:mod:`repro.sim.flight`), so ``pending_events``, :meth:`step` and
     :meth:`run_until` see a fused run as they see the reference.
   - ``(time, seq, None, event)`` -- a cancellable :class:`Event` handle

@@ -60,7 +60,7 @@ class MulticastEngine:
         self._groups[group_id] = tuple(copies)
         watch = self._flight_watch
         if watch is not None:
-            watch.on_cp_write(self)
+            watch.invalidate(self)
 
     def update_group(self, group_id: int, copies: Sequence[MulticastCopy]) -> None:
         if group_id not in self._groups:
@@ -70,13 +70,13 @@ class MulticastEngine:
         self._groups[group_id] = tuple(copies)
         watch = self._flight_watch
         if watch is not None:
-            watch.on_cp_write(self)
+            watch.invalidate(self)
 
     def delete_group(self, group_id: int) -> None:
         self._groups.pop(group_id, None)
         watch = self._flight_watch
         if watch is not None:
-            watch.on_cp_write(self)
+            watch.invalidate(self)
 
     def lookup(self, group_id: int) -> Optional[Tuple[MulticastCopy, ...]]:
         return self._groups.get(group_id)

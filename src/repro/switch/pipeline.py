@@ -109,8 +109,7 @@ class Switch:
     """A Tofino-class programmable switch."""
 
     #: Flight-fusion planner watching this switch (set lazily when a
-    #: fused path first traverses it); power transitions must disengage
-    #: fusion before taking effect.
+    #: fused path first traverses it); power-off invalidates its paths.
     _flight_watch = None
 
     def __init__(self, sim: Simulator, name: str,
@@ -338,13 +337,10 @@ class Switch:
         self.powered = False
         watch = self._flight_watch
         if watch is not None:
-            watch.on_fault(self)
+            watch.invalidate(self)
 
     def power_on(self) -> None:
         self.powered = True
-        watch = self._flight_watch
-        if watch is not None:
-            watch.on_heal(self)
 
     def __repr__(self) -> str:
         prog = self.program.name if self.program else "none"

@@ -67,13 +67,13 @@ class Register:
         self._cells[index] = value & self.mask
         watch = self._flight_watch
         if watch is not None:
-            watch.on_cp_write(self)
+            watch.invalidate(self)
 
     def cp_fill(self, value: int) -> None:
         self._cells[:] = [value & self.mask] * self.size
         watch = self._flight_watch
         if watch is not None:
-            watch.on_cp_write(self)
+            watch.invalidate(self)
 
     def dp_scatter(self, indices, values) -> None:
         """Masked data-plane writes to a batch of cells.  Frozen name, no
@@ -146,7 +146,7 @@ class RegisterWindow:
             [value & register.mask] * self.length
         watch = register._flight_watch
         if watch is not None:
-            watch.on_cp_write(register)
+            watch.invalidate(register)
 
     def cells(self) -> List[int]:
         """Copy of the window's cells (tests/diagnostics)."""

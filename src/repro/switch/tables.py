@@ -95,13 +95,13 @@ class ExactMatchTable:
         self._bump()
         watch = self._flight_watch
         if watch is not None:
-            watch.on_cp_write(self)
+            watch.invalidate(self)
 
     def del_entry(self, key: Tuple[int, ...]) -> bool:
         self._bump()
         watch = self._flight_watch
         if watch is not None:
-            watch.on_cp_write(self)
+            watch.invalidate(self)
         return self._entries.pop(key, None) is not None
 
     def set_default(self, action: str, **params: Any) -> None:
@@ -109,14 +109,14 @@ class ExactMatchTable:
         self._bump()
         watch = self._flight_watch
         if watch is not None:
-            watch.on_cp_write(self)
+            watch.invalidate(self)
 
     def clear(self) -> None:
         self._entries.clear()
         self._bump()
         watch = self._flight_watch
         if watch is not None:
-            watch.on_cp_write(self)
+            watch.invalidate(self)
 
     def __len__(self) -> int:
         return len(self._entries)

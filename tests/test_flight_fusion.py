@@ -23,7 +23,8 @@ import sys
 import pytest
 
 from repro import fastlane, params
-from repro.faults.injector import FaultSchedule
+from repro.faults.injector import FaultInjector, FaultSchedule
+from repro.net.packet import Packet
 from repro.rdma.opcodes import Opcode
 from repro.sim.flight import _NUMRECV_SLOTS
 from repro.workloads.experiments import (
@@ -284,11 +285,83 @@ def test_link_fault_defuses_then_reengages_after_retransmit():
 def test_replica_crash_defuses_and_matches_unfused_digest():
     fused = _run(fusion_on=True, fault_fn=_replica_crash_fault, run_ns=1 * MS)
     plain = _run(fusion_on=False, fault_fn=_replica_crash_fault, run_ns=1 * MS)
-    # The broadcast path includes the dead replica's cable, so fusion
-    # must stand down for the rest of the run (the armed device never
-    # heals); consensus itself continues on the survivor's ACK.
+    # The broadcast path includes the dead replica's NIC, so every
+    # re-validation of it fails and fusion stands down for the rest of
+    # the run; consensus itself continues on the survivor's ACK.
     assert fused["defusions"] >= 1
     assert fused["flights_fused"] > 0
+    _assert_identical(fused, plain)
+
+
+def _off_path_fault(strike):
+    """After warm-up, impair a replica somewhere no fused hop runs."""
+    def fault_fn(cluster, leader, planner, probe):
+        replica = next(h.node_id for h in cluster.hosts
+                       if h.node_id != leader.node_id)
+        probe["fused_at_fault"] = planner.flights_fused
+        strike(FaultInjector(cluster), replica)
+    return fault_fn
+
+
+@pytest.mark.parametrize("strike", [
+    lambda injector, replica: injector.set_loss(replica, 0.5, backup=True),
+    lambda injector, replica: injector.set_nic_rx_gap(
+        replica, 1.5 * params.NIC_PACKET_GAP_NS),
+], ids=["lossy_backup_cable", "slow_nic_rx"])
+def test_off_path_fault_keeps_fusing(strike):
+    """A fault invalidates only what it touches: a lossy backup cable is
+    on no fused path, and a slower replica RX pipeline is read live by
+    the express RX stage, so fusion carries on through either."""
+    fault_fn = _off_path_fault(strike)
+    fused = _run(fusion_on=True, fault_fn=fault_fn)
+    plain = _run(fusion_on=False, fault_fn=fault_fn)
+    assert fused["probe"]["fused_at_fault"] > 0
+    assert fused["flights_fused"] > fused["probe"]["fused_at_fault"]
+    _assert_identical(fused, plain)
+
+
+def _tap_from_replica_apply(cluster, leader, planner, probe):
+    """Install a foreign tap on a replica's cable from that replica's
+    ``on_apply``.  In a fused flight it runs inside the replica-RX
+    stage, after the write completes and before the stage pushes the
+    ACK hop: the install invalidates mid-stage, so that push must become
+    a real event (a virtual ACK would reach the tap as a bare call)."""
+    replica = next(h for h in cluster.hosts if h.node_id != leader.node_id)
+    member = cluster.members[replica.node_id]
+    link = replica.nic.port.link
+    frames = probe["frames"] = []
+    inner_apply = member.on_apply
+
+    def on_apply(m, epoch, payload):
+        inner_apply(m, epoch, payload)
+        if "in_stage" in probe:
+            return
+        frame = sys._getframe()
+        stages = set()
+        while frame is not None:
+            stages.add(frame.f_code.co_name)
+            frame = frame.f_back
+        probe["in_stage"] = "_v_replica_rx" in stages
+        inner_tap = link.tap
+
+        def tap(src, packet):
+            frames.append(type(packet))
+            inner_tap(src, packet)
+
+        link.tap = tap
+
+    member.on_apply = on_apply
+
+
+def test_invalidation_inside_a_stage_makes_its_successor_real():
+    fused = _run(fusion_on=True, fault_fn=_tap_from_replica_apply)
+    plain = _run(fusion_on=False, fault_fn=_tap_from_replica_apply)
+    assert fused["probe"]["in_stage"]
+    assert not plain["probe"]["in_stage"]
+    assert fused["defusions"] >= 1
+    frames = fused["probe"]["frames"]
+    assert frames and set(frames) == {Packet}
+    assert len(frames) == len(plain["probe"]["frames"])
     _assert_identical(fused, plain)
 
 
@@ -355,7 +428,7 @@ def test_numrecv_slot_wrap_keeps_fusing(value_size):
 def _heap_hops(sim, planner):
     """``(stage name, real fn, real args)`` of every planner-owned entry
     of the kernel heap, in ``(time, seq)`` order: an express hop is
-    ``(t, seq, stage, (fn, args, ctx, gen))``, and defusion rewrites it
+    ``(t, seq, stage, (fn, args, ctx))``, and defusion rewrites it
     into ``(t, seq, fn, args)``."""
     return [(entry[2].__name__, entry[3][0], entry[3][1])
             for entry in sorted(sim._heap)

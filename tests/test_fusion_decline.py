@@ -43,7 +43,7 @@ def _observables(cluster, digest, driver) -> dict:
 def _heap_hops(cluster):
     """``(stage name, real fn, real args)`` of every planner-owned entry
     of the kernel heap, in ``(time, seq)`` order: an express hop is
-    ``(t, seq, stage, (fn, args, ctx, gen))``."""
+    ``(t, seq, stage, (fn, args, ctx))``."""
     planner = cluster.flight_planner
     return [(entry[2].__name__, entry[3][0], entry[3][1])
             for entry in sorted(cluster.sim._heap)
@@ -131,7 +131,7 @@ def _assert_declined_unclaimed(cluster, nic, qp, packets) -> None:
     busy, seq = nic._tx_busy_until, sim._seq
     pending = _heap_hops(cluster)
     fused, rejects = planner.flights_fused, planner.fuse_rejects
-    assert planner.try_fuse(nic, qp, qp.next_psn, packets) is False
+    assert planner.try_fuse(nic, qp, packets) is False
     assert planner.fuse_rejects == rejects + 1
     assert planner.flights_fused == fused
     assert nic._tx_busy_until == busy
@@ -207,7 +207,7 @@ def _run_with_cold_egress(lanes_on: bool) -> dict:
         # the real write the first flights afterwards run unfused and
         # warm the caches in ingress-then-egress order, so a fused
         # flight never meets this state on its own.)
-        planner.on_cp_write()
+        planner.invalidate()
         legs = len(ecache._cache)
         ecache._cache.clear()
         driver.start()
@@ -249,7 +249,7 @@ def _run_with_cold_middle_verdict(lanes_on: bool) -> dict:
         # A fresh epoch, and the ingress verdict of one message shape
         # gone: the first fused flight's FIRST finds its verdict, its
         # first MIDDLE does not.
-        planner.on_cp_write()
+        planner.invalidate()
         key = (leader.plane.qp.remote_qpn, Opcode.RDMA_WRITE_MIDDLE)
         out["had_verdict"] = fc._cache.pop(key, None) is not None
         driver.start()

@@ -117,7 +117,7 @@ class TestRegister:
             def __init__(self):
                 self.writes = []
 
-            def on_cp_write(self, device):
+            def invalidate(self, device):
                 self.writes.append(device)
 
         reg = Register("r", 64, width=16)
