@@ -473,10 +473,6 @@ class ShardedCluster:
     def per_shard_commits(self) -> List[int]:
         return [shard.total_commits() for shard in self.shards]
 
-    def flight_stats(self) -> List[Dict[str, int]]:
-        """Per-shard flight-fusion attribution (one planner per fabric)."""
-        return [fabric.flight_planner.stats() for fabric in self.fabrics]
-
     def __repr__(self) -> str:
         return (f"ShardedCluster(G={self.num_groups}, mode={self.mode}, "
                 f"commits={self.total_commits()})")

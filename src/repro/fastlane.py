@@ -100,13 +100,14 @@ flags = _Flags()
 
 
 #: Process-wide columnar telemetry of flight fusion, aggregated across
-#: digest taps: ``frames_bulk_hashed`` counts frames absorbed through the
-#: batched digest tap and ``digest_flushes`` the contiguous buffers handed
-#: to SHA-256.  ``hops_batched`` is a frozen zero that ``bench/run.py``
-#: reads by name (hops run one kernel event at a time, there are no
-#: batches; ``FlightPlanner.stats()`` counts express stages and virtual
-#: frames materialized).  Benchmarks call :func:`reset_columnar` before a
-#: run so the numbers they embed are per-run.
+#: digest taps: ``frames_bulk_hashed`` counts virtual frames the digest
+#: tap hashed from their templates.  ``hops_batched`` and
+#: ``digest_flushes`` are frozen zeros that ``bench/run.py`` reads by
+#: name (hops run one kernel event at a time, and the tap hashes each
+#: frame at its tap call: there are no batches and no buffers;
+#: ``FlightPlanner.stats()`` counts express stages and virtual frames
+#: materialized).  Benchmarks call :func:`reset_columnar` before a run so
+#: the numbers they embed are per-run.
 columnar = {
     "hops_batched": 0,
     "frames_bulk_hashed": 0,

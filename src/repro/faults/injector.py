@@ -34,6 +34,7 @@ replay-from-journal mutates exactly the devices the original run did.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from ..net import Link
@@ -259,7 +260,8 @@ class FaultInjector:
         self._record("migration_window", move)
         for offset_ns, action, args, kwargs in \
                 self._migration_arms.pop(self.migrations_seen, ()):
-            self.cluster.sim.schedule(offset_ns, action, *args, **kwargs)
+            self.cluster.sim.schedule(offset_ns,
+                                      partial(action, *args, **kwargs))
 
     def leftover_migration_arms(self) -> Dict[int, List["tuple[float, str]"]]:
         """Arms whose migration ordinal has not occurred (yet).
@@ -361,7 +363,8 @@ class FaultSchedule:
         """Schedule all scripted faults relative to *now*."""
         self.armed = True
         for time_ns, action, args, kwargs in self._pending:
-            self.cluster.sim.schedule(time_ns, action, *args, **kwargs)
+            self.cluster.sim.schedule(time_ns,
+                                      partial(action, *args, **kwargs))
 
     @property
     def journal(self) -> List[FaultRecord]:

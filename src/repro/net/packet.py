@@ -84,9 +84,8 @@ class Packet:
         #: touched (every header property access clears it); the payload is
         #: joined live, so payload swaps do not invalidate it.  Both parts
         #: are immutable ``bytes``, and a rewrite installs a new tuple of
-        #: new parts rather than patching these: the wire-digest tap
-        #: (:class:`repro.sim.columnar.DigestTap`) keeps references to them
-        #: as its snapshot of the frame and renders them only at flush.
+        #: new parts rather than patching these: copy-on-write clones share
+        #: the tuple, so a rewrite of one must not reach the other.
         self._wire: Optional[tuple] = None
 
     # -- copy-on-write accessors ----------------------------------------------

@@ -288,7 +288,8 @@ def scatter_template(packet: Packet, templates: Dict[tuple, _WireTemplate],
 
     The lookup/build halves of :func:`scatter_rewrite`, without patching
     any packet: flight fusion resolves the template once per virtual leg and
-    defers the byte patching to the digest tap (or to materialization).
+    leaves the byte patching to the digest tap's ``absorb_scatter`` (or to
+    materialization).
     Every field ``_build`` reads is part of the fingerprint or invariant
     under the rewrite itself, so building from an already-rewritten
     launch packet yields the identical template.

@@ -4,12 +4,11 @@ from .cpu import Cpu
 from .kernel import Event, SimulationError, Simulator
 from .rng import SeededRng
 from .timers import PeriodicTimer, Timer
-from .trace import NullTracer, TraceRecord, Tracer
+from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Cpu",
     "Event",
-    "NullTracer",
     "PeriodicTimer",
     "SeededRng",
     "SimulationError",

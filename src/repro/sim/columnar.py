@@ -1,43 +1,27 @@
-"""Batched wire-digest tap for flight fusion's columnar express stages.
+"""Wire-digest tap, including flight fusion's virtual frames.
 
 The fidelity digest (:func:`repro.workloads.experiments.install_trace_digest`)
 hashes every frame every link accepts, in order, as ``frame bytes +
 pack("!dI", now, icrc)``.  The real handlers feed it one real
-``Packet`` at a time.  The virtual express stages never build those
-packets -- so the tap itself becomes columnar: virtual frames are
-*absorbed* as small tuples (template reference + the two or three varying
-words), buffered in exact wire order alongside real frames, and rendered
-in batches at flush time.  Wire order is append order: the planner runs
-every fused hop at its ``(time, seq)`` turn, so the tap never holds,
-sorts or splits its buffer.
+``Packet`` at a time through the plain tap protocol.  The virtual
+express stages never build those packets, so they hand the tap the
+frame's template and its two or three varying words instead, and the
+tap renders the frame through the patch its real twin is built with
+(:func:`~repro.rdma.wiretemplate.scatter_patch` seeded with the payload
+CRC the launch already computed, or
+:func:`~repro.rdma.wiretemplate.ack_patch`): one definition of a fused
+frame's bytes and ICRC.
 
-A real frame is buffered by reference, not by copy.  One that carries a
-rendered wire image (``Packet._wire``: every RoCE frame while the
-``rewrite_templates`` lane is on) is kept as its three parts -- header
-block, payload, trailer -- which are immutable ``bytes`` that the
-rewriters replace and never mutate (the invariant is stated next to
-``Packet._wire``), so the references are a snapshot of the frame at tap
-time even though its headers are rewritten in place right after
-transmission.  A frame without an image (CM and other non-RoCE traffic,
-a few hundred per run) is packed on the spot.
-
-SHA-256 is a stream: ``update(a); update(b)`` equals ``update(a + b)``,
-so feeding one contiguous buffer per batch -- with every frame's bytes at
-the offset its turn in the order dictates -- produces the bit-identical
-hexdigest the per-frame path produces.
-
-Each buffered virtual frame renders through the patch its real twin is
-built with (:func:`~repro.rdma.wiretemplate.scatter_patch` seeded with the
-payload CRC the launch already computed, or
-:func:`~repro.rdma.wiretemplate.ack_patch`), so there is one definition
-of a fused frame's bytes and ICRC.
+Every frame is hashed inside its own tap call and nothing is kept
+between calls.  The planner runs every fused hop at its ``(time, seq)``
+turn, so tap-call order is wire order; and a frame whose headers are
+rewritten in place right after transmission has already been hashed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any, List
 
 from .. import fastlane
 from ..rdma.wiretemplate import _ICRC_ZEROS, ack_patch, scatter_patch
@@ -45,126 +29,51 @@ from ..rdma.wiretemplate import _ICRC_ZEROS, ack_patch, scatter_patch
 #: Per-frame digest trailer: ``pack("!dI", sim.now, icrc)``.
 _S_META = struct.Struct("!dI")
 
-#: Absorbed-event kinds (first tuple element).  Every event carries its
-#: timestamp at index 1, for the digest trailer only: a fused hop runs at
-#: its ``(time, seq)`` turn, so the buffer is appended in wire order.
-_EV_RAW = 0      # (kind, now, block, payload, trailer, icrc)  -- real frame
-_EV_SCATTER = 1  # (kind, now, tmpl, ack_word, va, payload, payload_crc)
-_EV_ACK = 2      # (kind, now, tmpl, psn, syndrome, msn)
-
-#: Flush when this many events are buffered (bounds peak memory; has no
-#: observable effect -- SHA-256 streams).
-_FLUSH_LIMIT = 4096
-
 
 class DigestTap:
     """Link tap + virtual-frame absorber producing the fidelity digest.
 
     Installed on every link by ``install_trace_digest``.  Real frames
-    arrive through :meth:`__call__` (the plain tap protocol) and are
-    buffered as references to their immutable parts; flight fusion's
-    virtual frames arrive through :meth:`absorb_scatter` /
-    :meth:`absorb_ack` as tuples.  One ordered event buffer preserves
-    exact wire order across both, and :meth:`flush` renders it into a
-    single contiguous ``update``.
-    Duck-types the ``hashlib`` digest: callers only use ``hexdigest()``.
+    arrive through :meth:`__call__` (the plain tap protocol), flight
+    fusion's virtual frames through :meth:`absorb_scatter` /
+    :meth:`absorb_ack`.  Duck-types the ``hashlib`` digest: callers only
+    use ``hexdigest()``.
     """
 
     def __init__(self, sim, digest=None):
         self.sim = sim
         self.digest = digest if digest is not None else hashlib.sha256()
-        self._events: List[Any] = []
-
-    # -- absorption ------------------------------------------------------------
 
     def __call__(self, src, packet) -> None:
-        """Plain link-tap protocol: snapshot a real frame now (its headers
-        may be rewritten in place right after transmission).  A rendered
-        frame is its three ``bytes`` parts, which a later rewrite replaces
-        rather than mutates, so holding them is the snapshot; anything
-        else is packed here."""
-        icrc = packet.meta.get("icrc") or 0
-        now = self.sim._now
-        wire = packet._wire
-        payload = packet._payload
-        if wire is not None and type(payload) is bytes:
-            self._events.append(
-                (_EV_RAW, now, wire[0], payload, wire[1], icrc))
-        else:
-            self._events.append((_EV_RAW, now, packet.pack(), b"", b"", icrc))
-        if len(self._events) >= _FLUSH_LIMIT:
-            self.flush()
+        """Plain link-tap protocol: hash one real frame."""
+        self.digest.update(packet.pack() + _S_META.pack(
+            self.sim._now, packet.meta.get("icrc") or 0))
 
     def absorb_scatter(self, tmpl, ack_word: int, va, payload: bytes,
                        payload_crc: int) -> None:
-        """Buffer one virtual scattered-WRITE frame (template + varying
-        words; ``va`` is None for a frame without a RETH), byte-equivalent
-        to tapping the ``scatter_rewrite`` output."""
-        self._events.append((_EV_SCATTER, self.sim._now, tmpl, ack_word, va,
-                             payload, payload_crc))
-        if len(self._events) >= _FLUSH_LIMIT:
-            self.flush()
+        """Hash one virtual scattered-WRITE frame (template + varying
+        words; ``va`` is None for a frame without a RETH), byte-equal to
+        tapping the ``scatter_rewrite`` output."""
+        block, icrc = scatter_patch(tmpl, ack_word, va, payload_crc)
+        fastlane.columnar["frames_bulk_hashed"] += 1
+        self.digest.update(b"".join((block, payload, _ICRC_ZEROS,
+                                     _S_META.pack(self.sim._now, icrc))))
 
     def absorb_ack(self, tmpl, psn: int, syndrome: int, msn: int) -> None:
-        """Buffer one virtual replica ACK (template + the varying fields),
-        byte-equivalent to tapping the ``ack_frame`` output."""
-        self._events.append((_EV_ACK, self.sim._now, tmpl, psn, syndrome,
-                             msn))
-        if len(self._events) >= _FLUSH_LIMIT:
-            self.flush()
-
-    # -- rendering -------------------------------------------------------------
+        """Hash one virtual replica ACK (template + the varying fields),
+        byte-equal to tapping the ``ack_frame`` output."""
+        tail, icrc = ack_patch(tmpl, psn, syndrome, msn)
+        fastlane.columnar["frames_bulk_hashed"] += 1
+        self.digest.update(b"".join((tmpl.prefix, tail, _ICRC_ZEROS,
+                                     _S_META.pack(self.sim._now, icrc))))
 
     def flush(self) -> None:
-        """Render the buffered events (appended in wire order) into one
-        update."""
-        events = self._events
-        if not events:
-            return
-        self._events = []
-        virtual = sum(1 for ev in events if ev[0] != _EV_RAW)
-        if virtual:
-            fastlane.columnar["frames_bulk_hashed"] += virtual
-        fastlane.columnar["digest_flushes"] += 1
-        self.digest.update(self._render(events))
+        """Frozen name, a no-op: nothing is pending between tap calls.
+        ``bench/trace.py`` resolves it in the class ``__dict__``; goes
+        when ``BOUNDARIES`` drops it."""
 
     def flush_safe(self, safe_time: float) -> None:
-        """Frozen name, no caller under ``src/``: ``bench/trace.py``
-        resolves it in the class ``__dict__``.  The buffer is always in
-        final order now, so every horizon is safe and this is
-        :meth:`flush`; goes when ``BOUNDARIES`` drops it."""
-        self.flush()
-
-    def _render(self, events) -> bytes:
-        """Real frames' parts, virtual frames' patched templates."""
-        pack_meta = _S_META.pack
-        parts = []
-        append = parts.append
-        for ev in events:
-            kind = ev[0]
-            if kind == _EV_RAW:
-                _, now, block, payload, trailer, icrc = ev
-                append(block)
-                append(payload)
-                append(trailer)
-            elif kind == _EV_SCATTER:
-                _, now, tmpl, ack_word, va, payload, payload_crc = ev
-                block, icrc = scatter_patch(tmpl, ack_word, va, payload_crc)
-                append(block)
-                append(payload)
-                append(_ICRC_ZEROS)
-            else:
-                _, now, tmpl, psn, syndrome, msn = ev
-                tail, icrc = ack_patch(tmpl, psn, syndrome, msn)
-                append(tmpl.prefix)
-                append(tail)
-                append(_ICRC_ZEROS)
-            append(pack_meta(now, icrc))
-        return b"".join(parts)
-
-    # -- digest protocol -------------------------------------------------------
+        """Frozen name, a no-op, as :meth:`flush`."""
 
     def hexdigest(self) -> str:
-        """Flush pending frames and return the stream digest so far."""
-        self.flush()
         return self.digest.hexdigest()

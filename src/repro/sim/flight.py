@@ -98,7 +98,7 @@ any size.
    the same masked register-cell arithmetic as the real RegisterActions,
    so reuse is exact.
 
-Links whose tap is not the batched :class:`~repro.sim.columnar.DigestTap`
+Links whose tap is not the :class:`~repro.sim.columnar.DigestTap`
 want real frames on every hop; a path over one is not validated, so its
 launches are declined.
 
@@ -129,7 +129,7 @@ from ..rdma.wiretemplate import (
 )
 from .columnar import DigestTap
 from .kernel import Simulator
-from .trace import TraceRecord, Tracer
+from .trace import Tracer
 
 _ROCE_PORT = params.ROCE_UDP_PORT
 _NUMRECV_SLOTS = params.NUMRECV_SLOTS
@@ -367,17 +367,6 @@ class FlightPlanner:
         for i in hops:
             t, seq, _, (fn, args, _) = heap[i]
             heap[i] = (t, seq, fn, self._real_args(args))
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            # Fusion never engages while tracing, but a tracer flipped on
-            # mid-run (diagnostics) still sees the defusion: one bulk
-            # emission for every re-materialized hop.
-            tracer.emit_many([
-                TraceRecord(heap[i][0], "flight", "rematerialize",
-                            {"seq": heap[i][1],
-                             "fn": getattr(heap[i][2], "__qualname__",
-                                           repr(heap[i][2]))})
-                for i in hops])
 
     # ------------------------------------------------------------------
     # Express stages.  Each mirrors one real handler's observable effects

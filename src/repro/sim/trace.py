@@ -44,22 +44,6 @@ class Tracer:
         if self.sink is not None:
             self.sink(rec)
 
-    def emit_many(self, records: List[TraceRecord]) -> None:
-        """Bulk-append pre-built records (one list op for a whole batch).
-
-        Flight fusion uses this to flush a fused window's worth of records in
-        one call -- batch re-materialization on defusion, and tests that
-        replay a window's timeline -- instead of paying a ``record()``
-        frame per entry.  Records must already carry their timestamps;
-        the live ``sink`` still sees each record individually.
-        """
-        if not self.enabled or not records:
-            return
-        self.records.extend(records)
-        if self.sink is not None:
-            for rec in records:
-                self.sink(rec)
-
     def clear(self) -> None:
         self.records.clear()
 
@@ -86,16 +70,3 @@ class Tracer:
         if component is None and event is None:
             return len(self.records)
         return sum(1 for _ in self._matching(component, event))
-
-
-class NullTracer(Tracer):
-    """A tracer that can never be enabled (default wiring)."""
-
-    def __init__(self, sim: Simulator):
-        super().__init__(sim=sim, enabled=False)
-
-    def record(self, component: str, event: str, **details: Any) -> None:
-        return
-
-    def emit_many(self, records: List[TraceRecord]) -> None:
-        return

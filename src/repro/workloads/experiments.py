@@ -39,11 +39,9 @@ def install_trace_digest(cluster) -> "DigestTap":
     from an importable, picklable entry point.
 
     Returns a :class:`repro.sim.columnar.DigestTap` rather than a bare
-    hash object: the tap buffers frames (real ones as references to
-    their immutable parts, flight fusion's virtual ones as template+word
-    tuples) and renders them in batches, producing the bit-identical
-    SHA-256 stream.
-    Callers keep using ``hexdigest()`` exactly as before.
+    hash object: besides real frames, the tap hashes flight fusion's
+    virtual ones from their templates, so fused paths stay fused under
+    the digest.  Callers use ``hexdigest()`` as on a ``hashlib`` digest.
     """
     tap = DigestTap(cluster.sim)
     switches = [cluster.switch]

@@ -42,6 +42,18 @@ class TestSchedule:
         with pytest.raises(RuntimeError):
             schedule.at_ms(1).kill_app(1)
 
+    def test_keyword_arguments_reach_the_primitive(self):
+        cluster = make()
+        schedule = FaultSchedule(cluster)
+        schedule.at_ms(1).set_loss(1, 0.1, backup=True)
+        schedule.arm()
+        cluster.run_for(2 * MS)
+        rec = schedule.journal[-1]
+        assert (rec.kind, rec.args, rec.action) == (
+            "set_loss", (1, 0.1, True), True)
+        assert cluster.hosts[1].backup_nic.port.link.drop_probability == 0.1
+        assert cluster.hosts[1].nic.port.link.drop_probability == 0.0
+
 
 class TestLinkImpairments:
     def test_lossy_leader_link_still_commits(self):
@@ -151,6 +163,18 @@ class TestMigrationArms:
         assert cluster.switch_alive()
         assert injector.leftover_migration_arms() == {
             3: [(5 * MS, "crash_switch")]}
+
+    def test_keyword_arguments_reach_the_primitive(self):
+        cluster = make()
+        injector = FaultInjector(cluster)
+        injector.at_migration(1).cut_link(1, backup=True)
+        injector.migration_started()
+        cluster.run_for(1 * MS)
+        rec = injector.journal[-1]
+        assert (rec.kind, rec.args, rec.action) == (
+            "cut_link", (1, True), True)
+        assert not cluster.hosts[1].backup_nic.port.link.up
+        assert cluster.hosts[1].nic.port.link.up
 
 
 class TestArmedFaultDefusesInsideWindow:

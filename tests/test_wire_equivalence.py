@@ -265,11 +265,11 @@ def _tapped_run(make_tap, scenario):
     return cluster, tap, driver
 
 
-class TestBufferedTapIsASnapshot:
-    """``DigestTap`` keeps references to a frame's parts and renders them
-    at flush; the digest must be the one an eager pack-and-hash tap
-    computes, although frames are rewritten in place after their tap
-    call (the last multicast leg, every MAC swap)."""
+class TestDigestTapIsASnapshot:
+    """``DigestTap`` hashes each frame inside its tap call; the digest
+    must be the one an eager pack-and-hash tap computes, although frames
+    are rewritten in place after their tap call (the last multicast leg,
+    every MAC swap)."""
 
     @pytest.mark.parametrize("scenario", ["switch", "leader_kill"])
     def test_agrees_with_an_eager_reference_tap(self, scenario):
@@ -300,46 +300,32 @@ class TestBufferedTapIsASnapshot:
             assert leader.node_id != 0 and leader.comm_mode == "direct"
             assert writes_out == writes_in > 0
 
-    def test_only_a_rendered_frame_with_bytes_payload_is_kept_by_reference(self):
+    def test_a_frame_rewritten_after_its_tap_call_keeps_its_digest(self):
         sim = Simulator()
         tap = DigestTap(sim)
         reference = hashlib.sha256()
         alloc = AddressAllocator()
         (mac_a, ip_a), (mac_b, ip_b) = alloc.next_host(), alloc.next_host()
-
-        def frame(payload):
+        frames = ((b"no image", False), (b"image and bytes", True),
+                  (bytearray(b"image, mutable payload"), True))
+        for i, (payload, rendered) in enumerate(frames):
+            sim.run(until=(i + 1) * 100.0)
             packet = Packet(EthernetHeader(mac_a, mac_b),
                             Ipv4Header(ip_b, ip_a),
                             UdpHeader(49152, params.ROCE_UDP_PORT),
                             payload=payload, has_icrc=True).finalize()
-            packet.meta["icrc"] = 0xDEADBEEF
-            return packet
-
-        def tapped(packet):
-            reference.update(packet.pack()
-                             + struct.pack("!dI", sim.now, 0xDEADBEEF))
+            packet.meta["icrc"] = 0xDEADBEEF + i
+            if rendered:
+                raw = packet.pack()
+                packet._wire = (raw[:-len(payload) - 4], raw[-4:])
+            raw = packet.pack()
+            reference.update(raw + struct.pack("!dI", sim.now, 0xDEADBEEF + i))
             tap(None, packet)
-            return tap._events[-1]
-
-        # The eager branch buffers the whole packed frame as the block,
-        # with an empty payload and trailer.
-        plain = frame(b"no image")
-        assert tapped(plain)[2:5] == (plain.pack(), b"", b"")
-
-        rendered = frame(b"image and bytes")
-        raw = rendered.pack()
-        rendered._wire = (raw[:-len(rendered.payload) - 4], raw[-4:])
-        event = tapped(rendered)
-        assert event[2] is rendered._wire[0]
-        assert event[3] is rendered.payload
-        # Rewritten in place right after the tap call: new parts are
-        # installed, the buffered ones are untouched.
-        rendered.rewrite_macs(mac_a, mac_b)
-        assert rendered._wire[0] is not event[2]
-
-        mutable = frame(bytearray(b"image, mutable payload"))
-        raw = mutable.pack()
-        mutable._wire = (raw[:-len(mutable.payload) - 4], raw[-4:])
-        assert tapped(mutable)[2:5] == (raw, b"", b"")
-        mutable.payload[:5] = b"IMAGE"
-        assert tap.hexdigest() == reference.hexdigest()
+            # Rewritten in place right after the tap call: headers (the
+            # image patched, not dropped) and a mutable payload.
+            packet.rewrite_macs(mac_a, mac_b)
+            assert (packet._wire is not None) == rendered
+            if type(payload) is bytearray:
+                payload[:5] = b"IMAGE"
+            assert packet.pack() != raw
+            assert tap.hexdigest() == reference.hexdigest()

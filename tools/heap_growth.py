@@ -9,7 +9,7 @@ simulated time:
   seconds for the window: heap that grows is memory the kernel has to map,
   and a fault costs microseconds;
 * **traced** -- between two ``tracemalloc`` snapshots (cycle collector run
-  and tap flushed before each, so only what is *retained* counts): bytes
+  before each, so only what is *retained* counts): bytes
   and objects still alive per commit, by allocation site.
 
 Registered memory (the logs) is anonymous ``mmap`` and not on the Python
@@ -49,12 +49,6 @@ WARMUP_MS = 0.2
 TOP = 8  # allocation sites listed
 
 
-def _settle(tap) -> None:
-    """Drop what is only pending: buffered frames and cyclic garbage."""
-    tap.flush()
-    gc.collect()
-
-
 def _short(frame) -> str:
     path = Path(frame.filename)
     try:
@@ -81,13 +75,13 @@ def _watch_apply_gap(cluster) -> list:
 def measure(protocol: str, value_size: int, inflight: int, ms: float) -> dict:
     cluster = build_cluster(protocol, REPLICAS, value_size=value_size,
                             seed=SEED)
-    tap = install_trace_digest(cluster)
+    install_trace_digest(cluster)  # fused paths stay fused under it
     cluster.await_ready()
     driver = ClosedLoopDriver(cluster, value_size, window=inflight)
     driver.start()
     cluster.run_for(WARMUP_MS * MS)
 
-    _settle(tap)
+    gc.collect()
     start = driver.commits
     usage = resource.getrusage(resource.RUSAGE_SELF)
     cluster.run_for(ms * MS)
@@ -99,13 +93,13 @@ def measure(protocol: str, value_size: int, inflight: int, ms: float) -> dict:
         "user_s": after.ru_utime - usage.ru_utime,
     }
 
-    _settle(tap)
+    gc.collect()
     widest_gap = _watch_apply_gap(cluster)
     tracemalloc.start()
     before = tracemalloc.take_snapshot()
     start = driver.commits
     cluster.run_for(ms * MS)
-    _settle(tap)
+    gc.collect()
     grown = tracemalloc.take_snapshot().compare_to(before, "lineno")
     tracemalloc.stop()
     driver.stop()
