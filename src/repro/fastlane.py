@@ -41,20 +41,21 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
     NIC pipeline claims, the responder's write, the verdict-cache replay,
     the gather tally), so every register cell, counter and busy horizon
     is current at any instant a callback can run; the wire-digest tap
-    renders each batch of virtual frames with the real frames' template
-    patches and feeds SHA-256 one contiguous buffer in exact frame order
-    (:mod:`repro.sim.columnar`).  Only the forwarded ACK and the
+    hashes each virtual frame at its tap call, rendered with the real
+    frame's template patches, so SHA-256 sees the same bytes in the same
+    order (:mod:`repro.sim.columnar`).  Only the forwarded ACK and the
     terminal leader-completion hop are real.  There is one express
     chain: a launch the planner cannot prove clean is declined to the
     real handlers, and a stage that cannot prove its hop clean falls
     back to the real handler at its own turn.
-    One rule invalidates it, the path epoch: a fault on a traversed
-    device, a control-plane write to a table/register/multicast group a
-    path reads, or a tap on a traversed link bumps it, rewrites pending
-    hops in place into the ordinary events they stand for and makes
-    every path re-validate at its next launch, so fusion stays off only
-    while a traversed device is impaired.  Off: every hop runs through
-    the real handlers.
+    One rule invalidates it, the path epoch: every change to a device,
+    table, register or multicast group a path validation read -- a
+    fault or a heal, a control-plane write, a tap -- notifies the
+    planner (:mod:`repro.sim.watch`), which rewrites pending hops in
+    place into the ordinary events they stand for and forgets every
+    validation result, so fusion stays off only while a traversed
+    device is impaired, at one validation per QP.  Off: every hop runs
+    through the real handlers.
 
 Copy-on-write packet copies (:mod:`repro.net.packet`), the direct
 replicated-log decode (:meth:`repro.consensus.log.Log.peek`) and the

@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, Optional, Protocol
 
 from .. import params
 from ..sim import SeededRng, Simulator
+from ..sim.watch import Watched
 from .packet import Packet
 
 # Ethernet wire constants hoisted for the per-frame _Direction.send.  These are
@@ -117,13 +118,9 @@ class _Direction:
         return finish + link.propagation_ns
 
 
-class Link:
-    """Full-duplex cable between two ports."""
-
-    #: Flight-fusion planner watching this link (set lazily when a fused
-    #: path first traverses it).  A cut, a loss probability or a new tap
-    #: invalidates its paths before taking effect.
-    _flight_watch = None
+class Link(Watched):
+    """Full-duplex cable between two ports.  Cuts, heals, loss and taps
+    notify its watchers."""
 
     def __init__(self, sim: Simulator, a: Port, b: Port,
                  rate_bps: int = params.LINK_RATE_BPS,
@@ -175,12 +172,7 @@ class Link:
     @tap.setter
     def tap(self, tap: Optional[Callable[[Port, Packet], Any]]) -> None:
         self._tap = tap
-        watch = self._flight_watch
-        if watch is not None:
-            # Whether a fused path may cross this cable depends on its
-            # tap, and frames already in flight are virtual: re-validate
-            # the paths and hand pending hops back to the kernel.
-            watch.invalidate(self)
+        self._changed()
 
     @property
     def drop_probability(self) -> float:
@@ -190,9 +182,7 @@ class Link:
     @drop_probability.setter
     def drop_probability(self, probability: float) -> None:
         self._drop_probability = probability
-        watch = self._flight_watch
-        if watch is not None and probability > 0.0:
-            watch.invalidate(self)
+        self._changed()
 
     def transmit(self, src: Port, packet: Packet) -> bool:
         """Serialize a frame from ``src`` toward the opposite port.
@@ -238,12 +228,11 @@ class Link:
     def set_down(self) -> None:
         """Cut the cable: all frames (queued and future) are lost."""
         self.up = False
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def set_up(self) -> None:
         self.up = True
+        self._changed()
 
     def stats_from(self, port: Port) -> DirectionStats:
         return self.stats[id(port)]

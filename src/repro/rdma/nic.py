@@ -39,6 +39,7 @@ from ..net import (
     UdpHeader,
 )
 from ..sim import SeededRng, Simulator, Timer, Tracer
+from ..sim.watch import Watched
 from .cq import WorkCompletion
 from .errors import QpStateError, SendQueueFullError, WcStatus
 from .headers import Aeth, AtomicAckEth, AtomicEth, Bth, Reth
@@ -93,12 +94,9 @@ def packet_count(length: int, mtu: int) -> int:
 UdpHandler = Callable[[Ipv4Address, int, bytes], None]
 
 
-class RNic:
-    """One RoCE v2 network adapter with a single 100 GbE port."""
-
-    #: Flight-fusion planner watching this NIC (set lazily when a fused
-    #: path first traverses it); power-off invalidates its paths.
-    _flight_watch = None
+class RNic(Watched):
+    """One RoCE v2 network adapter with a single 100 GbE port.  Power
+    changes and QP creation or destruction notify its watchers."""
 
     def __init__(self, sim: Simulator, host: "Host", name: str,
                  mac: MacAddress, ip: Ipv4Address,
@@ -156,6 +154,7 @@ class RNic:
         qp = QueuePair(qpn, cq, max_pending=max_pending)
         self.qps[qpn] = qp
         self._retx_timers[qpn] = Timer(self.sim, lambda q=qp: self._on_retx_timeout(q))
+        self._changed()
         return qp
 
     def destroy_qp(self, qp: QueuePair) -> None:
@@ -164,6 +163,7 @@ class RNic:
             timer.stop()
         self.qps.pop(qp.qpn, None)
         qp.set_error()
+        self._changed()
 
     def fresh_psn(self) -> int:
         return self._rng.u24()
@@ -813,9 +813,7 @@ class RNic:
     def power_off(self) -> None:
         """Crash the NIC along with its host: drop everything."""
         self.powered = False
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
         for timer in self._retx_timers.values():
             timer.stop()
 
@@ -839,6 +837,7 @@ class RNic:
         self.qps.clear()
         self._tx_busy_until = 0.0
         self._rx_busy_until = 0.0
+        self._changed()
 
     def _trace(self, event: str, packet: Packet) -> None:
         details = {"src": str(packet.ipv4.src), "dst": str(packet.ipv4.dst),

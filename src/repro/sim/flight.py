@@ -81,22 +81,22 @@ any size.
    own turn -- never half-applied, because every probe precedes the stage's
    first mutation.  From there the flight is ordinary kernel events.
 
-5. **One invalidation rule: the path epoch.**  A fault on a traversed
-   device (cable cut or made lossy, switch or NIC power-off), a
-   control-plane write to a table/register/multicast group a path reads,
-   or a tap installed on a traversed link calls
-   :meth:`FlightPlanner.invalidate`: the epoch moves, every pending hop is
+5. **One invalidation rule: the path epoch.**  Path validation watches
+   (:mod:`repro.sim.watch`) every device, table, register and multicast
+   engine before it reads it, and every change to one -- a fault or a
+   heal, a control-plane write, a QP created or destroyed, a tap
+   installed -- calls :meth:`FlightPlanner.invalidate`: every remembered
+   validation is dropped, the epoch moves, and every pending hop is
    rewritten in place into the ordinary kernel event it stands for (same
-   time, same seq), and every cached path is validated afresh at its next
-   launch -- so fusion stays off exactly while a traversed device is
-   impaired, and a fault off every fused path costs nothing.  A heal
-   calls nothing: the fault already dropped the cached paths.  A
-   retransmission calls nothing either: it runs through the real
-   handlers, and the stages' own probes (PSN order, QP state) decline
-   any hop it disturbs.  Gather-register slot wrap (``NumRecv``'s
-   256-slot reuse) needs no fallback at all: the express gather executes
-   the same masked register-cell arithmetic as the real RegisterActions,
-   so reuse is exact.
+   time, same seq).  Until then a validation's result is remembered per
+   QP, a failure too, so fusion stays off exactly while a traversed
+   device is impaired at the cost of one validation, and a change off
+   every fused path costs nothing.  A retransmission calls nothing: it
+   runs through the real handlers, and the stages' own probes (PSN
+   order, QP state) decline any hop it disturbs.  Gather-register slot
+   wrap (``NumRecv``'s 256-slot reuse) needs no fallback at all: the
+   express gather executes the same masked register-cell arithmetic as
+   the real RegisterActions, so reuse is exact.
 
 Links whose tap is not the :class:`~repro.sim.columnar.DigestTap`
 want real frames on every hop; a path over one is not validated, so its
@@ -150,6 +150,10 @@ _WRITE_SHAPES = {
 #: for virtual ACK frames, matching ``Packet.wire_size``).
 _ETH_WRAP = EthernetHeader.SIZE + ETHERNET_FCS_BYTES
 
+#: ``_rebuild_path``'s answer when only a dirty verdict cache declines;
+#: never remembered, so also the planner's "no result yet".
+_COLD = object()
+
 class _FusedPath:
     """Everything the express stages need about one broadcast QP's path,
     resolved once per path epoch: devices, link directions, caches,
@@ -166,7 +170,7 @@ class _FusedLeg:
     carries its path's epoch, so a stage checks either context alike."""
 
     __slots__ = ("epoch", "path", "rid", "out_port", "counters", "link",
-                 "dir_down", "dir_back", "rnic", "rqp", "rqpn", "gather_key")
+                 "dir_down", "dir_back", "rnic", "rqp", "gather_key")
 
 
 class _VLaunch:
@@ -201,8 +205,8 @@ class FlightPlanner:
     def __init__(self, sim: Simulator, tracer: Optional[Tracer] = None):
         self._sim = sim
         self._tracer = tracer
-        #: Resolved paths keyed by (leader nic id, qpn).
-        self._paths: Dict[tuple, _FusedPath] = {}
+        #: Validation results by leader QP (None: declined) until invalidate().
+        self._paths: Dict[Any, Optional[_FusedPath]] = {}
         #: Path epoch: bumped by every :meth:`invalidate`; paths and legs
         #: pin the epoch they were resolved against.
         self._epoch = 0
@@ -342,20 +346,20 @@ class FlightPlanner:
     # ------------------------------------------------------------------
 
     def invalidate(self, source: Any = None) -> None:
-        """A watched device faulted (``source`` is it), a tap landed on a
-        traversed link, or a control-plane write touched a watched
-        table/register/multicast engine: bump the epoch, so every cached
-        path is validated afresh at its next launch, and rewrite every
-        pending hop in place into the ordinary kernel event it stands
-        for: ``(t, seq, stage, (fn, args, ctx))`` becomes ``(t, seq, fn,
-        args)``.  The key is unchanged, so the heap needs no re-heapify
-        and ordering against live events is preserved.  Exact by
+        """A watched object changed (``source`` is it): forget every
+        validation result, so each path is validated afresh at its next
+        launch, bump the epoch, and rewrite every pending hop in place
+        into the ordinary kernel event it stands for: ``(t, seq, stage,
+        (fn, args, ctx))`` becomes ``(t, seq, fn, args)``.  The key is
+        unchanged, so the heap needs no re-heapify and ordering against
+        live events is preserved.  Exact by
         construction: each hop carries precisely the (fn, args) event the
         slow lane would have scheduled, and all of that event's
         scheduling-time effects were applied when the hop was pushed.
         Virtual frames rebuild into real packets, in ``(time, seq)``
         order.  The bump also reaches a stage running right now, whose
         successors then go real (see _push_hop)."""
+        self._paths.clear()
         self._epoch += 1
         heap = self._sim._heap
         hops = [i for i, entry in enumerate(heap)
@@ -597,15 +601,15 @@ class FlightPlanner:
         # ICRC check is not run: the leg's ICRC is the template patch,
         # which a real replica's check recomputes from the installed
         # headers and accepts (a fusion-off run would drop the frame and
-        # diverge from the fused one otherwise).  So the probes reduce to
-        # QP liveness, PSN order and _land_write's own checks, which
-        # change nothing when they fail.  Any unclean answer rebuilds the
-        # real packet and falls back whole.
+        # diverge from the fused one otherwise).  The NIC's power and its
+        # QP table are path state: a change to either invalidates before
+        # this hop runs.  So the probes reduce to QP state, PSN order and
+        # _land_write's own checks, which change nothing when they fail.
+        # Any unclean answer rebuilds the real packet and falls back whole.
         vf = args[0]
         rnic = leg.rnic
-        qp = rnic.qps.get(leg.rqpn)
-        if (not rnic.powered or qp is None or qp.state is QpState.ERROR
-                or vf.psn != qp.expected_psn):
+        qp = leg.rqp
+        if qp.state is QpState.ERROR or vf.psn != qp.expected_psn:
             self._fallback(fn, args)
             return
         lau = vf.lau
@@ -710,30 +714,39 @@ class FlightPlanner:
     # ------------------------------------------------------------------
 
     def _resolve_path(self, nic, qp) -> Optional[_FusedPath]:
-        key = (id(nic), qp.qpn)
-        path = self._paths.get(key)
-        if path is not None and path.epoch == self._epoch:
-            return path
-        path = self._rebuild_path(nic, qp)
-        if path is None:
-            self._paths.pop(key, None)
-        else:
-            self._paths[key] = path
+        """``qp``'s validated path, or None, remembered until the next
+        :meth:`invalidate` -- except a failure on a dirty verdict cache,
+        whose flush (by the declined launch's own packet) notifies
+        nobody."""
+        path = self._paths.get(qp, _COLD)
+        if path is _COLD:
+            path = self._rebuild_path(nic, qp)
+            if path is _COLD:
+                return None
+            self._paths[qp] = path
         return path
 
-    def _rebuild_path(self, nic, qp) -> Optional[_FusedPath]:
+    def _rebuild_path(self, nic, qp):
         """Validate the full scatter/gather topology for one broadcast QP
-        and pin every object the express stages touch.  Probes use raw
+        and pin every object the express stages touch: None if it does
+        not validate, ``_COLD`` on a dirty verdict cache.  Each device,
+        table and register is watched before it is read (cabling and QP
+        connections are set once; docs/PERF.md §9).  Probes use raw
         reads (``_entries`` / ``_cache``) so validation never perturbs the
         hit/miss counters the slow lane produces."""
+        nic.watch(self)
         if not nic.powered:
             return None
         port = nic.port
         link = port.link
-        if link is None or not link.up or link._drop_probability > 0.0:
+        if link is None:
+            return None
+        link.watch(self)
+        if not link.up or link._drop_probability > 0.0:
             return None
         switch_port = port.peer
         switch = switch_port.device
+        switch.watch(self)
         program = getattr(switch, "program", None)
         bcast = getattr(program, "bcast_table", None)
         if bcast is None or not switch.powered:
@@ -744,6 +757,11 @@ class FlightPlanner:
             return None
         if qp.remote_ip != switch.ip:
             return None
+        aggr = program.aggr_table
+        econn = program.egress_conn_table
+        for state in (bcast, aggr, econn, switch.l3_table, switch.multicast,
+                      program.numrecv, *program.credits):
+            state.watch(self)
         entry = bcast._entries.get((qp.remote_qpn,))
         if entry is None or entry.action != "broadcast":
             return None
@@ -752,21 +770,14 @@ class FlightPlanner:
             return None
         fc = program._flow_cache
         ecache = program._egress_cache
-        if fc is None or ecache is None:
-            return None
-        l3 = switch.l3_table
-        aggr = program.aggr_table
-        econn = program.egress_conn_table
         # Reject stale caches instead of reconciling them here: a
         # reconcile would bump invalidation counters at a different
         # instant than the slow lane.  A couple of slow flights after any
         # control-plane write warm everything back up.
         if fc._dirty or ecache._dirty or program._egress_templates._dirty:
-            return None
-        dir_down = link.direction_from(switch_port)
-        if dir_down.dst.device is not nic:
-            return None
+            return _COLD
         path = _FusedPath()
+        path.epoch = self._epoch
         path.nic = nic
         path.nic_port = port
         path.switch = switch
@@ -774,7 +785,7 @@ class FlightPlanner:
         path.leader_link = link
         path.leader_in_port = switch_port.index
         path.dir_up = link.direction_from(port)
-        path.dir_down = dir_down
+        path.dir_down = link.direction_from(switch_port)
         path.switch_port = switch_port
         path.fc = fc
         path.ecache = ecache
@@ -784,7 +795,6 @@ class FlightPlanner:
         path.legs = legs = []
         ports = switch.ports
         nports = len(ports)
-        watched = [nic, link, switch]
         for copy in copies:
             out = copy.egress_port
             rid = copy.replication_id
@@ -792,18 +802,22 @@ class FlightPlanner:
                 return None  # rid 0 would skip the egress rewrite
             eg_port = ports[out]
             rlink = eg_port.link
-            if rlink is None or not rlink.up \
-                    or rlink._drop_probability > 0.0:
+            if rlink is None:
+                return None
+            rlink.watch(self)
+            if not rlink.up or rlink._drop_probability > 0.0:
                 return None
             tap = rlink._tap
             if tap is not None and type(tap) is not DigestTap:
                 # A foreign tap wants real frames, and interior frames
-                # on this cable are virtual.  (Installing a tap bumps the
-                # epoch, so a later one lands here too.)
+                # on this cable are virtual.
                 return None
             rport = rlink.other_end(eg_port)
             rnic = rport.device
-            if rnic is None or not getattr(rnic, "powered", False):
+            if rnic is None:
+                return None
+            rnic.watch(self)
+            if not getattr(rnic, "powered", False):
                 return None
             centry = econn._entries.get((rid,))
             if centry is None or centry.action != "rewrite":
@@ -835,20 +849,6 @@ class FlightPlanner:
             leg.dir_back = rlink.direction_from(rport)
             leg.rnic = rnic
             leg.rqp = rqp
-            leg.rqpn = rqp.qpn
             leg.gather_key = (rqp.remote_qpn, _OP_ACK)
             legs.append(leg)
-            watched.append(rlink)
-            watched.append(rnic)
-        # Watches: a fault on a traversed device and any table/register/
-        # multicast write call invalidate().
-        for device in watched:
-            device._flight_watch = self
-        for table in (bcast, aggr, econn, l3):
-            table._flight_watch = self
-        program.numrecv._flight_watch = self
-        for reg in program.credits:
-            reg._flight_watch = self
-        switch.multicast._flight_watch = self
-        path.epoch = self._epoch
         return path

@@ -20,14 +20,13 @@ from .resources import (
     TOFINO1_STAGES,
     p4ce_layout,
 )
-from .tables import ActionEntry, ExactMatchTable, LpmTable, TableFullError
+from .tables import ActionEntry, ExactMatchTable, TableFullError
 
 __all__ = [
     "ActionEntry",
     "ExactMatchTable",
     "IngressVerdict",
     "L3ForwardProgram",
-    "LpmTable",
     "MulticastCopy",
     "MulticastEngine",
     "PipelineLayout",

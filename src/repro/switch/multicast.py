@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+from ..sim.watch import Watched
 from .resources import SwitchResourceError
 
 
@@ -33,19 +34,15 @@ class MulticastCopy:
         return f"Copy(port={self.egress_port}, rid={self.replication_id})"
 
 
-class MulticastEngine:
+class MulticastEngine(Watched):
     """Replication-engine configuration: group id -> copies.
 
     Copy lists are stored as immutable tuples: the ingress fan-out loop
     iterates the lookup result on the per-packet path, and freezing it
     guarantees no data-plane code can perturb a group between the
     control-plane writes that define a flow epoch.  Each such write
-    notifies the flight planner watching the engine, as table writes do.
+    notifies the engine's watchers, as table writes do.
     """
-
-    #: Flight-fusion planner watching this engine for control-plane
-    #: writes (set lazily by path resolution).
-    _flight_watch = None
 
     def __init__(self, capacity: int = 1024):
         self.capacity = capacity
@@ -58,9 +55,7 @@ class MulticastEngine:
         if not copies:
             raise ValueError("a multicast group needs at least one copy")
         self._groups[group_id] = tuple(copies)
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def update_group(self, group_id: int, copies: Sequence[MulticastCopy]) -> None:
         if group_id not in self._groups:
@@ -68,15 +63,11 @@ class MulticastEngine:
         if not copies:
             raise ValueError("a multicast group needs at least one copy")
         self._groups[group_id] = tuple(copies)
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def delete_group(self, group_id: int) -> None:
         self._groups.pop(group_id, None)
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def lookup(self, group_id: int) -> Optional[Tuple[MulticastCopy, ...]]:
         return self._groups.get(group_id)

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional
 from .. import params
 from ..net import Ipv4Address, MacAddress, Packet, Port
 from ..sim import Simulator, Tracer
+from ..sim.watch import Watched
 from .multicast import MulticastCopy, MulticastEngine
 from .tables import ExactMatchTable
 
@@ -105,12 +106,9 @@ class PortCounters:
         self.egress_runs = 0
 
 
-class Switch:
-    """A Tofino-class programmable switch."""
-
-    #: Flight-fusion planner watching this switch (set lazily when a
-    #: fused path first traverses it); power-off invalidates its paths.
-    _flight_watch = None
+class Switch(Watched):
+    """A Tofino-class programmable switch.  Loading a program and power
+    changes notify its watchers."""
 
     def __init__(self, sim: Simulator, name: str,
                  mac: MacAddress, ip: Ipv4Address,
@@ -163,6 +161,7 @@ class Switch:
             # everything provisioning can exhaust.
             budget.add_pool("multicast_group_ids", self.multicast.capacity)
         self.resources = budget
+        self._changed()
 
     def resource_snapshot(self) -> Optional[Dict[str, Dict[str, int]]]:
         """Per-pool ``{used, capacity}`` of the loaded program's budget."""
@@ -335,12 +334,11 @@ class Switch:
     def power_off(self) -> None:
         """Crash the switch: every packet in or out is lost."""
         self.powered = False
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def power_on(self) -> None:
         self.powered = True
+        self._changed()
 
     def __repr__(self) -> str:
         prog = self.program.name if self.program else "none"

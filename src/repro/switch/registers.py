@@ -26,17 +26,16 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
+from ..sim.watch import Watched
+
 
 class RegisterAccessError(RuntimeError):
     """A packet tried to access the same register twice in one pass."""
 
 
-class Register:
-    """One register array in a pipeline stage."""
-
-    #: Flight-fusion planner watching this register for control-plane
-    #: writes (set lazily by path resolution).
-    _flight_watch = None
+class Register(Watched):
+    """One register array in a pipeline stage.  Control-plane writes
+    notify its watchers; data-plane RegisterActions do not."""
 
     def __init__(self, name: str, size: int, width: int = 32, initial: int = 0):
         if size <= 0:
@@ -65,15 +64,11 @@ class Register:
 
     def cp_write(self, index: int, value: int) -> None:
         self._cells[index] = value & self.mask
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def cp_fill(self, value: int) -> None:
         self._cells[:] = [value & self.mask] * self.size
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def dp_scatter(self, indices, values) -> None:
         """Masked data-plane writes to a batch of cells.  Frozen name, no
@@ -137,16 +132,13 @@ class RegisterWindow:
         self.register.cp_write(self._abs(index), value)
 
     def cp_fill(self, value: int) -> None:
-        """Fill the whole window as one slab operation; the flight watch
-        is notified once, not once per cell (defusion is idempotent).
-        """
+        """Fill the whole window as one slab operation; the register's
+        watchers are notified once, not once per cell."""
         register = self.register
         base = self.base
         register._cells[base:base + self.length] = \
             [value & register.mask] * self.length
-        watch = register._flight_watch
-        if watch is not None:
-            watch.invalidate(register)
+        register._changed()
 
     def cells(self) -> List[int]:
         """Copy of the window's cells (tests/diagnostics)."""

@@ -10,16 +10,19 @@ Programs memoize their match-action walk per flow through
 :class:`FlowVerdictCache`: every control-plane write (entry add/delete,
 default change, clear) marks each cache built over the table dirty, so a
 cached verdict can never outlive the entries it was derived from.
-Invalidation is push-based -- writes set a dirty flag on the caches they
-affect -- so the per-packet freshness check is one attribute read
+Invalidation is push-based -- a table is :class:`~repro.sim.watch.Watched`
+and every write notifies its watchers, which for a cache sets a dirty
+flag -- so the per-packet freshness check is one attribute read
 (control-plane writes are rare and slow; packet lookups are the hot
-path).  Flight fusion learns of the same writes through the table's
-``_flight_watch``.
+path).  Flight fusion's planner watches the tables a fused path reads
+through the same protocol.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Optional, Tuple
+
+from ..sim.watch import Watched
 
 
 class ActionEntry:
@@ -40,22 +43,13 @@ class TableFullError(RuntimeError):
     """The table has no free entries left."""
 
 
-class ExactMatchTable:
+class ExactMatchTable(Watched):
     """Exact-match table with a default action.
 
     Keys are tuples of integers (header fields); the program and the
     control plane must agree on the field order, captured in
     ``key_fields`` for documentation and error messages.
     """
-
-    #: Flight-fusion planner watching this table for control-plane
-    #: writes (set lazily by path resolution; class attr keeps unwatched
-    #: tables at zero per-instance cost).
-    _flight_watch = None
-    #: Verdict caches built over this table (class attr: zero cost until
-    #: a FlowVerdictCache registers itself); every control-plane write
-    #: marks them dirty.
-    _verdict_caches: Tuple["FlowVerdictCache", ...] = ()
 
     def __init__(self, name: str, key_fields: Tuple[str, ...], capacity: int = 4096):
         self.name = name
@@ -65,10 +59,6 @@ class ExactMatchTable:
         self.default = ActionEntry("NoAction")
         self.hits = 0
         self.misses = 0
-
-    def _bump(self) -> None:
-        for cache in self._verdict_caches:
-            cache._dirty = True
 
     # -- data plane ---------------------------------------------------------------
 
@@ -92,31 +82,19 @@ class ExactMatchTable:
         if key not in self._entries and len(self._entries) >= self.capacity:
             raise TableFullError(f"table {self.name!r} is full ({self.capacity})")
         self._entries[key] = ActionEntry(action, **params)
-        self._bump()
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def del_entry(self, key: Tuple[int, ...]) -> bool:
-        self._bump()
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
         return self._entries.pop(key, None) is not None
 
     def set_default(self, action: str, **params: Any) -> None:
         self.default = ActionEntry(action, **params)
-        self._bump()
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def clear(self) -> None:
         self._entries.clear()
-        self._bump()
-        watch = self._flight_watch
-        if watch is not None:
-            watch.invalidate(self)
+        self._changed()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -126,86 +104,6 @@ class ExactMatchTable:
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self._entries)}/{self.capacity} entries)"
-
-
-class LpmTable:
-    """Longest-prefix-match table over one 32-bit key (IPv4 routing).
-
-    Stores (value, prefix_length) entries; ``lookup`` returns the action
-    of the longest prefix covering the key, or the default.  Backed by a
-    per-length exact map, which is how software models of TCAM behave;
-    capacity bounds total entries like the hardware's TCAM budget.
-    """
-
-    WIDTH = 32
-
-    #: Verdict caches built over this table (see ExactMatchTable).
-    _verdict_caches: Tuple["FlowVerdictCache", ...] = ()
-
-    def __init__(self, name: str, capacity: int = 1024):
-        self.name = name
-        self.capacity = capacity
-        self._by_length: Dict[int, Dict[int, ActionEntry]] = {}
-        self._size = 0
-        self.default = ActionEntry("NoAction")
-        self.hits = 0
-        self.misses = 0
-
-    def _bump(self) -> None:
-        for cache in self._verdict_caches:
-            cache._dirty = True
-
-    @staticmethod
-    def _mask(prefix_len: int) -> int:
-        if prefix_len == 0:
-            return 0
-        return ((1 << prefix_len) - 1) << (LpmTable.WIDTH - prefix_len)
-
-    # -- data plane ---------------------------------------------------------------
-
-    def lookup(self, key: int) -> ActionEntry:
-        for prefix_len in sorted(self._by_length, reverse=True):
-            bucket = self._by_length[prefix_len]
-            entry = bucket.get(key & self._mask(prefix_len))
-            if entry is not None:
-                self.hits += 1
-                return entry
-        self.misses += 1
-        return self.default
-
-    # -- control plane --------------------------------------------------------------
-
-    def add_route(self, value: int, prefix_len: int, action: str,
-                  **params: Any) -> None:
-        if not 0 <= prefix_len <= self.WIDTH:
-            raise ValueError(f"prefix length {prefix_len} out of range")
-        bucket = self._by_length.setdefault(prefix_len, {})
-        masked = value & self._mask(prefix_len)
-        if masked not in bucket and self._size >= self.capacity:
-            raise TableFullError(f"LPM table {self.name!r} is full")
-        if masked not in bucket:
-            self._size += 1
-        bucket[masked] = ActionEntry(action, **params)
-        self._bump()
-
-    def del_route(self, value: int, prefix_len: int) -> bool:
-        self._bump()
-        bucket = self._by_length.get(prefix_len, {})
-        removed = bucket.pop(value & self._mask(prefix_len), None)
-        if removed is not None:
-            self._size -= 1
-            return True
-        return False
-
-    def set_default(self, action: str, **params: Any) -> None:
-        self.default = ActionEntry(action, **params)
-        self._bump()
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __repr__(self) -> str:
-        return f"LpmTable({self.name!r}, {self._size}/{self.capacity} routes)"
 
 
 class FlowVerdictCache:
@@ -219,12 +117,13 @@ class FlowVerdictCache:
 
     Correctness rests on two rules:
 
-    * **Invalidation**: the cache registers itself with every table
-      consulted by the walk; any control-plane write on one of them sets
-      the cache's dirty flag, and :meth:`get` flushes everything on the
-      next lookup, so a hit can never reflect deleted or replaced
-      entries.  The per-packet freshness check is a single attribute
-      read -- writes pay the (rare, slow, control-plane) notification.
+    * **Invalidation**: the cache watches every table consulted by the
+      walk; any control-plane write on one of them calls
+      :meth:`invalidate`, which sets the cache's dirty flag, and the
+      next lookup flushes everything, so a hit can never reflect
+      deleted or replaced entries.  The per-packet freshness check is a
+      single attribute read -- writes pay the (rare, slow,
+      control-plane) notification.
     * **Counter parity**: the per-table ``hits``/``misses`` counters are
       observable state (tests and diagnostics read them), so a cache fill
       records the counter deltas of the real walk and every subsequent
@@ -234,15 +133,19 @@ class FlowVerdictCache:
 
     def __init__(self, *tables: Any):
         self._tables = tables
-        #: Set by table/engine control-plane writes; consumed (and the
-        #: cache flushed) by the next get().
+        #: Set by :meth:`invalidate`; consumed (and the cache flushed) by
+        #: the next lookup.
         self._dirty = False
         for t in tables:
-            t._verdict_caches = t._verdict_caches + (self,)
+            t.watch(self)
         self._cache: Dict[Any, Any] = {}
         self.hits = 0
         self.fills = 0
         self.invalidations = 0
+
+    def invalidate(self, source: Any = None) -> None:
+        """A table this cache reads was written: flush at next lookup."""
+        self._dirty = True
 
     def get(self, key: Any) -> Optional[Any]:
         """Cached value for ``key``, or None (after the freshness check);
@@ -277,7 +180,7 @@ class FlowVerdictCache:
             self.invalidations += 1
 
     def put(self, key: Any, value: Any) -> None:
-        """Store a verdict computed at the generation last seen by get()."""
+        """Store a verdict computed since the last flush."""
         self._cache[key] = value
         self.fills += 1
 

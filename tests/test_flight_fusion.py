@@ -365,6 +365,70 @@ def test_invalidation_inside_a_stage_makes_its_successor_real():
     _assert_identical(fused, plain)
 
 
+def _lossy_replica_cable(fusion_on):
+    """4 replicas, 64 B closed loop: a 0.1 % lossy replica cable for 2 ms,
+    then a heal and an idle wait while the leader, which fell back to
+    its direct QPs at the first loss, wins the switch path back (a
+    retry period plus the 40 ms group rebuild); then load again."""
+    fastlane.flags.set_all(True)
+    fastlane.flags.flight_fusion = fusion_on
+    try:
+        cluster = build_cluster("p4ce", 4, value_size=64, seed=7)
+        digest = install_trace_digest(cluster)
+        leader = cluster.await_ready()
+        planner = cluster.flight_planner
+        rebuilds = []
+        rebuild = planner._rebuild_path
+
+        def counted(nic, qp):
+            rebuilds.append(qp)
+            return rebuild(nic, qp)
+
+        planner._rebuild_path = counted
+        loop = ClosedLoopDriver(cluster, 64, window=16)
+        loop.start()
+        cluster.run_for(0.1 * MS)
+        replica = next(h.node_id for h in cluster.hosts
+                       if h.node_id != leader.node_id)
+        injector = FaultInjector(cluster)
+        injector.set_loss(replica, 0.001)
+        cluster.run_for(2 * MS)
+        lossy_rebuilds = len(rebuilds)
+        injector.heal_link(replica)
+        fused_at_heal = planner.flights_fused
+        loop.stop()
+        cluster.run_for(60 * MS)
+        loop.start()
+        cluster.run_for(0.3 * MS)
+        loop.stop()
+        return {
+            "digest": digest.hexdigest(),
+            "commits": loop.commits,
+            "events": cluster.sim.events_executed,
+            "lossy_rebuilds": lossy_rebuilds,
+            "fused_at_heal": fused_at_heal,
+            "flights_fused": planner.flights_fused,
+        }
+    finally:
+        fastlane.enable()
+
+
+def test_failed_validation_is_remembered_until_a_change_notifies():
+    """While a replica cable is lossy every launch is declined -- the
+    broadcast QP's path crosses it, and the direct QPs the leader falls
+    back to never reach the switch -- and each QP's failed validation
+    is remembered until a watched change notifies the planner, instead
+    of re-run at every launch.  The heal and the group rebuild notify,
+    so fusion resumes."""
+    fused = _lossy_replica_cable(fusion_on=True)
+    plain = _lossy_replica_cable(fusion_on=False)
+    assert fused["lossy_rebuilds"] < 20
+    assert fused["flights_fused"] > fused["fused_at_heal"] > 0
+    assert plain["flights_fused"] == 0
+    for key in ("digest", "commits", "events"):
+        assert fused[key] == plain[key]
+
+
 def test_superfusion_batches_clean_window():
     """A clean window runs its hops as express stages -- and its digest
     matches the unfused reference."""

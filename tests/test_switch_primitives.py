@@ -1,17 +1,23 @@
 """Unit tests for the Tofino model primitives: ALU, registers, tables,
-multicast engine."""
+multicast engine -- and the change notifications of every watched object
+(tables, registers, multicast engine, links, NICs, switches)."""
 
 import struct
 
 import pytest
 
+from repro.net import AddressAllocator, connect
+from repro.rdma.host import Host
+from repro.sim import Simulator
 from repro.switch import (
     ExactMatchTable,
+    L3ForwardProgram,
     MulticastCopy,
     MulticastEngine,
     Register,
     RegisterAccessError,
     RegisterAction,
+    Switch,
     TableFullError,
     compare_eq_constant,
     compare_lt_via_underflow,
@@ -121,13 +127,13 @@ class TestRegister:
                 self.writes.append(device)
 
         reg = Register("r", 64, width=16)
-        reg._flight_watch = watch = Watch()
+        reg.watch(watch := Watch())
         window = reg.window(16, 8)
         window.cp_fill(0x1_1234)
         # Masked to the width, inside the window only...
         assert window.cells() == [0x1234] * 8
         assert reg.cp_read(15) == 0 and reg.cp_read(24) == 0
-        # ...and the flight planner hears of the slab write once.
+        # ...and the register's watcher hears of the slab write once.
         assert watch.writes == [reg]
 
     def test_rmw_wraps_through_width_mask(self):
@@ -215,56 +221,129 @@ class TestMulticastEngine:
         assert 7 not in engine
 
 
-class TestLpmTable:
-    def _table(self):
-        from repro.switch import LpmTable
-        from repro.net import Ipv4Address
-        table = LpmTable("routes")
-        table.add_route(Ipv4Address.parse("10.0.0.0").value, 24, "subnet")
-        table.add_route(Ipv4Address.parse("10.0.0.7").value, 32, "host")
-        table.add_route(Ipv4Address.parse("10.0.0.0").value, 8, "site")
-        return table
+def _table():
+    table = ExactMatchTable("t", ("k",))
+    table.add_entry((1,), "a")
+    return table
 
-    def test_longest_prefix_wins(self):
-        from repro.net import Ipv4Address
-        table = self._table()
-        assert table.lookup(Ipv4Address.parse("10.0.0.7").value).action == "host"
-        assert table.lookup(Ipv4Address.parse("10.0.0.9").value).action == "subnet"
-        assert table.lookup(Ipv4Address.parse("10.5.5.5").value).action == "site"
 
-    def test_miss_returns_default(self):
-        from repro.net import Ipv4Address
-        table = self._table()
-        assert table.lookup(Ipv4Address.parse("192.168.0.1").value).action == "NoAction"
-        table.set_default("drop")
-        assert table.lookup(Ipv4Address.parse("192.168.0.1").value).action == "drop"
+def _engine():
+    engine = MulticastEngine()
+    engine.create_group(7, [MulticastCopy(1, 10)])
+    return engine
 
-    def test_zero_length_prefix_matches_everything(self):
-        from repro.switch import LpmTable
-        table = LpmTable("r")
-        table.add_route(0, 0, "catchall")
-        assert table.lookup(0xFFFFFFFF).action == "catchall"
 
-    def test_capacity(self):
-        import pytest
-        from repro.switch import LpmTable, TableFullError
-        table = LpmTable("r", capacity=2)
-        table.add_route(1 << 24, 8, "a")
-        table.add_route(2 << 24, 8, "a")
-        with pytest.raises(TableFullError):
-            table.add_route(3 << 24, 8, "a")
-        table.add_route(1 << 24, 8, "b")  # overwrite is fine
+def _fabric():
+    """A switch and one host NIC, cabled."""
+    sim = Simulator()
+    alloc = AddressAllocator()
+    smac, sip = alloc.switch_address()
+    switch = Switch(sim, "sw", smac, sip)
+    mac, ip = alloc.next_host()
+    nic = Host(sim, "h", 1, mac, ip).nic
+    link = connect(sim, nic.port, switch.free_port())
+    return switch, nic, link
 
-    def test_delete(self):
-        from repro.net import Ipv4Address
-        table = self._table()
-        ip = Ipv4Address.parse("10.0.0.7").value
-        assert table.del_route(ip, 32)
-        assert not table.del_route(ip, 32)
-        assert table.lookup(ip).action == "subnet"
 
-    def test_bad_prefix_length(self):
-        import pytest
-        from repro.switch import LpmTable
-        with pytest.raises(ValueError):
-            LpmTable("r").add_route(0, 33, "a")
+def _link():
+    return _fabric()[2]
+
+
+def _cut_link():
+    link = _link()
+    link.set_down()
+    return link
+
+
+def _lossy_link():
+    link = _link()
+    link.drop_probability = 0.01
+    return link
+
+
+def _nic():
+    return _fabric()[1]
+
+
+def _crashed_nic():
+    nic = _nic()
+    nic.power_off()
+    return nic
+
+
+def _nic_with_qp():
+    nic = _nic()
+    nic.create_qp(None)
+    return nic
+
+
+def _switch():
+    return _fabric()[0]
+
+
+def _crashed_switch():
+    switch = _switch()
+    switch.power_off()
+    return switch
+
+
+#: Every mutator of every watched class, with a factory for an object in
+#: the state the mutator changes.  Heals are mutators too: a remembered
+#: validation failure is only forgotten if the heal says so.
+_MUTATORS = {
+    "ExactMatchTable.add_entry": (_table, lambda t: t.add_entry((2,), "b")),
+    "ExactMatchTable.del_entry": (_table, lambda t: t.del_entry((1,))),
+    "ExactMatchTable.set_default": (_table, lambda t: t.set_default("drop")),
+    "ExactMatchTable.clear": (_table, lambda t: t.clear()),
+    "MulticastEngine.create_group": (
+        _engine, lambda e: e.create_group(8, [MulticastCopy(2, 11)])),
+    "MulticastEngine.update_group": (
+        _engine, lambda e: e.update_group(7, [MulticastCopy(3, 12)])),
+    "MulticastEngine.delete_group": (_engine, lambda e: e.delete_group(7)),
+    "Register.cp_write": (lambda: Register("r", 64), lambda r: r.cp_write(0, 1)),
+    "Register.cp_fill": (lambda: Register("r", 64), lambda r: r.cp_fill(1)),
+    "RegisterWindow.cp_write": (lambda: Register("r", 64),
+                                lambda r: r.window(16, 8).cp_write(0, 1)),
+    "RegisterWindow.cp_fill": (lambda: Register("r", 64),
+                               lambda r: r.window(16, 8).cp_fill(1)),
+    "Link.tap": (_link, lambda l: setattr(l, "tap", lambda src, pkt: None)),
+    "Link.set_down": (_link, lambda l: l.set_down()),
+    "Link.drop_probability": (
+        _link, lambda l: setattr(l, "drop_probability", 0.01)),
+    "Link.set_up(heal)": (_cut_link, lambda l: l.set_up()),
+    "Link.drop_probability=0(heal)": (
+        _lossy_link, lambda l: setattr(l, "drop_probability", 0.0)),
+    "RNic.power_off": (_nic, lambda n: n.power_off()),
+    "RNic.power_on(heal)": (_crashed_nic, lambda n: n.power_on()),
+    "RNic.create_qp": (_nic, lambda n: n.create_qp(None)),
+    "RNic.destroy_qp": (
+        _nic_with_qp, lambda n: n.destroy_qp(next(iter(n.qps.values())))),
+    "Switch.power_off": (_switch, lambda s: s.power_off()),
+    "Switch.power_on(heal)": (_crashed_switch, lambda s: s.power_on()),
+    "Switch.load_program": (
+        _switch, lambda s: s.load_program(L3ForwardProgram())),
+}
+
+
+class _Recorder:
+    def __init__(self):
+        self.sources = []
+
+    def invalidate(self, source):
+        self.sources.append(source)
+
+
+@pytest.mark.parametrize("mutator", list(_MUTATORS))
+def test_every_mutator_notifies_each_watcher_once(mutator):
+    """Derived state (verdict caches, the flight planner) hears of every
+    change to what it read -- faults, heals and control-plane writes
+    alike -- and subscribing twice still hears it once."""
+    make, mutate = _MUTATORS[mutator]
+    state = make()
+    first, second = _Recorder(), _Recorder()
+    state.watch(first)
+    state.watch(first)
+    state.watch(second)
+    mutate(state)
+    assert first.sources == [state]
+    assert second.sources == [state]
