@@ -29,22 +29,25 @@ list), mirroring the optimisations described in ``docs/PERF.md``:
 
 ``flight_fusion``
     Clean-path consensus flights (a write message of any size -- every
-    PMTU segment of it -- on a healthy broadcast path) run as express
-    stages instead of the real per-hop handlers (:mod:`repro.sim.flight`).
+    PMTU segment of it -- on a healthy broadcast path, or a READ answered
+    by one response packet -- every heartbeat -- on a healthy L3 path
+    through either switch) run as express stages instead of the real
+    per-hop handlers (:mod:`repro.sim.flight`).
     Each hop is still one kernel event, at the ``(time, seq)`` its real
     event would have had: an express stage is a fire-and-forget heap
     entry that carries the real event it stands for.  The interior
-    per-leg frames of a flight -- the scattered replica writes and their
-    ACKs -- are never materialized as ``Packet`` objects: each express
-    stage calls the effect methods its real handler calls (one
-    definition per hop: the link's serialization claim, the parser and
-    NIC pipeline claims, the responder's write, the verdict-cache replay,
+    per-leg frames of a flight -- the scattered replica writes, their
+    ACKs and read responses -- are never materialized as ``Packet``
+    objects: each express stage calls the effect methods its real
+    handler calls (one definition per hop: the link's serialization
+    claim, the parser and NIC pipeline claims, the responder's write or
+    read, the requester's read completion, the verdict-cache replay,
     the gather tally), so every register cell, counter and busy horizon
     is current at any instant a callback can run; the wire-digest tap
     hashes each virtual frame at its tap call, rendered with the real
     frame's template patches, so SHA-256 sees the same bytes in the same
-    order (:mod:`repro.sim.columnar`).  Only the forwarded ACK and the
-    terminal leader-completion hop are real.  There is one express
+    order (:mod:`repro.sim.columnar`).  Only the forwarded ACK, the
+    terminal leader-completion hop and a READ request are real.  There is one express
     chain: a launch the planner cannot prove clean is declined to the
     real handlers, and a stage that cannot prove its hop clean falls
     back to the real handler at its own turn.

@@ -45,6 +45,13 @@ _SH_UPPER = 8
 _SH_ALL = _SH_ETH | _SH_IPV4 | _SH_UDP | _SH_UPPER
 
 
+def with_macs(block: bytes, src, dst) -> bytes:
+    """``block``, a rendered frame image, with its Ethernet destination and
+    source replaced: the one definition of the L2 rewrite's bytes, shared by
+    :meth:`Packet.rewrite_macs` and flight fusion's virtual frames."""
+    return dst._b + src._b + block[12:]
+
+
 class UpperHeader(Protocol):
     """Anything stackable above UDP: must know its size and byte codec."""
 
@@ -240,7 +247,7 @@ class Packet:
         self._shared &= ~_SH_ETH
         wire = self._wire
         if wire is not None:
-            self._wire = (dst._b + src._b + wire[0][12:], wire[1])
+            self._wire = (with_macs(wire[0], src, dst), wire[1])
 
     def pack(self) -> bytes:
         """Serialize to wire bytes (without preamble/IFG/FCS)."""

@@ -154,6 +154,12 @@ class P4ceProgram(SwitchProgram):
         self._egress_cache = FlowVerdictCache(self.egress_conn_table)
         self._switch_ip_value = switch.ip.value
 
+    def l3_cache(self, dst_ip) -> Optional[FlowVerdictCache]:
+        # Only traffic not addressed to the switch takes the L3 miss path.
+        if dst_ip.value == self._switch_ip_value:
+            return None
+        return self._flow_cache
+
     def resource_budget(self):
         """Tofino budgets the control plane charges while provisioning.
 

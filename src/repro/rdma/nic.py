@@ -66,7 +66,7 @@ from .opcodes import (
     syndrome_code,
     syndrome_value,
 )
-from .wiretemplate import ack_frame, tx_frame
+from .wiretemplate import ack_frame, read_response_frame, tx_frame
 from .qp import (
     OutstandingRequest,
     QpState,
@@ -84,6 +84,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Half the PSN space: distances below this mean "not after".
 PSN_HALF = 1 << 23
+
+#: Work requests that complete on their own response, never on an ACK.
+_ATOMIC_WRS = (WrOpcode.COMPARE_SWAP, WrOpcode.FETCH_ADD)
 
 #: Payloads per response packet / write packet.
 def packet_count(length: int, mtu: int) -> int:
@@ -202,11 +205,15 @@ class RNic(Watched):
         qp.outstanding.append(
             OutstandingRequest(wr, first_psn, last_psn, self.sim.now))
         # Flight fusion: a write on a clean broadcast path -- every
-        # packet of the message -- is captured and replayed by the
+        # packet of the message -- or a read answered by one response
+        # packet on a clean L3 path is captured and replayed by the
         # planner instead of being scheduled hop by hop; everything else
         # takes the ordinary per-packet TX path.
         planner = self.sim._flight_planner
-        if (planner is None or wr.opcode is not WrOpcode.RDMA_WRITE
+        opcode = wr.opcode
+        if (planner is None
+                or not (opcode is WrOpcode.RDMA_WRITE
+                        or (opcode is WrOpcode.RDMA_READ and span == 1))
                 or not planner.try_fuse(self, qp, packets)):
             for pkt in packets:
                 self._tx(pkt)
@@ -414,7 +421,9 @@ class RNic(Watched):
             assert aeth is not None and atomic_ack is not None
             self._requester_atomic_response(qp, bth, aeth, atomic_ack)
         elif opcode in READ_RESPONSE_OPCODES:
-            self._requester_read_response(qp, bth, aeth, packet.payload)
+            self._requester_read_response(
+                qp, bth.psn, None if aeth is None else aeth.syndrome,
+                packet.payload, opcode in READ_RESPONSE_TAIL_OPCODES)
 
     # ------------------------------------------------------------------
     # Responder side
@@ -426,17 +435,24 @@ class RNic(Watched):
 
     def _respond(self, qp: QueuePair, opcode: Opcode, psn: int, syndrome: int,
                  payload: bytes = b"", ack_req: bool = False) -> None:
-        if opcode is Opcode.ACKNOWLEDGE and not ack_req and not payload \
-                and fastlane.flags.rewrite_templates:
-            # ACK/NAK frames dominate the responder's TX side; they carry
-            # no payload and a fixed header stack, so a per-QP pre-rendered
+        if not ack_req and fastlane.flags.rewrite_templates:
+            # ACK/NAK frames dominate the responder's TX side, and a
+            # single-packet read response is every heartbeat's answer;
+            # both have a fixed header stack, so a per-QP pre-rendered
             # frame (static Eth/IPv4/UDP/BTH prefix + 8 patched bytes)
             # replaces the whole header-object build.
-            self._tx(ack_frame(qp.tx_templates, self.gateway_mac, self.mac,
-                               self.ip, qp.remote_ip, qp.udp_sport,
-                               params.ROCE_UDP_PORT, qp.remote_qpn, psn,
-                               syndrome, qp.msn))
-            return
+            if opcode is Opcode.ACKNOWLEDGE and not payload:
+                self._tx(ack_frame(qp.tx_templates, self.gateway_mac,
+                                   self.mac, self.ip, qp.remote_ip,
+                                   qp.udp_sport, params.ROCE_UDP_PORT,
+                                   qp.remote_qpn, psn, syndrome, qp.msn))
+                return
+            if opcode is Opcode.RDMA_READ_RESPONSE_ONLY:
+                self._tx(read_response_frame(
+                    qp.tx_templates, self.gateway_mac, self.mac, self.ip,
+                    qp.remote_ip, qp.udp_sport, params.ROCE_UDP_PORT,
+                    qp.remote_qpn, psn, syndrome, qp.msn, payload))
+                return
         bth = Bth(opcode, qp.remote_qpn, psn, ack_req=ack_req)
         upper: List[object] = [bth]
         if opcode in AETH_OPCODES:
@@ -548,21 +564,29 @@ class RNic(Watched):
         self.host.notify_remote_write(qp, bth, payload)
 
     def _responder_read(self, qp: QueuePair, bth: Bth, reth: Reth) -> None:
-        if not self._psn_check(qp, bth):
+        psn = bth.psn
+        # A duplicate READ is executed again, as IBTA responders do: its
+        # response may be what was lost, and a plain ACK completes no
+        # read.  The re-read answers from the request's own PSN and leaves
+        # the expected PSN and the MSN alone.
+        duplicate = (psn != qp.expected_psn
+                     and psn_not_before(qp.expected_psn, psn))
+        if not duplicate and not self._psn_check(qp, bth):
             return
-        region = self._check_remote_access(qp, reth.virtual_address,
-                                           reth.dma_length, reth.r_key,
-                                           Access.REMOTE_READ)
-        if region is None:
-            self._send_nak(qp, bth.psn, NakCode.REMOTE_ACCESS_ERROR)
+        length = reth.dma_length
+        data = self._read_region(qp, reth.virtual_address, reth.r_key,
+                                 length)
+        if data is None:
+            self._send_nak(qp, psn, NakCode.REMOTE_ACCESS_ERROR)
             return
-        data = region.read(reth.virtual_address, reth.dma_length)
-        n = packet_count(len(data), self.pmtu)
-        qp.expected_psn = psn_add(bth.psn, n)
-        qp.msn = psn_add(qp.msn, 1)
-        syndrome = make_syndrome(AethCode.ACK, self._advertised_credits())
+        if duplicate:
+            syndrome = make_syndrome(AethCode.ACK, self._advertised_credits())
+        else:
+            syndrome = self._serve_read(qp, psn, length)
+        n = packet_count(length, self.pmtu)
         if n == 1:
-            self._respond(qp, Opcode.RDMA_READ_RESPONSE_ONLY, bth.psn, syndrome, data)
+            self._respond(qp, Opcode.RDMA_READ_RESPONSE_ONLY, psn, syndrome,
+                          data)
             return
         for i in range(n):
             chunk = data[i * self.pmtu:(i + 1) * self.pmtu]
@@ -572,11 +596,35 @@ class RNic(Watched):
                 opcode = Opcode.RDMA_READ_RESPONSE_LAST
             else:
                 opcode = Opcode.RDMA_READ_RESPONSE_MIDDLE
-            self._respond(qp, opcode, psn_add(bth.psn, i), syndrome, chunk)
+            self._respond(qp, opcode, psn_add(psn, i), syndrome, chunk)
+
+    def _read_region(self, qp: QueuePair, va: int, r_key: int,
+                     length: int) -> Optional[bytes]:
+        """The bytes an inbound READ asks for, or None (nothing read):
+        the access check failed and the request is NAKed."""
+        region = self._check_remote_access(qp, va, length, r_key,
+                                           Access.REMOTE_READ)
+        if region is None:
+            return None
+        return region.read(va, length)
+
+    def _serve_read(self, qp: QueuePair, psn: int, length: int) -> int:
+        """A fresh READ was read out: advance the expected PSN past its
+        response packets, count the message, and return the AETH
+        syndrome its response carries."""
+        qp.expected_psn = psn_add(psn, packet_count(length, self.pmtu))
+        qp.msn = psn_add(qp.msn, 1)
+        return make_syndrome(AethCode.ACK, self._advertised_credits())
 
     def _responder_atomic(self, qp: QueuePair, bth: Bth,
                           atomic: AtomicEth) -> None:
         """Execute a 64-bit CAS or fetch-and-add atomically in memory."""
+        replies = qp.atomic_replies
+        if bth.psn in replies and bth.psn != qp.expected_psn:
+            # A duplicate of an executed atomic: its response was lost.
+            # Replay it with the saved original, never execute it twice.
+            self._atomic_ack(qp, bth.psn, replies[bth.psn])
+            return
         if not self._psn_check(qp, bth):
             return
         if atomic.virtual_address % 8 != 0:
@@ -597,8 +645,14 @@ class RNic(Watched):
             region.write(atomic.virtual_address, total.to_bytes(8, "big"))
         qp.expected_psn = psn_add(bth.psn, 1)
         qp.msn = psn_add(qp.msn, 1)
+        replies[bth.psn] = original
+        if len(replies) > params.MAX_PENDING_REQUESTS:
+            del replies[next(iter(replies))]
+        self._atomic_ack(qp, bth.psn, original)
+
+    def _atomic_ack(self, qp: QueuePair, psn: int, original: int) -> None:
         syndrome = make_syndrome(AethCode.ACK, self._advertised_credits())
-        bth_out = Bth(Opcode.ATOMIC_ACKNOWLEDGE, qp.remote_qpn, bth.psn)
+        bth_out = Bth(Opcode.ATOMIC_ACKNOWLEDGE, qp.remote_qpn, psn)
         self._tx(self._frame(qp, [bth_out, Aeth(syndrome, qp.msn),
                                   AtomicAckEth(original)], b""))
 
@@ -678,8 +732,8 @@ class RNic(Watched):
         """Cumulative completion of all writes/sends up to ``ack_psn``."""
         while qp.outstanding:
             head = qp.outstanding[0]
-            if head.is_read:
-                break  # reads complete on response data, not ACKs
+            if head.is_read or head.wr.opcode in _ATOMIC_WRS:
+                break  # reads and atomics complete on their responses
             if not psn_not_before(ack_psn, head.last_psn):
                 break  # ack is older than this request's end
             qp.outstanding.popleft()
@@ -689,22 +743,29 @@ class RNic(Watched):
                                           head.wr.opcode.value,
                                           head.wr.length, qp.qpn, self.sim.now))
 
-    def _requester_read_response(self, qp: QueuePair, bth: Bth,
-                                 aeth: Optional[Aeth], payload: bytes) -> None:
+    def _requester_read_response(self, qp: QueuePair, psn: int,
+                                 syndrome: Optional[int], payload: bytes,
+                                 tail: bool) -> None:
+        """One read-response packet (``syndrome`` None: it has no AETH;
+        ``tail``: LAST / ONLY) lands: scratch write and, on the tail, the
+        completion."""
         if not qp.outstanding:
             return
         head = qp.outstanding[0]
         if not head.is_read:
             return
-        offset = psn_distance(head.first_psn, bth.psn) * self.pmtu
+        index = psn_distance(head.first_psn, psn)
+        if index > psn_distance(head.first_psn, head.last_psn):
+            return  # a stale duplicate, or a later read's response
+        offset = index * self.pmtu
         if payload and head.wr.local_va:
             region = self.host.address_space.by_va(head.wr.local_va + offset, len(payload))
             if region is not None:
                 region.write(head.wr.local_va + offset, payload)
         head.read_received += len(payload)
-        if aeth is not None and is_positive_ack(aeth.syndrome):
-            qp.credits = syndrome_value(aeth.syndrome)
-        if bth.opcode in READ_RESPONSE_TAIL_OPCODES:
+        if syndrome is not None and is_positive_ack(syndrome):
+            qp.credits = syndrome_value(syndrome)
+        if tail:
             qp.outstanding.popleft()
             qp.requests_completed += 1
             qp.retry_budget = params.RDMA_RETRY_COUNT

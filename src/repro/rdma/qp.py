@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Deque, Dict, Optional, TYPE_CHECKING
 
 from .. import params
 from .headers import PSN_MASK
@@ -162,6 +162,10 @@ class QueuePair:
         self.expected_psn: int = 0
         self.msn: int = 0
         self.receive_queue: Deque[ReceiveRequest] = deque()
+        #: Originals of the atomics executed last, by PSN (at most a
+        #: requester window of them): a duplicate is answered from here,
+        #: never executed twice.
+        self.atomic_replies: Dict[int, int] = {}
         #: Cursor of an in-progress multi-packet inbound write.
         self.write_cursor_va: int = 0
         self.write_cursor_rkey: int = 0

@@ -55,7 +55,8 @@ from __future__ import annotations
 import struct
 from typing import Dict, Optional, Tuple
 
-from ..net.headers import EthernetHeader, Ipv4Header, UdpHeader, _set
+from ..net.headers import (ETHERNET_FCS_BYTES, EthernetHeader, Ipv4Header,
+                           UdpHeader, _set)
 from ..net.packet import ICRC_BYTES, _SH_ETH, _SH_IPV4, _SH_UDP, Packet
 from .headers import (
     AETH_WORD_OFFSET,
@@ -72,6 +73,7 @@ from .icrc import fold, header_suffix, patched_icrc, payload_crc, pseudo_header
 from .opcodes import Opcode
 
 _OP_ACK = Opcode.ACKNOWLEDGE
+_OP_READ_ONLY = Opcode.RDMA_READ_RESPONSE_ONLY
 
 # Frame offsets of the patched fields (Ethernet II + IPv4 + UDP prefix).
 _BTH_OFF = EthernetHeader.SIZE + Ipv4Header.SIZE + UdpHeader.SIZE
@@ -341,24 +343,31 @@ _S_ACK_TAIL = struct.Struct("!II")
 
 
 class _AckTemplate:
-    """Fully pre-rendered ACK frame for one QP (the most common frame on
-    the wire: every replicated write is answered by one).
+    """Fully pre-rendered BTH + AETH frame for one QP: an ACK (the most
+    common frame on the wire: every replicated write is answered by one),
+    or a single-packet read response of one payload length.
 
-    Everything except the PSN and AETH syndrome|MSN words is a constant
-    of the connection: opcode (ACKNOWLEDGE), flags, partition key and
-    destination QP extend the Ethernet/IPv4/UDP prefix by the first 8
-    BTH bytes, and the ICRC state over <pseudo | static BTH prefix> is
-    precomputed (the payload is empty, so its seed CRC is 0).  Emitting
-    an ACK is then: pack 8 bytes, one crc32 over them, one Packet."""
+    Everything except the PSN and AETH syndrome|MSN words (and a read
+    response's payload) is a constant of the connection: opcode, flags,
+    partition key and destination QP extend the Ethernet/IPv4/UDP prefix
+    by the first 8 BTH bytes, and ``head`` is the ICRC suffix up to the
+    varying words.  An ACK's payload is empty, so its ICRC state over
+    ``head`` (seed 0) is precomputed.  Emitting an ACK is then: pack 8
+    bytes, one crc32 over them, one Packet."""
 
-    __slots__ = ("base", "prefix", "state")
+    __slots__ = ("base", "prefix", "head", "state", "wire")
 
-    def __init__(self, base: _TxTemplate, dest_qp: int):
-        bth_static = _S_BTH.pack(int(_OP_ACK), 0, 0xFFFF,
+    def __init__(self, base: _TxTemplate, dest_qp: int,
+                 opcode: Opcode = _OP_ACK):
+        bth_static = _S_BTH.pack(int(opcode), 0, 0xFFFF,
                                  dest_qp & QPN_MASK, 0)[:8]
         self.base = base
         self.prefix = base.prefix + bth_static
-        self.state = fold(base.pseudo + bth_static, 0)
+        self.head = base.pseudo + bth_static
+        self.state = fold(self.head, 0)
+        #: Frame size on the wire (``Packet.wire_size``).
+        self.wire = (EthernetHeader.SIZE + base.ipv4.total_length
+                     + ETHERNET_FCS_BYTES)
 
 
 def ack_template(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,
@@ -412,6 +421,59 @@ def ack_patch(tmpl: _AckTemplate, psn: int, syndrome: int,
     tail = _S_ACK_TAIL.pack(psn & PSN_MASK,
                             (syndrome << 24) | (msn & PSN_MASK))
     return tail, fold(tail, tmpl.state)
+
+
+def read_response_template(templates: Dict[tuple, _TxTemplate], gateway_mac,
+                           src_mac, src_ip, dst_ip, src_port: int,
+                           dst_port: int, dest_qp: int,
+                           length: int) -> _AckTemplate:
+    """Get-or-build the per-QP template of a ``RDMA_READ_RESPONSE_ONLY``
+    carrying ``length`` payload bytes (``gateway_mac`` revalidated by
+    identity, as :func:`ack_template` does)."""
+    key = ("read", length)
+    tmpl = templates.get(key)
+    if tmpl is None or tmpl.base.gateway_mac is not gateway_mac:
+        base = _TxTemplate(gateway_mac, src_mac, src_ip, dst_ip, src_port,
+                           dst_port, Bth.SIZE + Aeth.SIZE, length)
+        tmpl = _AckTemplate(base, dest_qp, _OP_READ_ONLY)
+        templates[key] = tmpl
+    return tmpl
+
+
+def read_response_patch(tmpl: _AckTemplate, psn: int, syndrome: int,
+                        msn: int, seed: int) -> Tuple[bytes, int]:
+    """One single-packet read response's header block and ICRC: ``tmpl``
+    with the PSN word and the AETH syndrome|MSN word filled in; ``seed``
+    is the payload's CRC.  The one definition the responder's
+    :func:`read_response_frame` and flight fusion's virtual read
+    responses share."""
+    tail = _S_ACK_TAIL.pack(psn & PSN_MASK,
+                            (syndrome << 24) | (msn & PSN_MASK))
+    return tmpl.prefix + tail, fold(tail, fold(tmpl.head, seed))
+
+
+def read_response_frame(templates: Dict[tuple, _TxTemplate], gateway_mac,
+                        src_mac, src_ip, dst_ip, src_port: int,
+                        dst_port: int, dest_qp: int, psn: int, syndrome: int,
+                        msn: int, payload: bytes) -> Packet:
+    """Build a ``RDMA_READ_RESPONSE_ONLY`` via the per-QP pre-rendered
+    frame.  Byte- and ICRC-identical to ``tx_frame`` with
+    ``[Bth(RDMA_READ_RESPONSE_ONLY, dest_qp, psn), Aeth(syndrome, msn)]``
+    and ``payload``."""
+    tmpl = read_response_template(templates, gateway_mac, src_mac, src_ip,
+                                  dst_ip, src_port, dst_port, dest_qp,
+                                  len(payload))
+    base = tmpl.base
+    pkt = Packet(base.eth, base.ipv4, base.udp,
+                 [Bth(_OP_READ_ONLY, dest_qp, psn), Aeth(syndrome, msn)],
+                 payload, has_icrc=True)
+    pkt._shared = _SH_ETH | _SH_IPV4 | _SH_UDP
+    pkt._upper_size = (2, Bth.SIZE + Aeth.SIZE)
+    block, icrc = read_response_patch(tmpl, psn, syndrome, msn,
+                                      payload_crc(pkt))
+    pkt._wire = (block, _ICRC_ZEROS)
+    pkt.meta["icrc"] = icrc
+    return pkt
 
 
 def tx_frame(templates: Dict[tuple, _TxTemplate], gateway_mac, src_mac,

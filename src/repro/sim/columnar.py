@@ -10,7 +10,10 @@ tap renders the frame through the patch its real twin is built with
 (:func:`~repro.rdma.wiretemplate.scatter_patch` seeded with the payload
 CRC the launch already computed, or
 :func:`~repro.rdma.wiretemplate.ack_patch`): one definition of a fused
-frame's bytes and ICRC.
+frame's bytes and ICRC.  A virtual read response crosses two cables, so
+its stage renders it once through
+:func:`~repro.rdma.wiretemplate.read_response_patch` and the tap hashes
+the rendered block (:meth:`DigestTap.absorb_frame`).
 
 Every frame is hashed inside its own tap call and nothing is kept
 between calls.  The planner runs every fused hop at its ``(time, seq)``
@@ -65,6 +68,14 @@ class DigestTap:
         tail, icrc = ack_patch(tmpl, psn, syndrome, msn)
         fastlane.columnar["frames_bulk_hashed"] += 1
         self.digest.update(b"".join((tmpl.prefix, tail, _ICRC_ZEROS,
+                                     _S_META.pack(self.sim._now, icrc))))
+
+    def absorb_frame(self, block: bytes, payload: bytes, icrc: int) -> None:
+        """Hash one virtual frame its stage has already rendered (a read
+        response: header block from ``read_response_patch``, MACs
+        rewritten at the switch), byte-equal to tapping the packet."""
+        fastlane.columnar["frames_bulk_hashed"] += 1
+        self.digest.update(b"".join((block, payload, _ICRC_ZEROS,
                                      _S_META.pack(self.sim._now, icrc))))
 
     def flush(self) -> None:

@@ -14,8 +14,8 @@ One chain, or the real handlers
 
 A launch has exactly two ways to run.  Either :meth:`FlightPlanner.try_fuse`
 accepts it and it rides the express chain below, or ``try_fuse`` declines
-it (flag off, tracer on, no validated path, a packet not of a stamped
-WRITE shape) and ``RNic._tx`` schedules it
+it (flag off, tracer on, no validated path, a launch not of its path's
+shape) and ``RNic._tx`` schedules it
 through the real handlers -- the reference every wire digest is judged
 against.  A stage is a call, not a copy: what a hop does to a device has
 one definition, a small method on its owner (``_Direction.send``,
@@ -33,6 +33,16 @@ A launch is a whole RDMA WRITE message, one packet per PMTU segment:
 MIDDLE or LAST continues it, and only the tail (LAST / ONLY) completes the
 message and is ACKed -- so the gather stages see one ACK per message, at
 any size.
+
+The chain has a second shape: an RDMA READ whose response is one packet
+(length <= PMTU) on a QP whose peer is a host behind the switch -- every
+heartbeat.  Its path is two unicast legs through the program's plain L3
+forward (requester -> responder, responder -> requester); the ``_v_l3_*``
+hop stages are direction-generic and take the leg as ``ctx``, and two
+terminal stages call the responder's effects (``RNic._read_region``,
+``_serve_read``) and the requester's (``_requester_read_response``).
+The request is the real launch packet; the response is a virtual frame
+rendered once by ``read_response_patch``.
 
 1. **A hop is a kernel event.**  It sits in the kernel heap
    (``sim._heap``) as ``(time, seq, stage, (real_fn, real_args, ctx))``,
@@ -99,7 +109,8 @@ any size.
    the real RegisterActions, so reuse is exact.
 
 Links whose tap is not the :class:`~repro.sim.columnar.DigestTap`
-want real frames on every hop; a path over one is not validated, so its
+want real frames on every hop; a path over one (a replica cable of a
+broadcast path, either cable of a read's) is not validated, so its
 launches are declined.
 
 The fused-vs-reference tests (``tests/test_flight_fusion.py``,
@@ -115,15 +126,18 @@ import heapq
 from typing import Any, Dict, Optional
 
 from .. import fastlane, params
-from ..net.headers import ETHERNET_FCS_BYTES, EthernetHeader
+from ..net.packet import with_macs
 from ..rdma.headers import Bth, PSN_MASK, Reth
-from ..rdma.icrc import payload_crc
+from ..rdma.icrc import fold, payload_crc
 from ..rdma.opcodes import Opcode
 from ..rdma.qp import QpState
 from ..rdma.wiretemplate import (
     ack_frame,
     ack_template,
     install_scatter,
+    read_response_frame,
+    read_response_patch,
+    read_response_template,
     scatter_fingerprint,
     scatter_template,
 )
@@ -134,6 +148,7 @@ from .trace import Tracer
 _ROCE_PORT = params.ROCE_UDP_PORT
 _NUMRECV_SLOTS = params.NUMRECV_SLOTS
 _OP_ACK = Opcode.ACKNOWLEDGE
+_OP_READ = Opcode.RDMA_READ_REQUEST
 
 #: The stamped WRITE shapes a fused flight carries: opcode -> (header
 #: count, AckReq).  A head (FIRST / ONLY) is BTH + the RETH that opens the
@@ -145,10 +160,6 @@ _WRITE_SHAPES = {
     Opcode.RDMA_WRITE_MIDDLE: (1, False),
     Opcode.RDMA_WRITE_LAST: (1, True),
 }
-
-#: Ethernet framing bytes around the IPv4 datagram (wire-size arithmetic
-#: for virtual ACK frames, matching ``Packet.wire_size``).
-_ETH_WRAP = EthernetHeader.SIZE + ETHERNET_FCS_BYTES
 
 #: ``_rebuild_path``'s answer when only a dirty verdict cache declines;
 #: never remembered, so also the planner's "no result yet".
@@ -173,6 +184,20 @@ class _FusedLeg:
                  "dir_down", "dir_back", "rnic", "rqp", "gather_key")
 
 
+class _L3Leg:
+    """One leg of a fused READ's unicast path: frames from NIC ``src``
+    through the switch's plain L3 forward to NIC ``dst``.  The request
+    leg's ``back`` is the response leg (None on that one), ``sqp`` /
+    ``dqp`` are the sending and receiving QPs, and ``land`` is the stage
+    that ends the leg at ``dst``.  A leg carries its epoch, as a path
+    does."""
+
+    __slots__ = ("epoch", "src", "src_port", "up_link", "dir_up", "switch",
+                 "in_port", "fc", "key", "half_pipe", "out_port", "sw_port",
+                 "counters", "down_link", "dir_down", "dst", "sqp", "dqp",
+                 "back", "land")
+
+
 class _VLaunch:
     """Shared per-packet launch info for virtual scatter legs:
     everything every leg derives from one launch WRITE packet, computed
@@ -185,14 +210,19 @@ class _VLaunch:
 
 class _VFrame:
     """A virtual in-flight frame: the varying words of one
-    scatter leg (``kind`` 0) or one replica ACK (``kind`` 1) plus a
-    wire-template reference -- enough to rebuild the exact real
-    ``Packet`` on demand (fallback, defusion, gather threshold) or to
-    feed the columnar digest tap without ever building it.  A scatter
-    leg's ``va`` is None when its frame has no RETH."""
+    scatter leg (``kind`` 0), one replica ACK (``kind`` 1) or one
+    single-packet read response (``kind`` 2) plus a wire-template
+    reference -- enough to rebuild the exact real ``Packet`` on demand
+    (fallback, defusion, gather threshold) or to feed the columnar digest
+    tap without ever building it.  A scatter leg's ``va`` is None when its
+    frame has no RETH.  A read response carries its rendered header
+    ``block`` (MACs rewritten in place at the switch, ``macs`` recording
+    the rewrite), ICRC and ``payload``; ``token`` is its switch packet
+    token once ingress has run."""
 
     __slots__ = ("kind", "leg", "lau", "rewritten", "psn", "ack_word", "va",
-                 "rkey", "tmpl", "syndrome", "msn", "wire", "iport")
+                 "rkey", "tmpl", "syndrome", "msn", "wire", "iport",
+                 "payload", "block", "icrc", "token", "macs")
 
 
 class FlightPlanner:
@@ -211,7 +241,10 @@ class FlightPlanner:
         #: pin the epoch they were resolved against.
         self._epoch = 0
         # Diagnostics / attribution.
+        #: WRITE messages fused (``bench/run.py`` divides it by commits).
         self.flights_fused = 0
+        #: READs fused on a unicast L3 path.
+        self.reads_fused = 0
         #: Express stages run (a stage that falls back is not counted).
         self.hops_replayed = 0
         self.defusions = 0
@@ -229,6 +262,7 @@ class FlightPlanner:
         event at a time, so there are no runs to report."""
         return {
             "flights_fused": self.flights_fused,
+            "reads_fused": self.reads_fused,
             "hops_replayed": self.hops_replayed,
             "defusions": self.defusions,
             "fuse_rejects": self.fuse_rejects,
@@ -243,12 +277,14 @@ class FlightPlanner:
     # ------------------------------------------------------------------
 
     def try_fuse(self, nic, qp, packets) -> bool:
-        """Compute a write message -- its ``packets``, one per PMTU
-        segment -- as a fused flight.  Returns False to decline: the
-        caller then takes the ordinary per-hop TX path, i.e. the real
-        handlers.  Every probe precedes the first mutation, so a declined
-        launch leaves no trace (``nic._tx_busy_until`` is where
-        ``RNic._tx`` expects to claim it)."""
+        """Compute a launch as a fused flight: a write message -- its
+        ``packets``, one per PMTU segment -- on a broadcast path, or a
+        READ whose response is one packet on a unicast L3 path.  Returns
+        False to decline: the caller then takes the ordinary per-hop TX
+        path, i.e. the real handlers.  Every probe precedes the first
+        mutation, so a declined launch leaves no trace
+        (``nic._tx_busy_until`` is where ``RNic._tx`` expects to claim
+        it)."""
         flags = fastlane.flags
         if (not flags.flight_fusion or not flags.rewrite_templates
                 or not flags.flow_cache):
@@ -260,7 +296,19 @@ class FlightPlanner:
         if tracer is not None and tracer.enabled:
             return False
         path = self._resolve_path(nic, qp)
-        if path is not None:
+        read = type(path) is _L3Leg
+        if read:
+            # A READ on a unicast path: the request rides the wire as the
+            # real launch packet; its response is one PSN, one virtual
+            # frame.
+            packet = packets[0]
+            up = packet._upper
+            bth = up[0]
+            if not (len(packets) == 1 and len(up) == 2 and type(bth) is Bth
+                    and bth.opcode is _OP_READ and type(up[1]) is Reth
+                    and up[1].dma_length <= nic.pmtu and packet.has_icrc):
+                path = None
+        elif path is not None:
             for packet in packets:
                 up = packet._upper
                 bth = up[0]
@@ -271,14 +319,15 @@ class FlightPlanner:
                     path = None
                     break
         if path is None:
-            # No validated path, or a packet not of a stamped WRITE shape
-            # the virtual frames are built from.
+            # No validated path, or a launch not of the shape its path
+            # carries (stamped WRITE segments on a broadcast path, a
+            # one-response READ on a unicast one).
             self.fuse_rejects += 1
             return False
         sim = self._sim
         heap = sim._heap
         emit = nic._emit
-        xfn = self._v_leader_emit
+        xfn = self._v_l3_emit if read else self._v_leader_emit
         # RNic._tx per packet, in order (powered is path-validated and
         # fault-watched): claim the TX pipeline, push the emit hop.
         for packet in packets:
@@ -286,7 +335,10 @@ class FlightPlanner:
             seq = sim._seq
             sim._seq = seq + 1
             heapq.heappush(heap, (t, seq, xfn, (emit, (packet,), path)))
-        self.flights_fused += 1
+        if read:
+            self.reads_fused += 1
+        else:
+            self.flights_fused += 1
         return True
 
     # ------------------------------------------------------------------
@@ -440,6 +492,22 @@ class FlightPlanner:
         ICRC-identical to the ``scatter_rewrite`` the real egress would
         have performed."""
         leg = vf.leg
+        if vf.kind == 2:
+            rnic = leg.src
+            rqp = leg.sqp
+            pkt = read_response_frame(rqp.tx_templates, rnic.gateway_mac,
+                                      rnic.mac, rnic.ip, rqp.remote_ip,
+                                      rqp.udp_sport, _ROCE_PORT,
+                                      rqp.remote_qpn, vf.psn, vf.syndrome,
+                                      vf.msn, vf.payload)
+            meta = pkt.meta
+            if vf.iport is not None:
+                meta["ingress_port"] = vf.iport
+            if vf.token is not None:
+                meta["packet_token"] = vf.token
+            if vf.macs is not None:
+                pkt.rewrite_macs(*vf.macs)
+            return pkt
         if vf.kind == 1:
             rnic = leg.rnic
             rqp = leg.rqp
@@ -637,7 +705,7 @@ class FlightPlanner:
             avf.psn = vf.psn
             avf.syndrome = syndrome
             avf.msn = qp.msn
-            avf.wire = atmpl.base.ipv4.total_length + _ETH_WRAP
+            avf.wire = atmpl.wire
             avf.iport = None
             # A watcher invalidating mid-notify is _push_hop's stale-hop
             # branch: the ACK materializes into a real kernel event.
@@ -710,6 +778,180 @@ class FlightPlanner:
                        path)
 
     # ------------------------------------------------------------------
+    # The unicast READ chain: requester -> switch L3 forward -> responder
+    # and back.  The hop stages are direction-generic (``ctx`` is the
+    # leg); the frame is the real request packet on the way out and a
+    # virtual read response on the way back.  Two terminal stages call
+    # the responder's and requester's effects.
+    # ------------------------------------------------------------------
+
+    def _wire_out(self, d, link, port, frame) -> float:
+        """``_Direction.send`` plus the link's tap for ``frame`` leaving
+        ``port`` (Link.transmit on a clean cable); returns its arrival."""
+        tap = link._tap
+        if type(frame) is _VFrame:
+            t = d.send(frame.wire)
+            if tap is not None:
+                tap.absorb_frame(frame.block, frame.payload, frame.icrc)
+        else:
+            t = d.send(frame.wire_size)
+            if tap is not None:
+                tap(port, frame)
+        return t
+
+    def _v_l3_emit(self, fn, args: tuple, leg) -> None:
+        # Mirrors RNic._emit + Port.send + Link.transmit (NIC -> switch).
+        frame = args[0]
+        self.hops_replayed += 1
+        leg.src.packets_sent += 1
+        d = leg.dir_up
+        link = leg.up_link
+        t = self._wire_out(d, link, leg.src_port, frame)
+        self._push_hop(t, link._deliver, (d, frame), self._v_l3_arrive, leg)
+
+    def _v_l3_arrive(self, fn, args: tuple, leg) -> None:
+        # Mirrors Link._deliver + Switch.handle_packet (ingress parser claim).
+        frame = args[1]
+        self.hops_replayed += 1
+        sw = leg.switch
+        idx = leg.in_port
+        done = sw._parse_ingress(idx)
+        if type(frame) is _VFrame:
+            frame.iport = idx
+        else:
+            frame.meta["ingress_port"] = idx
+        self._push_hop(done, sw._run_ingress, (idx, frame),
+                       self._v_l3_ingress, leg)
+
+    def _v_l3_ingress(self, fn, args: tuple, leg) -> None:
+        # Mirrors Switch._run_ingress + cached_l3_forward (the program's
+        # plain L3 verdict, keyed ("l3", dst)) + the MAC rewrite.  The
+        # verdict is a forward to the leg's egress: _rebuild_path checked
+        # the route, and a route write flushes the cache.  The register
+        # guard reset (P4ceProgram._begin_packet) is skipped, as in
+        # _v_scatter_ingress.  The probe is a raw read, so a cold verdict
+        # meets FlowVerdictCache.hit once, in the real handler.
+        fc = leg.fc
+        key = leg.key
+        if fc._dirty or key not in fc._cache:
+            self._fallback(fn, args)  # cold: the real walk warms it
+            return
+        cached = fc.hit(key)
+        self.hops_replayed += 1
+        frame = args[1]
+        sw = leg.switch
+        token = sw._next_packet_token
+        sw._next_packet_token = token + 1
+        src = sw.mac
+        dst = cached[0][0]
+        if type(frame) is _VFrame:
+            frame.token = token
+            frame.block = with_macs(frame.block, src, dst)
+            frame.macs = (src, dst)
+        else:
+            frame.meta["packet_token"] = token
+            frame.rewrite_macs(src, dst)
+        out = leg.out_port
+        self._push_hop(sw._parse_egress(out, self._sim._now + leg.half_pipe),
+                       sw._run_egress, (out, 0, frame), self._v_l3_egress,
+                       leg)
+
+    def _v_l3_egress(self, fn, args: tuple, leg) -> None:
+        # Mirrors Switch._run_egress for unicast traffic, which the
+        # program's on_egress passes through untouched.  Its finalize()
+        # changes nothing: no hop changes a frame's length.
+        frame = args[2]
+        self.hops_replayed += 1
+        leg.counters.egress_runs += 1
+        self._push_hop(self._sim._now + leg.half_pipe, leg.switch._transmit,
+                       (args[0], frame), self._v_l3_transmit, leg)
+
+    def _v_l3_transmit(self, fn, args: tuple, leg) -> None:
+        # Mirrors Switch._transmit + Link.transmit (switch -> NIC).
+        frame = args[1]
+        self.hops_replayed += 1
+        leg.counters.tx_frames += 1
+        d = leg.dir_down
+        link = leg.down_link
+        t = self._wire_out(d, link, leg.sw_port, frame)
+        self._push_hop(t, link._deliver, (d, frame), self._v_l3_nic_arrive,
+                       leg)
+
+    def _v_l3_nic_arrive(self, fn, args: tuple, leg) -> None:
+        # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
+        self.hops_replayed += 1
+        nic = leg.dst
+        ready = nic._rx_admit()
+        if ready is None:
+            return  # dropped at a full RX queue, as in the slow lane
+        self._push_hop(ready, nic._rx_process, (args[1],), leg.land, leg)
+
+    def _v_read_serve(self, fn, args: tuple, leg) -> None:
+        # Mirrors RNic._rx_process + _roce_dispatch + _responder_read for
+        # a fresh READ answered by one packet, + the response's TX claim.
+        # The request is the requester's own frame, ICRC-stamped from its
+        # headers, so the check is not run; the NIC's power and QP table
+        # are path state.  The probes -- QP state, PSN order, one PMTU,
+        # the access check -- change nothing; anything unclean (a
+        # duplicate included, which the real handler re-executes) falls
+        # back whole.
+        packet = args[0]
+        rnic = leg.dst
+        qp = leg.dqp
+        upper = packet._upper
+        psn = upper[0].psn
+        reth = upper[1]
+        length = reth.dma_length
+        if (qp.state is QpState.ERROR or psn != qp.expected_psn
+                or length > rnic.pmtu):
+            self._fallback(fn, args)
+            return
+        data = rnic._read_region(qp, reth.virtual_address, reth.r_key,
+                                 length)
+        if data is None:
+            self._fallback(fn, args)  # the real handler NAKs
+            return
+        self.hops_replayed += 1
+        rnic._rx_inflight -= 1
+        rnic.packets_received += 1
+        syndrome = rnic._serve_read(qp, psn, length)
+        tmpl = read_response_template(qp.tx_templates, rnic.gateway_mac,
+                                      rnic.mac, rnic.ip, qp.remote_ip,
+                                      qp.udp_sport, _ROCE_PORT,
+                                      qp.remote_qpn, length)
+        vf = _VFrame()
+        vf.kind = 2
+        vf.leg = back = leg.back
+        vf.psn = psn
+        vf.syndrome = syndrome
+        vf.msn = msn = qp.msn
+        vf.payload = data
+        vf.block, vf.icrc = read_response_patch(tmpl, psn, syndrome, msn,
+                                                fold(data, 0))
+        vf.wire = tmpl.wire
+        vf.iport = vf.token = vf.macs = None
+        self._push_hop(rnic._tx_claim(), rnic._emit, (vf,), self._v_l3_emit,
+                       back)
+
+    def _v_read_land(self, fn, args: tuple, leg) -> None:
+        # Mirrors RNic._rx_process + _roce_dispatch for the read response
+        # at the requester, whose effect is the real
+        # _requester_read_response.  The response's ICRC is its patch's,
+        # over the words it carries, so the check is not run; the QP
+        # state is the one probe.
+        vf = args[0]
+        qp = leg.dqp
+        if qp.state is QpState.ERROR:
+            self._fallback(fn, args)
+            return
+        self.hops_replayed += 1
+        nic = leg.dst
+        nic._rx_inflight -= 1
+        nic.packets_received += 1
+        nic._requester_read_response(qp, vf.psn, vf.syndrome, vf.payload,
+                                     True)
+
+    # ------------------------------------------------------------------
     # Path resolution
     # ------------------------------------------------------------------
 
@@ -727,12 +969,14 @@ class FlightPlanner:
         return path
 
     def _rebuild_path(self, nic, qp):
-        """Validate the full scatter/gather topology for one broadcast QP
-        and pin every object the express stages touch: None if it does
-        not validate, ``_COLD`` on a dirty verdict cache.  Each device,
-        table and register is watched before it is read (cabling and QP
-        connections are set once; docs/PERF.md §9).  Probes use raw
-        reads (``_entries`` / ``_cache``) so validation never perturbs the
+        """Validate the path of one QP and pin every object the express
+        stages touch: the scatter/gather topology of a broadcast QP (its
+        peer is the switch) or the unicast L3 legs of any other
+        (:meth:`_rebuild_read_path`); None if it does not validate,
+        ``_COLD`` on a dirty verdict cache.  Each device, table and
+        register is watched before it is read (cabling and QP connections
+        are set once; docs/PERF.md §9).  Probes use raw reads
+        (``_entries`` / ``_cache``) so validation never perturbs the
         hit/miss counters the slow lane produces."""
         nic.watch(self)
         if not nic.powered:
@@ -748,14 +992,16 @@ class FlightPlanner:
         switch = switch_port.device
         switch.watch(self)
         program = getattr(switch, "program", None)
+        if program is None or not switch.powered:
+            return None
+        if qp.remote_ip != switch.ip:
+            return self._rebuild_read_path(nic, qp, switch, program)
         bcast = getattr(program, "bcast_table", None)
-        if bcast is None or not switch.powered:
+        if bcast is None:
             return None
         if program.ack_drop_in_egress:
             # Ablation config: surplus ACKs traverse the leader's egress
             # parser, where the express gather drops them in ingress only.
-            return None
-        if qp.remote_ip != switch.ip:
             return None
         aggr = program.aggr_table
         econn = program.egress_conn_table
@@ -802,15 +1048,7 @@ class FlightPlanner:
                 return None  # rid 0 would skip the egress rewrite
             eg_port = ports[out]
             rlink = eg_port.link
-            if rlink is None:
-                return None
-            rlink.watch(self)
-            if not rlink.up or rlink._drop_probability > 0.0:
-                return None
-            tap = rlink._tap
-            if tap is not None and type(tap) is not DigestTap:
-                # A foreign tap wants real frames, and interior frames
-                # on this cable are virtual.
+            if rlink is None or not self._clean_cable(rlink):
                 return None
             rport = rlink.other_end(eg_port)
             rnic = rport.device
@@ -852,3 +1090,90 @@ class FlightPlanner:
             leg.gather_key = (rqp.remote_qpn, _OP_ACK)
             legs.append(leg)
         return path
+
+    def _clean_cable(self, link) -> bool:
+        """Watch ``link``; True if it is up, lossless and tapped by the
+        ``DigestTap`` or not at all (a foreign tap wants real frames, and
+        the frames a fused flight carries over it may be virtual)."""
+        link.watch(self)
+        if not link.up or link._drop_probability > 0.0:
+            return False
+        tap = link._tap
+        return tap is None or type(tap) is DigestTap
+
+    def _rebuild_read_path(self, nic, qp, switch, program):
+        """The unicast path of ``qp``, whose peer is a host behind
+        ``switch``: the request leg to the responder NIC, whose ``back``
+        is the response leg, both over ``program``'s plain L3 forward
+        (answered by its :meth:`~repro.switch.pipeline.SwitchProgram.l3_cache`).
+        The responder QP must be connected back to ``qp``."""
+        switch.l3_table.watch(self)
+        there = self._l3_leg(nic, switch, program, qp.remote_ip)
+        if there is None:
+            return None
+        rnic = there.dst
+        rqp = rnic.qps.get(qp.remote_qpn)
+        if rqp is None or rqp.remote_ip != nic.ip or rqp.remote_qpn != qp.qpn:
+            return None
+        back = self._l3_leg(rnic, switch, program, nic.ip)
+        if back is None or back.dst is not nic:
+            return None
+        there.sqp = back.dqp = qp
+        there.dqp = back.sqp = rqp
+        there.back = back
+        back.back = None
+        there.land = self._v_read_serve
+        back.land = self._v_read_land
+        return there
+
+    def _l3_leg(self, src, switch, program, dst_ip) -> Optional[_L3Leg]:
+        """NIC ``src`` -> ``switch`` -> the NIC its L3 route to ``dst_ip``
+        leads to, validated and pinned; None if any of it is not clean."""
+        fc = program.l3_cache(dst_ip)
+        if fc is None:
+            return None
+        src.watch(self)
+        if not src.powered:
+            return None
+        port = src.port
+        link = port.link
+        if link is None or not self._clean_cable(link):
+            return None
+        in_port = link.other_end(port)
+        if in_port.device is not switch:
+            return None
+        entry = switch.l3_table._entries.get((dst_ip.value,))
+        if entry is None or entry.action != "forward":
+            return None
+        out = int(entry.params["port"])
+        ports = switch.ports
+        if not 0 <= out < len(ports):
+            return None
+        sw_port = ports[out]
+        down = sw_port.link
+        if down is None or not self._clean_cable(down):
+            return None
+        dst = down.other_end(sw_port).device
+        if type(dst) is not type(src):
+            return None
+        dst.watch(self)
+        if not dst.powered or dst.ip != dst_ip:
+            return None
+        leg = _L3Leg()
+        leg.epoch = self._epoch
+        leg.src = src
+        leg.src_port = port
+        leg.up_link = link
+        leg.dir_up = link.direction_from(port)
+        leg.switch = switch
+        leg.in_port = in_port.index
+        leg.fc = fc
+        leg.key = ("l3", dst_ip.value)
+        leg.half_pipe = switch.pipeline_latency_ns * 0.5
+        leg.out_port = out
+        leg.sw_port = sw_port
+        leg.counters = switch.counters[out]
+        leg.down_link = down
+        leg.dir_down = down.direction_from(sw_port)
+        leg.dst = dst
+        return leg

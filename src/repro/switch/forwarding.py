@@ -81,6 +81,9 @@ class L3ForwardProgram(SwitchProgram):
         super().attach(switch)
         self._flow_cache = FlowVerdictCache(switch.l3_table)
 
+    def l3_cache(self, dst_ip) -> Optional[FlowVerdictCache]:
+        return self._flow_cache
+
     def on_ingress(self, in_port: int, packet: Packet) -> IngressVerdict:
         if packet._ipv4 is None:  # presence check only: no thaw needed
             return IngressVerdict.drop()

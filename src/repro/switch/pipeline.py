@@ -86,6 +86,13 @@ class SwitchProgram:
     def on_egress(self, out_port: int, replication_id: int, packet: Packet) -> bool:
         return True
 
+    def l3_cache(self, dst_ip: Ipv4Address):
+        """The verdict cache this program's plain L3 forward reads for a
+        frame to ``dst_ip`` (keyed ``("l3", dst)``), or None when such a
+        frame is not plainly forwarded.  Flight fusion's unicast path asks
+        this instead of testing the program's type."""
+        return None
+
     def resource_budget(self):
         """Optional :class:`~repro.switch.resources.ResourceBudget`
         declaring this program's provisioning pools; the switch attaches

@@ -185,3 +185,31 @@ class TestPostRefusals:
         with pytest.raises(RuntimeError, match="bug in the NIC"):
             post(hb)
         assert not any(p.failed for p in paths)
+
+
+def test_lossy_cable_leaves_no_heartbeat_read_hanging():
+    """5 % loss on one follower's cable for 20 ms, then a heal: every
+    heartbeat route recovers.  A READ whose response was lost used to be
+    answered by a plain ACK on every retransmission and never completed,
+    so its route stayed ``inflight`` -- blind -- for good."""
+    from repro.faults.injector import FaultInjector
+    from repro.workloads.experiments import build_cluster
+
+    cluster = build_cluster("p4ce", 4, value_size=64, seed=7)
+    leader = cluster.await_ready()
+    victim = next(h.node_id for h in cluster.hosts
+                  if h.node_id != leader.node_id)
+    injector = FaultInjector(cluster)
+    injector.set_loss(victim, 0.05)
+    cluster.run_for(20 * MS)
+    injector.heal_link(victim)
+    cluster.run_for(5 * MS)
+    now = cluster.sim.now
+    paths = [path for member in cluster.members.values()
+             for peer in member.hb.peers.values() for path in peer.paths]
+    assert len(paths) == 40
+    stuck = [path for path in paths
+             if path.inflight and path.qp.outstanding
+             and now - path.qp.outstanding[0].posted_at > 1 * MS]
+    assert stuck == []
+    assert sum(path.qp.retransmissions for path in paths) > 0

@@ -17,6 +17,7 @@ when the real handler's cache lookup does.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import sys
 
@@ -50,6 +51,9 @@ def _run(fusion_on, fault_fn=None, run_ns=0.6 * MS, replicas=2,
         # with a foreign tap is declined (tests/test_fusion_decline.py).
         digest = install_trace_digest(cluster)
         leader = cluster.await_ready()
+        # Defusions count from here: set-up's connection and control-plane
+        # writes land while heartbeat READs are in flight.
+        ready_defusions = cluster.flight_planner.defusions
         program = cluster.switch.program
         caches = (program._flow_cache, program._egress_cache,
                   program._egress_templates)
@@ -85,7 +89,8 @@ def _run(fusion_on, fault_fn=None, run_ns=0.6 * MS, replicas=2,
             "flights_fused": planner.flights_fused,
             "fallbacks_after_warmup": (planner.express_fallbacks
                                        - warm_fallbacks),
-            "defusions": planner.defusions,
+            "defusions": planner.defusions - ready_defusions,
+            "reads_fused": planner.reads_fused,
             "hops_replayed": planner.hops_replayed,
             "fused_at_heal": probe.get("fused_at_heal"),
             "retransmissions": (leader.plane.qp.retransmissions
@@ -365,6 +370,13 @@ def test_invalidation_inside_a_stage_makes_its_successor_real():
     _assert_identical(fused, plain)
 
 
+def _write_qps(leader):
+    """Ids of the leader's write QPs: the broadcast QP and the direct
+    QPs it falls back to."""
+    return ({id(leader.plane.qp)}
+            | {id(path.qp) for path in leader.direct.paths.values()})
+
+
 def _lossy_replica_cable(fusion_on):
     """4 replicas, 64 B closed loop: a 0.1 % lossy replica cable for 2 ms,
     then a heal and an idle wait while the leader, which fell back to
@@ -381,7 +393,7 @@ def _lossy_replica_cable(fusion_on):
         rebuild = planner._rebuild_path
 
         def counted(nic, qp):
-            rebuilds.append(qp)
+            rebuilds.append((planner._epoch, qp))
             return rebuild(nic, qp)
 
         planner._rebuild_path = counted
@@ -391,9 +403,13 @@ def _lossy_replica_cable(fusion_on):
         replica = next(h.node_id for h in cluster.hosts
                        if h.node_id != leader.node_id)
         injector = FaultInjector(cluster)
+        before, epoch = len(rebuilds), planner._epoch
+        write_qps = _write_qps(leader)
         injector.set_loss(replica, 0.001)
         cluster.run_for(2 * MS)
-        lossy_rebuilds = len(rebuilds)
+        lossy = rebuilds[before:]
+        lossy_epochs = planner._epoch - epoch
+        write_qps |= _write_qps(leader)
         injector.heal_link(replica)
         fused_at_heal = planner.flights_fused
         loop.stop()
@@ -405,7 +421,12 @@ def _lossy_replica_cable(fusion_on):
             "digest": digest.hexdigest(),
             "commits": loop.commits,
             "events": cluster.sim.events_executed,
-            "lossy_rebuilds": lossy_rebuilds,
+            "lossy_rebuilds": len(lossy),
+            "lossy_write_rebuilds": sum(1 for _, qp in lossy
+                                        if id(qp) in write_qps),
+            "lossy_epochs": lossy_epochs,
+            # Validations of one QP within one path epoch beyond the first.
+            "revalidations": len(lossy) - len({(e, id(qp)) for e, qp in lossy}),
             "fused_at_heal": fused_at_heal,
             "flights_fused": planner.flights_fused,
         }
@@ -414,15 +435,22 @@ def _lossy_replica_cable(fusion_on):
 
 
 def test_failed_validation_is_remembered_until_a_change_notifies():
-    """While a replica cable is lossy every launch is declined -- the
-    broadcast QP's path crosses it, and the direct QPs the leader falls
-    back to never reach the switch -- and each QP's failed validation
+    """While a replica cable is lossy every write launch is declined --
+    the broadcast QP's path crosses it, and the direct QPs the leader
+    falls back to are unicast -- and each QP's validation, failed or not,
     is remembered until a watched change notifies the planner, instead
-    of re-run at every launch.  The heal and the group rebuild notify,
-    so fusion resumes."""
+    of re-run at every launch: no QP (heartbeat QPs included) validates
+    twice in one path epoch, and neither a lost frame nor a declined
+    launch moves the epoch.  The heal and the group rebuild notify, so
+    fusion resumes."""
     fused = _lossy_replica_cable(fusion_on=True)
     plain = _lossy_replica_cable(fusion_on=False)
-    assert fused["lossy_rebuilds"] < 20
+    # The loss setting moves the epoch, and so does one QP created or
+    # destroyed at the leader's NIC as it falls back; a lost frame does not.
+    assert fused["lossy_epochs"] <= 2
+    assert 0 < fused["lossy_write_rebuilds"] < 20
+    assert fused["revalidations"] == 0
+    assert fused["lossy_rebuilds"] > fused["lossy_write_rebuilds"]
     assert fused["flights_fused"] > fused["fused_at_heal"] > 0
     assert plain["flights_fused"] == 0
     for key in ("digest", "commits", "events"):
@@ -693,6 +721,149 @@ def test_replica_crash_mid_message_matches_unfused_digest():
     _assert_identical(fused, plain)
 
 
+# -- Heartbeat READs ----------------------------------------------------------
+
+def _read_run(lanes, scenario):
+    """A 4-replica P4CE cluster with its backup network and no client load:
+    the wire carries heartbeat READs (and what the scenario sets off).
+    ``lanes`` is "fused" (every lane on), "unfused" (fusion off) or
+    "slow" (every lane off), or the name of the one lane turned off.  The
+    verdict caches' hits of both switches are sampled every 50 us, from a
+    kernel event that every lane runs alike."""
+    fastlane.flags.set_all(lanes != "slow")
+    if lanes == "unfused":
+        fastlane.flags.flight_fusion = False
+    elif lanes in fastlane._LANES:
+        setattr(fastlane.flags, lanes, False)
+    try:
+        cluster = build_cluster("p4ce", 4, value_size=64, seed=7)
+        digest = install_trace_digest(cluster)
+        program = cluster.switch.program
+        caches = (program._flow_cache, program._egress_cache,
+                  program._egress_templates,
+                  cluster.backup_switch.program._flow_cache)
+        sim = cluster.sim
+        cache_hits = []
+
+        def sample():
+            cache_hits.append((sim.now, *(c.hits for c in caches)))
+            sim.schedule(50 * US, sample)
+
+        sim.schedule(50 * US, sample)
+        leader = cluster.await_ready()
+        planner = cluster.flight_planner
+        ready = planner.stats()
+        probe = scenario(cluster, leader) or {}
+        stats = planner.stats()
+        return {
+            "digest": digest.hexdigest(),
+            "events": sim.events_executed,
+            "seqs": sim._seq,
+            "cache_hits": cache_hits,
+            "probe": probe,
+            "reads_fused": stats["reads_fused"],
+            "reads_at_ready": ready["reads_fused"],
+            "flights_fused": stats["flights_fused"],
+            "defusions": stats["defusions"] - ready["defusions"],
+            "fallbacks": (stats["express_fallbacks"]
+                          - ready["express_fallbacks"]),
+        }
+    finally:
+        fastlane.enable()
+
+
+@functools.lru_cache(maxsize=None)
+def _slow_read_run(scenario):
+    """The all-lanes-off reference of ``scenario``, run once per module
+    (several tests compare against the idle one)."""
+    return _read_run("slow", scenario)
+
+
+def _idle(cluster, leader):
+    cluster.run_for(2 * MS)
+
+
+def _leader_kill_then_follower_crash(cluster, leader):
+    """The application of the leader dies (its NIC keeps answering
+    reads), a new leader takes over; then a follower's host crashes and
+    comes back with a cold NIC and reconnects."""
+    injector = FaultInjector(cluster)
+    injector.kill_app(leader.node_id)
+    for _ in range(80):
+        cluster.run_for(1 * MS)
+        new_leader = cluster.leader
+        if new_leader is not None:
+            break
+    victim = max(node_id for node_id in cluster.members
+                 if node_id not in (leader.node_id,
+                                    getattr(new_leader, "node_id", None)))
+    injector.crash_host(victim)
+    cluster.run_for(2 * MS)
+    injector.revive_host(victim)
+    cluster.run_for(8 * MS)
+    paths = [path for member in cluster.members.values()
+             for peer in member.hb.peers.values() for path in peer.paths]
+    return {"new_leader": getattr(new_leader, "node_id", None),
+            "victim_paths": sum(1 for member in cluster.members.values()
+                                for nid, peer in member.hb.peers.items()
+                                if nid == victim for _ in peer.paths),
+            "paths": len(paths)}
+
+
+def _lossy_heartbeat_cable(cluster, leader):
+    """5 % loss on one follower's backup cable -- heartbeat READs only --
+    for 3 ms, then a heal."""
+    injector = FaultInjector(cluster)
+    victim = next(h.node_id for h in cluster.hosts
+                  if h.node_id != leader.node_id)
+    injector.set_loss(victim, 0.05, backup=True)
+    cluster.run_for(3 * MS)
+    injector.heal_link(victim, backup=True)
+    cluster.run_for(2 * MS)
+    link = next(h for h in cluster.hosts
+                if h.node_id == victim).backup_nic.port.link
+    return {"dropped": sum(link.stats_from(end).dropped
+                           for end in (link.a, link.b))}
+
+
+@pytest.mark.parametrize("scenario", [
+    _idle, _leader_kill_then_follower_crash, _lossy_heartbeat_cable,
+], ids=["idle", "leader_kill_follower_crash", "lossy_heartbeat_cable"])
+def test_fused_reads_match_both_references(scenario):
+    """Heartbeat READs ride the express chain on both networks (the
+    primary switch's L3 miss path and the backup L3 switch) and agree
+    with fusion's own off-half and with the all-lanes-off reference on
+    the wire, in events and in kernel seqs; the verdict caches' hit
+    timeline matches fusion's off-half."""
+    fused = _read_run("fused", scenario)
+    plain = _read_run("unfused", scenario)
+    slow = _slow_read_run(scenario)
+    assert fused["reads_at_ready"] > 0
+    assert fused["reads_fused"] > fused["reads_at_ready"]
+    assert plain["reads_fused"] == slow["reads_fused"] == 0
+    assert fused["probe"] == plain["probe"] == slow["probe"]
+    for key in ("digest", "events", "seqs"):
+        assert fused[key] == plain[key] == slow[key], key
+    assert fused["cache_hits"] == plain["cache_hits"]
+    assert ([sample[0] for sample in fused["cache_hits"]]
+            == [sample[0] for sample in slow["cache_hits"]])
+    if scenario is _idle:
+        assert fused["defusions"] == 0
+        assert fused["fallbacks"] == 0
+    if scenario is _leader_kill_then_follower_crash:
+        assert fused["probe"]["new_leader"] not in (None, 0)
+        assert fused["defusions"] >= 1
+    if scenario is _lossy_heartbeat_cable:
+        assert fused["probe"]["dropped"] > 0
+
+
+@pytest.mark.parametrize("lane", fastlane._LANES)
+def test_reads_fuse_only_with_every_lane_on(lane):
+    off = _read_run(lane, _idle)
+    assert off["reads_fused"] == 0
+    assert off["digest"] == _slow_read_run(_idle)["digest"]
+
+
 # -- One definition per hop ---------------------------------------------------
 
 #: The hop effects the real handlers and the express stages share:
@@ -700,8 +871,9 @@ def test_replica_crash_mid_message_matches_unfused_digest():
 #: A "time" effect returns when the hop's successor runs, and the wrapper
 #: delays it by 1 ns; a "wire" effect is a wire patch, and the wrapper
 #: flips a bit of the header block or tail it returns (not of its ICRC:
-#: a real receiver recomputes that and would drop the frame); every other
-#: wrapper counts calls.
+#: a real receiver recomputes that and would drop the frame), a "bytes"
+#: effect returns a rendered frame image, and the wrapper flips a bit of
+#: it; every other wrapper counts calls.
 #: The reference is the all-lanes-off run, except for effects only the
 #: template and flow-cache lanes reach, which are compared against
 #: fusion's own off-half.
@@ -715,11 +887,16 @@ _SHARED_EFFECTS = [
     ("repro.rdma.nic", "RNic", "_land_write", "count", "slow"),
     ("repro.rdma.nic", "RNic", "_complete_write", "count", "slow"),
     ("repro.rdma.nic", "RNic", "_ack_syndrome", "count", "slow"),
+    ("repro.rdma.nic", "RNic", "_read_region", "count", "slow"),
+    ("repro.rdma.nic", "RNic", "_serve_read", "count", "slow"),
+    ("repro.rdma.nic", "RNic", "_requester_read_response", "count", "slow"),
     ("repro.p4ce.dataplane", "P4ceProgram", "_egress_leg", "count", "slow"),
     ("repro.p4ce.dataplane", "P4ceProgram", "_gather_ack", "count", "slow"),
     ("repro.switch.tables", "FlowVerdictCache", "hit", "count", "plain"),
     ("repro.rdma.wiretemplate", None, "scatter_patch", "wire", "plain"),
     ("repro.rdma.wiretemplate", None, "ack_patch", "wire", "plain"),
+    ("repro.rdma.wiretemplate", None, "read_response_patch", "wire", "plain"),
+    ("repro.net.packet", None, "with_macs", "bytes", "plain"),
 ]
 
 
@@ -739,6 +916,8 @@ def _wrap_effect(monkeypatch, module, owner, name, mode, calls):
         if mode == "wire":
             data = result[0]
             return data[:-1] + bytes((data[-1] ^ 1,)), result[1]
+        if mode == "bytes":
+            return result[:-1] + bytes((result[-1] ^ 1,))
         return result
 
     monkeypatch.setattr(target, name, wrapper)
@@ -762,7 +941,10 @@ def test_express_stages_call_the_shared_effects(monkeypatch, value_size,
     stage (or the digest tap) with its own copy of the effect would keep
     the old timing, bytes or count, and diverge.  (A wire patch runs when
     the tap renders a virtual frame but when the real egress builds a
-    real one, so its count is not compared: its bytes are.)"""
+    real one, so its count is not compared: its bytes are.)  The seeded
+    loop's heartbeat READs take the unicast chain, so its effects -- the
+    responder's and requester's, the read-response patch and the MAC
+    rewrite -- are perturbed too."""
     calls = [0]
     _wrap_effect(monkeypatch, module, owner, name, mode, calls)
     kwargs = dict(run_ns=0.15 * MS, value_size=value_size)

@@ -130,3 +130,62 @@ class TestAtomicErrors:
         assert [wc.ok for wc in done] == [True, True, True]
         assert int.from_bytes(region.read(region.addr, 8), "big") == 15
         assert region.read(region.addr + 16, 5) == b"after"
+
+
+class TestLostAtomicResponse:
+    """The ATOMIC_ACKNOWLEDGE of an executed atomic is lost: the
+    retransmitted duplicate is answered from the responder's saved
+    original, never executed twice, and the requester completes it only
+    on that response -- a plain ACK must not pop it as a success with
+    its original value lost."""
+
+    @staticmethod
+    def _drop_first_server_frames(rig, count=1):
+        state = {"dropped": 0}
+
+        def tap(src, packet):
+            if state["dropped"] < count and src.device is rig.server.nic \
+                    and packet.udp is not None:
+                state["dropped"] += 1
+                rig.link.up = False
+                rig.sim.schedule(10, lambda: setattr(rig.link, "up", True))
+
+        rig.link.tap = tap
+        return state
+
+    @pytest.mark.parametrize("op,remote_after", [("cas", 99), ("fetch_add", 42)])
+    def test_original_lands_and_remote_changes_once(self, atomic_rig, op,
+                                                    remote_after):
+        rig, qp, region, local, done = atomic_rig
+        region.write(region.addr, (41).to_bytes(8, "big"))
+        state = self._drop_first_server_frames(rig)
+        if op == "cas":
+            rig.client.post_cas(qp, region.addr, region.r_key, compare=41,
+                                swap=99, local_va=local.addr)
+        else:
+            rig.client.post_fetch_add(qp, region.addr, region.r_key, 1,
+                                      local_va=local.addr)
+        drain(rig, ms=5)
+        assert state["dropped"]
+        assert qp.retransmissions >= 1
+        assert len(done) == 1 and done[0].ok
+        assert int.from_bytes(local.read(local.addr, 8), "big") == 41
+        assert int.from_bytes(region.read(region.addr, 8), "big") == remote_after
+
+    def test_window_of_lost_responses_replays_each_original(self, atomic_rig):
+        """Two atomics outstanding, both responses lost: go-back-N
+        retransmits both, and each duplicate -- the older one too -- is
+        answered with its own saved original."""
+        rig, qp, region, local, done = atomic_rig
+        region.write(region.addr, (41).to_bytes(8, "big"))
+        state = self._drop_first_server_frames(rig, count=2)
+        for slot in range(2):
+            rig.client.post_fetch_add(qp, region.addr, region.r_key, 1,
+                                      local_va=local.addr + 8 * slot)
+        drain(rig, ms=5)
+        assert state["dropped"] == 2
+        assert qp.retransmissions >= 1
+        assert len(done) == 2 and all(wc.ok for wc in done)
+        assert [int.from_bytes(local.read(local.addr + 8 * slot, 8), "big")
+                for slot in range(2)] == [41, 42]
+        assert int.from_bytes(region.read(region.addr, 8), "big") == 43

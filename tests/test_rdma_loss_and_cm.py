@@ -233,3 +233,66 @@ class TestConnectionManager:
         # Client initial send PSN equals what the server expects.
         assert qp.next_psn == sqp.expected_psn
         assert sqp.next_psn == qp.expected_psn
+
+
+class TestLostReadResponse:
+    def test_duplicate_read_is_executed_again(self, two_hosts):
+        """A READ whose response is lost completes after one retransmission:
+        the responder executes the duplicate again and answers with data,
+        not with a plain ACK, which completes no read (the requester would
+        retransmit every timeout, forever, with its retry budget reset by
+        each ACK)."""
+        qp, cq, sqp, _scq, region = two_hosts.connected_qp_pair()
+        local = two_hosts.client.reg_mr(64, Access.LOCAL_WRITE, "dst")
+        region.write(region.addr, b"heartbeat-control-region-bytes!!")
+        done = []
+        cq.on_completion = done.append
+        state = {"dropped": False}
+
+        def tap(src, packet):
+            # Drop the server's first RoCE frame: the read response.
+            if not state["dropped"] and src.device is two_hosts.server.nic \
+                    and packet.udp \
+                    and packet.udp.dst_port == params.ROCE_UDP_PORT:
+                state["dropped"] = True
+                two_hosts.link.up = False
+                two_hosts.sim.schedule(
+                    10, lambda: setattr(two_hosts.link, "up", True))
+
+        two_hosts.link.tap = tap
+        expected_psn, msn = sqp.expected_psn, sqp.msn
+        two_hosts.client.post_read(qp, local.addr, region.addr, region.r_key,
+                                   32)
+        drain(two_hosts, ms=20)
+        assert state["dropped"]
+        assert len(done) == 1 and done[0].ok
+        assert local.read(local.addr, 32) == b"heartbeat-control-region-bytes!!"
+        assert qp.state is QpState.RTS and not qp.outstanding
+        assert qp.retransmissions == 1
+        # The re-execution left the responder's sequence state alone.
+        assert sqp.expected_psn == (expected_psn + 1) & 0xFFFFFF
+        assert sqp.msn == msn + 1
+
+    def test_stale_read_response_does_not_complete_a_later_read(self,
+                                                                two_hosts):
+        """A response whose PSN is outside the head read's span -- here a
+        second, delayed copy of a completed read's response -- lands
+        nowhere and completes nothing."""
+        qp, cq, _sqp, _scq, region = two_hosts.connected_qp_pair()
+        local = two_hosts.client.reg_mr(64, Access.LOCAL_WRITE, "dst")
+        region.write(region.addr, b"A" * 8 + b"B" * 8)
+        done = []
+        cq.on_completion = done.append
+        nic = two_hosts.client.nic
+        two_hosts.client.post_read(qp, local.addr, region.addr, region.r_key, 8)
+        drain(two_hosts)
+        assert len(done) == 1 and not qp.outstanding
+        first_psn = (qp.next_psn - 1) & 0xFFFFFF
+        two_hosts.link.set_down()
+        two_hosts.client.post_read(qp, local.addr + 8, region.addr + 8,
+                                   region.r_key, 8)
+        drain(two_hosts, ms=0.01)
+        assert len(qp.outstanding) == 1
+        nic._requester_read_response(qp, first_psn, 0, b"A" * 8, True)
+        assert len(done) == 1 and len(qp.outstanding) == 1
+        assert local.read(local.addr + 8, 8) == bytes(8)

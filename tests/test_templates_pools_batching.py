@@ -198,6 +198,36 @@ class TestScatterTemplateEquivalence:
             _assert_template_matches_full_pack(via_ack)
         assert list(ack_templates) == ["ack"]
 
+    def test_read_response_frame_matches_tx_frame(self):
+        """The pre-rendered single-packet read response (the one flight
+        fusion's virtual response is rendered with) and the generic
+        TX-template path emit byte- and ICRC-identical frames."""
+        rng = random.Random(0xBEEF)
+        gateway = MacAddress(rng.getrandbits(48))
+        src_mac = MacAddress(rng.getrandbits(48))
+        src_ip = Ipv4Address(rng.getrandbits(32))
+        dst_ip = Ipv4Address(rng.getrandbits(32))
+        src_port = rng.randrange(1024, 65536)
+        dest_qp = rng.getrandbits(24)
+        read_templates, tx_templates = {}, {}
+        for length in (0, 1, 32, 1024):
+            psn = rng.getrandbits(24)
+            syndrome = rng.getrandbits(8)
+            msn = rng.getrandbits(24)
+            payload = bytes(rng.getrandbits(8) for _ in range(length))
+            via_read = wiretemplate.read_response_frame(
+                read_templates, gateway, src_mac, src_ip, dst_ip, src_port,
+                params.ROCE_UDP_PORT, dest_qp, psn, syndrome, msn, payload)
+            via_tx = wiretemplate.tx_frame(
+                tx_templates, gateway, src_mac, src_ip, dst_ip, src_port,
+                params.ROCE_UDP_PORT,
+                [Bth(Opcode.RDMA_READ_RESPONSE_ONLY, dest_qp, psn),
+                 Aeth(syndrome, msn)], payload)
+            assert via_read.pack() == via_tx.pack()
+            assert via_read.meta["icrc"] == via_tx.meta["icrc"]
+            assert via_read.wire_size == read_templates[("read", length)].wire
+            _assert_template_matches_full_pack(via_read)
+
     def test_tx_frame_rejects_uncovered_extensions(self):
         upper = [Bth(Opcode.COMPARE_SWAP, 5, 9),
                  AtomicEth(0x1000, 0xAB, 1, 2)]
