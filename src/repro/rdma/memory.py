@@ -28,6 +28,7 @@ assignment must keep the length.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import mmap
 from typing import Dict, List, Optional
@@ -111,7 +112,10 @@ class AddressSpace:
         # and the switch must rewrite the RETH VA per replica.
         self._next_va = self.BASE_VA + self._rng.randint(0, 1 << 20) * self.ALIGNMENT
         self._by_rkey: Dict[int, MemoryRegion] = {}
+        #: In address order (the allocator only bumps upward), with
+        #: ``_starts`` the regions' base VAs, for :meth:`by_va`'s bisect.
         self._regions: List[MemoryRegion] = []
+        self._starts: List[int] = []
 
     @property
     def regions(self) -> List[MemoryRegion]:
@@ -126,23 +130,30 @@ class AddressSpace:
         region = MemoryRegion(addr, length, r_key, access, name)
         self._by_rkey[r_key] = region
         self._regions.append(region)
+        self._starts.append(addr)
         return region
 
     def deregister(self, region: MemoryRegion) -> None:
         self._by_rkey.pop(region.r_key, None)
         try:
-            self._regions.remove(region)
+            i = self._regions.index(region)
         except ValueError:
-            pass
+            return
+        del self._regions[i]
+        del self._starts[i]
 
     def by_rkey(self, r_key: int) -> Optional[MemoryRegion]:
         return self._by_rkey.get(r_key)
 
     def by_va(self, va: int, length: int = 1) -> Optional[MemoryRegion]:
-        for region in self._regions:
-            if region.contains(va, length):
-                return region
-        return None
+        """The region holding [va, va+length), or None.  Regions do not
+        overlap, so the only candidate is the last one starting at or
+        below ``va``."""
+        i = bisect.bisect_right(self._starts, va) - 1
+        if i < 0:
+            return None
+        region = self._regions[i]
+        return region if region.contains(va, length) else None
 
     def _fresh_rkey(self) -> int:
         while True:

@@ -15,66 +15,73 @@ One chain, or the real handlers
 A launch has exactly two ways to run.  Either :meth:`FlightPlanner.try_fuse`
 accepts it and it rides the express chain below, or ``try_fuse`` declines
 it (flag off, tracer on, no validated path, a launch not of its path's
-shape) and ``RNic._tx`` schedules it
-through the real handlers -- the reference every wire digest is judged
-against.  A stage is a call, not a copy: what a hop does to a device has
-one definition, a small method on its owner (``_Direction.send``,
-``Switch._parse_ingress``, ``RNic._land_write``, ...; docs/PERF.md §9
-lists them) that the real handler and the express stage both call.
-Effects read ``sim._now``, which the kernel sets to the hop's time like
-any event's.  What is left in a stage is its probes, its virtual frame
-and its successor.
+shape) and ``RNic._tx`` schedules it through the real handlers -- the
+reference every wire digest is judged against.  A stage is a call, not a
+copy: what a hop does to a device has one definition, a small method on
+its owner (``_Direction.send``, ``Switch._parse_ingress``,
+``RNic._land_write``, ...; docs/PERF.md §9 lists them) that the real
+handler and the express stage both call.  Effects read ``sim._now``,
+which the kernel sets to the hop's time like any event's.  What is left
+in a stage is its probes, its virtual frame and its successor.
 
-A launch is a whole RDMA WRITE message, one packet per PMTU segment:
-``WRITE_ONLY``, or ``WRITE_FIRST``, zero or more ``WRITE_MIDDLE`` and
-``WRITE_LAST``.  ``try_fuse`` claims the TX pipeline packet by packet, as
-``RNic._tx`` would, and each packet rides its own chain of hops.  A head
-(FIRST / ONLY) carries the RETH and opens each replica's write cursor, a
-MIDDLE or LAST continues it, and only the tail (LAST / ONLY) completes the
-message and is ACKed -- so the gather stages see one ACK per message, at
-any size.
+One leg model
+-------------
 
-The chain has a second shape: an RDMA READ whose response is one packet
-(length <= PMTU) on a QP whose peer is a host behind the switch -- every
-heartbeat.  Its path is two unicast legs through the program's plain L3
-forward (requester -> responder, responder -> requester); the ``_v_l3_*``
-hop stages are direction-generic and take the leg as ``ctx``, and two
-terminal stages call the responder's effects (``RNic._read_region``,
-``_serve_read``) and the requester's (``_requester_read_response``).
-The request is the real launch packet; the response is a virtual frame
-rendered once by ``read_response_patch``.
+Every frame in P4CE takes the same path, NIC -> switch -> NIC; what
+differs is the switch's verdict.  So every fused frame rides a
+:class:`_Leg`, resolved once per path epoch: the sending NIC and its up
+cable, the switch ingress port, the verdict stage, the egress port, the
+down cable and the receiving NIC, the ``land`` stage that ends the leg
+and the ``back`` leg the answer rides.  Five hop stages serve every leg
+-- emit, switch arrive, egress, transmit, NIC arrive -- and only the
+verdict and the land are the shape's own:
+
+* **A broadcast write** is n scatter legs sharing the leader's up half.
+  The scatter verdict fans one launch packet out to them; the egress
+  resolves each leg's wire template (``P4ceProgram._egress_leg``); the
+  land writes the replica log and emits the ACK onto its ``back`` leg,
+  replica -> switch -> leader, whose verdict is the gather.  A launch is
+  a whole RDMA WRITE message, one packet per PMTU segment
+  (``WRITE_ONLY``, or ``WRITE_FIRST``, zero or more ``WRITE_MIDDLE`` and
+  ``WRITE_LAST``), and each packet rides its own hops: a head carries the
+  RETH and opens each replica's write cursor, and only the tail is ACKed
+  -- so the gather sees one ACK per message, at any size.  At the gather threshold the
+  forwarded ACK materializes into the exact real ``Packet`` and rides the
+  same generic stages down to the leader, whose leg has no land: the
+  final hop runs the *real* ``_rx_process``, so the CQE -> commit ->
+  next-proposal cascade schedules real events.  (Handing that ACK to the
+  real ``Switch._to_egress`` instead cost ~3 % of host time on the 64 B
+  closed loop; docs/PERF.md has the pairs.)
+* **An RDMA READ** whose response is one packet (length <= PMTU) on a QP
+  whose peer is a host behind the switch -- every heartbeat -- is a
+  request leg through the program's plain L3 forward, whose land serves
+  the read (``RNic._read_region``, ``_serve_read``) and emits the
+  response onto its ``back`` leg, whose land is the requester's
+  ``_requester_read_response``.
+
+Launch packets are the wire's alone once they leave the sender (the NIC
+keeps the work request, not the frames), so the chain only reads them.
 
 1. **A hop is a kernel event.**  It sits in the kernel heap
-   (``sim._heap``) as ``(time, seq, stage, (real_fn, real_args, ctx))``,
-   ``ctx`` being the path or leg it rides: the kernel pops it at its
-   turn, counts it and calls ``stage(real_fn, real_args, ctx)``.  Each
-   push consumes the kernel's sequence counter at exactly the intra-hop
-   points the slow lane's ``schedule_at_fire`` calls would have, so ties
-   against real events resolve in slow-lane order -- and ``(real_fn,
-   real_args)`` is precisely the event the slow lane would have
-   scheduled, which makes de-fusion a rewrite of the entry in place.
+   (``sim._heap``) as ``(time, seq, stage, (real_fn, real_args, leg))``:
+   the kernel pops it at its turn, counts it and calls ``stage(real_fn,
+   real_args, leg)``.  Each push consumes the kernel's sequence counter
+   at exactly the intra-hop points the slow lane's ``schedule_at_fire``
+   calls would have, so ties against real events resolve in slow-lane
+   order -- and ``(real_fn, real_args)`` is precisely the event the slow
+   lane would have scheduled, which makes de-fusion a rewrite of the
+   entry in place.
 
-2. **Interior frames are columnar.**  From the leader's TX to the gather
-   threshold the ``_v_*`` stages never build the per-leg packets: each
-   scatter leg and each replica ACK travels as a :class:`_VFrame` (a
-   wire-template reference plus the two or three words that vary per
-   frame).  That is the only thing a stage leaves out.  The invariant
-   that carries fusion: **an express stage executes at its hop's
-   ``(time, seq)`` turn and mutates the same cells and counters its
-   real handler would** -- by calling the same effect methods, in the
-   handler's order -- and hands the frame to the digest tap in wire
-   order.  Nothing is staged, so every register and counter is live at
-   every instant a callback can run and there is no barrier to miss.
-   At the gather threshold the forwarded ACK materializes into the exact
-   real ``Packet`` and the three ``_x_*`` tail stages carry it to the
-   leader, where the final hop runs the *real* RX handler so the CQE ->
-   commit -> next-proposal cascade schedules real events.  (Handing the
-   ACK to the real ``Switch._to_egress`` instead cost ~3 % of host time
-   on the 64 B closed loop, measured when hops still ran outside the
-   kernel; docs/PERF.md has the pairs.)  A launch packet is the
-   wire's alone once it leaves the leader (the NIC keeps the work
-   request, not the frames), so the chain only reads it and every leg
-   that has to become real is a copy of it.
+2. **Interior frames are virtual.**  A scatter leg, a replica ACK and a
+   read response travel as a :class:`_VFrame` (a wire-template reference
+   plus the few words that vary per frame); that is the only thing a
+   stage leaves out.  The invariant that carries fusion: **an express
+   stage executes at its hop's ``(time, seq)`` turn and mutates the same
+   cells and counters its real handler would** -- by calling the same
+   effect methods, in the handler's order -- and hands the frame to the
+   digest tap in wire order (:meth:`FlightPlanner._wire_out`).  Nothing is
+   staged, so every register and counter is live at every instant a
+   callback can run and there is no barrier to miss.
 
 3. **One heap orders everything.**  A stage's successor goes back on
    the kernel heap and is popped at its own turn, never run ahead of it,
@@ -108,10 +115,11 @@ rendered once by ``read_response_patch``.
    express gather executes the same masked register-cell arithmetic as
    the real RegisterActions, so reuse is exact.
 
-Links whose tap is not the :class:`~repro.sim.columnar.DigestTap`
-want real frames on every hop; a path over one (a replica cable of a
-broadcast path, either cable of a read's) is not validated, so its
-launches are declined.
+Every cable a virtual frame crosses must be tapped by the
+:class:`~repro.sim.columnar.DigestTap` or not at all: another tap wants
+real frames, so a path over one is not validated and its launches are
+declined.  Only real frames cross a broadcast leader's cable, so any tap
+is allowed there.
 
 The fused-vs-reference tests (``tests/test_flight_fusion.py``,
 ``tests/test_columnar_express.py``) and the digest-parity sweeps
@@ -119,6 +127,7 @@ The fused-vs-reference tests (``tests/test_flight_fusion.py``,
 ``events_executed``, metrics and packet-trace digests, including fault
 runs where fusion disengages and re-engages mid-run.
 """
+
 
 from __future__ import annotations
 
@@ -165,37 +174,23 @@ _WRITE_SHAPES = {
 #: never remembered, so also the planner's "no result yet".
 _COLD = object()
 
-class _FusedPath:
-    """Everything the express stages need about one broadcast QP's path,
-    resolved once per path epoch: devices, link directions, caches,
-    register cells and timing constants."""
+class _Leg:
+    """One NIC -> switch -> NIC leg of a validated path, resolved once per
+    path epoch: the sending NIC ``src`` and QP ``sqp`` and its port, the
+    up cable direction ``dir_up``, the switch ingress port ``in_port``,
+    the switch's ``verdict`` stage (scatter, gather or L3 forward) and
+    what it reads (``fc``, ``key``, ``cells`` / ``mask`` of NumRecv), the
+    egress port ``out_port`` with its ``counters`` and its ``sw_port``,
+    the down cable direction ``dir_down``, the receiving NIC ``dst`` and
+    QP ``dqp``, the ``land`` stage that ends it at ``dst`` (None: the
+    real ``_rx_process``), the ``back`` leg the answer rides, and the
+    path epoch.  A scatter leg also carries its replication id ``rid``
+    and the ``fan`` of scatter legs that share its up half."""
 
-    __slots__ = ("epoch", "nic", "nic_port", "switch", "program",
-                 "leader_link", "leader_in_port", "switch_port", "dir_up",
-                 "dir_down", "fc", "ecache", "numrecv_cells", "numrecv_mask",
-                 "half_pipe", "legs")
-
-
-class _FusedLeg:
-    """One scatter/gather leg of a fused path (one replica).  It
-    carries its path's epoch, so a stage checks either context alike."""
-
-    __slots__ = ("epoch", "path", "rid", "out_port", "counters", "link",
-                 "dir_down", "dir_back", "rnic", "rqp", "gather_key")
-
-
-class _L3Leg:
-    """One leg of a fused READ's unicast path: frames from NIC ``src``
-    through the switch's plain L3 forward to NIC ``dst``.  The request
-    leg's ``back`` is the response leg (None on that one), ``sqp`` /
-    ``dqp`` are the sending and receiving QPs, and ``land`` is the stage
-    that ends the leg at ``dst``.  A leg carries its epoch, as a path
-    does."""
-
-    __slots__ = ("epoch", "src", "src_port", "up_link", "dir_up", "switch",
-                 "in_port", "fc", "key", "half_pipe", "out_port", "sw_port",
-                 "counters", "down_link", "dir_down", "dst", "sqp", "dqp",
-                 "back", "land")
+    __slots__ = ("epoch", "src", "sqp", "src_port", "dir_up", "switch",
+                 "program", "half_pipe", "in_port", "verdict", "fc", "key",
+                 "cells", "mask", "out_port", "counters", "sw_port",
+                 "dir_down", "dst", "dqp", "land", "back", "rid", "fan")
 
 
 class _VLaunch:
@@ -235,10 +230,11 @@ class FlightPlanner:
     def __init__(self, sim: Simulator, tracer: Optional[Tracer] = None):
         self._sim = sim
         self._tracer = tracer
-        #: Validation results by leader QP (None: declined) until invalidate().
-        self._paths: Dict[Any, Optional[_FusedPath]] = {}
-        #: Path epoch: bumped by every :meth:`invalidate`; paths and legs
-        #: pin the epoch they were resolved against.
+        #: Validation results by sending QP -- the path's first leg, None
+        #: if declined -- until invalidate().
+        self._paths: Dict[Any, Optional[_Leg]] = {}
+        #: Path epoch: bumped by every :meth:`invalidate`; legs pin the
+        #: epoch they were resolved against.
         self._epoch = 0
         # Diagnostics / attribution.
         #: WRITE messages fused (``bench/run.py`` divides it by commits).
@@ -296,7 +292,7 @@ class FlightPlanner:
         if tracer is not None and tracer.enabled:
             return False
         path = self._resolve_path(nic, qp)
-        read = type(path) is _L3Leg
+        read = path is not None and path.fan is None
         if read:
             # A READ on a unicast path: the request rides the wire as the
             # real launch packet; its response is one PSN, one virtual
@@ -327,7 +323,7 @@ class FlightPlanner:
         sim = self._sim
         heap = sim._heap
         emit = nic._emit
-        xfn = self._v_l3_emit if read else self._v_leader_emit
+        xfn = self._v_emit
         # RNic._tx per packet, in order (powered is path-validated and
         # fault-watched): claim the TX pipeline, push the emit hop.
         for packet in packets:
@@ -345,23 +341,23 @@ class FlightPlanner:
     # Hop plumbing
     # ------------------------------------------------------------------
 
-    def _push_hop(self, t: float, fn, args: tuple, xfn, ctx) -> None:
+    def _push_hop(self, t: float, fn, args: tuple, xfn, leg) -> None:
         """Push a stage's successor hop onto the kernel heap.  It consumes
         the kernel's sequence counter, so the hop gets exactly the seq the
         slow lane's ``schedule_at_fire`` would have assigned and timestamp
         ties -- hop vs real event, and real events scheduled later --
-        resolve in slow-lane order.  ``ctx`` (path or leg) pins the epoch
-        its path was resolved under: an invalidation since then (a notify
+        resolve in slow-lane order.  ``leg`` pins the epoch its path
+        was resolved under: an invalidation since then (a notify
         watcher in the replica-RX stage can invalidate mid-stage) means
         express stages must not outrun the new configuration, so the hop
         becomes the real kernel event it stands for."""
         sim = self._sim
-        if ctx.epoch != self._epoch:
+        if leg.epoch != self._epoch:
             sim.schedule_at_fire(t, fn, *self._real_args(args))
             return
         seq = sim._seq
         sim._seq = seq + 1
-        heapq.heappush(sim._heap, (t, seq, xfn, (fn, args, ctx)))
+        heapq.heappush(sim._heap, (t, seq, xfn, (fn, args, leg)))
 
     def _real_args(self, args: tuple) -> tuple:
         """``args`` with any virtual frame rebuilt into its real packet."""
@@ -402,7 +398,7 @@ class FlightPlanner:
         validation result, so each path is validated afresh at its next
         launch, bump the epoch, and rewrite every pending hop in place
         into the ordinary kernel event it stands for: ``(t, seq, stage,
-        (fn, args, ctx))`` becomes ``(t, seq, fn, args)``.  The key is
+        (fn, args, leg))`` becomes ``(t, seq, fn, args)``.  The key is
         unchanged, so the heap needs no re-heapify and ordering against
         live events is preserved.  Exact by
         construction: each hop carries precisely the (fn, args) event the
@@ -429,54 +425,10 @@ class FlightPlanner:
     # for the proven-clean shape -- by calling the effect methods that
     # handler calls -- and pushes the successor hop; anything else falls
     # back to the real handler before the first mutation.
-    # Stage signature: (fn, args, ctx) -- the real event (fn, args) the
-    # hop stands for and the path or leg it rides.  A stage reads the
-    # clock as ``self._sim._now``.
-    #
-    # The chain's tail comes first: at the gather threshold the forwarded
-    # ACK is a real packet, and these three stages carry it from switch
-    # egress to the leader's RX pipeline.
-    # ------------------------------------------------------------------
-
-    def _x_gather_egress(self, fn, args: tuple, path) -> None:
-        # Mirrors Switch._run_egress for the forwarded ACK (rid 0 passes
-        # through on_egress untouched).
-        ack = args[2]
-        self.hops_replayed += 1
-        path.switch.counters[args[0]].egress_runs += 1
-        ack.finalize()
-        self._push_hop(self._sim._now + path.half_pipe, path.switch._transmit,
-                       (args[0], ack), self._x_gather_transmit, path)
-
-    def _x_gather_transmit(self, fn, args: tuple, path) -> None:
-        # Mirrors Switch._transmit + Link.transmit (switch -> leader).
-        ack = args[1]
-        self.hops_replayed += 1
-        path.switch.counters[args[0]].tx_frames += 1
-        link = path.leader_link
-        d = path.dir_down
-        t = d.send(ack.wire_size)
-        tap = link._tap
-        if tap is not None:
-            tap(path.switch_port, ack)
-        self._push_hop(t, link._deliver, (d, ack), self._x_leader_arrive,
-                       path)
-
-    def _x_leader_arrive(self, fn, args: tuple, path) -> None:
-        # Mirrors Link._deliver + RNic.handle_packet at the leader; the
-        # successor is a real event: _rx_process runs the completion
-        # cascade (CQE -> commit -> next proposal) with real events.
-        self.hops_replayed += 1
-        lnic = path.nic
-        ready = lnic._rx_admit()
-        if ready is not None:
-            self._sim.schedule_at_fire(ready, lnic._rx_process, args[1])
-
-    # ------------------------------------------------------------------
-    # Materialization and the _v_* stages: the chain from leader TX to
-    # the gather threshold.  Each hop runs at the (time, seq) turn the real
-    # handler's event would have and calls the same effect methods; only
-    # the interior frames differ -- they are _VFrames, never built.
+    # Stage signature: (fn, args, leg) -- the real event (fn, args) the
+    # hop stands for and the leg it rides.  A stage reads the clock as
+    # ``self._sim._now``.  Five hop stages serve every leg; the switch's
+    # verdict and the leg's land are the shape's own.
     # ------------------------------------------------------------------
 
     def flush_columnar(self) -> None:
@@ -490,96 +442,175 @@ class FlightPlanner:
         scatter leg is a copy of the launch packet -- which is only ever
         read -- plus, past egress, the template install: byte- and
         ICRC-identical to the ``scatter_rewrite`` the real egress would
-        have performed."""
+        have performed.  An ACK or a read response is built from the
+        sending NIC and QP of the leg it rides."""
         leg = vf.leg
-        if vf.kind == 2:
-            rnic = leg.src
-            rqp = leg.sqp
-            pkt = read_response_frame(rqp.tx_templates, rnic.gateway_mac,
-                                      rnic.mac, rnic.ip, rqp.remote_ip,
-                                      rqp.udp_sport, _ROCE_PORT,
-                                      rqp.remote_qpn, vf.psn, vf.syndrome,
-                                      vf.msn, vf.payload)
-            meta = pkt.meta
-            if vf.iport is not None:
-                meta["ingress_port"] = vf.iport
-            if vf.token is not None:
-                meta["packet_token"] = vf.token
-            if vf.macs is not None:
-                pkt.rewrite_macs(*vf.macs)
+        if vf.kind == 0:
+            lau = vf.lau
+            pkt = lau.packet.copy()
+            pkt.meta["replication_id"] = leg.rid
+            if vf.rewritten:
+                install_scatter(pkt, vf.tmpl, vf.psn, lau.ack_req, vf.va)
+                pkt.finalize()
             return pkt
+        nic = leg.src
+        qp = leg.sqp
+        words = (qp.tx_templates, nic.gateway_mac, nic.mac, nic.ip,
+                 qp.remote_ip, qp.udp_sport, _ROCE_PORT, qp.remote_qpn,
+                 vf.psn, vf.syndrome, vf.msn)
         if vf.kind == 1:
-            rnic = leg.rnic
-            rqp = leg.rqp
-            ack = ack_frame(rqp.tx_templates, rnic.gateway_mac, rnic.mac,
-                            rnic.ip, rqp.remote_ip, rqp.udp_sport,
-                            _ROCE_PORT, rqp.remote_qpn, vf.psn, vf.syndrome,
-                            vf.msn)
-            if vf.iport is not None:
-                ack.meta["ingress_port"] = vf.iport
-            return ack
-        lau = vf.lau
-        pkt = lau.packet.copy()
-        pkt.meta["replication_id"] = leg.rid
-        if vf.rewritten:
-            install_scatter(pkt, vf.tmpl, vf.psn, lau.ack_req, vf.va)
-            pkt.finalize()
+            pkt = ack_frame(*words)
+        else:
+            pkt = read_response_frame(*words, vf.payload)
+        meta = pkt.meta
+        if vf.iport is not None:
+            meta["ingress_port"] = vf.iport
+        if vf.token is not None:
+            meta["packet_token"] = vf.token
+        if vf.macs is not None:
+            pkt.rewrite_macs(*vf.macs)
         return pkt
 
-    def _v_leader_emit(self, fn, args: tuple, path) -> None:
-        # Mirrors RNic._emit + Port.send + Link.transmit (leader ->
-        # switch).  The launch frame is real (the leader's own TX); only
-        # the successor chain goes columnar.
-        packet = args[0]
-        self.hops_replayed += 1
-        path.nic.packets_sent += 1
-        d = path.dir_up
-        link = path.leader_link
-        t = d.send(packet.wire_size)
-        tap = link._tap
+    def _wire_out(self, d, port, frame) -> float:
+        """``_Direction.send`` plus the cable's tap for ``frame`` leaving
+        ``port`` (``Link.transmit`` on a clean cable); returns its
+        arrival.  The one place a frame's kind picks its wire size and
+        its tap call: a real frame is tapped as such, a virtual one as
+        its template and varying words (a scatter leg, an ACK) or as its
+        rendered block (a read response)."""
+        tap = d.link._tap
+        if type(frame) is not _VFrame:
+            t = d.send(frame.wire_size)
+            if tap is not None:
+                tap(port, frame)
+            return t
+        t = d.send(frame.wire)
         if tap is not None:
-            tap(path.nic_port, packet)
-        self._push_hop(t, link._deliver, (d, packet),
-                       self._v_scatter_arrive, path)
+            kind = frame.kind
+            if kind == 0:
+                lau = frame.lau
+                tap.absorb_scatter(frame.tmpl, frame.ack_word, frame.va,
+                                   lau.payload, lau.payload_crc)
+            elif kind == 1:
+                tap.absorb_ack(frame.tmpl, frame.psn, frame.syndrome,
+                               frame.msn)
+            else:
+                tap.absorb_frame(frame.block, frame.payload, frame.icrc)
+        return t
 
-    def _v_scatter_arrive(self, fn, args: tuple, path) -> None:
-        # Mirrors Link._deliver + Switch.handle_packet (ingress parser claim).
-        packet = args[1]
+    # -- The hop stages every leg rides ---------------------------------
+
+    def _v_emit(self, fn, args: tuple, leg) -> None:
+        # Mirrors RNic._emit + Port.send + Link.transmit (NIC -> switch).
+        frame = args[0]
         self.hops_replayed += 1
-        sw = path.switch
-        idx = path.leader_in_port
-        done = sw._parse_ingress(idx)
-        packet.meta["ingress_port"] = idx
-        self._push_hop(done, sw._run_ingress, (idx, packet),
-                       self._v_scatter_ingress, path)
+        leg.src.packets_sent += 1
+        d = leg.dir_up
+        t = self._wire_out(d, leg.src_port, frame)
+        self._push_hop(t, d.link._deliver, (d, frame), self._v_arrive, leg)
 
-    def _v_scatter_ingress(self, fn, args: tuple, path) -> None:
+    def _v_arrive(self, fn, args: tuple, leg) -> None:
+        # Mirrors Link._deliver + Switch.handle_packet (ingress parser
+        # claim); the successor is the leg's verdict stage.
+        frame = args[1]
+        self.hops_replayed += 1
+        sw = leg.switch
+        idx = leg.in_port
+        done = sw._parse_ingress(idx)
+        if type(frame) is _VFrame:
+            frame.iport = idx
+        else:
+            frame.meta["ingress_port"] = idx
+        self._push_hop(done, sw._run_ingress, (idx, frame), leg.verdict, leg)
+
+    def _v_egress(self, fn, args: tuple, leg) -> None:
+        # Mirrors Switch._run_egress + P4ceProgram.on_egress: unicast
+        # traffic (rid 0) passes through untouched, and its finalize()
+        # changes nothing -- no hop changes a frame's length.  A scatter
+        # leg (egress-cache hit) resolves its wire template and varying
+        # words; the frame is patched nowhere.
+        rid = args[1]
+        if rid and rid not in leg.program._egress_cache._cache:
+            self._fallback(fn, args)  # cold cache: real egress fills it
+            return
+        self.hops_replayed += 1
+        leg.counters.egress_runs += 1
+        frame = args[2]
+        sw = leg.switch
+        if rid:
+            pre, templates = leg.program._egress_leg(rid)
+            lau = frame.lau
+            # The template's shape (with or without RETH) is the
+            # packet's: the fingerprint leads with its header count.
+            frame.tmpl = scatter_template(lau.packet, templates, lau.fp,
+                                          pre, sw.mac, sw.ip)
+            frame.psn = psn = (lau.psn0 + pre[4]) & PSN_MASK
+            frame.ack_word = ((1 << 31) if lau.ack_req else 0) | psn
+            va0 = lau.va0
+            frame.va = None if va0 is None else va0 + pre[5]
+            frame.rkey = pre[6]
+            frame.rewritten = True
+        self._push_hop(self._sim._now + leg.half_pipe, sw._transmit,
+                       (args[0], frame), self._v_transmit, leg)
+
+    def _v_transmit(self, fn, args: tuple, leg) -> None:
+        # Mirrors Switch._transmit + Link.transmit (switch -> NIC).
+        frame = args[1]
+        self.hops_replayed += 1
+        leg.counters.tx_frames += 1
+        d = leg.dir_down
+        t = self._wire_out(d, leg.sw_port, frame)
+        self._push_hop(t, d.link._deliver, (d, frame), self._v_nic_arrive,
+                       leg)
+
+    def _v_nic_arrive(self, fn, args: tuple, leg) -> None:
+        # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
+        # A leg without a land ends in the real _rx_process: the
+        # forwarded ACK's completion cascade (CQE -> commit -> next
+        # proposal) schedules real events.
+        self.hops_replayed += 1
+        nic = leg.dst
+        ready = nic._rx_admit()
+        if ready is None:
+            return  # dropped at a full RX queue, as in the slow lane
+        land = leg.land
+        if land is None:
+            self._sim.schedule_at_fire(ready, nic._rx_process, args[1])
+        else:
+            self._push_hop(ready, nic._rx_process, (args[1],), land, leg)
+
+    # -- The switch's verdicts ------------------------------------------
+    # Each probes its FlowVerdictCache raw (no flush, no count) and
+    # declines a cold verdict, so the real walk meets
+    # FlowVerdictCache.hit once, as in the slow lane; a warm one is
+    # counted by hit().  The verdict is the leg's: _rebuild_path checked
+    # the tables the walk reads, and any write to them flushes the
+    # cache.  The register guard reset (P4ceProgram._begin_packet) is
+    # skipped: guards are only read by RegisterAction.execute, which no
+    # express stage calls, and every real ingress resets them first.
+
+    def _v_scatter(self, fn, args: tuple, leg) -> None:
         # Mirrors Switch._run_ingress + P4ceProgram scatter classification
-        # (flow-cache hit, keyed by (bcast QPN, opcode) as the real
-        # _classify_roce keys it: each message shape has its own verdict)
-        # + the packet's own NumRecv slot reset + multicast fan-out, but
-        # the fan-out pushes _VFrames: per-leg varying words are computed
-        # at egress, the packets never.  The register guard reset
-        # (_begin_packet) is skipped: guards are only read by
-        # RegisterAction.execute, which no express stage calls, and every
-        # real ingress resets them first.
+        # (keyed by (bcast QPN, opcode) as the real _classify_roce keys
+        # it: each message shape has its own verdict) + the packet's own
+        # NumRecv slot reset + multicast fan-out, but the fan-out pushes
+        # _VFrames: per-leg varying words are computed at egress, the
+        # packets never.
         packet = args[1]
         upper = packet._upper
         bth = upper[0]
-        # The verdict is a scatter one: _rebuild_path checked the tables
-        # the walk reads, and any write to them flushes the cache.
-        cached = path.fc.hit((bth.dest_qp, bth.opcode))
-        if cached is None:
-            # Cold verdict: let the real walk classify (and warm the cache
-            # for the next packet of this shape).
-            self._fallback(fn, args)
+        fc = leg.fc
+        key = (bth.dest_qp, bth.opcode)
+        if fc._dirty or key not in fc._cache:
+            self._fallback(fn, args)  # cold: the real walk warms it
             return
+        cached = fc.hit(key)
         self.hops_replayed += 1
-        sw = path.switch
+        sw = leg.switch
         packet.meta["packet_token"] = sw._next_packet_token
         sw._next_packet_token += 1
-        path.numrecv_cells[cached[1][0] + bth.psn % _NUMRECV_SLOTS] = 0
-        path.program.scattered += 1
+        leg.cells[cached[1][0] + bth.psn % _NUMRECV_SLOTS] = 0
+        leg.program.scattered += 1
         lau = _VLaunch()
         lau.packet = packet
         lau.psn0 = bth.psn
@@ -593,76 +624,88 @@ class FlightPlanner:
         lau.payload = packet._payload
         lau.payload_crc = payload_crc(packet)
         lau.fp = scatter_fingerprint(packet)
-        lau.wire = packet.wire_size
-        tm = self._sim._now + path.half_pipe
-        for leg in path.legs:
+        lau.wire = wire = packet.wire_size
+        tm = self._sim._now + leg.half_pipe
+        for fleg in leg.fan:
             vf = _VFrame()
             vf.kind = 0
-            vf.leg = leg
+            vf.leg = fleg
             vf.lau = lau
+            vf.wire = wire
             vf.rewritten = False
-            out = leg.out_port
+            out = fleg.out_port
             self._push_hop(sw._parse_egress(out, tm), sw._run_egress,
-                           (out, leg.rid, vf), self._v_scatter_egress, leg)
+                           (out, fleg.rid, vf), self._v_egress, fleg)
 
-    def _v_scatter_egress(self, fn, args: tuple, leg) -> None:
-        # Mirrors Switch._run_egress + P4ceProgram.on_egress for one
-        # multicast leg (egress-cache hit): resolve the wire template and
-        # the leg's varying words; patch nothing.
-        path = leg.path
-        rid = args[1]
-        if rid not in path.ecache._cache:
-            self._fallback(fn, args)  # cold cache: real egress fills it
+    def _v_gather(self, fn, args: tuple, leg) -> None:
+        # Mirrors Switch._run_ingress + P4ceProgram._gather (NumRecv
+        # count, credit fold, forward-or-drop) on the live register cells:
+        # the count runs the RegisterAction's masked arithmetic --
+        # compared unmasked, as _numrecv_count returns it, so 256-slot PSN
+        # wrap behaves identically -- and the rest is the real _gather_ack.
+        # Virtual ACKs always carry make_syndrome(ACK, credits), so the
+        # NAK branch is unreachable by construction.  At the threshold
+        # the forwarded ACK materializes and rides the leg's down half
+        # as a real packet.
+        fc = leg.fc
+        if fc._dirty or leg.key not in fc._cache:
+            self._fallback(fn, args)
             return
+        pre = fc.hit(leg.key)[1]  # _GatherPre
         self.hops_replayed += 1
-        leg.counters.egress_runs += 1
-        pre, templates = path.program._egress_leg(rid)
-        vf = args[2]
-        lau = vf.lau
-        sw = path.switch
-        # The template's shape (with or without RETH) is the packet's:
-        # the fingerprint leads with its header count.
-        tmpl = scatter_template(lau.packet, templates, lau.fp, pre,
-                                sw.mac, sw.ip)
-        psn = (lau.psn0 + pre[4]) & PSN_MASK
-        vf.psn = psn
-        vf.ack_word = ((1 << 31) if lau.ack_req else 0) | psn
-        va0 = lau.va0
-        vf.va = None if va0 is None else va0 + pre[5]
-        vf.rkey = pre[6]
-        vf.tmpl = tmpl
-        vf.rewritten = True
-        self._push_hop(self._sim._now + path.half_pipe, sw._transmit,
-                       (args[0], vf), self._v_scatter_transmit, leg)
+        avf = args[1]
+        sw = leg.switch
+        token = sw._next_packet_token
+        sw._next_packet_token = token + 1
+        leader_psn = (avf.psn - pre.psn_offset) & PSN_MASK
+        cells = leg.cells
+        nslot = pre.numrecv_base + leader_psn % _NUMRECV_SLOTS
+        count = cells[nslot] + 1
+        cells[nslot] = count & leg.mask
+        prog = leg.program
+        minimum = prog._gather_ack(pre, leader_psn, avf.syndrome & 0x1F,
+                                   count)
+        if minimum is None:
+            sw._ingress_drop(leg.in_port)  # surplus (or early) ACK
+            return
+        avf.token = token
+        ack = self._materialize(avf)
+        upper = ack._upper
+        prog._rewrite_to_leader(ack, upper[0], upper[1], leader_psn, pre,
+                                minimum)
+        out = leg.out_port
+        self._push_hop(sw._parse_egress(out, self._sim._now + leg.half_pipe),
+                       sw._run_egress, (out, 0, ack), self._v_egress, leg)
 
-    def _v_scatter_transmit(self, fn, args: tuple, leg) -> None:
-        # Mirrors Switch._transmit + Link.transmit (switch -> replica);
-        # the frame is absorbed by the columnar digest tap.
-        vf = args[1]
+    def _v_l3(self, fn, args: tuple, leg) -> None:
+        # Mirrors Switch._run_ingress + cached_l3_forward (the program's
+        # plain L3 verdict, keyed ("l3", dst)) + the MAC rewrite.
+        fc = leg.fc
+        if fc._dirty or leg.key not in fc._cache:
+            self._fallback(fn, args)
+            return
+        cached = fc.hit(leg.key)
         self.hops_replayed += 1
-        leg.counters.tx_frames += 1
-        lau = vf.lau
-        link = leg.link
-        d = leg.dir_down
-        t = d.send(lau.wire)
-        tap = link._tap
-        if tap is not None:
-            tap.absorb_scatter(vf.tmpl, vf.ack_word, vf.va, lau.payload,
-                               lau.payload_crc)
-        self._push_hop(t, link._deliver, (d, vf), self._v_replica_arrive,
-                       leg)
+        frame = args[1]
+        sw = leg.switch
+        token = sw._next_packet_token
+        sw._next_packet_token = token + 1
+        src = sw.mac
+        dst = cached[0][0]
+        if type(frame) is _VFrame:
+            frame.token = token
+            frame.block = with_macs(frame.block, src, dst)
+            frame.macs = (src, dst)
+        else:
+            frame.meta["packet_token"] = token
+            frame.rewrite_macs(src, dst)
+        out = leg.out_port
+        self._push_hop(sw._parse_egress(out, self._sim._now + leg.half_pipe),
+                       sw._run_egress, (out, 0, frame), self._v_egress, leg)
 
-    def _v_replica_arrive(self, fn, args: tuple, leg) -> None:
-        # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
-        self.hops_replayed += 1
-        rnic = leg.rnic
-        ready = rnic._rx_admit()
-        if ready is None:
-            return  # the leg dies here, exactly as in the slow lane
-        self._push_hop(ready, rnic._rx_process, (args[1],),
-                       self._v_replica_rx, leg)
+    # -- The lands: the NIC's effects at the end of a leg ---------------
 
-    def _v_replica_rx(self, fn, args: tuple, leg) -> None:
+    def _v_replica_write(self, fn, args: tuple, leg) -> None:
         # Mirrors RNic._rx_process + _roce_dispatch + _responder_write for the
         # leg's shape + the ACK build/TX.  The shape is one of try_fuse's
         # stamped WRITE shapes, AckReq set exactly on the tail, and the
@@ -675,8 +718,8 @@ class FlightPlanner:
         # _land_write's own checks, which change nothing when they fail.
         # Any unclean answer rebuilds the real packet and falls back whole.
         vf = args[0]
-        rnic = leg.rnic
-        qp = leg.rqp
+        rnic = leg.dst
+        qp = leg.dqp
         if qp.state is QpState.ERROR or vf.psn != qp.expected_psn:
             self._fallback(fn, args)
             return
@@ -700,191 +743,17 @@ class FlightPlanner:
         if rnic.powered:  # a notify watcher may have crashed the host
             avf = _VFrame()
             avf.kind = 1
-            avf.leg = leg
+            avf.leg = back = leg.back
             avf.tmpl = atmpl
             avf.psn = vf.psn
             avf.syndrome = syndrome
             avf.msn = qp.msn
             avf.wire = atmpl.wire
-            avf.iport = None
+            avf.iport = avf.token = avf.macs = None
             # A watcher invalidating mid-notify is _push_hop's stale-hop
             # branch: the ACK materializes into a real kernel event.
             self._push_hop(rnic._tx_claim(), rnic._emit, (avf,),
-                           self._v_ack_emit, leg)
-
-    def _v_ack_emit(self, fn, args: tuple, leg) -> None:
-        # Mirrors RNic._emit + Link.transmit (replica -> switch).
-        avf = args[0]
-        self.hops_replayed += 1
-        leg.rnic.packets_sent += 1
-        link = leg.link
-        d = leg.dir_back
-        t = d.send(avf.wire)
-        tap = link._tap
-        if tap is not None:
-            tap.absorb_ack(avf.tmpl, avf.psn, avf.syndrome, avf.msn)
-        self._push_hop(t, link._deliver, (d, avf), self._v_ack_arrive, leg)
-
-    def _v_ack_arrive(self, fn, args: tuple, leg) -> None:
-        # Mirrors Link._deliver + Switch.handle_packet for the ACK.
-        avf = args[1]
-        self.hops_replayed += 1
-        sw = leg.path.switch
-        idx = leg.out_port
-        done = sw._parse_ingress(idx)
-        avf.iport = idx
-        self._push_hop(done, sw._run_ingress, (idx, avf),
-                       self._v_gather_ingress, leg)
-
-    def _v_gather_ingress(self, fn, args: tuple, leg) -> None:
-        # Mirrors Switch._run_ingress + P4ceProgram._gather (NumRecv
-        # count, credit fold, forward-or-drop) on the live register cells:
-        # the count runs the RegisterAction's masked arithmetic --
-        # compared unmasked, as _numrecv_count returns it, so 256-slot PSN
-        # wrap behaves identically -- and the rest is the real _gather_ack.
-        # Virtual ACKs always carry make_syndrome(ACK, credits), so the
-        # NAK branch is unreachable by construction.  At the threshold
-        # the forwarded ACK materializes and rides the real-packet tail.
-        path = leg.path
-        avf = args[1]
-        cached = path.fc.hit(leg.gather_key)  # a gather verdict, as above
-        if cached is None:
-            self._fallback(fn, args)
-            return
-        self.hops_replayed += 1
-        sw = path.switch
-        token = sw._next_packet_token
-        sw._next_packet_token = token + 1
-        pre = cached[1]  # _GatherPre
-        leader_psn = (avf.psn - pre.psn_offset) & PSN_MASK
-        cells = path.numrecv_cells
-        nslot = pre.numrecv_base + leader_psn % _NUMRECV_SLOTS
-        count = cells[nslot] + 1
-        cells[nslot] = count & path.numrecv_mask
-        prog = path.program
-        minimum = prog._gather_ack(pre, leader_psn, avf.syndrome & 0x1F,
-                                   count)
-        if minimum is None:
-            sw._ingress_drop(leg.out_port)  # surplus (or early) ACK
-            return
-        ack = self._materialize(avf)
-        ack.meta["packet_token"] = token
-        upper = ack._upper
-        prog._rewrite_to_leader(ack, upper[0], upper[1], leader_psn, pre,
-                                minimum)
-        out = path.leader_in_port
-        self._push_hop(sw._parse_egress(out, self._sim._now + path.half_pipe),
-                       sw._run_egress, (out, 0, ack), self._x_gather_egress,
-                       path)
-
-    # ------------------------------------------------------------------
-    # The unicast READ chain: requester -> switch L3 forward -> responder
-    # and back.  The hop stages are direction-generic (``ctx`` is the
-    # leg); the frame is the real request packet on the way out and a
-    # virtual read response on the way back.  Two terminal stages call
-    # the responder's and requester's effects.
-    # ------------------------------------------------------------------
-
-    def _wire_out(self, d, link, port, frame) -> float:
-        """``_Direction.send`` plus the link's tap for ``frame`` leaving
-        ``port`` (Link.transmit on a clean cable); returns its arrival."""
-        tap = link._tap
-        if type(frame) is _VFrame:
-            t = d.send(frame.wire)
-            if tap is not None:
-                tap.absorb_frame(frame.block, frame.payload, frame.icrc)
-        else:
-            t = d.send(frame.wire_size)
-            if tap is not None:
-                tap(port, frame)
-        return t
-
-    def _v_l3_emit(self, fn, args: tuple, leg) -> None:
-        # Mirrors RNic._emit + Port.send + Link.transmit (NIC -> switch).
-        frame = args[0]
-        self.hops_replayed += 1
-        leg.src.packets_sent += 1
-        d = leg.dir_up
-        link = leg.up_link
-        t = self._wire_out(d, link, leg.src_port, frame)
-        self._push_hop(t, link._deliver, (d, frame), self._v_l3_arrive, leg)
-
-    def _v_l3_arrive(self, fn, args: tuple, leg) -> None:
-        # Mirrors Link._deliver + Switch.handle_packet (ingress parser claim).
-        frame = args[1]
-        self.hops_replayed += 1
-        sw = leg.switch
-        idx = leg.in_port
-        done = sw._parse_ingress(idx)
-        if type(frame) is _VFrame:
-            frame.iport = idx
-        else:
-            frame.meta["ingress_port"] = idx
-        self._push_hop(done, sw._run_ingress, (idx, frame),
-                       self._v_l3_ingress, leg)
-
-    def _v_l3_ingress(self, fn, args: tuple, leg) -> None:
-        # Mirrors Switch._run_ingress + cached_l3_forward (the program's
-        # plain L3 verdict, keyed ("l3", dst)) + the MAC rewrite.  The
-        # verdict is a forward to the leg's egress: _rebuild_path checked
-        # the route, and a route write flushes the cache.  The register
-        # guard reset (P4ceProgram._begin_packet) is skipped, as in
-        # _v_scatter_ingress.  The probe is a raw read, so a cold verdict
-        # meets FlowVerdictCache.hit once, in the real handler.
-        fc = leg.fc
-        key = leg.key
-        if fc._dirty or key not in fc._cache:
-            self._fallback(fn, args)  # cold: the real walk warms it
-            return
-        cached = fc.hit(key)
-        self.hops_replayed += 1
-        frame = args[1]
-        sw = leg.switch
-        token = sw._next_packet_token
-        sw._next_packet_token = token + 1
-        src = sw.mac
-        dst = cached[0][0]
-        if type(frame) is _VFrame:
-            frame.token = token
-            frame.block = with_macs(frame.block, src, dst)
-            frame.macs = (src, dst)
-        else:
-            frame.meta["packet_token"] = token
-            frame.rewrite_macs(src, dst)
-        out = leg.out_port
-        self._push_hop(sw._parse_egress(out, self._sim._now + leg.half_pipe),
-                       sw._run_egress, (out, 0, frame), self._v_l3_egress,
-                       leg)
-
-    def _v_l3_egress(self, fn, args: tuple, leg) -> None:
-        # Mirrors Switch._run_egress for unicast traffic, which the
-        # program's on_egress passes through untouched.  Its finalize()
-        # changes nothing: no hop changes a frame's length.
-        frame = args[2]
-        self.hops_replayed += 1
-        leg.counters.egress_runs += 1
-        self._push_hop(self._sim._now + leg.half_pipe, leg.switch._transmit,
-                       (args[0], frame), self._v_l3_transmit, leg)
-
-    def _v_l3_transmit(self, fn, args: tuple, leg) -> None:
-        # Mirrors Switch._transmit + Link.transmit (switch -> NIC).
-        frame = args[1]
-        self.hops_replayed += 1
-        leg.counters.tx_frames += 1
-        d = leg.dir_down
-        link = leg.down_link
-        t = self._wire_out(d, link, leg.sw_port, frame)
-        self._push_hop(t, link._deliver, (d, frame), self._v_l3_nic_arrive,
-                       leg)
-
-    def _v_l3_nic_arrive(self, fn, args: tuple, leg) -> None:
-        # Mirrors Link._deliver + RNic.handle_packet (RX pipeline claim).
-        self.hops_replayed += 1
-        nic = leg.dst
-        ready = nic._rx_admit()
-        if ready is None:
-            return  # dropped at a full RX queue, as in the slow lane
-        self._push_hop(ready, nic._rx_process, (args[1],), leg.land, leg)
+                           self._v_emit, back)
 
     def _v_read_serve(self, fn, args: tuple, leg) -> None:
         # Mirrors RNic._rx_process + _roce_dispatch + _responder_read for
@@ -930,7 +799,7 @@ class FlightPlanner:
                                                 fold(data, 0))
         vf.wire = tmpl.wire
         vf.iport = vf.token = vf.macs = None
-        self._push_hop(rnic._tx_claim(), rnic._emit, (vf,), self._v_l3_emit,
+        self._push_hop(rnic._tx_claim(), rnic._emit, (vf,), self._v_emit,
                        back)
 
     def _v_read_land(self, fn, args: tuple, leg) -> None:
@@ -955,11 +824,11 @@ class FlightPlanner:
     # Path resolution
     # ------------------------------------------------------------------
 
-    def _resolve_path(self, nic, qp) -> Optional[_FusedPath]:
-        """``qp``'s validated path, or None, remembered until the next
-        :meth:`invalidate` -- except a failure on a dirty verdict cache,
-        whose flush (by the declined launch's own packet) notifies
-        nobody."""
+    def _resolve_path(self, nic, qp) -> Optional[_Leg]:
+        """``qp``'s validated path -- its first leg -- or None, remembered
+        until the next :meth:`invalidate`, except a failure on a dirty
+        verdict cache, whose flush (by the declined launch's own packet)
+        notifies nobody."""
         path = self._paths.get(qp, _COLD)
         if path is _COLD:
             path = self._rebuild_path(nic, qp)
@@ -970,23 +839,19 @@ class FlightPlanner:
 
     def _rebuild_path(self, nic, qp):
         """Validate the path of one QP and pin every object the express
-        stages touch: the scatter/gather topology of a broadcast QP (its
-        peer is the switch) or the unicast L3 legs of any other
-        (:meth:`_rebuild_read_path`); None if it does not validate,
-        ``_COLD`` on a dirty verdict cache.  Each device, table and
-        register is watched before it is read (cabling and QP connections
-        are set once; docs/PERF.md §9).  Probes use raw reads
-        (``_entries`` / ``_cache``) so validation never perturbs the
-        hit/miss counters the slow lane produces."""
+        stages touch: the scatter legs of a broadcast QP (its peer is the
+        switch), each with its ACK leg as ``back``, or the request leg of
+        any other, whose ``back`` is the response leg.  Returns the first
+        leg, None if the path does not validate, ``_COLD`` on a dirty
+        verdict cache.  Each device, table and register is watched before
+        it is read (cabling and QP connections are set once;
+        docs/PERF.md §9).  Probes use raw reads (``_entries`` /
+        ``_cache``) so validation never perturbs the hit/miss counters
+        the slow lane produces."""
         nic.watch(self)
-        if not nic.powered:
-            return None
         port = nic.port
         link = port.link
-        if link is None:
-            return None
-        link.watch(self)
-        if not link.up or link._drop_probability > 0.0:
+        if not nic.powered or link is None or not self._cable(link, False):
             return None
         switch_port = port.peer
         switch = switch_port.device
@@ -995,7 +860,7 @@ class FlightPlanner:
         if program is None or not switch.powered:
             return None
         if qp.remote_ip != switch.ip:
-            return self._rebuild_read_path(nic, qp, switch, program)
+            return self._read_path(nic, qp, switch, program)
         bcast = getattr(program, "bcast_table", None)
         if bcast is None:
             return None
@@ -1015,48 +880,23 @@ class FlightPlanner:
         if copies is None:
             return None
         fc = program._flow_cache
-        ecache = program._egress_cache
         # Reject stale caches instead of reconciling them here: a
         # reconcile would bump invalidation counters at a different
         # instant than the slow lane.  A couple of slow flights after any
         # control-plane write warm everything back up.
-        if fc._dirty or ecache._dirty or program._egress_templates._dirty:
+        if (fc._dirty or program._egress_cache._dirty
+                or program._egress_templates._dirty):
             return _COLD
-        path = _FusedPath()
-        path.epoch = self._epoch
-        path.nic = nic
-        path.nic_port = port
-        path.switch = switch
-        path.program = program
-        path.leader_link = link
-        path.leader_in_port = switch_port.index
-        path.dir_up = link.direction_from(port)
-        path.dir_down = link.direction_from(switch_port)
-        path.switch_port = switch_port
-        path.fc = fc
-        path.ecache = ecache
-        path.numrecv_cells = program.numrecv._cells
-        path.numrecv_mask = program.numrecv.mask
-        path.half_pipe = switch.pipeline_latency_ns * 0.5
-        path.legs = legs = []
-        ports = switch.ports
-        nports = len(ports)
+        fan = []
         for copy in copies:
-            out = copy.egress_port
             rid = copy.replication_id
-            if rid == 0 or not 0 <= out < nports:
+            if rid == 0:
                 return None  # rid 0 would skip the egress rewrite
-            eg_port = ports[out]
-            rlink = eg_port.link
-            if rlink is None or not self._clean_cable(rlink):
+            # Only real frames cross the leader's cable: any tap will do.
+            leg = self._leg(nic, qp, switch, copy.egress_port, False, True)
+            if leg is None:
                 return None
-            rport = rlink.other_end(eg_port)
-            rnic = rport.device
-            if rnic is None:
-                return None
-            rnic.watch(self)
-            if not getattr(rnic, "powered", False):
-                return None
+            rnic = leg.dst
             centry = econn._entries.get((rid,))
             if centry is None or centry.action != "rewrite":
                 return None
@@ -1076,104 +916,119 @@ class FlightPlanner:
             if int(ap["leader_port"]) != switch_port.index \
                     or ap["leader_ip"] != nic.ip:
                 return None
-            leg = _FusedLeg()
-            leg.epoch = self._epoch
-            leg.path = path
+            back = self._leg(rnic, rqp, switch, switch_port.index, True,
+                             False)
+            if back is None:
+                return None
+            leg.dqp = rqp
+            back.dqp = qp
+            leg.verdict = self._v_scatter
+            back.verdict = self._v_gather
+            leg.fc = back.fc = fc
+            back.key = (rqp.remote_qpn, _OP_ACK)
+            leg.cells = back.cells = program.numrecv._cells
+            leg.mask = back.mask = program.numrecv.mask
             leg.rid = rid
-            leg.out_port = out
-            leg.counters = switch.counters[out]
-            leg.link = rlink
-            leg.dir_down = rlink.direction_from(eg_port)
-            leg.dir_back = rlink.direction_from(rport)
-            leg.rnic = rnic
-            leg.rqp = rqp
-            leg.gather_key = (rqp.remote_qpn, _OP_ACK)
-            legs.append(leg)
-        return path
+            leg.fan = fan
+            leg.land = self._v_replica_write
+            back.land = None
+            leg.back = back
+            fan.append(leg)
+        return fan[0] if fan else None
 
-    def _clean_cable(self, link) -> bool:
-        """Watch ``link``; True if it is up, lossless and tapped by the
-        ``DigestTap`` or not at all (a foreign tap wants real frames, and
-        the frames a fused flight carries over it may be virtual)."""
-        link.watch(self)
-        if not link.up or link._drop_probability > 0.0:
-            return False
-        tap = link._tap
-        return tap is None or type(tap) is DigestTap
-
-    def _rebuild_read_path(self, nic, qp, switch, program):
+    def _read_path(self, nic, qp, switch, program):
         """The unicast path of ``qp``, whose peer is a host behind
         ``switch``: the request leg to the responder NIC, whose ``back``
-        is the response leg, both over ``program``'s plain L3 forward
-        (answered by its :meth:`~repro.switch.pipeline.SwitchProgram.l3_cache`).
+        is the response leg, both over ``program``'s plain L3 forward.
         The responder QP must be connected back to ``qp``."""
         switch.l3_table.watch(self)
-        there = self._l3_leg(nic, switch, program, qp.remote_ip)
+        there = self._forward_leg(nic, qp, switch, program, qp.remote_ip)
         if there is None:
             return None
         rnic = there.dst
         rqp = rnic.qps.get(qp.remote_qpn)
         if rqp is None or rqp.remote_ip != nic.ip or rqp.remote_qpn != qp.qpn:
             return None
-        back = self._l3_leg(rnic, switch, program, nic.ip)
+        back = self._forward_leg(rnic, rqp, switch, program, nic.ip)
         if back is None or back.dst is not nic:
             return None
-        there.sqp = back.dqp = qp
-        there.dqp = back.sqp = rqp
+        there.dqp = rqp
+        back.dqp = qp
         there.back = back
-        back.back = None
+        there.fan = back.back = None
         there.land = self._v_read_serve
         back.land = self._v_read_land
         return there
 
-    def _l3_leg(self, src, switch, program, dst_ip) -> Optional[_L3Leg]:
-        """NIC ``src`` -> ``switch`` -> the NIC its L3 route to ``dst_ip``
-        leads to, validated and pinned; None if any of it is not clean."""
+    def _forward_leg(self, src, sqp, switch, program, dst_ip):
+        """The leg from ``src`` along the L3 route to ``dst_ip``, whose
+        verdict is the plain forward (answered by the program's
+        :meth:`~repro.switch.pipeline.SwitchProgram.l3_cache`), or None.
+        A read response is virtual on both of its cables."""
         fc = program.l3_cache(dst_ip)
-        if fc is None:
+        entry = switch.l3_table._entries.get((dst_ip.value,))
+        if fc is None or entry is None or entry.action != "forward":
             return None
+        leg = self._leg(src, sqp, switch, int(entry.params["port"]), True,
+                        True)
+        if leg is None or leg.dst.ip != dst_ip:
+            return None
+        leg.verdict = self._v_l3
+        leg.fc = fc
+        leg.key = ("l3", dst_ip.value)
+        return leg
+
+    def _leg(self, src, sqp, switch, out, virtual_up, virtual_down):
+        """NIC ``src`` -> ``switch`` -> egress port ``out`` -> the NIC on
+        that cable, validated and pinned (the cables and devices; each
+        shape checks its own tables), or None.  ``virtual_up`` /
+        ``virtual_down``: whether virtual frames cross the up / down
+        cable, which then must be tapped by the ``DigestTap`` or not at
+        all."""
         src.watch(self)
         if not src.powered:
             return None
         port = src.port
-        link = port.link
-        if link is None or not self._clean_cable(link):
+        up = port.link
+        if up is None or not self._cable(up, virtual_up):
             return None
-        in_port = link.other_end(port)
-        if in_port.device is not switch:
-            return None
-        entry = switch.l3_table._entries.get((dst_ip.value,))
-        if entry is None or entry.action != "forward":
-            return None
-        out = int(entry.params["port"])
+        in_port = up.other_end(port)
         ports = switch.ports
-        if not 0 <= out < len(ports):
+        if in_port.device is not switch or not 0 <= out < len(ports):
             return None
         sw_port = ports[out]
         down = sw_port.link
-        if down is None or not self._clean_cable(down):
+        if down is None or not self._cable(down, virtual_down):
             return None
         dst = down.other_end(sw_port).device
         if type(dst) is not type(src):
             return None
         dst.watch(self)
-        if not dst.powered or dst.ip != dst_ip:
+        if not dst.powered:
             return None
-        leg = _L3Leg()
+        leg = _Leg()
         leg.epoch = self._epoch
         leg.src = src
+        leg.sqp = sqp
         leg.src_port = port
-        leg.up_link = link
-        leg.dir_up = link.direction_from(port)
+        leg.dir_up = up.direction_from(port)
         leg.switch = switch
-        leg.in_port = in_port.index
-        leg.fc = fc
-        leg.key = ("l3", dst_ip.value)
+        leg.program = switch.program
         leg.half_pipe = switch.pipeline_latency_ns * 0.5
+        leg.in_port = in_port.index
         leg.out_port = out
-        leg.sw_port = sw_port
         leg.counters = switch.counters[out]
-        leg.down_link = down
+        leg.sw_port = sw_port
         leg.dir_down = down.direction_from(sw_port)
         leg.dst = dst
         return leg
+
+    def _cable(self, link, virtual: bool) -> bool:
+        """Watch ``link``; True if it is up and lossless and, when
+        ``virtual`` frames cross it, tapped by the ``DigestTap`` or not at
+        all (a foreign tap wants real frames)."""
+        link.watch(self)
+        if not link.up or link._drop_probability > 0.0:
+            return False
+        tap = link._tap
+        return not virtual or tap is None or type(tap) is DigestTap

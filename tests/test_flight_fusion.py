@@ -346,7 +346,7 @@ def _tap_from_replica_apply(cluster, leader, planner, probe):
         while frame is not None:
             stages.add(frame.f_code.co_name)
             frame = frame.f_back
-        probe["in_stage"] = "_v_replica_rx" in stages
+        probe["in_stage"] = "_v_replica_write" in stages
         inner_tap = link.tap
 
         def tap(src, packet):
@@ -518,19 +518,24 @@ def test_numrecv_slot_wrap_keeps_fusing(value_size):
 
 
 def _heap_hops(sim, planner):
-    """``(stage name, real fn, real args)`` of every planner-owned entry
-    of the kernel heap, in ``(time, seq)`` order: an express hop is
-    ``(t, seq, stage, (fn, args, ctx))``, and defusion rewrites it
-    into ``(t, seq, fn, args)``."""
-    return [(entry[2].__name__, entry[3][0], entry[3][1])
+    """``(stage name, real fn, real args, leg shape)`` of every
+    planner-owned entry of the kernel heap, in ``(time, seq)`` order: an
+    express hop is ``(t, seq, stage, (fn, args, leg))``, and defusion
+    rewrites it into ``(t, seq, fn, args)``.  The leg's shape is the name
+    of its switch verdict stage."""
+    return [(entry[2].__name__, entry[3][0], entry[3][1],
+             entry[3][2].verdict.__name__)
             for entry in sorted(sim._heap)
             if getattr(entry[2], "__self__", None) is planner]
 
 
-_PRE_EGRESS = {"_v_scatter_egress"}
-_POST_EGRESS = {"_v_scatter_transmit", "_v_replica_arrive"}
-_DELIVERED = {"_v_replica_rx", "_v_ack_emit", "_v_ack_arrive",
-              "_v_gather_ingress"}
+#: (stage, leg shape) of a write's hops: scatter legs waiting for egress,
+#: scatter legs past it, and legs whose replica has answered (the land
+#: and the ACK leg up to its gather).
+_PRE_EGRESS = {("_v_egress", "_v_scatter")}
+_POST_EGRESS = {("_v_transmit", "_v_scatter"), ("_v_nic_arrive", "_v_scatter")}
+_DELIVERED = {("_v_replica_write", "_v_scatter"), ("_v_emit", "_v_gather"),
+              ("_v_arrive", "_v_gather"), ("_v_gather", "_v_gather")}
 
 
 def _defuse_with_legs_at_every_stage(cluster, leader, planner, probe):
@@ -543,7 +548,8 @@ def _defuse_with_legs_at_every_stage(cluster, leader, planner, probe):
                 if h.node_id != leader.node_id)
 
     def defuse():
-        probe["stages"] = {name for name, _, _ in _heap_hops(sim, planner)}
+        probe["stages"] = {(name, shape)
+                           for name, _, _, shape in _heap_hops(sim, planner)}
         link.tap = link.tap
         probe["pending_after"] = len(_heap_hops(sim, planner))
         # Frames and launches live in hop tuples only: with every hop
@@ -577,7 +583,7 @@ def test_defusion_with_legs_at_every_stage_leaves_no_flight_state():
     for name, kinds in probe["held"].items():
         assert not kinds & {"_VFrame", "_VLaunch", "Packet"}, name
         assert kinds <= {"Simulator", "Tracer", "NoneType", "int",
-                         "_FusedPath"}, name
+                         "_Leg"}, name
     # Fusion re-engaged after the one defusion.
     assert fused["flights_fused"] > 1000
     for key in ("digest", "commits", "events", "seqs"):
@@ -862,6 +868,82 @@ def test_reads_fuse_only_with_every_lane_on(lane):
     off = _read_run(lane, _idle)
     assert off["reads_fused"] == 0
     assert off["digest"] == _slow_read_run(_idle)["digest"]
+
+
+@functools.lru_cache(maxsize=None)
+def _unfused_read_run(scenario):
+    """Fusion's own off-half of ``scenario``, run once per module."""
+    return _read_run("unfused", scenario)
+
+
+#: (stage, leg) of every hop a fused READ takes: the five hop stages,
+#: the L3 verdict and the land, on the request and the response leg.
+_READ_HOPS = [(stage, role) for role in ("request", "response")
+              for stage in ("_v_emit", "_v_arrive", "_v_l3", "_v_egress",
+                            "_v_transmit", "_v_nic_arrive", "land")]
+
+
+def _read_hops(sim, planner):
+    """``{(stage, leg role): leg}`` of the pending READ hops; a land
+    stage is named "land"."""
+    hops = {}
+    for entry in sim._heap:
+        stage = entry[2]
+        if getattr(stage, "__self__", None) is not planner:
+            continue
+        leg = entry[3][2]
+        name = "land" if stage == leg.land else stage.__name__
+        role = ("request" if leg.land.__name__ == "_v_read_serve"
+                else "response")
+        hops[(name, role)] = leg
+    return hops
+
+
+def _defuse_read_at(hop):
+    """Idle 2 ms, stepped 10 ns at a time: at the first step with a READ
+    hop pending at ``hop``, re-seat the digest tap of that leg's sending
+    cable (a defusion trigger, and a no-op for the wire).  Stepping adds
+    no event, so the run matches :func:`_idle`'s."""
+    def scenario(cluster, leader):
+        sim = cluster.sim
+        planner = cluster.flight_planner
+        end = sim.now + 2 * MS
+        probe = {}
+        while sim.now < end and not probe:
+            sim.run(until=min(sim.now + 10, end))
+            leg = _read_hops(sim, planner).get(hop)
+            if leg is not None:
+                link = leg.src.port.link
+                link.tap = link.tap
+                probe["pending_after"] = len(_read_hops(sim, planner))
+                probe["held"] = {
+                    name: {type(item).__name__ for item in (
+                        value.values() if isinstance(value, dict)
+                        else [value])}
+                    for name, value in vars(planner).items()}
+        sim.run(until=end)
+        return probe
+    return scenario
+
+
+@pytest.mark.parametrize("hop", _READ_HOPS,
+                         ids=["-".join(hop) for hop in _READ_HOPS])
+def test_read_defused_at_every_leg_stage(hop):
+    """A heartbeat READ defused with a hop pending at any stage of either
+    leg rewrites it into its real event and runs on through the real
+    handlers: the wire, the events and the kernel seqs match fusion's
+    off-half and the all-lanes-off reference, and the planner keeps no
+    frame."""
+    fused = _read_run("fused", _defuse_read_at(hop))
+    probe = fused["probe"]
+    assert probe, hop
+    assert probe["pending_after"] == 0
+    for name, kinds in probe["held"].items():
+        assert not kinds & {"_VFrame", "_VLaunch", "Packet"}, name
+    assert fused["defusions"] == 1
+    for reference in (_unfused_read_run(_idle), _slow_read_run(_idle)):
+        for key in ("digest", "events", "seqs"):
+            assert fused[key] == reference[key], key
 
 
 # -- One definition per hop ---------------------------------------------------

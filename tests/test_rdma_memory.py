@@ -139,6 +139,29 @@ class TestAddressSpace:
         assert space.by_va(region.addr + 10, 4) is region
         assert space.by_va(region.addr + 63, 2) is None
 
+    def test_lookup_by_va_among_many_regions(self):
+        """First, middle and last region; below the first, in a guard
+        page, past the last, across a region's end; after deregister."""
+        space = AddressSpace(SeededRng(1))
+        regions = [space.register(5000, Access.REMOTE_READ) for _ in range(5)]
+        first, middle, last = regions[0], regions[2], regions[-1]
+        for region in (first, middle, last):
+            assert space.by_va(region.addr) is region
+            assert space.by_va(region.addr + 4000, 1000) is region
+            assert space.by_va(region.end - 1) is region
+            assert space.by_va(region.end - 10, 11) is None  # crosses the end
+            assert space.by_va(region.end) is None  # guard page
+            assert space.by_va(region.end + AddressSpace.ALIGNMENT - 1) is None
+        assert space.by_va(first.addr - 1) is None
+        assert space.by_va(last.end + (1 << 20)) is None
+        space.deregister(middle)
+        assert space.by_va(middle.addr + 10) is None
+        assert space.by_va(regions[1].addr + 10) is regions[1]
+        assert space.by_va(regions[3].addr + 10) is regions[3]
+        space.deregister(first)
+        assert space.by_va(first.addr) is None
+        assert space.by_va(last.end - 1) is last
+
     def test_deregister_removes_rkey(self):
         space = AddressSpace(SeededRng(1))
         region = space.register(64, Access.REMOTE_READ)
